@@ -1,10 +1,9 @@
 """Minimal reverse-mode automatic differentiation over numpy arrays.
 
 Only the operations needed by the forecaster are implemented: elementwise
-arithmetic with broadcasting, matmul, reductions, log/exp/sigmoid/softmax,
-abs/sqrt/clipping, concatenation, and the boundary-clipped radius-1 mass
-shift. Gradients are accumulated on leaf nodes after ``backward`` on a
-scalar output.
+arithmetic with broadcasting, matmul, indexing, sum, log/sigmoid/softmax,
+abs/sqrt/clipping, and the boundary-clipped radius-1 mass shift. Gradients
+are accumulated on leaf nodes after ``backward`` on a scalar output.
 """
 from __future__ import annotations
 
@@ -149,15 +148,6 @@ class Var:
         out._backward = back
         return out
 
-    def mean(self):
-        return self.sum() / self.data.size
-
-    def exp(self):
-        e = np.exp(self.data)
-        out = Var(e, (self,))
-        out._backward = lambda g: (g * e,)
-        return out
-
     def log(self):
         out = Var(np.log(self.data), (self,))
         out._backward = lambda g: (g / self.data,)
@@ -233,23 +223,6 @@ class Var:
                     parent.grad = np.broadcast_to(g, parent.data.shape)
                 else:
                     parent.grad = parent.grad + g
-
-
-def concat(vars_or_arrays) -> Var:
-    parts = [Var.lift(v) for v in vars_or_arrays]
-    sizes = [p.data.size for p in parts]
-    out = Var(np.concatenate([p.data.ravel() for p in parts]), tuple(parts))
-
-    def back(g):
-        grads = []
-        off = 0
-        for p, n in zip(parts, sizes):
-            grads.append(g[off : off + n].reshape(p.shape))
-            off += n
-        return tuple(grads)
-
-    out._backward = back
-    return out
 
 
 def shift_mass_var(left: Var, stay: Var, right: Var) -> Var:

@@ -4,7 +4,7 @@ ilr coordinates."""
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -243,7 +243,6 @@ class EtsPredictor(Predictor):
 class CastPredictor(Predictor):
     params: object = None
     name: str = "cast"
-    _cache: dict = field(default_factory=dict, repr=False)
 
     def predict(self, prefix):
         from .model import encode_all, forward

@@ -272,7 +272,6 @@ def _cmd_diagnose_aliasing(args) -> int:
 
 def _cmd_seed_study(args) -> int:
     from .evaluate import evaluate_offline, seed_study
-    from .io import RunConfig as _RC
     from .model import ModelConfig, TrainConfig, train
 
     train_res = ingest(args.data)

@@ -5,7 +5,11 @@ exponentially weighted running mean, one-step delta, and ordered-support
 moments); everything downstream of it is learnable: per-head retrieval
 projections, head mixing, the persistence gate, the transport head, and
 the transport-strength gate. All learnable paths run through the autodiff
-tape so gradients are exact reverse-mode.
+tape so gradients are exact reverse-mode. The model produces the operator's
+inputs (retrieval r, gate lambda, kernel, raw strength rho); the anchor,
+transport, budget gate and mix, and the operator regularizer, are
+`transport.cast_step` and `transport.operator_regularizer`, the same code
+the theory oracle runs.
 """
 from __future__ import annotations
 
@@ -15,7 +19,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .autodiff import Var, shift_mass_var
+from .autodiff import Var
 from .errors import (
     DivergedTraining,
     EmptyBatch,
@@ -23,7 +27,7 @@ from .errors import (
     NonFiniteGradient,
 )
 from .simplex import SimplexSeries, support_bins
-from .transport import BudgetParams
+from .transport import BudgetParams, cast_step, operator_regularizer
 
 VARIANTS = (
     "full",
@@ -71,6 +75,21 @@ class ModelConfig:
             raise ValueError(f"unknown feature_mode {self.feature_mode!r}")
         if self.variant == "single_head":
             object.__setattr__(self, "heads", 1)
+        if min(self.window, self.heads, self.d_r) < 1:
+            raise ValueError("window, heads and d_r must be >= 1")
+        if not 0.0 <= self.lambda_min <= self.lambda_max <= 1.0:
+            raise ValueError("need 0 <= lambda_min <= lambda_max <= 1")
+        # above 1, (1 - rho_eff) * a goes negative and closure breaks
+        if not 0.0 < self.rho_max <= 1.0:
+            raise ValueError("rho_max must lie in (0, 1]")
+        w = self.reg_weights
+        if not (
+            isinstance(w, (tuple, list))
+            and len(w) == 4
+            and all(isinstance(x, (int, float)) and x >= 0 for x in w)
+        ):
+            raise ValueError("reg_weights must be four nonnegative numbers")
+        object.__setattr__(self, "reg_weights", tuple(w))
 
     @property
     def feature_dim(self) -> int:
@@ -210,7 +229,7 @@ class CastParams:
                 raise ValueError(f"unsupported checkpoint version {header.get('format_version')}")
             c = header["config"]
             budget = BudgetParams(*c.pop("budget"))
-            cfg = ModelConfig(budget=budget, reg_weights=tuple(c.pop("reg_weights")), **c)
+            cfg = ModelConfig(budget=budget, **c)
             values = {}
             for e in header["entries"]:
                 shape = tuple(e["shape"])
@@ -271,64 +290,30 @@ def _forward_var(
     else:
         r = Var(p_t, requires_grad=False)
 
-    # persistence gate and anchor
+    # persistence gate
     if cfg.variant == "no_persistence_mix":
         lam = Var(0.0, requires_grad=False)
     else:
         lam = cfg.lambda_min + (cfg.lambda_max - cfg.lambda_min) * (
             hc @ pv["w_gate"] + pv["b_gate"]
         ).sigmoid()
-    a = lam * Var(p_t, requires_grad=False) + (1.0 - lam) * r
 
-    parts = {"lam": lam, "r": r, "a": a, "attn": attn}
-
-    if not cfg.transport_active:
-        parts.update(kernel=None, rho_raw=None, rho_eff=None, delta_mu=None, budget=None)
-        return a, parts
-
-    # transport head
-    rho_raw = cfg.rho_max * (hc @ pv["w_rho"] + pv["b_rho"]).sigmoid()
-    if cfg.variant == "fixed_local_kernel":
-        kernel = Var(fixed_local_kernel(d), requires_grad=False)
-    else:
-        pe = support_position_encoding(d)
-        logits = (hc @ pv["wt_h"]) + (Var(pe, requires_grad=False) @ pv["wt_pe"]) + pv["bt"]
-        kernel = logits.softmax(axis=-1)
-        # boundary rows cannot move mass outside; the clip in shift_mass
-        # handles it, no masking required
-    ta = shift_mass_var(a * kernel[:, 0], a * kernel[:, 1], a * kernel[:, 2])
-
-    bins = support_bins(d)
-    mu_a = a @ Var(bins, requires_grad=False)
-    centered = Var(bins, requires_grad=False) - mu_a
-    sigma = ((a * centered * centered).sum() + 1e-18).sqrt()
-    budget = cfg.budget.delta_mu + cfg.budget.delta_sigma * sigma
-    delta_mu = (ta - a) @ Var(bins, requires_grad=False)
-    gate = (budget / (delta_mu.abs() + cfg.budget.epsilon)).clip_max(1.0)
-    rho_eff = rho_raw * gate
-    p_hat = (1.0 - rho_eff) * a + rho_eff * ta
-
-    parts.update(kernel=kernel, rho_raw=rho_raw, rho_eff=rho_eff, delta_mu=delta_mu, budget=budget)
-    return p_hat, parts
-
-
-def _regularizer_var(parts, cfg: ModelConfig) -> Var | None:
-    """Target-free operator prior on the differentiable transport parts."""
-    if parts["kernel"] is None:
-        return None
-    w_strength, w_offid, w_smooth, w_shift = cfg.reg_weights
-    k = parts["kernel"]
-    off_id = (k[:, 0] * k[:, 0]).sum() + (k[:, 2] * k[:, 2]).sum()
-    dk = k[:-1, :] - k[1:, :]
-    smoothness = (dk * dk).sum()
-    ratio = parts["delta_mu"] / parts["budget"]
-    shift = ratio * ratio
-    return (
-        w_strength * parts["rho_raw"]
-        + w_offid * off_id
-        + w_smooth * smoothness
-        + w_shift * shift
-    )
+    # transport head; the anchor, transport, budget gate and mix run in
+    # transport.cast_step
+    kernel = rho_raw = None
+    if cfg.transport_active:
+        rho_raw = cfg.rho_max * (hc @ pv["w_rho"] + pv["b_rho"]).sigmoid()
+        if cfg.variant == "fixed_local_kernel":
+            kernel = fixed_local_kernel(d)
+        else:
+            pe = support_position_encoding(d)
+            logits = (hc @ pv["wt_h"]) + (Var(pe, requires_grad=False) @ pv["wt_pe"]) + pv["bt"]
+            kernel = logits.softmax(axis=-1)
+            # boundary rows cannot move mass outside; the clip in shift_mass
+            # handles it, no masking required
+    parts = cast_step(p_t, r, lam, kernel, rho_raw, cfg.budget)
+    parts.update(lam=lam, r=r, attn=attn)
+    return parts["p_hat"], parts
 
 
 def forward(
@@ -393,7 +378,7 @@ def loss_var(batch: Batch, pv: dict[str, Var], cfg: ModelConfig) -> Var:
         p_hat, parts = _forward_var(steps[: t + 1], mem_feats, mem_succ, pv, cfg, h=feats[t])
         step_terms.append(_kl_term(steps[t + 1], p_hat))
         if cfg.variant != "no_structural_reg":
-            reg = _regularizer_var(parts, cfg)
+            reg = operator_regularizer(parts, cfg.reg_weights)
             if reg is not None:
                 reg_terms.append(reg)
     total = step_terms[0]
@@ -539,29 +524,6 @@ def train(
         val_kl = evaluate_val_kl(val_seqs, best, tc.max_val_positions, feats_cache)
         log.append({"step": tc.iters, "train_loss": float("nan"), "val_kl": val_kl})
     return best, log
-
-
-def predict_rollout(
-    context: np.ndarray,
-    horizon: int,
-    params: CastParams,
-) -> np.ndarray:
-    """Autoregressive rollout: each prediction is appended to the context and
-    entered into a rollout-local memory. Never reads beyond the context."""
-    if horizon < 1:
-        raise ValueError("horizon must be >= 1")
-    cfg = params.cfg
-    prefix = np.array(context, dtype=np.float64)
-    preds = []
-    for _ in range(horizon):
-        feats = encode_all(prefix, cfg)
-        t = len(prefix) - 1
-        mem_feats = feats[:t] if t > 0 else None
-        mem_succ = prefix[1 : t + 1] if t > 0 else None
-        p_hat, _ = forward(prefix, mem_feats, mem_succ, params, h=feats[t])
-        preds.append(p_hat)
-        prefix = np.vstack([prefix, p_hat])
-    return np.array(preds)
 
 
 def config_for_variant(cfg: ModelConfig, variant: str) -> ModelConfig:

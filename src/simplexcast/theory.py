@@ -328,20 +328,11 @@ def cast_oracle(scenario: AliasingScenario) -> np.ndarray:
     """Regime-aware anchored transport reproduces each successor exactly:
     plug (lambda=1, rho, T_z) into the transition."""
     budget = scenario.effective_budget()
-    preds = []
-    for z in range(scenario.k):
-        preds.append(
-            cast_step(
-                scenario.p_star,
-                scenario.p_star,
-                1.0,
-                scenario.regimes[z].kernel,
-                scenario.rho,
-                budget,
-                ordered=True,
-            )
-        )
-    return np.array(preds)
+    p = scenario.p_star
+    return np.array([
+        cast_step(p, p, 1.0, regime.kernel.rows, scenario.rho, budget)["p_hat"].data
+        for regime in scenario.regimes
+    ])
 
 
 # ------------------------------------------------------- dataset

@@ -1,10 +1,16 @@
-"""Radius-1 local stochastic transport on ordered supports.
+"""The anchored-transport operator and radius-1 local stochastic transport.
 
 A transport kernel is a D x 3 row-stochastic matrix K(j, o) over offsets
 o in {-1, 0, +1}; applying it moves mass at most one bin, with offsets
 clipped into {1..D} at the boundary. The mean-shift budget gate scales the
 transport strength so that the realized support-mean displacement stays
 within B = delta_mu + delta_sigma * std_support(a).
+
+`cast_step` (anchor, transport, budget gate, mix) and
+`operator_regularizer` are the only implementation of the operator; the
+model trains and predicts through them. `apply_transport` and
+`TransportKernel` define scenario successors and serve as independent
+numpy references in the tests.
 """
 from __future__ import annotations
 
@@ -13,10 +19,9 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
+from .autodiff import Var, shift_mass_var
 from .errors import DimensionMismatch
-from .simplex import Dist, convex_mix, mean_support, std_support
-
-OFFSETS = (-1, 0, 1)
+from .simplex import Dist, std_support, support_bins
 
 
 @dataclass(frozen=True)
@@ -85,57 +90,56 @@ def apply_transport(kernel: TransportKernel, a: Dist) -> Dist:
     return shift_mass(m[:, 0], m[:, 1], m[:, 2])
 
 
-def budget_gate(a: Dist, ta: Dist, rho_raw: float, b: BudgetParams) -> tuple[float, float]:
-    """Scale the raw transport strength so the realized mean shift stays
-    within the budget. Returns (rho_effective, realized mean shift of the
-    full-strength transport)."""
-    delta_mu = mean_support(ta) - mean_support(a)
-    budget = b.budget(a)
-    gate = min(1.0, budget / (abs(delta_mu) + b.epsilon))
-    return rho_raw * gate, delta_mu
+def cast_step(p, r, lam, kernel, rho, budget: BudgetParams) -> dict:
+    """One anchored-transport transition on the autodiff tape: anchor
+    a = lam*p + (1-lam)*r, then mix in the radius-1 transport of a with the
+    strength rho scaled down by the mean-shift budget gate. Arguments are
+    tape Vars or plain arrays; kernel=None means anchor only (unordered
+    supports, or the anchor_only variant). This is the one implementation
+    that training, inference and the theory oracle run.
+
+    Returns the intermediate Vars by name: a, ta, kernel, rho, rho_eff,
+    delta_mu, budget and p_hat; the transport entries are None without a
+    kernel."""
+    p, r, lam = Var.lift(p), Var.lift(r), Var.lift(lam)
+    a = lam * p + (1.0 - lam) * r
+    parts = dict.fromkeys(("ta", "kernel", "rho", "rho_eff", "delta_mu", "budget"))
+    parts.update(a=a, p_hat=a)
+    if kernel is None:
+        return parts
+    kernel, rho = Var.lift(kernel), Var.lift(rho)
+    ta = shift_mass_var(a * kernel[:, 0], a * kernel[:, 1], a * kernel[:, 2])
+
+    bins = Var(support_bins(a.data.size), requires_grad=False)
+    mu_a = a @ bins
+    centered = bins - mu_a
+    sigma = ((a * centered * centered).sum() + 1e-18).sqrt()
+    b = budget.delta_mu + budget.delta_sigma * sigma
+    delta_mu = (ta - a) @ bins
+    gate = (b / (delta_mu.abs() + budget.epsilon)).clip_max(1.0)
+    rho_eff = rho * gate
+    p_hat = (1.0 - rho_eff) * a + rho_eff * ta
+    parts.update(ta=ta, kernel=kernel, rho=rho, rho_eff=rho_eff, delta_mu=delta_mu,
+                 budget=b, p_hat=p_hat)
+    return parts
 
 
-def cast_step(
-    p: Dist,
-    r: Dist,
-    lam: float,
-    kernel: TransportKernel | None,
-    rho: float,
-    b: BudgetParams,
-    ordered: bool,
-) -> Dist:
-    """One anchored-transport transition: anchor = lam*p + (1-lam)*r, then
-    mix in the budget-gated local transport on ordered supports."""
-    a = convex_mix(p, r, lam)
-    if not ordered or rho == 0.0 or kernel is None:
-        return a
-    ta = apply_transport(kernel, a)
-    rho_eff, _ = budget_gate(a, ta, rho, b)
-    return (1.0 - rho_eff) * a + rho_eff * ta
-
-
-def operator_regularizer(
-    kernel: TransportKernel,
-    a: Dist,
-    rho: float,
-    b: BudgetParams,
-    weights: tuple[float, float, float, float] = (5e-4, 5e-4, 1e-4, 5e-4),
-) -> float:
-    """Target-free operator prior: weighted sum of transport strength,
-    off-identity mass, neighbor roughness, and relative mean shift."""
-    if any(w < 0 for w in weights):
-        raise ValueError("regularizer weights must be nonnegative")
+def operator_regularizer(parts: dict, weights) -> Var | None:
+    """Target-free operator prior on the parts of a cast_step: weighted sum
+    of transport strength, off-identity mass, neighbor roughness, and
+    relative mean shift. None when the step had no transport."""
+    k = parts["kernel"]
+    if k is None:
+        return None
     w_strength, w_offid, w_smooth, w_shift = weights
-    rows = kernel.rows
-    strength = rho
-    off_identity = float(np.sum(rows[:, [0, 2]] ** 2))
-    smoothness = float(np.sum((rows[:-1] - rows[1:]) ** 2))
-    ta = apply_transport(kernel, a)
-    delta_mu = mean_support(ta) - mean_support(a)
-    shift = (delta_mu / b.budget(a)) ** 2
+    off_id = (k[:, 0] * k[:, 0]).sum() + (k[:, 2] * k[:, 2]).sum()
+    dk = k[:-1, :] - k[1:, :]
+    smoothness = (dk * dk).sum()
+    ratio = parts["delta_mu"] / parts["budget"]
+    shift = ratio * ratio
     return (
-        w_strength * strength
-        + w_offid * off_identity
+        w_strength * parts["rho"]
+        + w_offid * off_id
         + w_smooth * smoothness
         + w_shift * shift
     )

@@ -173,6 +173,27 @@ class TestCli:
                      "--model", str(ckpt), "--out", str(tmp_path)])
         assert code == 0
 
+    @pytest.mark.parametrize("key,value", [("rho_max", 3.0), ("window", 0),
+                                           ("reg_weights", [5e-4, -1.0, 1e-4, 5e-4])])
+    def test_cast_evaluate_rejects_bad_checkpoint_config(self, rng, tmp_path, key, value):
+        from simplexcast.model import CastParams, ModelConfig
+
+        data = tmp_path / "d.jsonl"
+        write_dataset(data, _seqs(rng, n=2, t=8), section_name="unit")
+        ckpt = tmp_path / "model.ckpt"
+        CastParams.init(ModelConfig(dim=4, ordered=True, window=2, d_r=4), seed=0).save(ckpt)
+        argv = ["evaluate", "--data", str(data), "--method", "cast",
+                "--model", str(ckpt), "--out", str(tmp_path)]
+        assert _run(argv) == 0
+        # hand-edit the JSON header: magic, little-endian length, header, values
+        blob = ckpt.read_bytes()
+        n = int.from_bytes(blob[4:8], "little")
+        header = json.loads(blob[8 : 8 + n])
+        header["config"][key] = value
+        edited = json.dumps(header, sort_keys=True).encode()
+        ckpt.write_bytes(blob[:4] + len(edited).to_bytes(4, "little") + edited + blob[8 + n :])
+        assert _run(argv) == 1
+
     def test_theory_check_passes(self, tmp_path):
         code = _run(["theory-check", "--scenarios", "5", "--seed", "1",
                      "--out", str(tmp_path)])

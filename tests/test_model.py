@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from simplexcast.baselines import CastPredictor
 from simplexcast.metrics import kl
 from simplexcast.model import (
     Batch,
@@ -16,7 +17,6 @@ from simplexcast.model import (
     loss,
     make_batch,
     make_series,
-    predict_rollout,
     scored_positions,
     support_position_encoding,
     train,
@@ -342,11 +342,23 @@ def test_scored_positions_respect_mask(rng):
 # ---------------------------------------------------------------- rollout
 
 
+def cast_rollout(context, horizon, params):
+    """Feed each CastPredictor prediction back as the next input, as
+    evaluate.evaluate_rollout does."""
+    predictor = CastPredictor(params)
+    prefix = np.array(context, dtype=np.float64)
+    preds = []
+    for _ in range(horizon):
+        preds.append(predictor.predict(prefix))
+        prefix = np.vstack([prefix, preds[-1]])
+    return np.array(preds)
+
+
 def test_rollout_shapes_and_closure(rng):
     cfg = small_cfg()
     params = CastParams.init(cfg, seed=4)
     context = np.array([random_dist(rng, cfg.dim) for _ in range(6)])
-    out = predict_rollout(context, horizon=4, params=params)
+    out = cast_rollout(context, horizon=4, params=params)
     assert out.shape == (4, cfg.dim)
     assert np.allclose(out.sum(axis=1), 1.0, atol=1e-8)
     assert np.all(out >= -1e-12)
@@ -356,8 +368,8 @@ def test_rollout_deterministic_and_first_step_matches_forward(rng):
     cfg = small_cfg()
     params = CastParams.init(cfg, seed=4)
     context = np.array([random_dist(rng, cfg.dim) for _ in range(6)])
-    out1 = predict_rollout(context, 3, params)
-    out2 = predict_rollout(context, 3, params)
+    out1 = cast_rollout(context, 3, params)
+    out2 = cast_rollout(context, 3, params)
     assert np.array_equal(out1, out2)
     feats = encode_all(context, cfg)
     t = len(context) - 1
@@ -390,3 +402,26 @@ def test_checkpoint_rejects_bad_magic(tmp_path):
     path.write_bytes(b"NOPE" + b"\x00" * 16)
     with pytest.raises(ValueError):
         CastParams.load(path)
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        dict(rho_max=0.0),
+        dict(rho_max=3.0),
+        dict(rho_max=float("nan")),
+        dict(lambda_min=0.9, lambda_max=0.1),
+        dict(lambda_min=-0.1),
+        dict(lambda_max=1.5),
+        dict(window=0),
+        dict(heads=0),
+        dict(d_r=0),
+        dict(reg_weights=(5e-4, -1.0, 1e-4, 5e-4)),
+        dict(reg_weights=(5e-4, 5e-4, 1e-4)),
+        dict(reg_weights=(5e-4, 5e-4, 1e-4, "x")),
+        dict(reg_weights=1.0),
+    ],
+)
+def test_config_rejects_bad_values(bad):
+    with pytest.raises(ValueError):
+        small_cfg(**bad)

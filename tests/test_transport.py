@@ -7,17 +7,27 @@ from simplexcast.transport import (
     BudgetParams,
     TransportKernel,
     apply_transport,
-    budget_gate,
     cast_step,
     operator_regularizer,
 )
 
 from conftest import random_dist
 
+REG_WEIGHTS = (5e-4, 5e-4, 1e-4, 5e-4)
+
 
 def random_kernel(rng, d):
     rows = rng.gamma(1.0, 1.0, size=(d, 3)) + 1e-12
     return TransportKernel(rows / rows.sum(axis=1, keepdims=True))
+
+
+def step(p, r, lam, kernel, rho, b):
+    """The operator's parts for a TransportKernel (or None)."""
+    return cast_step(p, r, lam, None if kernel is None else kernel.rows, rho, b)
+
+
+def p_hat(p, r, lam, kernel, rho, b):
+    return step(p, r, lam, kernel, rho, b)["p_hat"].data
 
 
 class TestApplyTransport:
@@ -45,74 +55,81 @@ class TestApplyTransport:
 
 
 class TestBudgetGate:
+    """The gate inside cast_step, with lam=1 so the anchor is a and a kernel
+    chosen to give the hand-set ta."""
+
     def test_no_shift_no_scaling(self, rng):
         a = random_dist(rng, 4)
-        rho_eff, dmu = budget_gate(a, a, 0.15, BudgetParams())
-        assert dmu == 0
-        assert rho_eff == pytest.approx(0.15)
+        parts = step(a, a, 1.0, TransportKernel.identity(4), 0.15, BudgetParams())
+        assert parts["delta_mu"].item() == 0
+        assert parts["rho_eff"].item() == pytest.approx(0.15)
 
     def test_formula_arithmetic(self):
         # unit mean shift against budget 0.25: gate = 0.25 / (1 + eps)
         a = np.array([1.0, 0.0, 0.0])
-        ta = np.array([0.0, 1.0, 0.0])
         b = BudgetParams(delta_mu=0.25, delta_sigma=0.0)
-        rho_eff, dmu = budget_gate(a, ta, 0.2, b)
-        assert dmu == pytest.approx(1.0)
-        assert rho_eff == pytest.approx(0.2 * 0.25 / (1.0 + b.epsilon), abs=1e-8)
+        parts = step(a, a, 1.0, TransportKernel.pure_shift(3, +1), 0.2, b)
+        np.testing.assert_array_equal(parts["ta"].data, [0.0, 1.0, 0.0])
+        assert parts["delta_mu"].item() == pytest.approx(1.0)
+        assert parts["rho_eff"].item() == pytest.approx(0.2 * 0.25 / (1.0 + b.epsilon), abs=1e-8)
 
     def test_inside_budget(self):
         a = np.array([0.95, 0.05, 0.0])
-        ta = np.array([0.85, 0.15, 0.0])  # mean shift 0.1 < budget
-        rho_eff, dmu = budget_gate(a, ta, 0.2, BudgetParams(delta_mu=0.25, delta_sigma=0.0))
-        assert dmu == pytest.approx(0.1)
-        assert rho_eff == pytest.approx(0.2)
+        move = 0.1 / 0.95  # bin 1 sends 0.1 of mass right
+        k = TransportKernel(np.array([[0.0, 1.0 - move, move], [0, 1, 0], [0, 1, 0]]))
+        parts = step(a, a, 1.0, k, 0.2, BudgetParams(delta_mu=0.25, delta_sigma=0.0))
+        np.testing.assert_allclose(parts["ta"].data, [0.85, 0.15, 0.0])  # mean shift 0.1 < budget
+        assert parts["delta_mu"].item() == pytest.approx(0.1)
+        assert parts["rho_eff"].item() == pytest.approx(0.2)
 
 
 class TestCastStep:
     def test_persistence_identity(self, rng):
         p, r = random_dist(rng, 5), random_dist(rng, 5)
         k = random_kernel(rng, 5)
-        out = cast_step(p, r, 1.0, k, 0.0, BudgetParams(), ordered=True)
+        out = p_hat(p, r, 1.0, k, 0.0, BudgetParams())
         np.testing.assert_array_equal(out, p)
 
     def test_pure_anchor_identity(self, rng):
         p, r = random_dist(rng, 5), random_dist(rng, 5)
-        out = cast_step(p, r, 0.0, random_kernel(rng, 5), 0.0, BudgetParams(), ordered=True)
+        out = p_hat(p, r, 0.0, random_kernel(rng, 5), 0.0, BudgetParams())
         np.testing.assert_array_equal(out, r)
 
     def test_identity_kernel_fixed_point(self, rng):
         p, r = random_dist(rng, 4), random_dist(rng, 4)
-        out = cast_step(p, r, 0.3, TransportKernel.identity(4), 0.2, BudgetParams(), True)
+        out = p_hat(p, r, 0.3, TransportKernel.identity(4), 0.2, BudgetParams())
         np.testing.assert_allclose(out, convex_mix(p, r, 0.3))
 
     def test_unordered_disables_transport(self, rng):
+        # unordered supports pass no kernel: the step is the anchor
         p, r = random_dist(rng, 4), random_dist(rng, 4)
-        out = cast_step(p, r, 0.3, random_kernel(rng, 4), 0.2, BudgetParams(), ordered=False)
-        np.testing.assert_allclose(out, convex_mix(p, r, 0.3))
+        parts = step(p, r, 0.3, None, 0.2, BudgetParams())
+        np.testing.assert_allclose(parts["p_hat"].data, convex_mix(p, r, 0.3))
+        assert parts["rho_eff"] is None
+        assert operator_regularizer(parts, REG_WEIGHTS) is None
 
 
 class TestRegularizer:
     def test_identity_zero(self, rng):
         a = random_dist(rng, 4)
-        v = operator_regularizer(TransportKernel.identity(4), a, 0.0, BudgetParams())
-        assert v == 0
+        parts = step(a, a, 1.0, TransportKernel.identity(4), 0.0, BudgetParams())
+        assert operator_regularizer(parts, REG_WEIGHTS).item() == 0
 
     def test_constant_rows_zero_smoothness(self, rng):
         rows = np.tile([0.2, 0.5, 0.3], (5, 1))
-        k = TransportKernel(rows)
         a = random_dist(rng, 5)
+        parts = step(a, a, 1.0, TransportKernel(rows), 0.0, BudgetParams())
         # isolate the smoothness term
-        v = operator_regularizer(k, a, 0.0, BudgetParams(), weights=(0, 0, 1, 0))
-        assert v == 0
+        assert operator_regularizer(parts, (0, 0, 1, 0)).item() == 0
 
     def test_right_shift_hand_values(self):
         d = 3
         a = np.full(d, 1 / 3)
-        k = TransportKernel.pure_shift(d, +1)
         b = BudgetParams()
-        off_id = operator_regularizer(k, a, 0.0, b, weights=(0, 1, 0, 0))
+        parts = step(a, a, 1.0, TransportKernel.pure_shift(d, +1), 0.0, b)
+        off_id = operator_regularizer(parts, (0, 1, 0, 0)).item()
         assert off_id == pytest.approx(3.0)
-        shift = operator_regularizer(k, a, 0.0, b, weights=(0, 0, 0, 1))
+        shift = operator_regularizer(parts, (0, 0, 0, 1)).item()
         budget = b.delta_mu + b.delta_sigma * std_support(a)
         assert shift == pytest.approx(((2 / 3) / budget) ** 2)
 
@@ -128,8 +145,8 @@ class TestDriftInvariants:
             k = random_kernel(rng, d)
             a = convex_mix(p, r, lam)
             ta = apply_transport(k, a)
-            rho_eff, _ = budget_gate(a, ta, rho, b)
-            out = cast_step(p, r, lam, k, rho, b, ordered=True)
+            parts = step(p, r, lam, k, rho, b)
+            rho_eff, out = parts["rho_eff"].item(), parts["p_hat"].data
             for v in (a, ta, out):
                 assert np.all(v >= -1e-15)
                 assert v.sum() == pytest.approx(1.0, abs=1e-9)
@@ -156,8 +173,8 @@ class TestDriftInvariants:
             lam, lam2 = float(rng.uniform()), float(rng.uniform())
             rho, rho2 = float(rng.uniform(0, rho_max)), float(rng.uniform(0, rho_max))
             k, k2 = random_kernel(rng, d), random_kernel(rng, d)
-            u = cast_step(p, r, lam, k, rho, b, True)
-            u2 = cast_step(p, r2, lam2, k2, rho2, b, True)
+            u = p_hat(p, r, lam, k, rho, b)
+            u2 = p_hat(p, r2, lam2, k2, rho2, b)
             a2 = convex_mix(p, r2, lam2)
             eps_r = l1(r, r2)
             eps_lam = abs(lam - lam2)
