@@ -1,9 +1,12 @@
 """Minimal reverse-mode automatic differentiation over numpy arrays.
 
 Only the operations needed by the forecaster are implemented: elementwise
-arithmetic with broadcasting, matmul, indexing, sum, log/sigmoid/softmax,
-abs/sqrt/clipping, and the boundary-clipped radius-1 mass shift. Gradients
-are accumulated on leaf nodes after ``backward`` on a scalar output.
+arithmetic with broadcasting, matmul (batched over leading axes, as numpy
+broadcasts them), reshape, indexing, sum, log/sigmoid/softmax,
+abs/sqrt/clipping, and the boundary-clipped radius-1 mass shift over the
+last axis. Gradients are accumulated on leaf nodes after ``backward`` on a
+scalar output. An operand with ``requires_grad`` False is a constant: matmul
+skips its gradient, returning None, and ``backward`` ignores None.
 """
 from __future__ import annotations
 
@@ -111,14 +114,21 @@ class Var:
         a, b = self.data, other.data
 
         def back(g):
+            # promote 1-D operands to matrices as numpy does, then apply the
+            # batched rule; the gradient of a constant operand is skipped
+            a2 = a[None, :] if a.ndim == 1 else a
+            b2 = b[:, None] if b.ndim == 1 else b
             g = np.asarray(g)
-            if a.ndim == 1 and b.ndim == 1:  # dot -> scalar
-                return g * b, g * a
-            if a.ndim == 2 and b.ndim == 1:  # (m,n)@(n,) -> (m,)
-                return np.outer(g, b), a.T @ g
-            if a.ndim == 1 and b.ndim == 2:  # (m,)@(m,n) -> (n,)
-                return b @ g, np.outer(a, g)
-            return g @ b.T, a.T @ g
+            if b.ndim == 1:
+                g = g[..., None]
+            if a.ndim == 1:
+                g = np.expand_dims(g, -2)
+            ga = gb = None
+            if self.requires_grad:
+                ga = _unbroadcast(g @ np.swapaxes(b2, -1, -2), a2.shape).reshape(a.shape)
+            if other.requires_grad:
+                gb = _unbroadcast(np.swapaxes(a2, -1, -2) @ g, b2.shape).reshape(b.shape)
+            return ga, gb
 
         out._backward = back
         return out
@@ -128,13 +138,25 @@ class Var:
 
     def __getitem__(self, idx):
         out = Var(self.data[idx], (self,))
+        basic = all(
+            i is None or i is Ellipsis or isinstance(i, (int, slice))
+            for i in (idx if isinstance(idx, tuple) else (idx,))
+        )
 
         def back(g):
             full = np.zeros_like(self.data)
-            np.add.at(full, idx, g)
+            if basic:  # a basic index selects each element at most once
+                full[idx] += g
+            else:
+                np.add.at(full, idx, g)
             return (full,)
 
         out._backward = back
+        return out
+
+    def reshape(self, *shape):
+        out = Var(self.data.reshape(*shape), (self,))
+        out._backward = lambda g: (np.reshape(g, self.shape),)
         return out
 
     def sum(self, axis=None):
@@ -215,7 +237,7 @@ class Var:
             if node._backward is None or node.grad is None:
                 continue
             for parent, g in zip(node.parents, node._backward(node.grad)):
-                if not parent.requires_grad:
+                if g is None or not parent.requires_grad:
                     continue
                 if parent.grad is None:
                     # first contribution: take g as-is (never mutated in
@@ -226,8 +248,8 @@ class Var:
 
 
 def shift_mass_var(left: Var, stay: Var, right: Var) -> Var:
-    """Differentiable boundary-clipped radius-1 mass accumulation, matching
-    transport.shift_mass."""
+    """Differentiable boundary-clipped radius-1 mass accumulation over the
+    last axis, matching transport.shift_mass."""
     from .transport import shift_mass
 
     out_data = shift_mass(left.data, stay.data, right.data)
@@ -235,11 +257,11 @@ def shift_mass_var(left: Var, stay: Var, right: Var) -> Var:
 
     def back(g):
         gl = np.empty_like(g)
-        gl[0] = g[0]
-        gl[1:] = g[:-1]
+        gl[..., 0] = g[..., 0]
+        gl[..., 1:] = g[..., :-1]
         gr = np.empty_like(g)
-        gr[-1] = g[-1]
-        gr[:-1] = g[1:]
+        gr[..., -1] = g[..., -1]
+        gr[..., :-1] = g[..., 1:]
         return gl, g.copy(), gr
 
     out._backward = back

@@ -17,7 +17,7 @@ import sys
 import numpy as np
 
 from .errors import SimplexCastError
-from .io import RunConfig, atomic_write_text, ingest, write_dataset, write_json
+from .io import RunConfig, atomic_write, ingest, write_dataset, write_json
 
 log = logging.getLogger(__name__)
 
@@ -77,7 +77,7 @@ def _cmd_simulate_queues(args) -> int:
     return 0
 
 
-def _predictor(method, train_seqs, args, cfg_values):
+def _predictor(method, data, train_seqs, args):
     from .baselines import (
         AnalogPredictor,
         CastPredictor,
@@ -101,7 +101,13 @@ def _predictor(method, train_seqs, args, cfg_values):
     if method == "cast":
         if not args.model:
             raise SimplexCastError("--model checkpoint required for method=cast")
-        return CastPredictor(CastParams.load(args.model))
+        params = CastParams.load(args.model)
+        if (params.cfg.dim, params.cfg.ordered) != (data.dim, data.ordered):
+            raise SimplexCastError(
+                f"checkpoint is for D={params.cfg.dim}, ordered={params.cfg.ordered}; "
+                f"data has D={data.dim}, ordered={data.ordered}"
+            )
+        return CastPredictor(params)
     raise SimplexCastError(f"unknown method {method!r}")
 
 
@@ -110,7 +116,11 @@ def _cmd_train(args) -> int:
 
     cfg_file = _load_config(args)
     train_res = ingest(args.data)
-    val_res = ingest(args.val) if args.val else train_res
+    if args.val:
+        val_res, selected_on = ingest(args.val), "val"
+    else:
+        log.warning("no --val given: the model is selected on the training split")
+        val_res, selected_on = train_res, "train"
     mc = ModelConfig(
         dim=train_res.dim,
         ordered=train_res.ordered,
@@ -131,7 +141,8 @@ def _cmd_train(args) -> int:
     os.makedirs(out, exist_ok=True)
     ckpt = os.path.join(out, "model.ckpt")
     params.save(ckpt)
-    _emit(args, {"log": train_log, "checkpoint": os.path.basename(ckpt)}, "train_log.json")
+    payload = {"log": train_log, "checkpoint": os.path.basename(ckpt), "selected_on": selected_on}
+    _emit(args, payload, "train_log.json")
     if not args.json:
         print(f"wrote {ckpt}")
     return 0
@@ -142,7 +153,8 @@ def _cmd_evaluate(args) -> int:
 
     data = ingest(args.data)
     train_seqs = ingest(args.train).sequences if args.train else data.sequences
-    predictor = _predictor(args.method, train_seqs, args, _load_config(args))
+    _load_config(args)  # no key is read here, but a bad --config still exits 1
+    predictor = _predictor(args.method, data, train_seqs, args)
     result = evaluate_offline(predictor, data.sequences)
     payload = {"method": args.method, "section": data.section_name, "metrics": result}
     _emit(args, payload, f"evaluate_{args.method}.json")
@@ -154,7 +166,8 @@ def _cmd_rollout(args) -> int:
 
     data = ingest(args.data)
     train_seqs = ingest(args.train).sequences if args.train else data.sequences
-    predictor = _predictor(args.method, train_seqs, args, _load_config(args))
+    _load_config(args)  # no key is read here, but a bad --config still exits 1
+    predictor = _predictor(args.method, data, train_seqs, args)
     rc = RolloutConfig(
         context_len=args.context, horizon=args.horizon, max_examples=args.max_examples
     )
@@ -327,7 +340,7 @@ def _cmd_report(args) -> int:
         )
     csv_text = buf.getvalue()
     out = _out_dir(args)
-    atomic_write_text(os.path.join(out, "ranks.csv"), lambda fh: fh.write(csv_text))
+    atomic_write(os.path.join(out, "ranks.csv"), lambda fh: fh.write(csv_text))
     payload = {
         "metric": args.metric,
         "methods": rm.methods,

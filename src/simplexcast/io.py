@@ -64,12 +64,13 @@ def write_dataset(path, seqs, section_name: str = "") -> None:
             }
             fh.write(json.dumps(row, sort_keys=True) + "\n")
 
-    atomic_write_text(path, emit)
+    atomic_write(path, emit)
 
 
 def ingest(path) -> IngestResult:
     """Reads a dataset file; rows are normalized, and rows whose total mass
-    is zero anywhere are dropped and counted."""
+    is zero anywhere are dropped and counted. A non-finite value is a
+    ParseError naming its line."""
     with _open(path, "r") as fh:
         lines = fh.read().splitlines()
     if not lines:
@@ -108,6 +109,8 @@ def ingest(path) -> IngestResult:
             raise ParseError(
                 f"steps must be (T, {dim}), got {steps.shape}", line=lineno
             )
+        if not np.all(np.isfinite(steps)):
+            raise ParseError("steps must be finite (no NaN or Infinity)", line=lineno)
         if "id" not in row:
             raise ParseError("row missing id", line=lineno)
         mask = row.get("loss_mask")
@@ -134,9 +137,9 @@ def ingest(path) -> IngestResult:
     )
 
 
-def atomic_write_text(path, emit) -> None:
+def atomic_write(path, emit, binary: bool = False) -> None:
     """Writes via a same-directory temp file and rename; `emit` receives the
-    open text handle."""
+    open handle, text or, with `binary`, bytes. A .gz path is compressed."""
     path = os.fspath(path)
     directory = os.path.dirname(path) or "."
     os.makedirs(directory, exist_ok=True)
@@ -144,10 +147,10 @@ def atomic_write_text(path, emit) -> None:
     try:
         if path.endswith(".gz"):
             os.close(fd)
-            with gzip.open(tmp, "wt") as fh:
+            with gzip.open(tmp, "wb" if binary else "wt") as fh:
                 emit(fh)
         else:
-            with os.fdopen(fd, "w") as fh:
+            with os.fdopen(fd, "wb" if binary else "w") as fh:
                 emit(fh)
         os.replace(tmp, path)
     except BaseException:
@@ -157,7 +160,7 @@ def atomic_write_text(path, emit) -> None:
 
 
 def write_json(path, payload) -> None:
-    atomic_write_text(
+    atomic_write(
         path, lambda fh: fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     )
 

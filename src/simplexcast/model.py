@@ -10,6 +10,12 @@ inputs (retrieval r, gate lambda, kernel, raw strength rho); the anchor,
 transport, budget gate and mix, and the operator regularizer, are
 `transport.cast_step` and `transport.operator_regularizer`, the same code
 the theory oracle runs.
+
+The forward pass has a leading batch axis: a training step is one tape over
+all B scored positions of the batch. Retrieval is masked causal attention
+over the memories padded to the longest prefix; the memory is a constant on
+the tape, so no gradient is computed for it. `forward` is the same pass on
+one row.
 """
 from __future__ import annotations
 
@@ -26,6 +32,7 @@ from .errors import (
     EmptyPrefix,
     NonFiniteGradient,
 )
+from .io import atomic_write
 from .simplex import SimplexSeries, support_bins
 from .transport import BudgetParams, cast_step, operator_regularizer
 
@@ -148,6 +155,48 @@ def fixed_local_kernel(d: int) -> np.ndarray:
     return rows
 
 
+def param_shapes(cfg: ModelConfig) -> dict[str, tuple]:
+    """Name and shape of every parameter, in checkpoint order."""
+    f = cfg.feature_dim
+    shapes: dict[str, tuple] = {}
+    for m in range(cfg.heads):
+        shapes[f"wq{m}"] = (f, cfg.d_r)
+        shapes[f"wk{m}"] = (f, cfg.d_r)
+    shapes.update(
+        w_eta=(f, cfg.heads), w_gate=(f,), b_gate=(), w_rho=(f,), b_rho=(),
+        wt_h=(f, 3), wt_pe=(2, 3), bt=(3,),
+    )
+    return shapes
+
+
+# checkpoint header config: key -> JSON type; "number" excludes booleans
+_CONFIG_TYPES = {
+    "dim": "int", "ordered": "bool", "window": "int", "ew_beta": "number",
+    "feature_mode": "str", "heads": "int", "d_r": "int", "lambda_min": "number",
+    "lambda_max": "number", "rho_max": "number", "lambda_init": "number",
+    "rho_init": "number", "budget": "numbers", "reg_weights": "numbers",
+    "lambda_op": "number", "variant": "str",
+}
+
+
+def _has_json_type(v, kind: str) -> bool:
+    if kind == "numbers":
+        return isinstance(v, list) and all(_has_json_type(x, "number") for x in v)
+    if isinstance(v, bool):
+        return kind == "bool"
+    return isinstance(v, {"int": int, "number": (int, float), "str": str, "bool": bool}[kind])
+
+
+def _check_header_config(c) -> None:
+    if not isinstance(c, dict) or set(c) != set(_CONFIG_TYPES):
+        raise ValueError(f"checkpoint config must have exactly the keys {sorted(_CONFIG_TYPES)}")
+    for key, kind in _CONFIG_TYPES.items():
+        if not _has_json_type(c[key], kind):
+            raise ValueError(f"checkpoint config {key!r} must be of JSON type {kind}")
+    if len(c["budget"]) != 3:
+        raise ValueError("checkpoint config 'budget' must have three numbers")
+
+
 class CastParams:
     """Parameter set: named float64 arrays plus the model configuration."""
 
@@ -158,22 +207,16 @@ class CastParams:
     @staticmethod
     def init(cfg: ModelConfig, seed: int) -> "CastParams":
         rng = np.random.default_rng(seed)
-        f = cfg.feature_dim
-        scale = 0.5 / np.sqrt(f)
-        vals: dict[str, np.ndarray] = {}
-        for m in range(cfg.heads):
-            vals[f"wq{m}"] = rng.normal(0, scale, size=(f, cfg.d_r))
-            vals[f"wk{m}"] = rng.normal(0, scale, size=(f, cfg.d_r))
-        vals["w_eta"] = rng.normal(0, scale, size=(f, cfg.heads))
-        vals["w_gate"] = rng.normal(0, scale, size=f)
-        vals["b_gate"] = np.array(
-            _solve_gate_bias(cfg.lambda_init, cfg.lambda_min, cfg.lambda_max)
-        )
-        vals["w_rho"] = rng.normal(0, scale, size=f)
-        vals["b_rho"] = np.array(_solve_gate_bias(cfg.rho_init, 0.0, cfg.rho_max))
-        vals["wt_h"] = rng.normal(0, scale, size=(f, 3))
-        vals["wt_pe"] = rng.normal(0, scale, size=(2, 3))
-        vals["bt"] = np.array([0.0, 2.0, 0.0])
+        scale = 0.5 / np.sqrt(cfg.feature_dim)
+        biases = {
+            "b_gate": np.array(_solve_gate_bias(cfg.lambda_init, cfg.lambda_min, cfg.lambda_max)),
+            "b_rho": np.array(_solve_gate_bias(cfg.rho_init, 0.0, cfg.rho_max)),
+            "bt": np.array([0.0, 2.0, 0.0]),
+        }
+        vals = {
+            k: biases[k] if k in biases else rng.normal(0, scale, size=shape)
+            for k, shape in param_shapes(cfg).items()
+        }
         return CastParams(cfg, vals)
 
     def copy(self) -> "CastParams":
@@ -185,6 +228,7 @@ class CastParams:
     # -- checkpoint serialization ---------------------------------------
 
     def save(self, path) -> None:
+        """Writes atomically (io.atomic_write)."""
         entries = [{"name": k, "shape": list(v.shape)} for k, v in self.values.items()]
         cfg = self.cfg
         header = {
@@ -210,32 +254,56 @@ class CastParams:
             },
         }
         blob = json.dumps(header, sort_keys=True).encode()
-        with open(path, "wb") as fh:
+
+        def emit(fh):
             fh.write(CHECKPOINT_MAGIC)
             fh.write(struct.pack("<I", len(blob)))
             fh.write(blob)
             for k in self.values:
                 fh.write(self.values[k].astype("<f8").tobytes(order="C"))
 
+        atomic_write(path, emit, binary=True)
+
     @staticmethod
     def load(path) -> "CastParams":
+        """Reads a checkpoint, rejecting with ValueError a bad header, a
+        config key that is missing or of the wrong type, entries that differ
+        from the layout of `param_shapes`, and any other byte length."""
         with open(path, "rb") as fh:
-            magic = fh.read(4)
-            if magic != CHECKPOINT_MAGIC:
-                raise ValueError("not a checkpoint file")
-            (n,) = struct.unpack("<I", fh.read(4))
-            header = json.loads(fh.read(n).decode())
-            if header.get("format_version") != 1:
-                raise ValueError(f"unsupported checkpoint version {header.get('format_version')}")
-            c = header["config"]
-            budget = BudgetParams(*c.pop("budget"))
-            cfg = ModelConfig(budget=budget, **c)
-            values = {}
-            for e in header["entries"]:
-                shape = tuple(e["shape"])
-                count = int(np.prod(shape)) if shape else 1
-                arr = np.frombuffer(fh.read(count * 8), dtype="<f8").reshape(shape)
-                values[e["name"]] = arr.astype(np.float64)
+            data = fh.read()
+        if data[:4] != CHECKPOINT_MAGIC or len(data) < 8:
+            raise ValueError("not a checkpoint file")
+        (n,) = struct.unpack("<I", data[4:8])
+        try:
+            header = json.loads(data[8 : 8 + n].decode())
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise ValueError(f"bad checkpoint header: {exc}") from exc
+        if not isinstance(header, dict) or header.get("format_version") != 1:
+            raise ValueError("unsupported checkpoint version")
+        c = header.get("config")
+        _check_header_config(c)
+        c = dict(c)
+        budget = BudgetParams(*c.pop("budget"))
+        cfg = ModelConfig(budget=budget, **c)
+        entries = header.get("entries")
+        expected = param_shapes(cfg)
+        try:
+            layout = {e["name"]: tuple(e["shape"]) for e in entries}
+        except (KeyError, TypeError) as exc:
+            raise ValueError("bad checkpoint entries") from exc
+        if len(layout) != len(entries) or layout != expected:
+            raise ValueError("checkpoint entries do not match the model layout")
+        offset = 8 + n
+        size = 8 * sum(int(np.prod(shape)) for shape in expected.values())
+        if len(data) != offset + size:
+            raise ValueError(f"checkpoint is {len(data)} bytes, expected {offset + size}")
+        values = {}
+        for name in layout:  # file order
+            shape = expected[name]
+            count = int(np.prod(shape))
+            arr = np.frombuffer(data, dtype="<f8", count=count, offset=offset)
+            values[name] = arr.reshape(shape).astype(np.float64)
+            offset += 8 * count
         return CastParams(cfg, values)
 
 
@@ -249,46 +317,59 @@ class ForwardTrace:
     delta_mu: float
 
 
-def _forward_var(
-    prefix: np.ndarray,
-    mem_feats: np.ndarray | None,
-    mem_succ: np.ndarray | None,
-    pv: dict[str, Var],
-    cfg: ModelConfig,
-    h: np.ndarray | None = None,
-):
-    """Differentiable forward pass. Returns (p_hat, parts) where parts holds
-    the intermediate Vars needed for the regularizer and trace."""
-    prefix = np.asarray(prefix, dtype=np.float64)
-    if len(prefix) == 0:
-        raise EmptyPrefix("empty prefix")
-    p_t = prefix[-1]
-    d = cfg.dim
-    if h is None:
-        h = encode(prefix, cfg)
+def _pad_memory(mem_feats: list, mem_succ: list):
+    """Pads per-row retrieval memories, (t_i, F) features and (t_i, D)
+    successors, to the longest t: (B, T, F), (B, T, D) and the lengths (B,).
+    None when every memory is empty."""
+    lengths = np.array([len(m) for m in mem_feats])
+    t_max = int(lengths.max())
+    if t_max == 0:
+        return None
+    feats = np.zeros((len(lengths), t_max, mem_feats[0].shape[-1]))
+    succ = np.zeros((len(lengths), t_max, mem_succ[0].shape[-1]))
+    for i, t in enumerate(lengths):
+        feats[i, :t] = mem_feats[i]
+        succ[i, :t] = mem_succ[i]
+    return feats, succ, lengths
+
+
+def _forward_var(p: np.ndarray, h: np.ndarray, memory, pv: dict[str, Var], cfg: ModelConfig):
+    """Differentiable forward pass over B positions at once: current
+    distributions p (B, D), features h (B, F), and the padded retrieval
+    memory from `_pad_memory` (or None). Retrieval is masked causal
+    attention: row i attends to its first lengths[i] memory slots only, and
+    a row with no memory takes r = p. Returns (p_hat, parts) where parts
+    holds the intermediate Vars, one row each, for the regularizer and
+    trace."""
+    b, d = p.shape
     hc = Var(h, requires_grad=False)
 
     # retrieval
-    use_memory = (
-        mem_feats is not None
-        and len(mem_feats) > 0
-        and cfg.feature_mode != "current_only"
-    )
     attn = []
-    if use_memory:
+    if memory is not None and cfg.feature_mode != "current_only":
+        mem_feats, mem_succ, lengths = memory
+        t_max = mem_feats.shape[1]
+        mask = np.where(np.arange(t_max) < lengths[:, None], 0.0, -np.inf)
+        empty = lengths == 0
+        mask[empty, 0] = 0.0  # keeps an empty row's softmax finite; r = p below
+        mf = Var(mem_feats, requires_grad=False)
+        ms = Var(mem_succ, requires_grad=False)
         heads = []
         for m in range(cfg.heads):
-            q = hc @ pv[f"wq{m}"]
-            keys = Var(mem_feats, requires_grad=False) @ pv[f"wk{m}"]
-            alpha = ((keys @ q) / np.sqrt(cfg.d_r)).softmax()
-            heads.append(alpha @ Var(mem_succ, requires_grad=False))
+            q = (hc @ pv[f"wq{m}"]).reshape(b, cfg.d_r, 1)
+            scores = (mf @ (pv[f"wk{m}"] @ q)).reshape(b, t_max)
+            alpha = (scores / np.sqrt(cfg.d_r) + mask).softmax()
+            heads.append((alpha.reshape(b, 1, t_max) @ ms).reshape(b, d))
             attn.append(alpha.data)
         eta = (hc @ pv["w_eta"]).softmax()
-        r = heads[0] * eta[0]
+        r = heads[0] * eta[:, 0:1]
         for m in range(1, cfg.heads):
-            r = r + heads[m] * eta[m]
+            r = r + heads[m] * eta[:, m : m + 1]
+        if empty.any():
+            has = (~empty)[:, None].astype(np.float64)
+            r = r * has + p * (1.0 - has)
     else:
-        r = Var(p_t, requires_grad=False)
+        r = Var(p, requires_grad=False)
 
     # persistence gate
     if cfg.variant == "no_persistence_mix":
@@ -307,11 +388,15 @@ def _forward_var(
             kernel = fixed_local_kernel(d)
         else:
             pe = support_position_encoding(d)
-            logits = (hc @ pv["wt_h"]) + (Var(pe, requires_grad=False) @ pv["wt_pe"]) + pv["bt"]
+            logits = (
+                (hc @ pv["wt_h"]).reshape(b, 1, 3)
+                + (Var(pe, requires_grad=False) @ pv["wt_pe"])
+                + pv["bt"]
+            )
             kernel = logits.softmax(axis=-1)
             # boundary rows cannot move mass outside; the clip in shift_mass
             # handles it, no masking required
-    parts = cast_step(p_t, r, lam, kernel, rho_raw, cfg.budget)
+    parts = cast_step(p, r, lam, kernel, rho_raw, cfg.budget)
     parts.update(lam=lam, r=r, attn=attn)
     return parts["p_hat"], parts
 
@@ -323,25 +408,42 @@ def forward(
     params: CastParams,
     h: np.ndarray | None = None,
 ) -> tuple[np.ndarray, ForwardTrace]:
-    """Non-differentiable forward: one-step prediction plus trace."""
-    p_hat, parts = _forward_var(prefix, mem_feats, mem_succ, params.as_vars(), params.cfg, h=h)
+    """Non-differentiable forward: one-step prediction plus trace, as a
+    one-row batch."""
+    prefix = np.asarray(prefix, dtype=np.float64)
+    if len(prefix) == 0:
+        raise EmptyPrefix("empty prefix")
+    cfg = params.cfg
+    if h is None:
+        h = encode(prefix, cfg)
+    memory = None
+    if mem_feats is not None:
+        memory = _pad_memory([np.asarray(mem_feats)], [np.asarray(mem_succ)])
+    p_hat, parts = _forward_var(prefix[-1:], np.asarray(h)[None], memory, params.as_vars(), cfg)
+
+    def row(name):
+        v = parts[name]
+        return 0.0 if v is None else float(np.ravel(v.data)[0])
+
+    kernel = parts["kernel"]
     trace = ForwardTrace(
-        r=parts["r"].data.copy(),
-        a=parts["a"].data.copy(),
-        lam=float(parts["lam"].data),
-        rho_eff=float(parts["rho_eff"].data) if parts["rho_eff"] is not None else 0.0,
-        kernel=parts["kernel"].data.copy() if parts["kernel"] is not None else None,
-        delta_mu=float(parts["delta_mu"].data) if parts["delta_mu"] is not None else 0.0,
+        r=parts["r"].data[0].copy(),
+        a=parts["a"].data[0].copy(),
+        lam=row("lam"),
+        rho_eff=row("rho_eff"),
+        kernel=None if kernel is None else kernel.data.reshape(cfg.dim, 3).copy(),
+        delta_mu=row("delta_mu"),
     )
-    return p_hat.data.copy(), trace
+    return p_hat.data[0].copy(), trace
 
 
 def _kl_term(target: np.ndarray, p_hat: Var, eps: float = 1e-8) -> Var:
-    d = target.size
+    """Per-row KL(target || p_hat) over the last axis, both eps-smoothed."""
+    d = target.shape[-1]
     ts = (target + eps) / (1.0 + d * eps)
     qs = (p_hat + eps) * (1.0 / (1.0 + d * eps))
-    const = float(np.sum(ts * np.log(ts)))
-    return const - (Var(ts, requires_grad=False) * qs.log()).sum()
+    const = np.sum(ts * np.log(ts), axis=-1)
+    return const - (Var(ts, requires_grad=False) * qs.log()).sum(axis=-1)
 
 
 @dataclass
@@ -367,29 +469,32 @@ def make_batch(seqs, positions, cfg: ModelConfig, feats_cache: dict | None = Non
     return Batch(items)
 
 
+def _batch_inputs(batch: Batch):
+    """Stacks the items for `_forward_var`: current distributions (B, D),
+    features (B, F), padded memory, and the targets (B, D)."""
+    items = batch.items
+    p = np.stack([steps[t] for steps, t, _ in items])
+    h = np.stack([feats[t] for _, t, feats in items])
+    memory = _pad_memory(
+        [feats[:t] for _, t, feats in items], [steps[1 : t + 1] for steps, t, _ in items]
+    )
+    targets = np.stack([steps[t + 1] for steps, t, _ in items])
+    return p, h, memory, targets
+
+
 def loss_var(batch: Batch, pv: dict[str, Var], cfg: ModelConfig) -> Var:
+    """Mean one-step KL over the batch plus lambda_op times the mean operator
+    regularizer, from one forward pass over all items."""
     if not batch.items:
         raise EmptyBatch("no scored positions in batch")
-    step_terms = []
-    reg_terms = []
-    for steps, t, feats in batch.items:
-        mem_feats = feats[:t] if t > 0 else None
-        mem_succ = steps[1 : t + 1] if t > 0 else None
-        p_hat, parts = _forward_var(steps[: t + 1], mem_feats, mem_succ, pv, cfg, h=feats[t])
-        step_terms.append(_kl_term(steps[t + 1], p_hat))
-        if cfg.variant != "no_structural_reg":
-            reg = operator_regularizer(parts, cfg.reg_weights)
-            if reg is not None:
-                reg_terms.append(reg)
-    total = step_terms[0]
-    for term in step_terms[1:]:
-        total = total + term
-    total = total / len(step_terms)
-    if reg_terms:
-        reg_total = reg_terms[0]
-        for term in reg_terms[1:]:
-            reg_total = reg_total + term
-        total = total + (reg_total / len(reg_terms)) * cfg.lambda_op
+    p, h, memory, targets = _batch_inputs(batch)
+    p_hat, parts = _forward_var(p, h, memory, pv, cfg)
+    n = len(batch.items)
+    total = _kl_term(targets, p_hat).sum() / n
+    if cfg.variant != "no_structural_reg":
+        reg = operator_regularizer(parts, cfg.reg_weights)
+        if reg is not None:
+            total = total + (reg.sum() / n) * cfg.lambda_op
     return total
 
 

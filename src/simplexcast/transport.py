@@ -8,9 +8,10 @@ within B = delta_mu + delta_sigma * std_support(a).
 
 `cast_step` (anchor, transport, budget gate, mix) and
 `operator_regularizer` are the only implementation of the operator; the
-model trains and predicts through them. `apply_transport` and
-`TransportKernel` define scenario successors and serve as independent
-numpy references in the tests.
+model trains and predicts through them. Both work on the last axis, so they
+take one distribution (D,) or a batch (B, D) with one operator per row.
+`apply_transport` and `TransportKernel` define scenario successors and
+serve as independent numpy references in the tests.
 """
 from __future__ import annotations
 
@@ -71,13 +72,13 @@ class BudgetParams:
 
 
 def shift_mass(left: np.ndarray, stay: np.ndarray, right: np.ndarray) -> np.ndarray:
-    """Accumulate per-bin offset masses into destination bins with boundary
-    clipping. Shared with the differentiable model path."""
+    """Accumulate per-bin offset masses into destination bins of the last
+    axis with boundary clipping. Shared with the differentiable model path."""
     out = stay.copy()
-    out[:-1] += left[1:]
-    out[0] += left[0]
-    out[1:] += right[:-1]
-    out[-1] += right[-1]
+    out[..., :-1] += left[..., 1:]
+    out[..., 0] += left[..., 0]
+    out[..., 1:] += right[..., :-1]
+    out[..., -1] += right[..., -1]
     return out
 
 
@@ -90,6 +91,11 @@ def apply_transport(kernel: TransportKernel, a: Dist) -> Dist:
     return shift_mass(m[:, 0], m[:, 1], m[:, 2])
 
 
+def _col(v: Var) -> Var:
+    """A per-row value as a column that broadcasts over the last axis."""
+    return v.reshape(v.shape + (1,))
+
+
 def cast_step(p, r, lam, kernel, rho, budget: BudgetParams) -> dict:
     """One anchored-transport transition on the autodiff tape: anchor
     a = lam*p + (1-lam)*r, then mix in the radius-1 transport of a with the
@@ -98,27 +104,33 @@ def cast_step(p, r, lam, kernel, rho, budget: BudgetParams) -> dict:
     supports, or the anchor_only variant). This is the one implementation
     that training, inference and the theory oracle run.
 
+    p and r are (..., D): one distribution, or a batch (B, D) with one
+    transition per row. lam and rho are per row (shape (...), or scalars
+    shared by every row) and the kernel is (..., D, 3) or one (D, 3) kernel
+    for every row.
+
     Returns the intermediate Vars by name: a, ta, kernel, rho, rho_eff,
     delta_mu, budget and p_hat; the transport entries are None without a
-    kernel."""
-    p, r, lam = Var.lift(p), Var.lift(r), Var.lift(lam)
+    kernel. The per-row entries rho_eff, delta_mu and budget have shape
+    (...)."""
+    p, r, lam = Var.lift(p), Var.lift(r), _col(Var.lift(lam))
     a = lam * p + (1.0 - lam) * r
     parts = dict.fromkeys(("ta", "kernel", "rho", "rho_eff", "delta_mu", "budget"))
     parts.update(a=a, p_hat=a)
     if kernel is None:
         return parts
     kernel, rho = Var.lift(kernel), Var.lift(rho)
-    ta = shift_mass_var(a * kernel[:, 0], a * kernel[:, 1], a * kernel[:, 2])
+    ta = shift_mass_var(a * kernel[..., 0], a * kernel[..., 1], a * kernel[..., 2])
 
-    bins = Var(support_bins(a.data.size), requires_grad=False)
+    bins = Var(support_bins(a.shape[-1]), requires_grad=False)
     mu_a = a @ bins
-    centered = bins - mu_a
-    sigma = ((a * centered * centered).sum() + 1e-18).sqrt()
+    centered = bins - _col(mu_a)
+    sigma = ((a * centered * centered).sum(axis=-1) + 1e-18).sqrt()
     b = budget.delta_mu + budget.delta_sigma * sigma
     delta_mu = (ta - a) @ bins
     gate = (b / (delta_mu.abs() + budget.epsilon)).clip_max(1.0)
     rho_eff = rho * gate
-    p_hat = (1.0 - rho_eff) * a + rho_eff * ta
+    p_hat = (1.0 - _col(rho_eff)) * a + _col(rho_eff) * ta
     parts.update(ta=ta, kernel=kernel, rho=rho, rho_eff=rho_eff, delta_mu=delta_mu,
                  budget=b, p_hat=p_hat)
     return parts
@@ -127,14 +139,15 @@ def cast_step(p, r, lam, kernel, rho, budget: BudgetParams) -> dict:
 def operator_regularizer(parts: dict, weights) -> Var | None:
     """Target-free operator prior on the parts of a cast_step: weighted sum
     of transport strength, off-identity mass, neighbor roughness, and
-    relative mean shift. None when the step had no transport."""
+    relative mean shift, one value per row. None when the step had no
+    transport."""
     k = parts["kernel"]
     if k is None:
         return None
     w_strength, w_offid, w_smooth, w_shift = weights
-    off_id = (k[:, 0] * k[:, 0]).sum() + (k[:, 2] * k[:, 2]).sum()
-    dk = k[:-1, :] - k[1:, :]
-    smoothness = (dk * dk).sum()
+    off_id = (k[..., 0] * k[..., 0]).sum(axis=-1) + (k[..., 2] * k[..., 2]).sum(axis=-1)
+    dk = k[..., :-1, :] - k[..., 1:, :]
+    smoothness = (dk * dk).sum(axis=(-2, -1))
     ratio = parts["delta_mu"] / parts["budget"]
     shift = ratio * ratio
     return (

@@ -49,6 +49,36 @@ def test_matmul_forms(rng):
     np.testing.assert_allclose(v.grad, num, atol=1e-6)
 
 
+def test_batched_matmul_forms(rng):
+    # (F, R) @ (B, R, 1), (B, T, F) @ (B, F, 1), (B, 1, T) @ (B, T, D), (B, D) @ (D,)
+    w = rng.normal(size=(5, 3))
+    check_grad(lambda v: (Var(w, requires_grad=False) @ v).sum(), rng.normal(size=(4, 3, 1)))
+    x3 = rng.normal(size=(4, 3, 1))
+    check_grad(lambda v: ((v @ x3) * (v @ x3)).sum(), rng.normal(size=(5, 3)))
+    m = rng.normal(size=(4, 6, 5))
+    check_grad(lambda v: ((m @ v) * (m @ v)).sum(), rng.normal(size=(4, 5, 1)))
+    s = rng.normal(size=(4, 6, 2))
+    check_grad(lambda v: ((v @ s) * (v @ s)).sum(), rng.normal(size=(4, 1, 6)))
+    bins = np.arange(1.0, 4.0)
+    check_grad(lambda v: ((v @ bins) * (v @ bins)).sum(), rng.normal(size=(4, 3)))
+
+
+def test_reshape(rng):
+    w = rng.normal(size=(2, 3, 2))
+    check_grad(lambda v: (v.reshape(2, 3, 2) * Var(w, requires_grad=False)).sum()
+               + (v.reshape(12) * v.reshape(12)).sum(), rng.normal(size=(4, 3)))
+
+
+def test_constant_operand_gets_no_gradient(rng):
+    const = Var(rng.normal(size=(4, 6, 5)), requires_grad=False)
+    w = Var(rng.normal(size=(4, 5, 1)))
+    out = const @ w
+    assert out._backward(np.ones(out.shape))[0] is None
+    out.sum().backward()
+    assert const.grad is None
+    np.testing.assert_allclose(w.grad, np.swapaxes(const.data, -1, -2).sum(axis=-1, keepdims=True))
+
+
 def test_softmax(rng):
     x0 = rng.normal(size=6)
     t = rng.dirichlet(np.ones(6))
@@ -75,6 +105,10 @@ def test_broadcast_add_mul(rng):
 def test_getitem(rng):
     x0 = rng.normal(size=6)
     check_grad(lambda v: (v[1:4] * v[1:4]).sum() + v[0], x0)
+    # an advanced index may repeat an element; its gradients add up
+    check_grad(lambda v: (v[[0, 0, 3]] * v[[0, 0, 3]]).sum(), x0)
+    x2 = rng.normal(size=(3, 4))
+    check_grad(lambda v: (v[..., 1:] * v[:, 0:1]).sum() + (v[..., 2] * v[..., 2]).sum(), x2)
 
 
 def test_shift_mass_matches_numpy_and_grads(rng):

@@ -86,6 +86,20 @@ class TestDatasetIO:
         with pytest.raises(ParseError):
             ingest(path)
 
+    @pytest.mark.parametrize("bad", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_value_rejected_with_line(self, tmp_path, bad):
+        header = {"format_version": 1, "D": 3, "ordered": True, "section_name": ""}
+        good = {"id": "a", "steps": [[0.2, 0.3, 0.5], [0.1, 0.1, 0.8]]}
+        path = tmp_path / "d.jsonl"
+        path.write_text(
+            json.dumps(header) + "\n" + json.dumps(good) + "\n"
+            + f'{{"id": "b", "steps": [[{bad}, 0.5, 0.5], [0.2, 0.3, 0.5]]}}\n'
+        )
+        with pytest.raises(ParseError) as exc:
+            ingest(path)
+        assert exc.value.line == 3
+        assert cli_dispatch(["evaluate", "--data", str(path), "--out", str(tmp_path)]) == 1
+
     def test_empty_dataset_rejected(self, tmp_path):
         with pytest.raises(ValueError):
             write_dataset(tmp_path / "d.jsonl", [])
@@ -173,9 +187,8 @@ class TestCli:
                      "--model", str(ckpt), "--out", str(tmp_path)])
         assert code == 0
 
-    @pytest.mark.parametrize("key,value", [("rho_max", 3.0), ("window", 0),
-                                           ("reg_weights", [5e-4, -1.0, 1e-4, 5e-4])])
-    def test_cast_evaluate_rejects_bad_checkpoint_config(self, rng, tmp_path, key, value):
+    @staticmethod
+    def _cast_checkpoint(rng, tmp_path):
         from simplexcast.model import CastParams, ModelConfig
 
         data = tmp_path / "d.jsonl"
@@ -185,14 +198,69 @@ class TestCli:
         argv = ["evaluate", "--data", str(data), "--method", "cast",
                 "--model", str(ckpt), "--out", str(tmp_path)]
         assert _run(argv) == 0
-        # hand-edit the JSON header: magic, little-endian length, header, values
+        return ckpt, argv
+
+    @pytest.mark.parametrize("key,value", [("rho_max", 3.0), ("window", 0),
+                                           ("reg_weights", [5e-4, -1.0, 1e-4, 5e-4]),
+                                           ("window", "8"), ("ordered", 1), ("budget", [0.25]),
+                                           ("dim", None), ("dim", 7), ("lambda_op", True)])
+    def test_cast_evaluate_rejects_bad_checkpoint_config(self, rng, tmp_path, key, value):
+        ckpt, argv = self._cast_checkpoint(rng, tmp_path)
+        # hand-edit the JSON header: magic, little-endian length, header, values;
+        # value None deletes the key
         blob = ckpt.read_bytes()
         n = int.from_bytes(blob[4:8], "little")
         header = json.loads(blob[8 : 8 + n])
         header["config"][key] = value
+        if value is None:
+            del header["config"][key]
         edited = json.dumps(header, sort_keys=True).encode()
         ckpt.write_bytes(blob[:4] + len(edited).to_bytes(4, "little") + edited + blob[8 + n :])
         assert _run(argv) == 1
+
+    @pytest.mark.parametrize("edit", ["cut_100", "trailing_16", "entry_shape", "entry_name"])
+    def test_cast_evaluate_rejects_bad_checkpoint_layout(self, rng, tmp_path, edit):
+        ckpt, argv = self._cast_checkpoint(rng, tmp_path)
+        blob = ckpt.read_bytes()
+        n = int.from_bytes(blob[4:8], "little")
+        header = json.loads(blob[8 : 8 + n])
+        if edit == "cut_100":
+            blob = blob[:-100]
+        elif edit == "trailing_16":
+            blob = blob + b"\x00" * 16
+        else:
+            # same byte count, so only the layout check can catch it
+            if edit == "entry_shape":
+                header["entries"][-1]["shape"] = [1, 3]
+            else:
+                header["entries"][-1]["name"] = "bias"
+            edited = json.dumps(header, sort_keys=True).encode()
+            blob = blob[:4] + len(edited).to_bytes(4, "little") + edited + blob[8 + n :]
+        ckpt.write_bytes(blob)
+        assert _run(argv) == 1
+
+    def test_cast_rejects_checkpoint_for_other_data(self, rng, tmp_path, capsys):
+        from simplexcast.model import CastParams, ModelConfig
+
+        ckpt, argv = self._cast_checkpoint(rng, tmp_path)
+        CastParams.init(ModelConfig(dim=5, ordered=True, window=2, d_r=4), seed=0).save(ckpt)
+        capsys.readouterr()
+        for command in ("evaluate", "rollout"):
+            assert _run([command] + argv[1:]) == 1
+            assert "checkpoint is for D=5" in capsys.readouterr().err
+
+    def test_train_records_selection_split(self, rng, tmp_path, caplog):
+        data = tmp_path / "d.jsonl"
+        write_dataset(data, _seqs(rng, n=4, t=8), section_name="unit")
+        base = ["train", "--data", str(data), "--iters", "4", "--warmup", "1"]
+        with caplog.at_level("WARNING"):
+            assert _run(base + ["--out", str(tmp_path / "a")]) == 0
+        assert "training split" in caplog.text
+        log_a = json.loads((tmp_path / "a" / "train_log.json").read_text())
+        assert log_a["selected_on"] == "train"
+        assert _run(base + ["--val", str(data), "--out", str(tmp_path / "b")]) == 0
+        log_b = json.loads((tmp_path / "b" / "train_log.json").read_text())
+        assert log_b["selected_on"] == "val"
 
     def test_theory_check_passes(self, tmp_path):
         code = _run(["theory-check", "--scenarios", "5", "--seed", "1",

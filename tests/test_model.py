@@ -6,6 +6,8 @@ from simplexcast.metrics import kl
 from simplexcast.model import (
     Batch,
     CastParams,
+    _batch_inputs,
+    _forward_var,
     ModelConfig,
     TrainConfig,
     config_for_variant,
@@ -291,6 +293,46 @@ def test_gradient_matches_finite_differences(rng, variant):
     assert rel.max() < 1e-4
 
 
+@pytest.mark.parametrize(
+    "kw",
+    [dict(variant=v) for v in ("full", "no_structural_reg", "anchor_only", "single_head",
+                               "fixed_local_kernel", "no_persistence_mix")]
+    + [dict(feature_mode="current_only"), dict(ordered=False)],
+)
+def test_batch_equals_mean_of_one_item_batches(rng, kw):
+    cfg = small_cfg(**kw)
+    params = CastParams.init(cfg, seed=3)
+    seqs = [random_series(rng, n, cfg.dim, f"s{n}") for n in (9, 5, 3)]
+    # a t = 0 item (empty memory) and memories of unequal lengths
+    positions = [(0, 0), (0, 7), (1, 3), (2, 1), (0, 4)]
+    loss_b, grads_b = gradient(make_batch(seqs, positions, cfg), params)
+    singles = [gradient(make_batch(seqs, [pos], cfg), params) for pos in positions]
+    assert loss_b == pytest.approx(np.mean([s[0] for s in singles]), rel=1e-12, abs=1e-15)
+    for k, g in grads_b.items():
+        mean = np.mean([s[1][k] for s in singles], axis=0)
+        scale = max(np.abs(mean).max(), 1e-300)
+        assert np.abs(g - mean).max() <= 1e-12 * scale, k
+
+
+def test_batched_forward_is_causal(rng):
+    cfg = small_cfg()
+    pv = CastParams.init(cfg, seed=1).as_vars()
+    seqs = [random_series(rng, 10, cfg.dim, f"s{i}") for i in range(2)]
+    positions = [(0, 6), (1, 2), (0, 0)]
+
+    def p_hat(seqs):
+        p, h, memory, _ = _batch_inputs(make_batch(seqs, positions, cfg))
+        return _forward_var(p, h, memory, pv, cfg)[0].data
+
+    base = p_hat(seqs)
+    for i, (seq_idx, t) in enumerate(positions):
+        steps = seqs[seq_idx].steps.copy()
+        steps[t + 2 :] = np.roll(steps[t + 2 :], 1, axis=-1)
+        edited = list(seqs)
+        edited[seq_idx] = make_series(f"s{seq_idx}", True, steps)
+        np.testing.assert_array_equal(p_hat(edited)[i], base[i])
+
+
 def test_gradient_zero_for_unused_transport_params(rng):
     cfg = small_cfg(variant="anchor_only")
     params = CastParams.init(cfg, seed=2)
@@ -395,6 +437,10 @@ def test_checkpoint_round_trip(tmp_path, rng):
     a, _ = forward(steps, feats[:5], steps[1:6], params, h=feats[5])
     b, _ = forward(steps, feats[:5], steps[1:6], loaded, h=feats[5])
     assert np.array_equal(a, b)
+    again = tmp_path / "again.ckpt"
+    loaded.save(again)
+    assert again.read_bytes() == path.read_bytes()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["again.ckpt", "model.ckpt"]
 
 
 def test_checkpoint_rejects_bad_magic(tmp_path):
