@@ -111,16 +111,20 @@ def _predictor(method, data, train_seqs, args):
     raise SimplexCastError(f"unknown method {method!r}")
 
 
+def _selection_split(args, train_res):
+    """The split that model selection reads, and its name."""
+    if args.val:
+        return ingest(args.val), "val"
+    log.warning("no --val given: the model is selected on the training split")
+    return train_res, "train"
+
+
 def _cmd_train(args) -> int:
     from .model import ModelConfig, TrainConfig, train
 
     cfg_file = _load_config(args)
     train_res = ingest(args.data)
-    if args.val:
-        val_res, selected_on = ingest(args.val), "val"
-    else:
-        log.warning("no --val given: the model is selected on the training split")
-        val_res, selected_on = train_res, "train"
+    val_res, selected_on = _selection_split(args, train_res)
     mc = ModelConfig(
         dim=train_res.dim,
         ordered=train_res.ordered,
@@ -288,7 +292,7 @@ def _cmd_seed_study(args) -> int:
     from .model import ModelConfig, TrainConfig, train
 
     train_res = ingest(args.data)
-    val_res = ingest(args.val) if args.val else train_res
+    val_res, selected_on = _selection_split(args, train_res)
     test_res = ingest(args.test) if args.test else train_res
     seeds = [int(s) for s in args.seeds.split(",")]
     mc = ModelConfig(dim=train_res.dim, ordered=train_res.ordered, variant=args.variant)
@@ -306,6 +310,7 @@ def _cmd_seed_study(args) -> int:
         "per_seed": result.per_seed,
         "mean": result.mean,
         "sd": result.sd,
+        "selected_on": selected_on,
     }
     _emit(args, payload, "seed_study.json")
     return 0

@@ -1,11 +1,13 @@
 """Single-server FIFO queue-occupancy benchmark generator.
 
-Each system is a randomly parameterized G/G/1 queue; each replication samples
-inter-arrival and service times, runs the Lindley departure recursion, and the
-across-replication empirical occupancy histogram at every grid instant becomes
-one distribution-valued time step. Replications use counter-based RNG streams
-keyed by (master seed, system index, replication index) so output is
-independent of scheduling.
+Each system is a randomly parameterized G/G/1 queue. Every replication draws
+its inter-arrival and service times from its own counter-based (Philox) RNG
+stream, keyed by (master seed, system index, replication index), so output is
+independent of scheduling. A system's R replications are then stacked into
+(R, N) arrays: the arrival-time and Lindley departure recursions loop over the
+N arrivals with vector ops across the R replications, and the across-
+replication empirical occupancy histogram at every grid instant becomes one
+distribution-valued time step.
 """
 from __future__ import annotations
 
@@ -64,7 +66,7 @@ class ServiceTimeFamily:
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         """Strictly positive samples; nonpositive normal-mixture draws are
-        redrawn (and counted on the returned array's `.redraws` attribute)."""
+        redrawn from the same stream."""
         p = self.params
         if self.name in ("gamma", "erlang"):
             return rng.gamma(p["shape"], p["scale"], size)
@@ -135,6 +137,16 @@ class QueueConfig:
     dt: float = 1.0
     seed: int = 0
 
+    def __post_init__(self):
+        if self.n_arrivals < 1:
+            raise ValueError(f"number of arrivals must be >= 1, got {self.n_arrivals}")
+        if self.n_replications < 1:
+            raise ValueError(
+                f"number of replications must be >= 1, got {self.n_replications}"
+            )
+        if not self.dt > 0:
+            raise ValueError(f"grid step dt must be positive, got {self.dt}")
+
     @property
     def utilization(self) -> float:
         return self.service.mean() / self.arrival.mean()
@@ -185,41 +197,46 @@ def _replication_rng(master_seed: int, system_index: int, replication: int):
 
 
 def lindley_departures(arrivals: np.ndarray, services: np.ndarray) -> np.ndarray:
-    """Departure times of a single-server FIFO queue:
-    d_i = max(a_i, d_{i-1}) + s_i."""
+    """Departure times of single-server FIFO queues over the last axis:
+    d_i = max(a_i, d_{i-1}) + s_i. Leading axes are independent queues."""
     out = np.empty_like(arrivals)
-    prev = -np.inf
-    for i in range(len(arrivals)):
-        prev = max(arrivals[i], prev) + services[i]
-        out[i] = prev
+    prev = np.full(arrivals.shape[:-1], -np.inf)
+    for i in range(arrivals.shape[-1]):
+        prev = np.maximum(arrivals[..., i], prev) + services[..., i]
+        out[..., i] = prev
     return out
 
 
 def _arrival_times(base: np.ndarray, modulation: Modulation | None) -> np.ndarray:
-    """Cumulative arrival times from unit-scale i.i.d. draws; for modulated
-    configs the next gap's mean is scaled by the rate at the current time."""
-    n = len(base)
-    times = np.empty(n)
-    t = 0.0
+    """Cumulative arrival times over the last axis from unit-scale i.i.d.
+    draws; for modulated configs the next gap's mean is scaled by the rate at
+    the current time."""
     if modulation is None:
-        np.cumsum(base, out=times)
-        return times
+        return np.cumsum(base, axis=-1)
     a, period, phase = modulation.amplitude, modulation.period, modulation.phase
-    for i in range(n):
-        scale = 1.0 / (1.0 + a * math.sin(2.0 * math.pi * t / period + phase))
-        t = t + base[i] * scale
-        times[i] = t
+    times = np.empty_like(base)
+    t = np.zeros(base.shape[:-1])
+    for i in range(base.shape[-1]):
+        scale = 1.0 / (1.0 + a * np.sin(2.0 * math.pi * t / period + phase))
+        t = t + base[..., i] * scale
+        times[..., i] = t
     return times
+
+
+def _draw(config: QueueConfig, system_index: int, replication: int):
+    """One replication's (inter-arrival draws, service times), from its own
+    RNG stream."""
+    rng = _replication_rng(config.seed, system_index, replication)
+    gaps = config.arrival.sample(rng, config.n_arrivals)
+    services = config.service.sample(rng, config.n_arrivals)
+    return gaps, services
 
 
 def simulate_replication(config: QueueConfig, system_index: int, replication: int):
     """One replication's (arrival_times, departure_times)."""
-    rng = _replication_rng(config.seed, system_index, replication)
-    gaps = config.arrival.sample(rng, config.n_arrivals)
-    services = config.service.sample(rng, config.n_arrivals)
+    gaps, services = _draw(config, system_index, replication)
     arrivals = _arrival_times(gaps, config.modulation)
-    departures = lindley_departures(arrivals, services)
-    return arrivals, departures
+    return arrivals, lindley_departures(arrivals, services)
 
 
 def occupancy_on_grid(arrivals, departures, grid) -> np.ndarray:
@@ -236,23 +253,25 @@ def simulate_system(
     check_utilization: bool = True,
 ) -> SimplexSeries:
     """Average per-grid-instant occupancy indicator histograms across
-    replications. The grid runs from 0 to the earliest replication's last
-    departure so every grid point aggregates all replications."""
+    replications, simulated together as (R, N) arrays. The grid runs from 0
+    to the earliest replication's last departure so every grid point
+    aggregates all replications."""
     if check_utilization:
         config.check_utilization()
-    reps = [
-        simulate_replication(config, system_index, r)
-        for r in range(config.n_replications)
-    ]
-    horizon = min(dep[-1] for _, dep in reps)
+    shape = (config.n_replications, config.n_arrivals)
+    gaps, services = np.empty(shape), np.empty(shape)
+    for r in range(config.n_replications):
+        gaps[r], services[r] = _draw(config, system_index, r)
+    arrivals = _arrival_times(gaps, config.modulation)
+    departures = lindley_departures(arrivals, services)
+    del gaps, services  # free the draws before the occupancy arrays: peak memory
+    horizon = departures[:, -1].min()
     n_grid = int(math.floor(horizon / config.dt)) + 1
     grid = np.arange(n_grid) * config.dt
-    occ = np.array([occupancy_on_grid(arr, dep, grid) for arr, dep in reps])
+    occ = np.array([occupancy_on_grid(a, d, grid) for a, d in zip(arrivals, departures)])
     d = max(int(occ.max()) + 1, 2)
-    hist = np.zeros((n_grid, d))
-    rows = np.broadcast_to(np.arange(n_grid), occ.shape)
-    np.add.at(hist, (rows.ravel(), occ.ravel()), 1.0)
-    steps = hist / config.n_replications
+    counts = np.bincount((np.arange(n_grid) * d + occ).ravel(), minlength=n_grid * d)
+    steps = counts.reshape(n_grid, d) / config.n_replications
     return SimplexSeries(f"system{system_index:05d}", True, steps)
 
 
@@ -405,6 +424,8 @@ def generate_section(
     n_arrivals: int = 500,
     n_replications: int = 200,
 ) -> QueueSection:
+    if n_systems < 1:
+        raise ValueError(f"number of systems must be >= 1, got {n_systems}")
     rng = np.random.default_rng(master_seed)
     configs, systems = [], []
     for i in range(n_systems):

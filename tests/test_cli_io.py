@@ -156,6 +156,19 @@ class TestCli:
         for name in ("nonhomogeneous.jsonl", "nonhomogeneous_manifest.json"):
             assert (a / name).read_bytes() == (b / name).read_bytes()
 
+    @pytest.mark.parametrize("flag,value,quantity", [
+        ("--arrivals", "0", "arrivals"), ("--arrivals", "-3", "arrivals"),
+        ("--replications", "0", "replications"), ("--replications", "-1", "replications"),
+        ("--systems", "0", "systems"),
+    ])
+    def test_simulate_queues_rejects_bad_sizes(self, tmp_path, capsys, flag, value, quantity):
+        argv = ["simulate-queues", "--section", "homogeneous", "--systems", "2",
+                "--arrivals", "20", "--replications", "3", "--out", str(tmp_path)]
+        argv[argv.index(flag) + 1] = value
+        assert _run(argv) == 1
+        err = capsys.readouterr().err
+        assert f"number of {quantity} must be >= 1, got {value}" in err
+
     def test_evaluate_persistence(self, rng, tmp_path):
         data = tmp_path / "d.jsonl"
         write_dataset(data, _seqs(rng), section_name="unit")
@@ -261,6 +274,22 @@ class TestCli:
         assert _run(base + ["--val", str(data), "--out", str(tmp_path / "b")]) == 0
         log_b = json.loads((tmp_path / "b" / "train_log.json").read_text())
         assert log_b["selected_on"] == "val"
+
+    def test_seed_study_records_selection_split(self, rng, tmp_path, caplog):
+        data = tmp_path / "d.jsonl"
+        write_dataset(data, _seqs(rng, n=4, t=8), section_name="unit")
+        base = ["seed-study", "--data", str(data), "--iters", "3", "--seeds", "0,1"]
+        with caplog.at_level("WARNING"):
+            assert _run(base + ["--out", str(tmp_path / "a")]) == 0
+        assert "training split" in caplog.text
+        study_a = json.loads((tmp_path / "a" / "seed_study.json").read_text())
+        assert study_a["selected_on"] == "train"
+        caplog.clear()
+        with caplog.at_level("WARNING"):
+            assert _run(base + ["--val", str(data), "--out", str(tmp_path / "b")]) == 0
+        assert "training split" not in caplog.text
+        study_b = json.loads((tmp_path / "b" / "seed_study.json").read_text())
+        assert study_b["selected_on"] == "val"
 
     def test_theory_check_passes(self, tmp_path):
         code = _run(["theory-check", "--scenarios", "5", "--seed", "1",

@@ -1,3 +1,4 @@
+import hashlib
 import heapq
 import math
 from collections import deque
@@ -5,6 +6,7 @@ from collections import deque
 import numpy as np
 import pytest
 
+from simplexcast.cli import cli_dispatch
 from simplexcast.errors import ConfigUtilizationOutOfBand, TooFewSystems
 from simplexcast.queue_sim import (
     HOMOGENEOUS_FAMILIES,
@@ -14,6 +16,8 @@ from simplexcast.queue_sim import (
     ServiceTimeFamily,
     UTILIZATION_BAND,
     _arrival_times,
+    _draw_family,
+    _replication_rng,
     generate_section,
     lindley_departures,
     occupancy_on_grid,
@@ -144,8 +148,6 @@ def test_mm1_matches_geometric_stationary_law():
 
 @pytest.mark.parametrize("name", HOMOGENEOUS_FAMILIES)
 def test_family_sample_mean_and_positivity(name):
-    from simplexcast.queue_sim import _draw_family
-
     rng = np.random.default_rng(5)
     fam = _draw_family(name, 1.7, rng)
     assert np.isclose(fam.mean(), 1.7, rtol=1e-12)
@@ -216,6 +218,154 @@ def test_modulation_validation():
         Modulation(amplitude=1.0, period=10.0, phase=0.0)
     with pytest.raises(ValueError):
         Modulation(amplitude=0.2, period=0.0, phase=0.0)
+
+
+# ------------------------------------------- (R, N) layout vs one replication
+
+
+def scalar_arrival_times(base, modulation):
+    """Per-arrival scalar loop with math.sin, in the recursion's operand order."""
+    times = np.empty(len(base))
+    t = 0.0
+    a, period, phase = modulation.amplitude, modulation.period, modulation.phase
+    for i in range(len(base)):
+        scale = 1.0 / (1.0 + a * math.sin(2.0 * math.pi * t / period + phase))
+        t = t + base[i] * scale
+        times[i] = t
+    return times
+
+
+def scalar_lindley(arrivals, services):
+    out = np.empty(len(arrivals))
+    prev = -np.inf
+    for i in range(len(arrivals)):
+        prev = max(arrivals[i], prev) + services[i]
+        out[i] = prev
+    return out
+
+
+def reference_steps(config, system_index=0):
+    """One simulate_replication per replication, then the per-cell np.add.at
+    histogram."""
+    reps = [
+        simulate_replication(config, system_index, r)
+        for r in range(config.n_replications)
+    ]
+    horizon = min(dep[-1] for _, dep in reps)
+    n_grid = int(math.floor(horizon / config.dt)) + 1
+    grid = np.arange(n_grid) * config.dt
+    occ = np.array([occupancy_on_grid(arr, dep, grid) for arr, dep in reps])
+    d = max(int(occ.max()) + 1, 2)
+    hist = np.zeros((n_grid, d))
+    rows = np.broadcast_to(np.arange(n_grid), occ.shape)
+    np.add.at(hist, (rows.ravel(), occ.ravel()), 1.0)
+    return hist / config.n_replications
+
+
+MOD = Modulation(amplitude=0.3, period=20.0, phase=1.1)
+
+
+@pytest.mark.parametrize("modulation", [None, MOD], ids=["plain", "modulated"])
+@pytest.mark.parametrize("name", HOMOGENEOUS_FAMILIES)
+def test_system_equals_stacked_replications(name, modulation):
+    rng = np.random.default_rng(HOMOGENEOUS_FAMILIES.index(name))
+    family = _draw_family(name, 1.0, rng)
+    other = _draw_family("gamma", 0.45, rng)
+    pairs = [(family, other), (_draw_family("lognormal", 2.2, rng), family)]
+    for k, (arrival, service) in enumerate(pairs):
+        config = QueueConfig(
+            arrival=arrival, service=service, modulation=modulation,
+            n_arrivals=60, n_replications=12, dt=0.7, seed=31,
+        )
+        got = simulate_system(config, system_index=k, check_utilization=False)
+        assert np.array_equal(got.steps, reference_steps(config, k))
+
+
+def test_system_equals_stacked_replications_on_redraws_and_constants():
+    mixture = ServiceTimeFamily(
+        "two_normal_mixture",
+        {"w": 0.5, "mu1": 0.3, "sigma1": 0.4, "mu2": 1.7, "sigma2": 0.9},
+    )
+    seed, n = 5, 40
+    # the first pass of some replication's arrival draws is nonpositive, so
+    # the redraw loop runs
+    first_pass_bad = False
+    for r in range(8):
+        g = _replication_rng(seed, 0, r)
+        pick = g.random(n) < 0.5
+        first = np.where(pick, g.normal(0.3, 0.4, n), g.normal(1.7, 0.9, n))
+        first_pass_bad |= bool((first <= 0).any())
+    assert first_pass_bad
+    for modulation in (None, MOD):
+        for arrival, service in (
+            (mixture, det_family(0.4)),
+            (det_family(1.5), mixture),
+            (det_family(2.0), det_family(1.0)),
+        ):
+            config = QueueConfig(
+                arrival=arrival, service=service, modulation=modulation,
+                n_arrivals=n, n_replications=8, seed=seed,
+            )
+            got = simulate_system(config, check_utilization=False)
+            assert np.array_equal(got.steps, reference_steps(config))
+
+
+@pytest.mark.parametrize("modulation", [None, MOD], ids=["plain", "modulated"])
+def test_recursion_rows_equal_one_dimensional_calls(modulation):
+    rng = np.random.default_rng(17)
+    base = rng.exponential(1.0, (6, 300))
+    services = rng.gamma(2.0, 0.4, (6, 300))
+    arrivals = _arrival_times(base, modulation)
+    departures = lindley_departures(arrivals, services)
+    assert arrivals.shape == departures.shape == (6, 300)
+    for r in range(6):
+        assert np.array_equal(arrivals[r], _arrival_times(base[r], modulation))
+        assert np.array_equal(departures[r], lindley_departures(arrivals[r], services[r]))
+        assert np.array_equal(departures[r], scalar_lindley(arrivals[r], services[r]))
+
+
+def test_modulated_arrivals_equal_scalar_math_sin_loop():
+    rng = np.random.default_rng(23)
+    for _ in range(5):
+        mod = Modulation(
+            amplitude=float(rng.uniform(0.0, 0.9)),
+            period=float(rng.uniform(5.0, 100.0)),
+            phase=float(rng.uniform(0.0, 2.0 * math.pi)),
+        )
+        base = rng.exponential(1.0, (4, 400))
+        got = _arrival_times(base, mod)
+        for r in range(4):
+            assert np.array_equal(got[r], scalar_arrival_times(base[r], mod))
+
+
+# Recorded by running this exact command on the parent commit, before the
+# generator worked on (R, N) arrays; the outputs must stay byte-identical.
+GOLDEN_SHA256 = {
+    "homogeneous.jsonl": "ae2f8cf21652442bc3df8c61f5dea42d1ca6b55bfb3bbd43a829a3e1a83cffec",
+    "homogeneous_manifest.json": "f9c9c020b1e3bff77e2e9b9f83c89ce0e7598196856e1afbe0a5f8e04d2ebf67",
+    "nonhomogeneous.jsonl": "68d6cbb664d7b721960ac37c969bacff4e1dbaa1df8e4493321fc935703fae8f",
+    "nonhomogeneous_manifest.json": "cbbce13ed922b4585c0fe2168c9b496d32279e8afe7331efbdb10eafafadceb7",
+}
+
+
+@pytest.mark.parametrize("section", ["homogeneous", "nonhomogeneous"])
+def test_simulate_queues_golden_hashes(section, tmp_path):
+    code = cli_dispatch([
+        "simulate-queues", "--section", section, "--systems", "10",
+        "--arrivals", "100", "--replications", "20", "--seed", "7", "--split",
+        "--out", str(tmp_path),
+    ])
+    assert code == 0
+    for name in (f"{section}.jsonl", f"{section}_manifest.json"):
+        digest = hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+        assert digest == GOLDEN_SHA256[name], name
+
+
+@pytest.mark.parametrize("dt", [0.0, -1.0, float("nan")])
+def test_queue_config_rejects_bad_grid_step(dt):
+    # the size fields are checked through the CLI flags in test_cli_io.py
+    with pytest.raises(ValueError, match="grid step"):
+        QueueConfig(arrival=det_family(2.0), service=det_family(1.0), dt=dt)
 
 
 # ------------------------------------------------------------ section/split
