@@ -1,6 +1,11 @@
 """Fit-only statistical baselines sharing the forecaster's evaluation protocol:
 persistence, weighted analog retrieval, VAR and simple exponential smoothing in
-ilr coordinates."""
+ilr coordinates.
+
+Each baseline reads a sequence through the block primitives of `simplex`:
+analog windows are `history_windows` rows, VAR and ETS take the ilr
+coordinates of a whole (T, D) block in one `ilr_forward` call, and ETS levels
+are `smoothed_levels`."""
 from __future__ import annotations
 
 import logging
@@ -9,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyBank, EmptyPrefix, InsufficientData
-from .simplex import ilr_forward, ilr_inverse, smooth
+from .simplex import history_windows, ilr_forward, ilr_inverse, smooth, smoothed_levels
 
 logger = logging.getLogger(__name__)
 
@@ -37,27 +42,17 @@ class AnalogBank:
     bandwidth: float = 1.0
 
 
-def _flat_window(steps: np.ndarray, t: int, w: int) -> np.ndarray:
-    """Last-w window ending at position t, zero-padded on the left."""
-    d = steps.shape[1]
-    out = np.zeros((w, d))
-    lo = max(0, t - w + 1)
-    out[w - (t + 1 - lo) :] = steps[lo : t + 1]
-    return out.ravel()
-
-
 def build_analog_bank(train_seqs, w: int = 4, k: int = 8, max_pairs: int = 50000,
                       seed: int = 0) -> AnalogBank:
     windows, succs = [], []
     for seq in train_seqs:
         steps = np.asarray(seq.steps, dtype=np.float64)
-        for t in range(len(steps) - 1):
-            windows.append(_flat_window(steps, t, w))
-            succs.append(steps[t + 1])
-    if not windows:
+        windows.append(history_windows(steps, w)[:-1])
+        succs.append(steps[1:])
+    if sum(len(x) for x in windows) == 0:
         raise EmptyBank("no training pairs for analog bank")
-    windows = np.array(windows)
-    succs = np.array(succs)
+    windows = np.concatenate(windows)
+    succs = np.concatenate(succs)
     if len(windows) > max_pairs:
         idx = np.random.default_rng(seed).choice(len(windows), max_pairs, replace=False)
         windows, succs = windows[idx], succs[idx]
@@ -81,7 +76,7 @@ def analog_predict(prefix: np.ndarray, bank: AnalogBank) -> np.ndarray:
         raise EmptyPrefix("analog prediction needs a nonempty prefix")
     if len(bank.windows) == 0:
         raise EmptyBank("empty analog bank")
-    query = _flat_window(prefix, len(prefix) - 1, bank.w)
+    query = history_windows(prefix[-bank.w :], bank.w)[-1]
     dist = np.abs(bank.windows - query).sum(axis=1)
     k = min(bank.k, len(dist))
     idx = np.argpartition(dist, k - 1)[:k]
@@ -111,19 +106,24 @@ def ilr_var_fit(train_seqs, order: int = 1, ridge: float = 1e-6) -> VarCoefficie
     for seq in train_seqs:
         steps = np.asarray(seq.steps, dtype=np.float64)
         dim = steps.shape[1]
-        z = np.array([ilr_forward(smooth(p)) for p in steps])
-        for t in range(order, len(z)):
-            xs.append(np.concatenate([z[t - j] for j in range(1, order + 1)] + [[1.0]]))
-            ys.append(z[t])
+        z = ilr_forward(smooth(steps))
+        n = len(z) - order
+        if n <= 0:
+            continue
+        # row t holds z[t-1], ..., z[t-order], then the intercept
+        xs.append(np.hstack([z[order - j : order - j + n] for j in range(1, order + 1)]
+                            + [np.ones((n, 1))]))
+        ys.append(z[order:])
+    n_pairs = sum(len(x) for x in xs)
     n_cols = order * (dim - 1) + 1 if dim else 1
-    if len(xs) < n_cols:
+    if n_pairs < n_cols:
         logger.warning(
             "ilr VAR(%d): %d pairs < %d columns; falling back to persistence",
-            order, len(xs), n_cols,
+            order, n_pairs, n_cols,
         )
         return VarCoefficients(order, None, dim or 0)
-    x = np.array(xs)
-    y = np.array(ys)
+    x = np.concatenate(xs)
+    y = np.concatenate(ys)
     gram = x.T @ x + ridge * np.eye(x.shape[1])
     theta = np.linalg.solve(gram, x.T @ y)
     return VarCoefficients(order, theta, dim)
@@ -135,8 +135,8 @@ def ilr_var_predict(prefix: np.ndarray, coef: VarCoefficients) -> np.ndarray:
         raise EmptyPrefix("VAR prediction needs a nonempty prefix")
     if coef.matrix is None or len(prefix) < coef.order:
         return persistence_predict(prefix)
-    lags = [ilr_forward(smooth(prefix[-j])) for j in range(1, coef.order + 1)]
-    x = np.concatenate(lags + [[1.0]])
+    lags = ilr_forward(smooth(prefix[: -coef.order - 1 : -1]))  # newest first
+    x = np.append(lags, 1.0)
     z_next = x @ coef.matrix
     return ilr_inverse(z_next, prefix.shape[1])
 
@@ -150,32 +150,19 @@ class EtsAlphas:
     dim: int
 
 
-def _ses_levels(z: np.ndarray, alpha: float) -> np.ndarray:
-    """Simple-exponential-smoothing level after each observation (per column
-    handled by the caller); level_0 = z_0."""
-    levels = np.empty_like(z)
-    levels[0] = z[0]
-    for t in range(1, len(z)):
-        levels[t] = alpha * z[t] + (1 - alpha) * levels[t - 1]
-    return levels
-
-
 def ets_fit(train_seqs) -> EtsAlphas:
     """Per-ilr-coordinate grid search for the smoothing weight minimizing
     pooled one-step-ahead squared error."""
     if not train_seqs:
         raise InsufficientData("ETS needs at least one training series")
     dim = np.asarray(train_seqs[0].steps).shape[1]
-    zs = [
-        np.array([ilr_forward(smooth(p)) for p in np.asarray(seq.steps, dtype=np.float64)])
-        for seq in train_seqs
-    ]
+    zs = [ilr_forward(smooth(seq.steps)) for seq in train_seqs]
     errors = np.zeros((len(ETS_ALPHA_GRID), dim - 1))
     for ai, alpha in enumerate(ETS_ALPHA_GRID):
         for z in zs:
             if len(z) < 2:
                 continue
-            levels = _ses_levels(z, alpha)
+            levels = smoothed_levels(z, alpha)
             errors[ai] += ((z[1:] - levels[:-1]) ** 2).sum(axis=0)
     best = np.argmin(errors, axis=0)
     return EtsAlphas(ETS_ALPHA_GRID[best], dim)
@@ -185,10 +172,7 @@ def ets_predict(prefix: np.ndarray, fitted: EtsAlphas) -> np.ndarray:
     prefix = np.asarray(prefix, dtype=np.float64)
     if len(prefix) == 0:
         raise EmptyPrefix("ETS prediction needs a nonempty prefix")
-    z = np.array([ilr_forward(smooth(p)) for p in prefix])
-    level = z[0].copy()
-    for t in range(1, len(z)):
-        level = fitted.alphas * z[t] + (1 - fitted.alphas) * level
+    level = smoothed_levels(ilr_forward(smooth(prefix)), fitted.alphas)[-1]
     return ilr_inverse(level, prefix.shape[1])
 
 

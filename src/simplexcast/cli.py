@@ -33,10 +33,17 @@ def _out_dir(args) -> str:
     return "."
 
 
-def _load_config(args) -> RunConfig:
-    if args.config:
-        return RunConfig.load(args.config)
-    return RunConfig()
+def _resolve(args, cfg_file: RunConfig, keys) -> dict:
+    """Keyword arguments for a config dataclass: a flag beats the config
+    file, and a key set by neither is left to the dataclass default."""
+    out = {}
+    for key in keys:
+        value = getattr(args, key)
+        if value is None:
+            value = cfg_file.get(key)
+        if value is not None:
+            out[key] = value
+    return out
 
 
 def _emit(args, payload, filename) -> str:
@@ -122,21 +129,16 @@ def _selection_split(args, train_res):
 def _cmd_train(args) -> int:
     from .model import ModelConfig, TrainConfig, train
 
-    cfg_file = _load_config(args)
+    cfg_file = RunConfig.load(args.config) if args.config else RunConfig()
     train_res = ingest(args.data)
     val_res, selected_on = _selection_split(args, train_res)
     mc = ModelConfig(
         dim=train_res.dim,
         ordered=train_res.ordered,
-        feature_mode=cfg_file.get("feature_mode", args.feature_mode),
-        variant=cfg_file.get("variant", args.variant),
+        **_resolve(args, cfg_file, ("feature_mode", "variant")),
     )
     tc = TrainConfig(
-        iters=cfg_file.get("iters", args.iters),
-        batch_size=cfg_file.get("batch_size", args.batch_size),
-        lr=cfg_file.get("lr", args.lr),
-        warmup=cfg_file.get("warmup", args.warmup),
-        weight_decay=cfg_file.get("weight_decay", args.weight_decay),
+        **_resolve(args, cfg_file, ("iters", "batch_size", "lr", "warmup", "weight_decay"))
     )
     params, train_log = train(
         train_res.sequences, val_res.sequences, mc, tc, args.seed
@@ -157,7 +159,6 @@ def _cmd_evaluate(args) -> int:
 
     data = ingest(args.data)
     train_seqs = ingest(args.train).sequences if args.train else data.sequences
-    _load_config(args)  # no key is read here, but a bad --config still exits 1
     predictor = _predictor(args.method, data, train_seqs, args)
     result = evaluate_offline(predictor, data.sequences)
     payload = {"method": args.method, "section": data.section_name, "metrics": result}
@@ -170,7 +171,6 @@ def _cmd_rollout(args) -> int:
 
     data = ingest(args.data)
     train_seqs = ingest(args.train).sequences if args.train else data.sequences
-    _load_config(args)  # no key is read here, but a bad --config still exits 1
     predictor = _predictor(args.method, data, train_seqs, args)
     rc = RolloutConfig(
         context_len=args.context, horizon=args.horizon, max_examples=args.max_examples
@@ -295,8 +295,10 @@ def _cmd_seed_study(args) -> int:
     val_res, selected_on = _selection_split(args, train_res)
     test_res = ingest(args.test) if args.test else train_res
     seeds = [int(s) for s in args.seeds.split(",")]
-    mc = ModelConfig(dim=train_res.dim, ordered=train_res.ordered, variant=args.variant)
-    tc = TrainConfig(iters=args.iters)
+    mc = ModelConfig(
+        dim=train_res.dim, ordered=train_res.ordered, **_resolve(args, RunConfig(), ("variant",))
+    )
+    tc = TrainConfig(**_resolve(args, RunConfig(), ("iters",)))
 
     def runner(seed):
         from .baselines import CastPredictor
@@ -365,7 +367,6 @@ def _cmd_report(args) -> int:
 
 def _add_common(sub):
     sub.add_argument("--seed", type=int, default=0)
-    sub.add_argument("--config", default=None, help="JSON run-config file")
     sub.add_argument("--out", default=None, help="output directory")
     sub.add_argument(
         "--json", action="store_true", help="also print the report to stdout"
@@ -391,13 +392,15 @@ def build_parser() -> argparse.ArgumentParser:
     tr = subs.add_parser("train", help="train the forecaster")
     tr.add_argument("--data", required=True)
     tr.add_argument("--val", default=None)
-    tr.add_argument("--variant", default="full")
-    tr.add_argument("--feature-mode", default="full", dest="feature_mode")
-    tr.add_argument("--iters", type=int, default=2000)
-    tr.add_argument("--batch-size", type=int, default=8)
-    tr.add_argument("--lr", type=float, default=3e-4)
-    tr.add_argument("--warmup", type=int, default=200)
-    tr.add_argument("--weight-decay", type=float, default=0.1)
+    # flag > --config > ModelConfig/TrainConfig default; None means "not given"
+    tr.add_argument("--variant", default=None)
+    tr.add_argument("--feature-mode", default=None, dest="feature_mode")
+    tr.add_argument("--iters", type=int, default=None)
+    tr.add_argument("--batch-size", type=int, default=None)
+    tr.add_argument("--lr", type=float, default=None)
+    tr.add_argument("--warmup", type=int, default=None)
+    tr.add_argument("--weight-decay", type=float, default=None)
+    tr.add_argument("--config", default=None, help="JSON run-config file")
     _add_common(tr)
     tr.set_defaults(func=_cmd_train)
 
@@ -446,8 +449,8 @@ def build_parser() -> argparse.ArgumentParser:
     ss.add_argument("--data", required=True)
     ss.add_argument("--val", default=None)
     ss.add_argument("--test", default=None)
-    ss.add_argument("--variant", default="full")
-    ss.add_argument("--iters", type=int, default=2000)
+    ss.add_argument("--variant", default=None)
+    ss.add_argument("--iters", type=int, default=None)
     ss.add_argument("--seeds", default="0,1")
     _add_common(ss)
     ss.set_defaults(func=_cmd_seed_study)

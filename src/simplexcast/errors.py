@@ -78,8 +78,10 @@ class OptimizationNotConverged(SimplexCastError):
 
 
 class ParseError(SimplexCastError):
+    """Bad input file; the message starts with "line N:" when the line is known."""
+
     def __init__(self, message: str, line: int | None = None):
-        super().__init__(message)
+        super().__init__(message if line is None else f"line {line}: {message}")
         self.line = line
 
 

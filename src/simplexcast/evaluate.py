@@ -8,7 +8,7 @@ import numpy as np
 
 from .errors import NoEligibleSequences, NoScoredPositions, TooFewSequences
 from .metrics import jsd, metric_report
-from .simplex import SimplexSeries
+from .simplex import SimplexSeries, history_windows
 
 METRIC_NAMES = ("kl", "jsd", "l1", "bray_curtis", "w1")
 
@@ -151,15 +151,6 @@ class DiagnosticReport:
     severity: str
 
 
-def _window_descriptor(steps: np.ndarray, t: int, w: int) -> np.ndarray:
-    lo = max(0, t + 1 - w)
-    window = steps[lo : t + 1]
-    if len(window) < w:
-        pad = np.zeros((w - len(window), steps.shape[1]))
-        window = np.vstack([pad, window])
-    return window.reshape(-1)
-
-
 def aliasing_diagnostic(
     seqs,
     n_samples: int = 500,
@@ -193,19 +184,18 @@ def aliasing_diagnostic(
         succ = seqs[i].steps[t + 1]
         best_cur = best_hist = None
         best_cur_d = best_hist_d = np.inf
-        desc = _window_descriptor(seqs[i].steps, t, window)
+        desc = history_windows(seqs[i].steps, window)[t]
         for j, other in enumerate(seqs):
             if j == i:
                 continue
+            # one sequence's descriptors at a time keeps memory to one block
+            d_hist = np.abs(desc - history_windows(other.steps, window)).sum(axis=1)
             for s in range(len(other.steps) - 1):
                 d_cur = jsd(cur, other.steps[s])
                 if d_cur < best_cur_d:
                     best_cur_d, best_cur = d_cur, (j, s)
-                d_hist = float(
-                    np.abs(desc - _window_descriptor(other.steps, s, window)).sum()
-                )
-                if d_hist < best_hist_d:
-                    best_hist_d, best_hist = d_hist, (j, s)
+                if d_hist[s] < best_hist_d:
+                    best_hist_d, best_hist = d_hist[s], (j, s)
         nj, ns = best_cur
         neighbor_jsds.append(best_cur_d)
         succ_gap_cur = jsd(succ, seqs[nj].steps[ns + 1])

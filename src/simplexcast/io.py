@@ -169,10 +169,6 @@ def write_json(path, payload) -> None:
 
 
 _RUN_CONFIG_FIELDS = {
-    "train_path": str,
-    "val_path": str,
-    "test_path": str,
-    "method": str,
     "variant": str,
     "feature_mode": str,
     "iters": int,
@@ -180,17 +176,13 @@ _RUN_CONFIG_FIELDS = {
     "lr": float,
     "warmup": int,
     "weight_decay": float,
-    "seeds": list,
-    "context_len": int,
-    "horizon": int,
-    "max_examples": int,
-    "out_dir": str,
 }
 
 
 @dataclass
 class RunConfig:
-    """Declarative run specification; unknown keys and wrong types are
+    """The `train --config` file: ModelConfig/TrainConfig values that a flag
+    given on the command line overrides. Unknown keys and wrong types are
     rejected before any work starts."""
 
     values: dict = field(default_factory=dict)
@@ -203,17 +195,15 @@ class RunConfig:
             except json.JSONDecodeError as exc:
                 raise ParseError(f"bad config: {exc}", line=exc.lineno) from exc
         if not isinstance(raw, dict):
-            raise ParseError("config must be a JSON object", line=1)
+            raise ParseError("config must be a JSON object")
         for key, value in raw.items():
             if key not in _RUN_CONFIG_FIELDS:
-                raise ParseError(f"unknown config key {key!r}", line=1)
+                raise ParseError(f"unknown config key {key!r}")
             expected = _RUN_CONFIG_FIELDS[key]
-            if expected is float and isinstance(value, int):
-                value = float(value)
-            if not isinstance(value, expected):
-                raise ParseError(
-                    f"config key {key!r} must be {expected.__name__}", line=1
-                )
+            ok = isinstance(value, (float, int) if expected is float else expected)
+            # JSON true/false load as bool, which Python counts as an int
+            if isinstance(value, bool) or not ok:
+                raise ParseError(f"config key {key!r} must be {expected.__name__}")
         return RunConfig(dict(raw))
 
     def get(self, key, default=None):

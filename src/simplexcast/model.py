@@ -33,7 +33,7 @@ from .errors import (
     NonFiniteGradient,
 )
 from .io import atomic_write
-from .simplex import SimplexSeries, support_bins
+from .simplex import SimplexSeries, history_windows, smoothed_levels, support_bins
 from .transport import BudgetParams, cast_step, operator_regularizer
 
 VARIANTS = (
@@ -114,19 +114,14 @@ def encode_all(steps: np.ndarray, cfg: ModelConfig) -> np.ndarray:
     steps = np.asarray(steps, dtype=np.float64)
     if steps.ndim != 2 or len(steps) == 0:
         raise EmptyPrefix("need a nonempty (T, D) prefix")
-    t_len, d = steps.shape
+    d = steps.shape[1]
     if cfg.feature_mode == "current_only":
         feats = [steps]
     else:
-        w = cfg.window
-        padded = np.vstack([np.zeros((w - 1, d)), steps])
-        window = np.stack([padded[t : t + w] for t in range(t_len)])  # (T, W, D)
-        ew = np.empty_like(steps)
-        ew[0] = steps[0]
-        for t in range(1, t_len):
-            ew[t] = cfg.ew_beta * ew[t - 1] + (1.0 - cfg.ew_beta) * steps[t]
+        # EW mean: ew[t] = ew_beta*ew[t-1] + (1-ew_beta)*steps[t]
+        ew = smoothed_levels(steps, 1.0 - cfg.ew_beta)
         delta = np.vstack([np.zeros((1, d)), np.diff(steps, axis=0)])
-        feats = [window.reshape(t_len, w * d), ew, delta]
+        feats = [history_windows(steps, cfg.window), ew, delta]
         if cfg.ordered:
             bins = support_bins(d)
             mu = steps @ bins
@@ -533,7 +528,6 @@ class TrainConfig:
     clip_norm: float = 1.0
     eval_every: int = 100
     max_val_positions: int = 256
-    cosine_decay: bool = False  # anneal lr to 0 after warmup
     tail_average: float = 0.0  # fraction of final iters whose weights are averaged
 
 
@@ -594,9 +588,6 @@ def train(
         norm = np.sqrt(sum(float(np.sum(g * g)) for g in grads.values()))
         scale = min(1.0, tc.clip_norm / (norm + 1e-12))
         lr = tc.lr * min(1.0, step / max(tc.warmup, 1))
-        if tc.cosine_decay and step > tc.warmup:
-            progress = (step - tc.warmup) / max(tc.iters - tc.warmup, 1)
-            lr *= 0.5 * (1.0 + np.cos(np.pi * progress))
         for k, g in grads.items():
             g = g * scale
             m_state[k] = beta1 * m_state[k] + (1 - beta1) * g

@@ -1,9 +1,13 @@
 """Probability vectors on the simplex: construction, smoothing, mixing,
-isometric log-ratio coordinates, and ordered-support moments.
+isometric log-ratio coordinates, ordered-support moments, and the causal
+sequence primitives that the encoder, the baselines and the aliasing
+diagnostic share.
 
 A distribution is represented as a 1-D float64 numpy array with nonnegative
-entries summing to one. Support bins are indexed 1..D throughout, so the
-mean of a point mass at bin k is k.
+entries summing to one; a sequence of them is a (T, D) array. `smooth` and
+`ilr_forward` work over the last axis, so they take one distribution or a
+whole block. Support bins are indexed 1..D throughout, so the mean of a
+point mass at bin k is k.
 """
 from __future__ import annotations
 
@@ -55,11 +59,11 @@ def normalize(raw) -> Dist:
 
 
 def smooth(p: Dist, eps: float = 1e-8) -> Dist:
-    """Floor a distribution away from zero: (p + eps) / (1 + D*eps)."""
+    """Floor distributions (last axis) away from zero: (p + eps) / (1 + D*eps)."""
     if eps <= 0:
         raise ValueError("eps must be positive")
     p = np.asarray(p, dtype=np.float64)
-    return (p + eps) / (1.0 + p.size * eps)
+    return (p + eps) / (1.0 + p.shape[-1] * eps)
 
 
 def convex_mix(a: Dist, b: Dist, lam: float) -> Dist:
@@ -88,13 +92,16 @@ def helmert_basis(d: int) -> NDArray[np.float64]:
 
 
 def ilr_forward(p: Dist) -> NDArray[np.float64]:
-    """Isometric log-ratio coordinates (length D-1) of an interior point."""
+    """Isometric log-ratio coordinates of interior points over the last
+    axis: (..., D) -> (..., D-1)."""
     p = np.asarray(p, dtype=np.float64)
     if np.any(p <= 0):
         raise ZeroComponent("ilr requires strictly positive entries; smooth first")
     logp = np.log(p)
-    clr = logp - logp.mean()
-    return helmert_basis(p.size) @ clr
+    clr = logp - logp.mean(axis=-1, keepdims=True)
+    # a stacked mat-vec gives each row the bytes of the 1-D product;
+    # clr @ H.T does not
+    return (helmert_basis(p.shape[-1]) @ clr[..., None])[..., 0]
 
 
 def ilr_inverse(z, d: int) -> Dist:
@@ -106,6 +113,28 @@ def ilr_inverse(z, d: int) -> Dist:
     x -= x.max()
     e = np.exp(x)
     return e / e.sum()
+
+
+def history_windows(steps, w: int) -> NDArray[np.float64]:
+    """Last-w window ending at every position, (T, D) -> (T, w*D): row t is
+    steps[t-w+1 : t+1] oldest first, zero-padded on the left, flattened."""
+    steps = np.asarray(steps, dtype=np.float64)
+    t_len, d = steps.shape
+    padded = np.concatenate([np.zeros((w - 1, d)), steps])
+    windows = np.lib.stride_tricks.sliding_window_view(padded, w, axis=0)  # (T, D, w)
+    return windows.transpose(0, 2, 1).reshape(t_len, w * d)
+
+
+def smoothed_levels(x, alpha) -> NDArray[np.float64]:
+    """Exponential-smoothing level after each row of x (T, ...):
+    level[0] = x[0], level[t] = alpha*x[t] + (1-alpha)*level[t-1]. alpha is a
+    scalar or broadcasts against a row."""
+    x = np.asarray(x, dtype=np.float64)
+    levels = np.empty_like(x)
+    levels[0] = x[0]
+    for t in range(1, len(x)):
+        levels[t] = alpha * x[t] + (1 - alpha) * levels[t - 1]
+    return levels
 
 
 def support_bins(d: int) -> NDArray[np.float64]:

@@ -12,3 +12,49 @@ def random_dist(rng, d):
     while v.sum() == 0:
         v = rng.gamma(1.0, 1.0, size=d)
     return v / v.sum()
+
+
+# ------------------------------------------------------------------------
+# Per-row and per-position reference code for the block primitives of
+# `simplexcast.simplex`: the block versions must reproduce these bytes.
+
+
+def window_ref(steps, t, w):
+    """Last-w window ending at t, zero-padded on the left, flattened."""
+    d = steps.shape[1]
+    out = np.zeros((w, d))
+    lo = max(0, t - w + 1)
+    out[w - (t + 1 - lo) :] = steps[lo : t + 1]
+    return out.ravel()
+
+
+def descriptor_ref(steps, t, w):
+    """The same window built by stacking a zero pad onto the slice."""
+    lo = max(0, t + 1 - w)
+    window = steps[lo : t + 1]
+    if len(window) < w:
+        window = np.vstack([np.zeros((w - len(window), steps.shape[1])), window])
+    return window.reshape(-1)
+
+
+def stacked_windows_ref(steps, w):
+    """Every window at once, stacked from a left-padded copy."""
+    t_len, d = steps.shape
+    padded = np.vstack([np.zeros((w - 1, d)), steps])
+    return np.stack([padded[t : t + w] for t in range(t_len)]).reshape(t_len, w * d)
+
+
+def smooth_row_ref(p, eps=1e-8):
+    return (p + eps) / (1.0 + p.size * eps)
+
+
+def ilr_row_ref(p):
+    """ilr of one interior distribution as a 1-D clr and mat-vec."""
+    from simplexcast.simplex import helmert_basis
+
+    logp = np.log(p)
+    return helmert_basis(p.size) @ (logp - logp.mean())
+
+
+def ilr_rows_ref(steps):
+    return np.array([ilr_row_ref(smooth_row_ref(p)) for p in steps])

@@ -11,13 +11,12 @@ from simplexcast.baselines import (
     ilr_var_fit,
     ilr_var_predict,
     persistence_predict,
-    _flat_window,
 )
 from simplexcast.errors import EmptyBank, EmptyPrefix
 from simplexcast.model import make_series
-from simplexcast.simplex import ilr_forward, ilr_inverse, smooth
+from simplexcast.simplex import ilr_forward, ilr_inverse, smooth, smoothed_levels
 
-from conftest import random_dist
+from conftest import ilr_rows_ref, random_dist, window_ref
 
 
 def series_from(rng, t_len, d, seq_id="s"):
@@ -88,12 +87,6 @@ def test_analog_empty_bank():
     bank = AnalogBank(np.empty((0, 4)), np.empty((0, 2)), w=2, k=1)
     with pytest.raises(EmptyBank):
         analog_predict(np.full((1, 2), 0.5), bank)
-
-
-def test_flat_window_pads_left():
-    steps = np.array([[0.5, 0.5], [0.9, 0.1]])
-    win = _flat_window(steps, 0, 3)
-    assert np.allclose(win, [0, 0, 0, 0, 0.5, 0.5])
 
 
 # ------------------------------------------------------------------ ilr VAR
@@ -190,11 +183,9 @@ def test_ets_linear_drift_picks_large_alpha(rng):
     fitted = ets_fit(seqs)
     assert np.all(fitted.alphas >= 0.9)
     # error with fitted alphas beats the smallest-alpha variant
-    from simplexcast.baselines import EtsAlphas, _ses_levels
-
-    z = np.array([ilr_forward(smooth(p)) for p in steps])
-    err_big = ((z[1:] - _ses_levels(z, fitted.alphas[0])[:-1]) ** 2).sum()
-    err_small = ((z[1:] - _ses_levels(z, 0.05)[:-1]) ** 2).sum()
+    z = ilr_forward(smooth(steps))
+    err_big = ((z[1:] - smoothed_levels(z, fitted.alphas[0])[:-1]) ** 2).sum()
+    err_small = ((z[1:] - smoothed_levels(z, 0.05)[:-1]) ** 2).sum()
     assert err_big < err_small
 
 
@@ -202,6 +193,101 @@ def test_ets_grid_is_as_specified():
     assert ETS_ALPHA_GRID[0] == 0.05
     assert ETS_ALPHA_GRID[-1] == 0.95
     assert np.allclose(np.diff(ETS_ALPHA_GRID), 0.05)
+
+
+# ------------------------------------- block code against per-row references
+# Each reference is the per-position / per-row code the baselines ran before
+# they read whole blocks; the block code must give the same bytes.
+
+
+def _ses_levels_ref(z, alpha):
+    levels = np.empty_like(z)
+    levels[0] = z[0]
+    for t in range(1, len(z)):
+        levels[t] = alpha * z[t] + (1 - alpha) * levels[t - 1]
+    return levels
+
+
+def _ets_fit_ref(train_seqs):
+    dim = train_seqs[0].steps.shape[1]
+    zs = [ilr_rows_ref(seq.steps) for seq in train_seqs]
+    errors = np.zeros((len(ETS_ALPHA_GRID), dim - 1))
+    for ai, alpha in enumerate(ETS_ALPHA_GRID):
+        for z in zs:
+            if len(z) < 2:
+                continue
+            levels = _ses_levels_ref(z, alpha)
+            errors[ai] += ((z[1:] - levels[:-1]) ** 2).sum(axis=0)
+    return ETS_ALPHA_GRID[np.argmin(errors, axis=0)]
+
+
+def _ets_predict_ref(prefix, alphas):
+    z = ilr_rows_ref(prefix)
+    level = z[0].copy()
+    for t in range(1, len(z)):
+        level = alphas * z[t] + (1 - alphas) * level
+    return ilr_inverse(level, prefix.shape[1])
+
+
+def _var_design_ref(train_seqs, order):
+    xs, ys = [], []
+    for seq in train_seqs:
+        z = ilr_rows_ref(seq.steps)
+        for t in range(order, len(z)):
+            xs.append(np.concatenate([z[t - j] for j in range(1, order + 1)] + [[1.0]]))
+            ys.append(z[t])
+    return np.array(xs), np.array(ys)
+
+
+def _var_predict_ref(prefix, coef):
+    lags = [ilr_rows_ref(prefix[-j][None])[0] for j in range(1, coef.order + 1)]
+    return ilr_inverse(np.concatenate(lags + [[1.0]]) @ coef.matrix, prefix.shape[1])
+
+
+def _reference_seqs(rng, d, lengths=(1, 9, 30)):
+    return [series_from(rng, t_len, d, f"s{i}") for i, t_len in enumerate(lengths)]
+
+
+def test_ets_equals_per_row_reference(rng):
+    for d in range(2, 36):
+        seqs = _reference_seqs(rng, d)
+        fitted = ets_fit(seqs)
+        assert np.array_equal(fitted.alphas, _ets_fit_ref(seqs))
+        for t_len in (1, 2, 9, 30):
+            prefix = seqs[2].steps[:t_len]
+            assert np.array_equal(ets_predict(prefix, fitted), _ets_predict_ref(prefix, fitted.alphas))
+
+
+@pytest.mark.parametrize("order", [1, 2])
+def test_var_equals_per_row_reference(rng, order):
+    ridge = 1e-6
+    for d in range(2, 36):
+        seqs = _reference_seqs(rng, d, lengths=(1, 30, 40, 50))
+        coef = ilr_var_fit(seqs, order=order, ridge=ridge)
+        x, y = _var_design_ref(seqs, order)
+        gram = x.T @ x + ridge * np.eye(x.shape[1])
+        assert np.array_equal(coef.matrix, np.linalg.solve(gram, x.T @ y))
+        for t_len in (order, 7):
+            prefix = seqs[1].steps[:t_len]
+            assert np.array_equal(ilr_var_predict(prefix, coef), _var_predict_ref(prefix, coef))
+
+
+def test_analog_equals_per_position_reference(rng):
+    for d in range(2, 36):
+        for w in (1, 4, 12):
+            seqs = _reference_seqs(rng, d, lengths=(1, 3, 10))
+            bank = build_analog_bank(seqs, w=w, k=3)
+            windows = [window_ref(s.steps, t, w) for s in seqs for t in range(len(s.steps) - 1)]
+            assert np.array_equal(bank.windows, np.array(windows))
+            assert np.array_equal(bank.successors, np.concatenate([s.steps[1:] for s in seqs]))
+            prefix = seqs[2].steps[:5]
+            query = window_ref(prefix, len(prefix) - 1, w)
+            dist = np.abs(bank.windows - query).sum(axis=1)
+            idx = np.argpartition(dist, 2)[:3]
+            idx = idx[np.argsort(dist[idx], kind="stable")]
+            weights = np.exp(-(dist[idx] ** 2) / (2.0 * bank.bandwidth**2))
+            expected = (weights / weights.sum()) @ bank.successors[idx]
+            assert np.array_equal(analog_predict(prefix, bank), expected)
 
 
 # ------------------------------------------------- cross-module consistency

@@ -1,9 +1,12 @@
 """Tests for dataset files, run configuration, and the CLI."""
 import json
 import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from simplexcast.cli import cli_dispatch
 from simplexcast.errors import ParseError, SchemaVersionMismatch
@@ -60,7 +63,7 @@ class TestDatasetIO:
         res = ingest(path)
         np.testing.assert_allclose(res.sequences[0].steps, [[0.5, 0.5], [0.25, 0.75]])
 
-    def test_malformed_line_reports_number(self, rng, tmp_path):
+    def test_malformed_line_reports_number(self, rng, tmp_path, capsys):
         seqs = _seqs(rng, n=2)
         path = tmp_path / "d.jsonl"
         write_dataset(path, seqs)
@@ -70,6 +73,9 @@ class TestDatasetIO:
         with pytest.raises(ParseError) as exc:
             ingest(path)
         assert exc.value.line == 3
+        assert cli_dispatch(["evaluate", "--data", str(path), "--out", str(tmp_path)]) == 1
+        # the file line, not the decoder's position within the row
+        assert capsys.readouterr().err.startswith("error: line 3: bad row:")
 
     def test_schema_version_mismatch(self, tmp_path):
         header = {"format_version": 99, "D": 2, "ordered": True, "section_name": ""}
@@ -87,7 +93,7 @@ class TestDatasetIO:
             ingest(path)
 
     @pytest.mark.parametrize("bad", ["NaN", "Infinity", "-Infinity"])
-    def test_non_finite_value_rejected_with_line(self, tmp_path, bad):
+    def test_non_finite_value_rejected_with_line(self, tmp_path, capsys, bad):
         header = {"format_version": 1, "D": 3, "ordered": True, "section_name": ""}
         good = {"id": "a", "steps": [[0.2, 0.3, 0.5], [0.1, 0.1, 0.8]]}
         path = tmp_path / "d.jsonl"
@@ -99,6 +105,7 @@ class TestDatasetIO:
             ingest(path)
         assert exc.value.line == 3
         assert cli_dispatch(["evaluate", "--data", str(path), "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err.startswith("error: line 3: steps must be finite")
 
     def test_empty_dataset_rejected(self, tmp_path):
         with pytest.raises(ValueError):
@@ -108,14 +115,103 @@ class TestDatasetIO:
         write_json(tmp_path / "x.json", {"a": 1})
         assert sorted(os.listdir(tmp_path)) == ["x.json"]
 
+    @seed(20261018)
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.integers(1, 4), t_len=st.integers(1, 6), d=st.integers(2, 6),
+        ordered=st.booleans(), gz=st.booleans(), data_seed=st.integers(0, 2**32 - 1),
+        section=st.text(max_size=8),
+    )
+    def test_round_trip_property(self, n, t_len, d, ordered, gz, data_seed, section):
+        rng = np.random.default_rng(data_seed)
+        seqs = [
+            SimplexSeries(f"id{i}", ordered, rng.dirichlet(np.full(d, 0.5), size=t_len),
+                          rng.random(t_len - 1) < 0.5)
+            for i in range(n)
+        ]
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "d.jsonl.gz" if gz else "d.jsonl")
+            write_dataset(path, seqs, section_name=section)
+            res = ingest(path)
+        assert (res.section_name, res.ordered, res.dim, res.dropped_rows) == (section, ordered, d, 0)
+        assert [s.id for s in res.sequences] == [s.id for s in seqs]
+        for a, b in zip(seqs, res.sequences):
+            assert b.ordered == ordered
+            np.testing.assert_allclose(b.steps, a.steps, rtol=0, atol=1e-12)
+            assert np.array_equal(b.loss_mask, a.loss_mask)
+
+
+# the `train --config` schema: key -> a strategy for values of its JSON type
+_CONFIG_SCHEMA = {
+    "variant": st.text(max_size=12),
+    "feature_mode": st.text(max_size=12),
+    "iters": st.integers(-10**6, 10**6),
+    "batch_size": st.integers(-10**6, 10**6),
+    "lr": st.floats(allow_nan=False, allow_infinity=False) | st.integers(-100, 100),
+    "warmup": st.integers(-10**6, 10**6),
+    "weight_decay": st.floats(allow_nan=False, allow_infinity=False) | st.integers(-100, 100),
+}
+_JSON_VALUES = {
+    "str": st.text(max_size=6),
+    "int": st.integers(-1000, 1000),
+    "float": st.floats(allow_nan=False, allow_infinity=False).filter(lambda x: x != int(x)),
+    "bool": st.booleans(),
+    "null": st.none(),
+    "list": st.lists(st.integers(), max_size=3),
+    "object": st.dictionaries(st.text(max_size=3), st.integers(), max_size=2),
+}
+# JSON types each key accepts (an int is a valid float)
+_ACCEPTED = {
+    "variant": {"str"}, "feature_mode": {"str"}, "iters": {"int"}, "batch_size": {"int"},
+    "lr": {"int", "float"}, "warmup": {"int"}, "weight_decay": {"int", "float"},
+}
+
+
+def _write_config(tmp, raw):
+    path = os.path.join(tmp, "cfg.json")
+    with open(path, "w") as fh:
+        json.dump(raw, fh)
+    return path
+
 
 class TestRunConfig:
     def test_load_valid(self, tmp_path):
         path = tmp_path / "cfg.json"
-        path.write_text(json.dumps({"iters": 100, "lr": 0.01, "method": "cast"}))
+        path.write_text(json.dumps({"iters": 100, "lr": 0.01}))
         cfg = RunConfig.load(path)
         assert cfg.get("iters") == 100
         assert cfg.get("missing", 7) == 7
+
+    @seed(20261018)
+    @settings(max_examples=60, deadline=None)
+    @given(st.fixed_dictionaries({}, optional=_CONFIG_SCHEMA))
+    def test_accepts_each_schema_key_with_its_type(self, raw):
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg = RunConfig.load(_write_config(tmp, raw))
+        for key, value in raw.items():
+            assert cfg.get(key) == value
+
+    @seed(20261018)
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(["train_path", "val_path", "test_path", "method", "seeds",
+                            "context_len", "horizon", "max_examples", "out_dir"])
+           | st.text(min_size=1, max_size=12).filter(lambda k: k not in _CONFIG_SCHEMA),
+           st.sampled_from(sorted(_JSON_VALUES)).flatmap(lambda kind: _JSON_VALUES[kind]))
+    def test_rejects_any_other_key(self, key, value):
+        with tempfile.TemporaryDirectory() as tmp:
+            with pytest.raises(ParseError, match="unknown config key"):
+                RunConfig.load(_write_config(tmp, {"iters": 3, key: value}))
+
+    @seed(20261018)
+    @settings(max_examples=80, deadline=None)
+    @given(st.sampled_from(sorted(_ACCEPTED)).flatmap(
+        lambda key: st.tuples(st.just(key), st.sampled_from(
+            sorted(set(_JSON_VALUES) - _ACCEPTED[key])).flatmap(lambda kind: _JSON_VALUES[kind]))))
+    def test_rejects_any_other_type(self, key_value):
+        key, value = key_value
+        with tempfile.TemporaryDirectory() as tmp:
+            with pytest.raises(ParseError, match=f"config key '{key}' must be"):
+                RunConfig.load(_write_config(tmp, {key: value}))
 
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "cfg.json"
@@ -345,6 +441,30 @@ class TestCli:
         assert code == 0
         payload = json.loads((tmp_path / "train_log.json").read_text())
         assert payload["log"][-1]["step"] == 10
+
+    def test_flag_overrides_config_file(self, rng, tmp_path):
+        data = tmp_path / "d.jsonl"
+        write_dataset(data, _seqs(rng, n=4, t=8))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"iters": 10, "warmup": 2}))
+        code = _run(["train", "--data", str(data), "--config", str(cfg), "--iters", "4",
+                     "--out", str(tmp_path)])
+        assert code == 0
+        payload = json.loads((tmp_path / "train_log.json").read_text())
+        assert payload["log"][-1]["step"] == 4
+
+    def test_config_only_on_train(self, rng, tmp_path, capsys):
+        data = tmp_path / "d.jsonl"
+        write_dataset(data, _seqs(rng, n=4, t=8))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"iters": 2, "context_len": 8}))
+        assert _run(["train", "--data", str(data), "--config", str(cfg),
+                     "--out", str(tmp_path)]) == 1
+        assert "unknown config key 'context_len'" in capsys.readouterr().err
+        cfg.write_text(json.dumps({"iters": 2}))
+        for command in ("evaluate", "rollout", "diagnose-aliasing"):
+            assert _run([command, "--data", str(data), "--config", str(cfg),
+                         "--out", str(tmp_path)]) == 1
 
     def test_out_env_var_used(self, rng, tmp_path, monkeypatch):
         data = tmp_path / "d.jsonl"

@@ -236,6 +236,44 @@ class TestAliasingDiagnostic:
         if rep.history_better_rate is not None:
             assert 0.0 <= rep.history_better_rate <= 1.0
 
+    @pytest.mark.parametrize("d", [2, 6, 21, 35])
+    def test_equals_per_candidate_reference(self, rng, d):
+        from simplexcast.metrics import jsd
+
+        from conftest import descriptor_ref
+
+        # T = 1 and T < window included; the reference builds one descriptor
+        # per (sample, candidate) and scans candidates with strict "<". Three
+        # sequences share their first 6 steps, so at position 5 two candidates
+        # tie on both distances but lead to different successors.
+        seqs = [_series(rng, t, d, f"s{i}") for i, t in enumerate((1, 3, 9, 12, 12, 10))]
+        for k in (4, 5):
+            seqs[k].steps[:6] = seqs[3].steps[:6]
+        rep = aliasing_diagnostic(seqs, n_samples=1000, window=8, seed=5)  # every position
+        positions = [(i, t) for i, s in enumerate(seqs) for t in range(len(s.steps) - 1)]
+        picks = np.random.default_rng(5).choice(len(positions), size=len(positions), replace=False)
+        neighbor, successor, better, comparable = [], [], 0, 0
+        for i, t in (positions[k] for k in picks):
+            best_cur = best_hist = (np.inf, None)
+            desc = descriptor_ref(seqs[i].steps, t, 8)
+            for j, other in enumerate(seqs):
+                for s in range(len(other.steps) - 1) if j != i else ():
+                    d_cur = jsd(seqs[i].steps[t], other.steps[s])
+                    d_hist = float(np.abs(desc - descriptor_ref(other.steps, s, 8)).sum())
+                    best_cur = min(best_cur, (d_cur, (j, s)), key=lambda b: b[0])
+                    best_hist = min(best_hist, (d_hist, (j, s)), key=lambda b: b[0])
+            succ = seqs[i].steps[t + 1]
+            (nj, ns), (hj, hs) = best_cur[1], best_hist[1]
+            gap_cur, gap_hist = jsd(succ, seqs[nj].steps[ns + 1]), jsd(succ, seqs[hj].steps[hs + 1])
+            neighbor.append(best_cur[0])
+            successor.append(gap_cur)
+            if not np.isclose(gap_hist, gap_cur, atol=1e-12):
+                comparable += 1
+                better += gap_hist < gap_cur
+        assert rep.history_better_rate == (better / comparable if comparable else None)
+        assert rep.neighbor_jsd_quantiles["q90"] == float(np.quantile(neighbor, 0.9))
+        assert rep.successor_jsd_quantiles["median"] == float(np.quantile(successor, 0.5))
+
     def test_thresholds_drive_severity(self, rng):
         seqs = [_series(rng, 6, 3, f"s{i}") for i in range(3)]
         loose = aliasing_diagnostic(

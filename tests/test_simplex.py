@@ -8,15 +8,23 @@ from simplexcast.simplex import (
     SimplexSeries,
     convex_mix,
     helmert_basis,
+    history_windows,
     ilr_forward,
     ilr_inverse,
     mean_support,
     normalize,
     smooth,
+    smoothed_levels,
     std_support,
 )
 
-from conftest import random_dist
+from conftest import (
+    descriptor_ref,
+    ilr_rows_ref,
+    random_dist,
+    stacked_windows_ref,
+    window_ref,
+)
 
 
 class TestNormalize:
@@ -147,3 +155,57 @@ class TestSimplexSeries:
     def test_bad_mask_length(self):
         with pytest.raises(DimensionMismatch):
             SimplexSeries("a", False, np.full((4, 3), 1 / 3), np.ones(2, dtype=bool))
+
+
+class TestSequencePrimitives:
+    def test_history_windows_pads_left(self):
+        steps = np.array([[0.5, 0.5], [0.9, 0.1]])
+        win = history_windows(steps, 3)[0]
+        assert np.allclose(win, [0, 0, 0, 0, 0.5, 0.5])
+
+    @pytest.mark.parametrize("t_len,w", [(1, 1), (1, 4), (3, 8), (6, 6), (12, 1), (12, 4)])
+    def test_history_windows_equal_per_position_windows(self, rng, t_len, w):
+        for d in range(2, 36):
+            steps = rng.dirichlet(np.ones(d), size=t_len)
+            got = history_windows(steps, w)
+            assert got.shape == (t_len, w * d)
+            for ref in (window_ref, descriptor_ref):
+                assert np.array_equal(got, np.array([ref(steps, t, w) for t in range(t_len)]))
+            assert np.array_equal(got, stacked_windows_ref(steps, w))
+
+    def test_history_window_rows_are_causal(self, rng):
+        steps = rng.dirichlet(np.ones(4), size=10)
+        mutated = steps.copy()
+        mutated[6:] = rng.dirichlet(np.ones(4), size=4)
+        assert np.array_equal(history_windows(steps, 3)[:6], history_windows(mutated, 3)[:6])
+
+    @pytest.mark.parametrize("t_len", [1, 2, 30])
+    def test_block_ilr_equals_per_row_ilr(self, rng, t_len):
+        for d in range(2, 36):
+            steps = rng.dirichlet(np.full(d, 0.3), size=t_len)
+            steps[0, 0] = 0.0  # smooth floors exact zeros
+            steps[0] /= steps[0].sum()
+            assert np.array_equal(ilr_forward(smooth(steps)), ilr_rows_ref(steps))
+
+    def test_block_ilr_zero_component(self):
+        with pytest.raises(ZeroComponent):
+            ilr_forward(np.array([[0.5, 0.5], [1.0, 0.0]]))
+
+    @pytest.mark.parametrize("ew_beta", [0.0, 0.5, 0.75, 0.9, 0.95, 1.0])
+    def test_levels_reproduce_encoder_ew_mean(self, rng, ew_beta):
+        for d in (2, 6, 21, 35):
+            for t_len in (1, 2, 17):
+                steps = rng.dirichlet(np.ones(d), size=t_len)
+                ew = np.empty_like(steps)
+                ew[0] = steps[0]
+                for t in range(1, t_len):
+                    ew[t] = ew_beta * ew[t - 1] + (1.0 - ew_beta) * steps[t]
+                assert np.array_equal(smoothed_levels(steps, 1.0 - ew_beta), ew)
+
+    def test_levels_take_per_column_alphas(self, rng):
+        z = rng.standard_normal((9, 3))
+        alphas = np.array([0.05, 0.5, 0.95])
+        levels = smoothed_levels(z, alphas)
+        for c, alpha in enumerate(alphas):
+            assert np.array_equal(levels[:, c], smoothed_levels(z[:, c], alpha))
+        np.testing.assert_allclose(levels[1], alphas * z[1] + (1 - alphas) * z[0])
