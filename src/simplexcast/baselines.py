@@ -180,12 +180,19 @@ def ets_predict(prefix: np.ndarray, fitted: EtsAlphas) -> np.ndarray:
 
 
 class Predictor:
-    """Uniform one-step interface used by the evaluation harness."""
+    """Uniform one-step interface used by the evaluation harness. `predict`
+    forecasts the step after a prefix; `predict_all` forecasts rows `ts` of a
+    whole sequence, row t from steps[: t + 1] only. The default `predict_all`
+    calls `predict` on each prefix, and is the reference for overrides."""
 
     name = "predictor"
 
     def predict(self, prefix: np.ndarray) -> np.ndarray:  # pragma: no cover
         raise NotImplementedError
+
+    def predict_all(self, steps: np.ndarray, ts) -> np.ndarray:
+        """One-step forecasts for rows `ts` of one sequence, (len(ts), D)."""
+        return np.array([self.predict(steps[: t + 1]) for t in ts])
 
 
 @dataclass
@@ -229,13 +236,10 @@ class CastPredictor(Predictor):
     name: str = "cast"
 
     def predict(self, prefix):
-        from .model import encode_all, forward
+        return self.predict_all(prefix, [len(prefix) - 1])[0]
 
-        prefix = np.asarray(prefix, dtype=np.float64)
-        cfg = self.params.cfg
-        feats = encode_all(prefix, cfg)
-        t = len(prefix) - 1
-        mem_feats = feats[:t] if t > 0 else None
-        mem_succ = prefix[1 : t + 1] if t > 0 else None
-        p_hat, _ = forward(prefix, mem_feats, mem_succ, self.params, h=feats[t])
-        return p_hat
+    def predict_all(self, steps, ts):
+        """Every row in one `model.forward` pass over the sequence."""
+        from .model import forward
+
+        return forward(steps, ts, self.params)[0]

@@ -24,14 +24,18 @@ def _means(sums: dict, counts: dict) -> dict:
 
 
 def evaluate_offline(predictor, seqs) -> dict:
-    """Teacher-forced one-step evaluation: for every scored position, predict
-    from the true prefix and score against the true successor. Predictions are
-    never fed forward. Returns per-metric means."""
+    """Teacher-forced one-step evaluation: for every scored position t,
+    predict from the true prefix steps[: t + 1] and score against the true
+    successor. Predictions are never fed forward. Each sequence's scored
+    positions are forecast by one `predictor.predict_all` call; sequences
+    with none are skipped. Returns per-metric means."""
     sums: dict = {}
     counts: dict = {}
     for seq in seqs:
-        for t in np.flatnonzero(seq.loss_mask):
-            pred = predictor.predict(seq.steps[: t + 1])
+        ts = np.flatnonzero(seq.loss_mask)
+        if len(ts) == 0:
+            continue
+        for t, pred in zip(ts, predictor.predict_all(seq.steps, ts)):
             _accumulate(
                 sums, counts, metric_report(seq.steps[t + 1], pred, seq.ordered)
             )

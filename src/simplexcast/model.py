@@ -14,14 +14,17 @@ the theory oracle runs.
 The forward pass has a leading batch axis: a training step is one tape over
 all B scored positions of the batch. Retrieval is masked causal attention
 over the memories padded to the longest prefix; the memory is a constant on
-the tape, so no gradient is computed for it. `forward` is the same pass on
-one row.
+the tape, so no gradient is computed for it. Scoring (`forward`) is one pass
+per sequence: every scored row reads one shared memory of the sequence's
+(feature, successor) pairs, and the causal mask lets row t see only the
+pairs before it.
 """
 from __future__ import annotations
 
 import json
 import struct
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from itertools import groupby
 
 import numpy as np
 
@@ -33,7 +36,7 @@ from .errors import (
     NonFiniteGradient,
 )
 from .io import atomic_write
-from .simplex import SimplexSeries, history_windows, smoothed_levels, support_bins
+from .simplex import history_windows, smoothed_levels, support_bins
 from .transport import BudgetParams, cast_step, operator_regularizer
 
 VARIANTS = (
@@ -129,11 +132,6 @@ def encode_all(steps: np.ndarray, cfg: ModelConfig) -> np.ndarray:
             sigma = np.sqrt(np.maximum(var, 0.0))
             feats.append(np.column_stack([mu / d, sigma / d]))
     return np.concatenate(feats, axis=1)
-
-
-def encode(prefix: np.ndarray, cfg: ModelConfig) -> np.ndarray:
-    """Features of the last position of a prefix."""
-    return encode_all(prefix, cfg)[-1]
 
 
 def support_position_encoding(d: int) -> np.ndarray:
@@ -302,16 +300,6 @@ class CastParams:
         return CastParams(cfg, values)
 
 
-@dataclass
-class ForwardTrace:
-    r: np.ndarray
-    a: np.ndarray
-    lam: float
-    rho_eff: float
-    kernel: np.ndarray | None
-    delta_mu: float
-
-
 def _pad_memory(mem_feats: list, mem_succ: list):
     """Pads per-row retrieval memories, (t_i, F) features and (t_i, D)
     successors, to the longest t: (B, T, F), (B, T, D) and the lengths (B,).
@@ -396,40 +384,22 @@ def _forward_var(p: np.ndarray, h: np.ndarray, memory, pv: dict[str, Var], cfg: 
     return parts["p_hat"], parts
 
 
-def forward(
-    prefix: np.ndarray,
-    mem_feats: np.ndarray | None,
-    mem_succ: np.ndarray | None,
-    params: CastParams,
-    h: np.ndarray | None = None,
-) -> tuple[np.ndarray, ForwardTrace]:
-    """Non-differentiable forward: one-step prediction plus trace, as a
-    one-row batch."""
-    prefix = np.asarray(prefix, dtype=np.float64)
-    if len(prefix) == 0:
-        raise EmptyPrefix("empty prefix")
-    cfg = params.cfg
-    if h is None:
-        h = encode(prefix, cfg)
-    memory = None
-    if mem_feats is not None:
-        memory = _pad_memory([np.asarray(mem_feats)], [np.asarray(mem_succ)])
-    p_hat, parts = _forward_var(prefix[-1:], np.asarray(h)[None], memory, params.as_vars(), cfg)
-
-    def row(name):
-        v = parts[name]
-        return 0.0 if v is None else float(np.ravel(v.data)[0])
-
-    kernel = parts["kernel"]
-    trace = ForwardTrace(
-        r=parts["r"].data[0].copy(),
-        a=parts["a"].data[0].copy(),
-        lam=row("lam"),
-        rho_eff=row("rho_eff"),
-        kernel=None if kernel is None else kernel.data.reshape(cfg.dim, 3).copy(),
-        delta_mu=row("delta_mu"),
-    )
-    return p_hat.data[0].copy(), trace
+def forward(steps: np.ndarray, ts, params: CastParams, feats: np.ndarray | None = None):
+    """Non-differentiable scoring of rows `ts` of one sequence in one pass:
+    row t predicts steps[t + 1] from steps[: t + 1]. `feats` are
+    `encode_all(steps)` when the caller has them cached. Every row reads
+    the same memory, the pairs (feats[j], steps[j + 1]) for j < max(ts),
+    and the causal mask lets row t attend to its first t pairs only.
+    Returns p_hat (len(ts), D) and the parts of `_forward_var`, one row
+    each."""
+    ts = np.asarray(ts, dtype=int)
+    tm = int(ts.max())
+    steps = np.asarray(steps, dtype=np.float64)[: tm + 1]
+    if feats is None:
+        feats = encode_all(steps, params.cfg)
+    memory = None if tm == 0 else (feats[None, :tm], steps[None, 1:], ts)
+    p_hat, parts = _forward_var(steps[ts], feats[ts], memory, params.as_vars(), params.cfg)
+    return p_hat.data, parts
 
 
 def _kl_term(target: np.ndarray, p_hat: Var, eps: float = 1e-8) -> Var:
@@ -449,18 +419,21 @@ class Batch:
     items: list  # list of (steps (T, D), t, feats_all (T, F))
 
 
+def _features(seq, cfg: ModelConfig, feats_cache: dict | None) -> np.ndarray:
+    """`encode_all` of a sequence, kept in `feats_cache` by sequence id."""
+    if feats_cache is None:
+        return encode_all(seq.steps, cfg)
+    feats = feats_cache.get(seq.id)
+    if feats is None:
+        feats = feats_cache[seq.id] = encode_all(seq.steps, cfg)
+    return feats
+
+
 def make_batch(seqs, positions, cfg: ModelConfig, feats_cache: dict | None = None) -> Batch:
     items = []
     for seq_idx, t in positions:
         seq = seqs[seq_idx]
-        if feats_cache is not None:
-            feats = feats_cache.get(seq.id)
-            if feats is None:
-                feats = encode_all(seq.steps, cfg)
-                feats_cache[seq.id] = feats
-        else:
-            feats = encode_all(seq.steps, cfg)
-        items.append((seq.steps, t, feats))
+        items.append((seq.steps, t, _features(seq, cfg, feats_cache)))
     return Batch(items)
 
 
@@ -530,6 +503,22 @@ class TrainConfig:
     max_val_positions: int = 256
     tail_average: float = 0.0  # fraction of final iters whose weights are averaged
 
+    def __post_init__(self):
+        for name in ("iters", "batch_size", "eval_every", "max_val_positions"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.warmup < 0:
+            raise ValueError(f"warmup must be >= 0, got {self.warmup}")
+        # written so that NaN fails every check
+        if not (np.isfinite(self.lr) and self.lr > 0):
+            raise ValueError(f"lr must be positive and finite, got {self.lr}")
+        if not (np.isfinite(self.weight_decay) and self.weight_decay >= 0):
+            raise ValueError(f"weight_decay must be >= 0 and finite, got {self.weight_decay}")
+        if not (np.isfinite(self.clip_norm) and self.clip_norm > 0):
+            raise ValueError(f"clip_norm must be positive and finite, got {self.clip_norm}")
+        if not 0.0 <= self.tail_average < 1.0:
+            raise ValueError(f"tail_average must lie in [0, 1), got {self.tail_average}")
+
 
 def evaluate_val_kl(seqs, params: CastParams, max_positions: int, feats_cache: dict) -> float:
     from .metrics import kl as kl_metric
@@ -538,16 +527,13 @@ def evaluate_val_kl(seqs, params: CastParams, max_positions: int, feats_cache: d
     if not positions:
         return np.nan
     total = 0.0
-    for seq_idx, t in positions:
+    # positions run sequence by sequence: one forward pass per sequence
+    for seq_idx, group in groupby(positions, key=lambda pos: pos[0]):
         seq = seqs[seq_idx]
-        feats = feats_cache.get(seq.id)
-        if feats is None:
-            feats = encode_all(seq.steps, params.cfg)
-            feats_cache[seq.id] = feats
-        mem_feats = feats[:t] if t > 0 else None
-        mem_succ = seq.steps[1 : t + 1] if t > 0 else None
-        p_hat, _ = forward(seq.steps[: t + 1], mem_feats, mem_succ, params, h=feats[t])
-        total += kl_metric(seq.steps[t + 1], p_hat)
+        ts = [t for _, t in group]
+        p_hat, _ = forward(seq.steps, ts, params, _features(seq, params.cfg, feats_cache))
+        for t, row in zip(ts, p_hat):
+            total += kl_metric(seq.steps[t + 1], row)
     return total / len(positions)
 
 
@@ -620,11 +606,3 @@ def train(
         val_kl = evaluate_val_kl(val_seqs, best, tc.max_val_positions, feats_cache)
         log.append({"step": tc.iters, "train_loss": float("nan"), "val_kl": val_kl})
     return best, log
-
-
-def config_for_variant(cfg: ModelConfig, variant: str) -> ModelConfig:
-    return replace(cfg, variant=variant)
-
-
-def make_series(seq_id, ordered, steps, loss_mask=None) -> SimplexSeries:
-    return SimplexSeries(seq_id, ordered, np.asarray(steps, dtype=np.float64), loss_mask)

@@ -58,3 +58,33 @@ def ilr_row_ref(p):
 
 def ilr_rows_ref(steps):
     return np.array([ilr_row_ref(smooth_row_ref(p)) for p in steps])
+
+
+# ------------------------------------------------------------------------
+# Per-position reference for the one-pass scorer `simplexcast.model.forward`:
+# each position gets its own padded memory and a one-row forward pass.
+
+
+def cast_predict_ref(params, steps, t):
+    """The forecast of steps[t + 1] from its own encoding of steps[: t + 1]
+    and its own memory of the t pairs before t."""
+    from simplexcast.model import _forward_var, _pad_memory, encode_all
+
+    prefix = steps[: t + 1]
+    feats = encode_all(prefix, params.cfg)
+    memory = _pad_memory([feats[:t]], [prefix[1:]])
+    p_hat, _ = _forward_var(prefix[t:], feats[t:], memory, params.as_vars(), params.cfg)
+    return p_hat.data[0]
+
+
+def val_kl_ref(seqs, params, max_positions):
+    """Mean one-step KL over the first `max_positions` scored positions."""
+    from simplexcast.metrics import kl
+    from simplexcast.model import scored_positions
+
+    positions = scored_positions(seqs)[:max_positions]
+    total = 0.0
+    for seq_idx, t in positions:
+        steps = seqs[seq_idx].steps
+        total += kl(steps[t + 1], cast_predict_ref(params, steps, t))
+    return total / len(positions)

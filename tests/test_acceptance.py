@@ -21,11 +21,9 @@ from simplexcast.model import (
     CastParams,
     ModelConfig,
     TrainConfig,
-    config_for_variant,
     gradient,
     loss,
     make_batch,
-    make_series,
     train,
 )
 from simplexcast.queue_sim import (
@@ -166,7 +164,7 @@ def test_criterion_4_gradient_matches_finite_differences():
         params = CastParams.init(cfg, seed=instance)
         t_len = int(rng.integers(4, 7))
         seqs = [
-            make_series(
+            SimplexSeries(
                 f"s{i}", True,
                 np.array([random_dist(rng, d) for _ in range(t_len)]),
             )

@@ -3,7 +3,9 @@ import pytest
 
 from simplexcast.baselines import (
     AnalogBank,
+    CastPredictor,
     ETS_ALPHA_GRID,
+    Predictor,
     analog_predict,
     build_analog_bank,
     ets_fit,
@@ -13,15 +15,14 @@ from simplexcast.baselines import (
     persistence_predict,
 )
 from simplexcast.errors import EmptyBank, EmptyPrefix
-from simplexcast.model import make_series
-from simplexcast.simplex import ilr_forward, ilr_inverse, smooth, smoothed_levels
+from simplexcast.simplex import SimplexSeries, ilr_forward, ilr_inverse, smooth, smoothed_levels
 
-from conftest import ilr_rows_ref, random_dist, window_ref
+from conftest import cast_predict_ref, ilr_rows_ref, random_dist, window_ref
 
 
 def series_from(rng, t_len, d, seq_id="s"):
     steps = np.array([random_dist(rng, d) for _ in range(t_len)])
-    return make_series(seq_id, True, steps)
+    return SimplexSeries(seq_id, True, steps)
 
 
 # ------------------------------------------------------------- persistence
@@ -112,10 +113,10 @@ def _var_generated_series(rng, d, t_len, a=None, c=None):
 def test_var_recovers_generator(rng):
     d = 4
     steps, a_true, c_true = _var_generated_series(rng, d, 40)
-    seqs = [make_series("gen0", True, steps)]
+    seqs = [SimplexSeries("gen0", True, steps)]
     for i in range(1, 4):
         more, _, _ = _var_generated_series(rng, d, 40, a=a_true, c=c_true)
-        seqs.append(make_series(f"gen{i}", True, more))
+        seqs.append(SimplexSeries(f"gen{i}", True, more))
     coef = ilr_var_fit(seqs, order=1)
     # layout: first (d-1) rows = lag matrix (transposed), last row = intercept
     a_fit = coef.matrix[: d - 1].T
@@ -130,7 +131,7 @@ def test_var_recovers_generator(rng):
 def test_var_constant_series(rng):
     p = random_dist(rng, 4)
     steps = np.tile(p, (20, 1))
-    coef = ilr_var_fit([make_series("c", True, steps)])
+    coef = ilr_var_fit([SimplexSeries("c", True, steps)])
     pred = ilr_var_predict(steps[:5], coef)
     assert np.allclose(pred, p, atol=1e-6)
 
@@ -138,13 +139,13 @@ def test_var_constant_series(rng):
 def test_var_d2_scalar_log_odds(rng):
     # D=2: ilr is a scalar log-odds coordinate; VAR(1) is scalar AR(1)
     steps, a_true, c_true = _var_generated_series(rng, 2, 40)
-    coef = ilr_var_fit([make_series("d2", True, steps)])
+    coef = ilr_var_fit([SimplexSeries("d2", True, steps)])
     assert coef.matrix.shape == (2, 1)
     assert np.isclose(coef.matrix[0, 0], a_true[0, 0], atol=1e-5)
 
 
 def test_var_insufficient_data_falls_back(rng, caplog):
-    seq = make_series("tiny", True, np.array([random_dist(rng, 6), random_dist(rng, 6)]))
+    seq = SimplexSeries("tiny", True, np.array([random_dist(rng, 6), random_dist(rng, 6)]))
     import logging
 
     with caplog.at_level(logging.WARNING):
@@ -161,7 +162,7 @@ def test_var_insufficient_data_falls_back(rng, caplog):
 def test_ets_constant_series(rng):
     p = random_dist(rng, 4)
     steps = np.tile(p, (15, 1))
-    fitted = ets_fit([make_series("c", True, steps)])
+    fitted = ets_fit([SimplexSeries("c", True, steps)])
     assert np.allclose(ets_predict(steps, fitted), p, atol=1e-6)
 
 
@@ -179,7 +180,7 @@ def test_ets_linear_drift_picks_large_alpha(rng):
     d = 3
     zs = np.array([[0.05 * t, -0.03 * t] for t in range(40)])
     steps = np.array([ilr_inverse(z, d) for z in zs])
-    seqs = [make_series("drift", True, steps)]
+    seqs = [SimplexSeries("drift", True, steps)]
     fitted = ets_fit(seqs)
     assert np.all(fitted.alphas >= 0.9)
     # error with fitted alphas beats the smallest-alpha variant
@@ -295,13 +296,48 @@ def test_analog_equals_per_position_reference(rng):
 
 def test_persistence_equals_degenerate_cast(rng):
     # CAST with lambda pinned to 1 and rho pinned to 0 is persistence
-    from simplexcast.model import CastParams, ModelConfig, encode_all, forward
+    from simplexcast.model import CastParams, ModelConfig, forward
 
     cfg = ModelConfig(dim=5, ordered=True, window=3, heads=1, d_r=4,
                       lambda_min=1.0, lambda_max=1.0, rho_max=1e-300)
     params = CastParams.init(cfg, seed=0)
     steps = np.array([random_dist(rng, 5) for _ in range(7)])
-    feats = encode_all(steps, cfg)
-    t = 5
-    p_hat, _ = forward(steps[: t + 1], feats[:t], steps[1 : t + 1], params, h=feats[t])
-    assert np.allclose(p_hat, persistence_predict(steps[: t + 1]), atol=1e-12)
+    p_hat, _ = forward(steps, np.arange(6), params)
+    for t in range(6):
+        assert np.allclose(p_hat[t], persistence_predict(steps[: t + 1]), atol=1e-12)
+
+
+# ----------------------------------------------------- one-pass cast scorer
+
+
+@pytest.mark.parametrize(
+    "kw",
+    [dict(variant=v) for v in ("full", "no_structural_reg", "anchor_only", "single_head",
+                               "fixed_local_kernel", "no_persistence_mix")]
+    + [dict(feature_mode="current_only"), dict(ordered=False)],
+)
+def test_cast_predict_all_equals_per_prefix_loop(rng, kw):
+    from simplexcast.model import CastParams, ModelConfig
+
+    cfg = ModelConfig(**{**dict(dim=6, ordered=True, window=3, heads=2, d_r=8), **kw})
+    predictor = CastPredictor(CastParams.init(cfg, seed=4))
+    steps = np.array([random_dist(rng, cfg.dim) for _ in range(12)])
+    # a t = 0 row, gaps, and every row of the sequence
+    for ts in ([0, 2, 3, 7, 10], [5, 9], np.arange(11)):
+        got = predictor.predict_all(steps, ts)
+        want = Predictor.predict_all(predictor, steps, ts)
+        assert got.shape == (len(ts), cfg.dim)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-15)
+        # and `predict` itself against a per-position memory and encoding
+        ref = [cast_predict_ref(predictor.params, steps, t) for t in ts]
+        np.testing.assert_allclose(want, ref, rtol=1e-12, atol=1e-15)
+
+
+def test_evaluate_offline_skips_sequences_without_scored_positions(rng):
+    from simplexcast.evaluate import evaluate_offline
+    from simplexcast.model import CastParams, ModelConfig
+
+    predictor = CastPredictor(CastParams.init(ModelConfig(dim=4, ordered=True), seed=0))
+    scored = series_from(rng, 6, 4, "scored")
+    unscored = SimplexSeries("unscored", True, scored.steps, np.zeros(5, dtype=bool))
+    assert evaluate_offline(predictor, [unscored, scored]) == evaluate_offline(predictor, [scored])

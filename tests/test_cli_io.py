@@ -1,4 +1,5 @@
 """Tests for dataset files, run configuration, and the CLI."""
+import hashlib
 import json
 import os
 import tempfile
@@ -453,6 +454,22 @@ class TestCli:
         payload = json.loads((tmp_path / "train_log.json").read_text())
         assert payload["log"][-1]["step"] == 4
 
+    @pytest.mark.parametrize("argv,config,field", [
+        (["--iters", "-5"], None, "iters"),
+        (["--batch-size", "0"], None, "batch_size"),
+        ([], '{"lr": NaN}', "lr"),
+    ])
+    def test_train_rejects_bad_train_config(self, rng, tmp_path, capsys, argv, config, field):
+        data = tmp_path / "d.jsonl"
+        write_dataset(data, _seqs(rng, n=4, t=8))
+        if config is not None:
+            (tmp_path / "cfg.json").write_text(config)
+            argv = argv + ["--config", str(tmp_path / "cfg.json")]
+        out = tmp_path / "out"
+        assert _run(["train", "--data", str(data), "--out", str(out)] + argv) == 1
+        assert f"error: {field} must be" in capsys.readouterr().err
+        assert not (out / "model.ckpt").exists()
+
     def test_config_only_on_train(self, rng, tmp_path, capsys):
         data = tmp_path / "d.jsonl"
         write_dataset(data, _seqs(rng, n=4, t=8))
@@ -475,3 +492,57 @@ class TestCli:
         code = _run(["evaluate", "--data", str(data), "--method", "persistence"])
         assert code == 0
         assert (dest / "evaluate_persistence.json").exists()
+
+
+# ------------------------------------------------------------ golden outputs
+
+# Outputs of `train`, `evaluate` and `rollout` on one small section, recorded
+# before scoring became one pass per sequence. Cast scores computed for many
+# rows at once may differ from one-row scores in the last ulp (BLAS rounds a
+# row differently with the row count), so the cast metrics and the training
+# log's validation KL are held to 1e-12 relative; every other output must
+# keep its bytes.
+PIPELINE_SHA256 = {
+    "model.ckpt": "76056b1815ca3ec5441e079bcb9f86ed944d665553d321b337167417c6d44bb6",
+    "evaluate_persistence.json": "030ee353061e5c26b827eeb91342bd125d58fa49b05575657998d3acddb3134d",
+    "evaluate_analog.json": "22485e5a1f6d4debfccdc5c57f92b4960e327b38aba086827b8bf0878dbcc79c",
+    "evaluate_var.json": "13370bf9dffc2c3a21256b9e98327ab3dd7387dcd38b90c050cb0b8f36428f22",
+    "evaluate_ets.json": "adc695a2de78eb424daadcc9470a54393668ec816044cc9c1a7f88eab0f823e9",
+    "rollout_cast.json": "c1b6296293cc78c934005ef3310bc047025f217cab89b9d19c6ea0abc387ce76",
+}
+PIPELINE_TRAIN_LOG = {
+    "checkpoint": "model.ckpt",
+    "log": [{"step": 30, "train_loss": 0.08158190995359656, "val_kl": 0.18841308686318572}],
+    "selected_on": "train",
+}
+PIPELINE_CAST_METRICS = {
+    "bray_curtis": 0.13251597031421491,
+    "jsd": 0.02498961919860871,
+    "kl": 0.12869737926016012,
+    "l1": 0.26503194062842983,
+    "w1": 0.17503902326023665,
+}
+
+
+def test_pipeline_golden_outputs(tmp_path):
+    data = str(tmp_path / "nonhomogeneous.jsonl")
+    ckpt = str(tmp_path / "model.ckpt")
+    common = ["--seed", "0", "--out", str(tmp_path)]
+    assert _run(["simulate-queues", "--section", "nonhomogeneous", "--systems", "10",
+                 "--arrivals", "100", "--replications", "20", "--seed", "7",
+                 "--out", str(tmp_path)]) == 0
+    assert _run(["train", "--data", data, "--iters", "30"] + common) == 0
+    for method in ("persistence", "analog", "var", "ets", "cast"):
+        assert _run(["evaluate", "--data", data, "--method", method, "--model", ckpt]
+                    + common) == 0
+    assert _run(["rollout", "--data", data, "--method", "cast", "--model", ckpt] + common) == 0
+    for name, digest in PIPELINE_SHA256.items():
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
+    train_log = json.loads((tmp_path / "train_log.json").read_text())
+    (entry,) = train_log.pop("log")
+    (golden,) = PIPELINE_TRAIN_LOG["log"]
+    assert train_log == {k: v for k, v in PIPELINE_TRAIN_LOG.items() if k != "log"}
+    assert entry == {**golden, "val_kl": pytest.approx(golden["val_kl"], rel=1e-12)}
+    metrics = json.loads((tmp_path / "evaluate_cast.json").read_text())["metrics"]
+    assert metrics == pytest.approx(PIPELINE_CAST_METRICS, rel=1e-12)
+

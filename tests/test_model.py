@@ -10,27 +10,25 @@ from simplexcast.model import (
     _forward_var,
     ModelConfig,
     TrainConfig,
-    config_for_variant,
-    encode,
     encode_all,
+    evaluate_val_kl,
     fixed_local_kernel,
     forward,
     gradient,
     loss,
     make_batch,
-    make_series,
     scored_positions,
     support_position_encoding,
     train,
 )
-from simplexcast.simplex import mean_support, support_bins
+from simplexcast.simplex import SimplexSeries, mean_support, std_support
 
-from conftest import random_dist
+from conftest import random_dist, val_kl_ref
 
 
 def random_series(rng, t_len, d, seq_id="s0", ordered=True):
     steps = np.array([random_dist(rng, d) for _ in range(t_len)])
-    return make_series(seq_id, ordered, steps)
+    return SimplexSeries(seq_id, ordered, steps)
 
 
 def small_cfg(**kw):
@@ -57,7 +55,7 @@ def test_encode_beta_zero_ignores_old_history(rng):
     steps = np.array([random_dist(rng, 5) for _ in range(10)])
     permuted = steps.copy()
     permuted[:7] = steps[:7][::-1]  # shuffle strictly before the last window
-    assert np.allclose(encode(steps, cfg), encode(permuted, cfg))
+    assert np.allclose(encode_all(steps, cfg)[-1], encode_all(permuted, cfg)[-1])
 
 
 def test_encode_causality(rng):
@@ -101,76 +99,74 @@ def test_support_position_encoding_shape_and_range():
 # ---------------------------------------------------------------- forward
 
 
-def _prefix_and_memory(rng, cfg, t_len=7):
+def _scored(rng, cfg, params, t_len=7):
+    """forward over every scored row of a random sequence."""
     steps = np.array([random_dist(rng, cfg.dim) for _ in range(t_len)])
-    feats = encode_all(steps, cfg)
-    t = t_len - 2
-    return steps, steps[: t + 1], feats[:t], steps[1 : t + 1], feats[t]
+    p_hat, parts = forward(steps, np.arange(t_len - 1), params)
+    return steps, p_hat, parts
 
 
 def test_forward_outputs_simplex_and_gate_bounds(rng):
     cfg = small_cfg()
     params = CastParams.init(cfg, seed=0)
     for _ in range(20):
-        _, prefix, mf, ms, h = _prefix_and_memory(rng, cfg)
-        p_hat, trace = forward(prefix, mf, ms, params, h=h)
+        _, p_hat, parts = _scored(rng, cfg, params)
         assert np.all(p_hat >= -1e-12)
-        assert np.isclose(p_hat.sum(), 1.0, atol=1e-9)
-        assert cfg.lambda_min - 1e-12 <= trace.lam <= cfg.lambda_max + 1e-12
-        assert 0.0 <= trace.rho_eff <= cfg.rho_max + 1e-12
-        assert np.allclose(trace.kernel.sum(axis=1), 1.0)
+        assert np.allclose(p_hat.sum(axis=1), 1.0, atol=1e-9)
+        lam = parts["lam"].data
+        assert np.all((cfg.lambda_min - 1e-12 <= lam) & (lam <= cfg.lambda_max + 1e-12))
+        rho_eff = parts["rho_eff"].data
+        assert np.all((0.0 <= rho_eff) & (rho_eff <= cfg.rho_max + 1e-12))
+        assert np.allclose(parts["kernel"].data.sum(axis=-1), 1.0)
 
 
 def test_forward_empty_memory_falls_back_to_persistence(rng):
     cfg = small_cfg()
     params = CastParams.init(cfg, seed=0)
     p0 = random_dist(rng, cfg.dim)
-    _, trace = forward(p0[None, :], None, None, params)
-    assert np.allclose(trace.r, p0)
+    _, parts = forward(p0[None, :], [0], params)
+    assert np.allclose(parts["r"].data[0], p0)
+    # the t = 0 row of a longer call has no memory either
+    steps, _, parts = _scored(rng, cfg, params)
+    assert np.allclose(parts["r"].data[0], steps[0])
 
 
 def test_forward_current_only_ignores_memory(rng):
     cfg = small_cfg(feature_mode="current_only")
     params = CastParams.init(cfg, seed=0)
-    steps, prefix, _, _, _ = _prefix_and_memory(rng, cfg)
-    feats = encode_all(steps, cfg)
-    t = len(prefix) - 1
-    out_with, trace = forward(prefix, feats[:t], steps[1 : t + 1], params, h=feats[t])
-    out_without, _ = forward(prefix, None, None, params, h=feats[t])
-    assert np.allclose(out_with, out_without)
-    assert np.allclose(trace.r, prefix[-1])
+    steps, p_hat, parts = _scored(rng, cfg, params)
+    for t in range(len(p_hat)):
+        alone, _ = forward(steps[t : t + 1], [0], params)
+        assert np.allclose(p_hat[t], alone[0])
+    assert np.allclose(parts["r"].data, steps[:-1])
 
 
 def test_forward_mean_drift_bounded_by_budget(rng):
     cfg = small_cfg()
     params = CastParams.init(cfg, seed=3)
     for _ in range(50):
-        _, prefix, mf, ms, h = _prefix_and_memory(rng, cfg)
-        p_hat, trace = forward(prefix, mf, ms, params, h=h)
-        from simplexcast.simplex import std_support
-
-        b = cfg.budget.delta_mu + cfg.budget.delta_sigma * std_support(trace.a)
-        drift = abs(mean_support(p_hat) - mean_support(trace.a))
-        assert drift <= cfg.rho_max * b + 1e-9
+        _, p_hat, parts = _scored(rng, cfg, params)
+        for p, a in zip(p_hat, parts["a"].data):
+            b = cfg.budget.delta_mu + cfg.budget.delta_sigma * std_support(a)
+            drift = abs(mean_support(p) - mean_support(a))
+            assert drift <= cfg.rho_max * b + 1e-9
 
 
 def test_anchor_only_variant_disables_transport(rng):
     cfg = small_cfg(variant="anchor_only")
     params = CastParams.init(cfg, seed=0)
-    _, prefix, mf, ms, h = _prefix_and_memory(rng, cfg)
-    p_hat, trace = forward(prefix, mf, ms, params, h=h)
-    assert trace.rho_eff == 0.0
-    assert trace.kernel is None
-    assert np.allclose(p_hat, trace.a)
+    _, p_hat, parts = _scored(rng, cfg, params)
+    assert parts["rho_eff"] is None
+    assert parts["kernel"] is None
+    assert np.allclose(p_hat, parts["a"].data)
 
 
 def test_no_persistence_mix_variant(rng):
     cfg = small_cfg(variant="no_persistence_mix")
     params = CastParams.init(cfg, seed=0)
-    _, prefix, mf, ms, h = _prefix_and_memory(rng, cfg)
-    _, trace = forward(prefix, mf, ms, params, h=h)
-    assert trace.lam == 0.0
-    assert np.allclose(trace.a, trace.r)
+    _, _, parts = _scored(rng, cfg, params)
+    assert np.all(parts["lam"].data == 0.0)
+    assert np.allclose(parts["a"].data, parts["r"].data)
 
 
 def test_single_head_variant_forces_one_head():
@@ -190,18 +186,16 @@ def test_fixed_local_kernel_rows():
 def test_fixed_local_kernel_variant_uses_constant_kernel(rng):
     cfg = small_cfg(variant="fixed_local_kernel")
     params = CastParams.init(cfg, seed=0)
-    _, prefix, mf, ms, h = _prefix_and_memory(rng, cfg)
-    _, trace = forward(prefix, mf, ms, params, h=h)
-    assert np.allclose(trace.kernel, fixed_local_kernel(cfg.dim))
+    _, _, parts = _scored(rng, cfg, params)
+    assert np.allclose(parts["kernel"].data, fixed_local_kernel(cfg.dim))
 
 
 def test_unordered_config_has_no_transport(rng):
     cfg = small_cfg(ordered=False)
     params = CastParams.init(cfg, seed=0)
-    _, prefix, mf, ms, h = _prefix_and_memory(rng, cfg)
-    p_hat, trace = forward(prefix, mf, ms, params, h=h)
-    assert trace.kernel is None
-    assert np.allclose(p_hat, trace.a)
+    _, p_hat, parts = _scored(rng, cfg, params)
+    assert parts["kernel"] is None
+    assert np.allclose(p_hat, parts["a"].data)
 
 
 def test_initial_gate_values_match_config(rng):
@@ -210,40 +204,62 @@ def test_initial_gate_values_match_config(rng):
     params = CastParams.init(cfg, seed=0)
     params.values["w_gate"][:] = 0.0
     params.values["w_rho"][:] = 0.0
-    _, prefix, mf, ms, h = _prefix_and_memory(rng, cfg)
-    _, trace = forward(prefix, mf, ms, params, h=h)
-    assert np.isclose(trace.lam, cfg.lambda_init, atol=1e-12)
+    _, _, parts = _scored(rng, cfg, params)
+    assert np.allclose(parts["lam"].data, cfg.lambda_init, atol=1e-12)
 
 
 # ---------------------------------------------------------------- causality
 
 
 def test_forward_ignores_future_steps(rng):
-    cfg = small_cfg()
-    params = CastParams.init(cfg, seed=1)
-    steps = np.array([random_dist(rng, cfg.dim) for _ in range(9)])
-    t = 5
-    feats = encode_all(steps, cfg)
-    base, _ = forward(steps[: t + 1], feats[:t], steps[1 : t + 1], params, h=feats[t])
-    mutated = steps.copy()
-    mutated[t + 1 :] = 1.0 / cfg.dim
-    feats_m = encode_all(mutated, cfg)
-    out, _ = forward(
-        mutated[: t + 1], feats_m[:t], mutated[1 : t + 1], params, h=feats_m[t]
-    )
-    assert np.allclose(base, out)
+    # one call scores rows before and after t over one shared memory; the
+    # mask alone keeps row t from reading steps[t + 1 :]
+    for kw in ({}, dict(ordered=False), dict(feature_mode="current_only")):
+        cfg = small_cfg(**kw)
+        params = CastParams.init(cfg, seed=1)
+        steps = np.array([random_dist(rng, cfg.dim) for _ in range(9)])
+        ts = np.arange(8)
+        base, _ = forward(steps, ts, params)
+        for t in ts:
+            mutated = steps.copy()
+            mutated[t + 1 :] = np.roll(mutated[t + 1 :], 1, axis=-1)
+            out, _ = forward(mutated, ts, params)
+            np.testing.assert_array_equal(out[: t + 1], base[: t + 1])
 
 
 def test_memory_is_strictly_causal(rng):
-    # the successor of the current step must not be available at retrieval
+    # the successor of the current step must not be available at retrieval:
+    # row 1's memory is the single pair (feats[0], steps[1]), so r = p_1
     cfg = small_cfg()
     params = CastParams.init(cfg, seed=1)
     steps = np.array([random_dist(rng, cfg.dim) for _ in range(9)])
-    t = 5
-    feats = encode_all(steps, cfg)
-    mem_feats, mem_succ = feats[:t], steps[1 : t + 1]
-    assert len(mem_feats) == t
-    assert np.allclose(mem_succ[-1], steps[t])  # newest stored successor is p_t
+    _, parts = forward(steps, [1, 5], params)
+    assert np.allclose(parts["r"].data[0], steps[1])
+    assert not np.allclose(parts["r"].data[0], steps[2])
+
+
+def test_forward_uses_cached_features(rng):
+    cfg = small_cfg()
+    params = CastParams.init(cfg, seed=1)
+    steps = np.array([random_dist(rng, cfg.dim) for _ in range(9)])
+    ts = [0, 3, 7]
+    fresh, _ = forward(steps, ts, params)
+    cached, _ = forward(steps, ts, params, feats=encode_all(steps, cfg))
+    np.testing.assert_array_equal(cached, fresh)
+
+
+def test_evaluate_val_kl_equals_per_position_reference(rng):
+    for kw in ({}, dict(variant="no_persistence_mix"), dict(ordered=False),
+               dict(feature_mode="current_only")):
+        cfg = small_cfg(**kw)
+        params = CastParams.init(cfg, seed=2)
+        seqs = [random_series(rng, n, cfg.dim, f"v{n}") for n in (9, 2, 6)]
+        seqs[2].loss_mask[[1, 3]] = False  # non-contiguous scored rows
+        # 20 covers every position; 10 stops inside the last sequence
+        for max_positions in (20, 10, 1):
+            got = evaluate_val_kl(seqs, params, max_positions, {})
+            want = val_kl_ref(seqs, params, max_positions)
+            assert got == pytest.approx(want, rel=1e-12, abs=1e-15)
 
 
 # ---------------------------------------------------------------- gradient
@@ -329,7 +345,7 @@ def test_batched_forward_is_causal(rng):
         steps = seqs[seq_idx].steps.copy()
         steps[t + 2 :] = np.roll(steps[t + 2 :], 1, axis=-1)
         edited = list(seqs)
-        edited[seq_idx] = make_series(f"s{seq_idx}", True, steps)
+        edited[seq_idx] = SimplexSeries(f"s{seq_idx}", True, steps)
         np.testing.assert_array_equal(p_hat(edited)[i], base[i])
 
 
@@ -367,7 +383,7 @@ def test_train_reduces_loss_on_learnable_signal(rng):
     a = np.array([0.7, 0.1, 0.1, 0.05, 0.05])
     b = np.array([0.05, 0.05, 0.1, 0.1, 0.7])
     steps = np.array([a if t % 2 == 0 else b for t in range(12)])
-    seqs = [make_series(f"alt{i}", True, steps) for i in range(3)]
+    seqs = [SimplexSeries(f"alt{i}", True, steps) for i in range(3)]
     cfg = small_cfg()
     tc = TrainConfig(iters=150, batch_size=6, eval_every=25, lr=2e-2, warmup=10)
     params, log = train(seqs[:2], seqs[2:], cfg, tc, seed=5)
@@ -377,7 +393,7 @@ def test_train_reduces_loss_on_learnable_signal(rng):
 def test_scored_positions_respect_mask(rng):
     steps = np.array([random_dist(rng, 4) for _ in range(5)])
     mask = np.array([False, True, False, True])
-    seq = make_series("m", False, steps, mask)
+    seq = SimplexSeries("m", False, steps, mask)
     assert scored_positions([seq]) == [(0, 1), (0, 3)]
 
 
@@ -413,10 +429,8 @@ def test_rollout_deterministic_and_first_step_matches_forward(rng):
     out1 = cast_rollout(context, 3, params)
     out2 = cast_rollout(context, 3, params)
     assert np.array_equal(out1, out2)
-    feats = encode_all(context, cfg)
-    t = len(context) - 1
-    one, _ = forward(context, feats[:t], context[1 : t + 1], params, h=feats[t])
-    assert np.allclose(out1[0], one)
+    one, _ = forward(context, [len(context) - 1], params)
+    assert np.allclose(out1[0], one[0])
 
 
 # ---------------------------------------------------------------- checkpoint
@@ -433,9 +447,8 @@ def test_checkpoint_round_trip(tmp_path, rng):
     for k in params.values:
         assert np.array_equal(loaded.values[k], params.values[k])
     steps = np.array([random_dist(rng, cfg.dim) for _ in range(6)])
-    feats = encode_all(steps, cfg)
-    a, _ = forward(steps, feats[:5], steps[1:6], params, h=feats[5])
-    b, _ = forward(steps, feats[:5], steps[1:6], loaded, h=feats[5])
+    a, _ = forward(steps, np.arange(6), params)
+    b, _ = forward(steps, np.arange(6), loaded)
     assert np.array_equal(a, b)
     again = tmp_path / "again.ckpt"
     loaded.save(again)
@@ -471,3 +484,44 @@ def test_checkpoint_rejects_bad_magic(tmp_path):
 def test_config_rejects_bad_values(bad):
     with pytest.raises(ValueError):
         small_cfg(**bad)
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [dict(iters=0), dict(iters=-5), dict(batch_size=0), dict(eval_every=0),
+     dict(max_val_positions=0), dict(warmup=-1)]
+    + [dict(lr=v) for v in (0.0, -1e-3, np.nan, np.inf)]
+    + [dict(weight_decay=v) for v in (-0.1, np.nan, np.inf)]
+    + [dict(clip_norm=v) for v in (0.0, -1.0, np.nan, np.inf)]
+    + [dict(tail_average=v) for v in (-0.1, 1.0, 1.5, np.nan)],
+)
+def test_train_config_rejects_bad_values(bad):
+    (name,) = bad
+    with pytest.raises(ValueError, match=f"^{name} must"):
+        TrainConfig(**bad)
+
+
+def test_train_config_accepts_boundary_values():
+    TrainConfig(iters=1, batch_size=1, eval_every=1, max_val_positions=1, warmup=0,
+                weight_decay=0.0, tail_average=0.0)
+    TrainConfig(lr=1e-300, clip_norm=1e-300, tail_average=0.999)
+
+
+def test_train_config_accepts_synthetic_settings(monkeypatch):
+    # every TrainConfig the synthetic experiment builds from its defaults
+    from simplexcast import model, theory
+
+    built = []
+
+    def stop(train_seqs, val_seqs, cfg, tc, seed):
+        built.append(tc)
+        raise StopIteration
+
+    monkeypatch.setattr(model, "train", stop)
+    settings = theory.SyntheticTrainSettings(n_train=2, n_val=2)
+    for feature_mode, variant in [("full", "full"), ("full", "anchor_only"),
+                                  ("current_only", "full")]:
+        with pytest.raises(StopIteration):
+            theory._train_synthetic_model(theory.default_scenario(), settings, 0,
+                                          feature_mode, variant)
+    assert [tc.iters for tc in built] == [600, 500, 1000]
