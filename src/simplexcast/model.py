@@ -18,10 +18,15 @@ the tape, so no gradient is computed for it. Scoring (`forward`) is one pass
 per sequence: every scored row reads one shared memory of the sequence's
 (feature, successor) pairs, and the causal mask lets row t see only the
 pairs before it.
+
+The parameters live in one float64 buffer, `CastParams.flat`, and the named
+arrays the tape reads are views into it: init, copy, save, load, the AdamW
+update and tail averaging each act on the one buffer.
 """
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import dataclass, field
 from itertools import groupby
@@ -191,29 +196,35 @@ def _check_header_config(c) -> None:
 
 
 class CastParams:
-    """Parameter set: named float64 arrays plus the model configuration."""
+    """Parameter set: one C-contiguous float64 buffer `flat` in `param_shapes`
+    order (the checkpoint payload order), plus the model configuration.
+    `values` maps each parameter name to its shaped view into `flat`."""
 
-    def __init__(self, cfg: ModelConfig, values: dict[str, np.ndarray]):
+    def __init__(self, cfg: ModelConfig, flat: np.ndarray):
         self.cfg = cfg
-        self.values = {k: np.asarray(v, dtype=np.float64) for k, v in values.items()}
+        self.flat = np.ascontiguousarray(flat, dtype=np.float64)
+        shapes = param_shapes(cfg)
+        # a buffer of any other length fails the reshape of its last piece
+        pieces = np.split(self.flat, np.cumsum([math.prod(s) for s in shapes.values()])[:-1])
+        self.values = {k: x.reshape(s) for (k, s), x in zip(shapes.items(), pieces)}
 
     @staticmethod
     def init(cfg: ModelConfig, seed: int) -> "CastParams":
         rng = np.random.default_rng(seed)
         scale = 0.5 / np.sqrt(cfg.feature_dim)
         biases = {
-            "b_gate": np.array(_solve_gate_bias(cfg.lambda_init, cfg.lambda_min, cfg.lambda_max)),
-            "b_rho": np.array(_solve_gate_bias(cfg.rho_init, 0.0, cfg.rho_max)),
-            "bt": np.array([0.0, 2.0, 0.0]),
+            "b_gate": _solve_gate_bias(cfg.lambda_init, cfg.lambda_min, cfg.lambda_max),
+            "b_rho": _solve_gate_bias(cfg.rho_init, 0.0, cfg.rho_max),
+            "bt": [0.0, 2.0, 0.0],
         }
-        vals = {
-            k: biases[k] if k in biases else rng.normal(0, scale, size=shape)
+        draws = [
+            biases[k] if k in biases else rng.normal(0, scale, size=shape)
             for k, shape in param_shapes(cfg).items()
-        }
-        return CastParams(cfg, vals)
+        ]
+        return CastParams(cfg, np.concatenate([np.ravel(x) for x in draws]))
 
     def copy(self) -> "CastParams":
-        return CastParams(self.cfg, {k: v.copy() for k, v in self.values.items()})
+        return CastParams(self.cfg, self.flat.copy())
 
     def as_vars(self) -> dict[str, Var]:
         return {k: Var(v) for k, v in self.values.items()}
@@ -252,16 +263,16 @@ class CastParams:
             fh.write(CHECKPOINT_MAGIC)
             fh.write(struct.pack("<I", len(blob)))
             fh.write(blob)
-            for k in self.values:
-                fh.write(self.values[k].astype("<f8").tobytes(order="C"))
+            fh.write(self.flat.astype("<f8", copy=False).tobytes())
 
         atomic_write(path, emit, binary=True)
 
     @staticmethod
     def load(path) -> "CastParams":
         """Reads a checkpoint, rejecting with ValueError a bad header, a
-        config key that is missing or of the wrong type, entries that differ
-        from the layout of `param_shapes`, and any other byte length."""
+        config key that is missing or of the wrong type, an entry list other
+        than the names and shapes of `param_shapes` in order, and any other
+        byte length."""
         with open(path, "rb") as fh:
             data = fh.read()
         if data[:4] != CHECKPOINT_MAGIC or len(data) < 8:
@@ -278,26 +289,17 @@ class CastParams:
         c = dict(c)
         budget = BudgetParams(*c.pop("budget"))
         cfg = ModelConfig(budget=budget, **c)
-        entries = header.get("entries")
-        expected = param_shapes(cfg)
+        expected = list(param_shapes(cfg).items())
         try:
-            layout = {e["name"]: tuple(e["shape"]) for e in entries}
+            layout = [(e["name"], tuple(e["shape"])) for e in header.get("entries")]
         except (KeyError, TypeError) as exc:
             raise ValueError("bad checkpoint entries") from exc
-        if len(layout) != len(entries) or layout != expected:
+        if layout != expected:
             raise ValueError("checkpoint entries do not match the model layout")
-        offset = 8 + n
-        size = 8 * sum(int(np.prod(shape)) for shape in expected.values())
-        if len(data) != offset + size:
-            raise ValueError(f"checkpoint is {len(data)} bytes, expected {offset + size}")
-        values = {}
-        for name in layout:  # file order
-            shape = expected[name]
-            count = int(np.prod(shape))
-            arr = np.frombuffer(data, dtype="<f8", count=count, offset=offset)
-            values[name] = arr.reshape(shape).astype(np.float64)
-            offset += 8 * count
-        return CastParams(cfg, values)
+        size = 8 + n + 8 * sum(math.prod(shape) for _, shape in expected)
+        if len(data) != size:
+            raise ValueError(f"checkpoint is {len(data)} bytes, expected {size}")
+        return CastParams(cfg, np.frombuffer(data, dtype="<f8", offset=8 + n).astype(np.float64))
 
 
 def _pad_memory(mem_feats: list, mem_succ: list):
@@ -411,14 +413,6 @@ def _kl_term(target: np.ndarray, p_hat: Var, eps: float = 1e-8) -> Var:
     return const - (Var(ts, requires_grad=False) * qs.log()).sum(axis=-1)
 
 
-@dataclass
-class Batch:
-    """Teacher-forced positions: each item is (sequence steps, position t)
-    predicting steps[t + 1] from steps[: t + 1]."""
-
-    items: list  # list of (steps (T, D), t, feats_all (T, F))
-
-
 def _features(seq, cfg: ModelConfig, feats_cache: dict | None) -> np.ndarray:
     """`encode_all` of a sequence, kept in `feats_cache` by sequence id."""
     if feats_cache is None:
@@ -429,18 +423,14 @@ def _features(seq, cfg: ModelConfig, feats_cache: dict | None) -> np.ndarray:
     return feats
 
 
-def make_batch(seqs, positions, cfg: ModelConfig, feats_cache: dict | None = None) -> Batch:
-    items = []
-    for seq_idx, t in positions:
-        seq = seqs[seq_idx]
-        items.append((seq.steps, t, _features(seq, cfg, feats_cache)))
-    return Batch(items)
-
-
-def _batch_inputs(batch: Batch):
-    """Stacks the items for `_forward_var`: current distributions (B, D),
-    features (B, F), padded memory, and the targets (B, D)."""
-    items = batch.items
+def make_batch(seqs, positions, cfg: ModelConfig, feats_cache: dict | None = None):
+    """Teacher-forced inputs at `positions`, (sequence index, t) pairs each
+    predicting steps[t + 1] from steps[: t + 1], stacked for `_forward_var`:
+    current distributions (B, D), features (B, F), padded memory, and the
+    targets (B, D)."""
+    if len(positions) == 0:
+        raise EmptyBatch("no scored positions in batch")
+    items = [(seqs[i].steps, t, _features(seqs[i], cfg, feats_cache)) for i, t in positions]
     p = np.stack([steps[t] for steps, t, _ in items])
     h = np.stack([feats[t] for _, t, feats in items])
     memory = _pad_memory(
@@ -450,14 +440,12 @@ def _batch_inputs(batch: Batch):
     return p, h, memory, targets
 
 
-def loss_var(batch: Batch, pv: dict[str, Var], cfg: ModelConfig) -> Var:
-    """Mean one-step KL over the batch plus lambda_op times the mean operator
-    regularizer, from one forward pass over all items."""
-    if not batch.items:
-        raise EmptyBatch("no scored positions in batch")
-    p, h, memory, targets = _batch_inputs(batch)
+def loss_var(batch: tuple, pv: dict[str, Var], cfg: ModelConfig) -> Var:
+    """Mean one-step KL over a `make_batch` batch plus lambda_op times the
+    mean operator regularizer, from one forward pass over all items."""
+    p, h, memory, targets = batch
     p_hat, parts = _forward_var(p, h, memory, pv, cfg)
-    n = len(batch.items)
+    n = len(p)
     total = _kl_term(targets, p_hat).sum() / n
     if cfg.variant != "no_structural_reg":
         reg = operator_regularizer(parts, cfg.reg_weights)
@@ -466,11 +454,11 @@ def loss_var(batch: Batch, pv: dict[str, Var], cfg: ModelConfig) -> Var:
     return total
 
 
-def loss(batch: Batch, params: CastParams) -> float:
+def loss(batch: tuple, params: CastParams) -> float:
     return loss_var(batch, params.as_vars(), params.cfg).item()
 
 
-def gradient(batch: Batch, params: CastParams) -> tuple[float, dict[str, np.ndarray]]:
+def gradient(batch: tuple, params: CastParams) -> tuple[float, dict[str, np.ndarray]]:
     """Exact reverse-mode gradient of the training loss for every parameter."""
     pv = params.as_vars()
     out = loss_var(batch, pv, params.cfg)
@@ -551,46 +539,49 @@ def train(
     positions = scored_positions(train_seqs)
     if not positions:
         raise EmptyBatch("training split has no scored positions")
-    m_state = {k: np.zeros_like(v) for k, v in params.values.items()}
-    v_state = {k: np.zeros_like(v) for k, v in params.values.items()}
+    # AdamW moments and two scratch buffers in the layout of params.flat; the
+    # update writes into them, so a step allocates no parameter-sized array
+    m, v, g, work = (np.zeros_like(params.flat) for _ in range(4))
     beta1, beta2, adam_eps = 0.9, 0.999, 1e-8
     feats_cache: dict = {}
     best = params.copy()
     best_val = np.inf
     log: list[dict] = []
-    avg_start = (
-        tc.iters - int(tc.iters * tc.tail_average) + 1 if tc.tail_average > 0 else None
-    )
-    avg_vals: dict[str, np.ndarray] | None = None
-    avg_n = 0
+    n_avg = int(tc.iters * tc.tail_average)  # final iterates averaged; 0 turns it off
+    avg_sum = None
 
     for step in range(1, tc.iters + 1):
         idx = rng.integers(0, len(positions), size=min(tc.batch_size, len(positions)))
-        batch = make_batch(train_seqs, [positions[i] for i in idx], cfg, feats_cache)
-        loss_value, grads = gradient(batch, params)
+        # no name holds the batch, so its padded memory is freed before validation
+        picked = [positions[i] for i in idx]
+        loss_value, grads = gradient(make_batch(train_seqs, picked, cfg, feats_cache), params)
         if not np.isfinite(loss_value):
             raise DivergedTraining(f"loss diverged at step {step}")
 
-        norm = np.sqrt(sum(float(np.sum(g * g)) for g in grads.values()))
+        # one partial sum per parameter, in layout order: one sum over the
+        # whole buffer would round differently and change the checkpoint bytes
+        norm = np.sqrt(sum(float(np.sum(x * x)) for x in grads.values()))
         scale = min(1.0, tc.clip_norm / (norm + 1e-12))
         lr = tc.lr * min(1.0, step / max(tc.warmup, 1))
-        for k, g in grads.items():
-            g = g * scale
-            m_state[k] = beta1 * m_state[k] + (1 - beta1) * g
-            v_state[k] = beta2 * v_state[k] + (1 - beta2) * g * g
-            mhat = m_state[k] / (1 - beta1**step)
-            vhat = v_state[k] / (1 - beta2**step)
-            params.values[k] -= lr * (
-                mhat / (np.sqrt(vhat) + adam_eps) + tc.weight_decay * params.values[k]
-            )
+        np.concatenate([grads[k].ravel() for k in params.values], out=g)
+        g *= scale
+        m *= beta1
+        m += np.multiply(1 - beta1, g, out=work)
+        v *= beta2
+        v += np.multiply(np.multiply(1 - beta2, g, out=work), g, out=work)
+        # g becomes lr * (mhat / (sqrt(vhat) + eps) + weight_decay * flat)
+        np.sqrt(np.divide(v, 1 - beta2**step, out=work), out=work)
+        work += adam_eps
+        np.divide(np.divide(m, 1 - beta1**step, out=g), work, out=g)
+        g += np.multiply(tc.weight_decay, params.flat, out=work)
+        g *= lr
+        params.flat -= g
 
-        if avg_start is not None and step >= avg_start:
-            if avg_vals is None:
-                avg_vals = {k: v.copy() for k, v in params.values.items()}
+        if step > tc.iters - n_avg:
+            if avg_sum is None:
+                avg_sum = params.flat.copy()
             else:
-                for k, v in params.values.items():
-                    avg_vals[k] += v
-            avg_n += 1
+                avg_sum += params.flat
 
         if step % tc.eval_every == 0 or step == tc.iters:
             val_kl = evaluate_val_kl(val_seqs, params, tc.max_val_positions, feats_cache)
@@ -599,10 +590,10 @@ def train(
                 best_val = val_kl
                 best = params.copy()
 
-    if avg_vals is not None and avg_n > 0:
+    if avg_sum is not None:
         # Polyak-style tail averaging: the averaged iterate suppresses the
         # stochastic-gradient noise floor, so it replaces checkpoint selection
-        best = CastParams(cfg, {k: v / avg_n for k, v in avg_vals.items()})
+        best = CastParams(cfg, avg_sum / n_avg)
         val_kl = evaluate_val_kl(val_seqs, best, tc.max_val_positions, feats_cache)
         log.append({"step": tc.iters, "train_loss": float("nan"), "val_kl": val_kl})
     return best, log

@@ -137,20 +137,21 @@ def _minimize_kl_over_mixture(
     n_starts: int,
     seed: int,
     iters: int = 200,
-    eta: float = 1.0,
 ) -> float:
-    """Exponentiated-gradient minimization of sum_z pi_z KL(u_z || q) over the
-    simplex; all random starts are iterated as one batch."""
+    """Minimizes sum_z pi_z KL(u_z || q) over the simplex, all random starts
+    as one batch. Up to a constant this is minus the concave log-likelihood
+    sum_i mix_i log qs_i (qs the eps-smoothed q). The step is the EM update
+    for mixture proportions, q <- q * mix / qs normalized (Dempster, Laird &
+    Rubin, 1977): it raises that likelihood monotonically, has no step size,
+    and its fixed point is the mixture pis @ dists itself."""
     rng = np.random.default_rng(seed)
     d = dists.shape[1]
     eps = DEFAULT_EPS
-    mix = (pis @ dists + eps) / (1.0 + d * eps)  # gradient is -mix / q
+    mix = (pis @ dists + eps) / (1.0 + d * eps)
     q = rng.dirichlet(np.ones(d), size=n_starts)
     for _ in range(iters):
         qs = (q + eps) / (1.0 + d * eps)
-        grad = -mix[None, :] / qs
-        step = -eta * (grad - (grad * q).sum(axis=1, keepdims=True))
-        q_new = q * np.exp(np.clip(step, -50.0, 50.0))
+        q_new = q * (mix[None, :] / qs)
         q_new /= q_new.sum(axis=1, keepdims=True)
         if np.abs(q_new - q).max() < 1e-15:
             q = q_new

@@ -144,7 +144,7 @@ def _unflatten(params, flat):
     i = 0
     for k in sorted(out.values):
         n = out.values[k].size
-        out.values[k] = flat[i : i + n].reshape(out.values[k].shape)
+        out.values[k][...] = flat[i : i + n].reshape(out.values[k].shape)
         i += n
     return out
 

@@ -328,7 +328,9 @@ class TestCli:
         ckpt.write_bytes(blob[:4] + len(edited).to_bytes(4, "little") + edited + blob[8 + n :])
         assert _run(argv) == 1
 
-    @pytest.mark.parametrize("edit", ["cut_100", "trailing_16", "entry_shape", "entry_name"])
+    @pytest.mark.parametrize(
+        "edit", ["cut_100", "trailing_16", "entry_shape", "entry_name", "entry_order"]
+    )
     def test_cast_evaluate_rejects_bad_checkpoint_layout(self, rng, tmp_path, edit):
         ckpt, argv = self._cast_checkpoint(rng, tmp_path)
         blob = ckpt.read_bytes()
@@ -342,8 +344,11 @@ class TestCli:
             # same byte count, so only the layout check can catch it
             if edit == "entry_shape":
                 header["entries"][-1]["shape"] = [1, 3]
-            else:
+            elif edit == "entry_name":
                 header["entries"][-1]["name"] = "bias"
+            else:
+                # every name and shape kept; the payload is read in layout order
+                header["entries"].reverse()
             edited = json.dumps(header, sort_keys=True).encode()
             blob = blob[:4] + len(edited).to_bytes(4, "little") + edited + blob[8 + n :]
         ckpt.write_bytes(blob)
@@ -398,6 +403,12 @@ class TestCli:
             "fixed_summary_identity", "pinsker_separation",
             "default_scenario", "retrieval_consistency",
         }
+
+    def test_theory_check_seed_32_passes(self, tmp_path):
+        assert _run(["theory-check", "--seed", "32", "--out", str(tmp_path)]) == 0
+        payload = json.loads((tmp_path / "theory_check.json").read_text())
+        assert payload["pass"] is True
+        assert payload["checks"]["fixed_summary_identity"]["max_gap"] < 1e-12
 
     def test_diagnose_aliasing(self, rng, tmp_path):
         data = tmp_path / "d.jsonl"

@@ -1,12 +1,12 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 from simplexcast.baselines import CastPredictor
 from simplexcast.metrics import kl
 from simplexcast.model import (
-    Batch,
     CastParams,
-    _batch_inputs,
     _forward_var,
     ModelConfig,
     TrainConfig,
@@ -274,7 +274,7 @@ def _unflatten(params, flat):
     i = 0
     for k in sorted(out.values):
         n = out.values[k].size
-        out.values[k] = flat[i : i + n].reshape(out.values[k].shape)
+        out.values[k][...] = flat[i : i + n].reshape(out.values[k].shape)
         i += n
     return out
 
@@ -337,7 +337,7 @@ def test_batched_forward_is_causal(rng):
     positions = [(0, 6), (1, 2), (0, 0)]
 
     def p_hat(seqs):
-        p, h, memory, _ = _batch_inputs(make_batch(seqs, positions, cfg))
+        p, h, memory, _ = make_batch(seqs, positions, cfg)
         return _forward_var(p, h, memory, pv, cfg)[0].data
 
     base = p_hat(seqs)
@@ -375,6 +375,23 @@ def test_train_is_deterministic(rng):
     for k in p1.values:
         assert np.array_equal(p1.values[k], p2.values[k])
     assert log1 == log2
+
+
+def test_train_checkpoint_golden_with_clipping_and_tail_average(tmp_path):
+    # clip_norm binds at every step (gradient norms are >= 0.015) and the
+    # last 12 of 40 iterates are averaged; the hash pins the bytes that
+    # AdamW, clipping and tail averaging produce
+    rng = np.random.default_rng(2024)
+    seqs = [SimplexSeries(f"g{i}", True, rng.dirichlet(np.ones(5), size=10)) for i in range(3)]
+    tc = TrainConfig(iters=40, batch_size=4, eval_every=10, lr=1e-2, warmup=5,
+                     clip_norm=1e-3, tail_average=0.3)
+    params, log = train(seqs[:2], seqs[2:], small_cfg(), tc, seed=13)
+    assert np.isnan(log[-1]["train_loss"])  # the averaged iterate's entry
+    path = tmp_path / "model.ckpt"
+    params.save(path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+        "9090c04928ef8b2b805a6473f706bdb6328d5fa828c6949b823485ef75fdcfe3"
+    )
 
 
 def test_train_reduces_loss_on_learnable_signal(rng):
@@ -454,6 +471,26 @@ def test_checkpoint_round_trip(tmp_path, rng):
     loaded.save(again)
     assert again.read_bytes() == path.read_bytes()
     assert sorted(p.name for p in tmp_path.iterdir()) == ["again.ckpt", "model.ckpt"]
+
+
+def test_values_are_views_into_flat_and_copy_is_not():
+    params = CastParams.init(small_cfg(), seed=0)
+    assert params.flat.flags.c_contiguous and params.flat.dtype == np.float64
+    offset = 0
+    for k, v in params.values.items():
+        assert np.shares_memory(v, params.flat), k
+        np.testing.assert_array_equal(v.ravel(), params.flat[offset : offset + v.size])
+        offset += v.size
+    assert offset == params.flat.size
+    params.flat[:] = 1.5
+    assert all(np.all(v == 1.5) for v in params.values.values())
+    dup = params.copy()
+    assert not np.shares_memory(dup.flat, params.flat)
+    assert not any(np.shares_memory(dup.values[k], params.flat) for k in dup.values)
+    dup.flat[:] = 0.0
+    assert np.all(params.flat == 1.5)
+    with pytest.raises(ValueError):
+        CastParams(small_cfg(), params.flat[:-1])
 
 
 def test_checkpoint_rejects_bad_magic(tmp_path):
