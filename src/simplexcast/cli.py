@@ -325,13 +325,15 @@ def _cmd_report(args) -> int:
     for name in sorted(os.listdir(args.results)):
         if not name.endswith(".json"):
             continue
-        with open(os.path.join(args.results, name)) as fh:
+        path = os.path.join(args.results, name)
+        with open(path) as fh:
             row = json.load(fh)
-        if not {"method", "section", "metrics"} <= row.keys():
+        if not isinstance(row, dict) or not {"method", "section", "metrics"} <= row.keys():
             continue
-        table.setdefault(row["method"], {})[row["section"]] = row["metrics"][
-            args.metric
-        ]
+        metrics = row["metrics"]
+        if not isinstance(metrics, dict) or args.metric not in metrics:
+            raise SimplexCastError(f"{path} has no metric {args.metric!r}")
+        table.setdefault(row["method"], {})[row["section"]] = metrics[args.metric]
     if not table:
         raise SimplexCastError(f"no result files with metrics in {args.results}")
     rm = rank_aggregate(table)

@@ -2,46 +2,42 @@
 diagnostic, and the multi-seed runner."""
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NoEligibleSequences, NoScoredPositions, TooFewSequences
 from .metrics import jsd, metric_report
-from .simplex import SimplexSeries, history_windows
-
-METRIC_NAMES = ("kl", "jsd", "l1", "bray_curtis", "w1")
+from .simplex import history_windows
 
 
-def _accumulate(sums: dict, counts: dict, report) -> None:
-    for name, value in report.as_dict().items():
-        sums[name] = sums.get(name, 0.0) + value
-        counts[name] = counts.get(name, 0) + 1
-
-
-def _means(sums: dict, counts: dict) -> dict:
-    return {name: sums[name] / counts[name] for name in sums}
+def _means(reports) -> dict:
+    """Per-metric mean over every row of every `metric_report` block: a
+    sequential sum in row order, divided by the row count."""
+    rows: dict = {}
+    for report in reports:
+        for name, values in report.items():
+            rows.setdefault(name, []).extend(values)
+    return {name: float(sum(values) / len(values)) for name, values in rows.items()}
 
 
 def evaluate_offline(predictor, seqs) -> dict:
     """Teacher-forced one-step evaluation: for every scored position t,
     predict from the true prefix steps[: t + 1] and score against the true
     successor. Predictions are never fed forward. Each sequence's scored
-    positions are forecast by one `predictor.predict_all` call; sequences
-    with none are skipped. Returns per-metric means."""
-    sums: dict = {}
-    counts: dict = {}
+    positions are forecast by one `predictor.predict_all` call and scored as
+    one block; sequences with none are skipped. Returns per-metric means
+    over all scored positions."""
+    reports = []
     for seq in seqs:
         ts = np.flatnonzero(seq.loss_mask)
         if len(ts) == 0:
             continue
-        for t, pred in zip(ts, predictor.predict_all(seq.steps, ts)):
-            _accumulate(
-                sums, counts, metric_report(seq.steps[t + 1], pred, seq.ordered)
-            )
-    if not sums:
+        preds = predictor.predict_all(seq.steps, ts)
+        reports.append(metric_report(seq.steps[ts + 1], preds, seq.ordered))
+    if not reports:
         raise NoScoredPositions("no masked positions in the split")
-    return _means(sums, counts)
+    return _means(reports)
 
 
 @dataclass(frozen=True)
@@ -62,11 +58,12 @@ def evaluate_rollout(
 ) -> dict:
     """Autoregressive evaluation: seed with the first context_len true steps,
     then feed each prediction back as the next input for `horizon` steps.
-    Metrics are averaged uniformly over all horizon steps and examples, or
-    over the final horizon step only when final_step_only is set.
-    Sequences shorter than context_len + horizon are skipped (and counted);
-    example selection is deterministic by sorted sequence id. Returns the
-    per-metric means plus n_examples and n_skipped."""
+    Each example's (horizon, D) block of forecasts is scored once, after its
+    feedback loop. Metrics are averaged uniformly over all horizon steps and
+    examples, or over the final horizon step only when final_step_only is
+    set. Sequences shorter than context_len + horizon are skipped (and
+    counted); example selection is deterministic by sorted sequence id.
+    Returns the per-metric means plus n_examples and n_skipped."""
     eligible = sorted(
         (s for s in seqs if len(s.steps) >= rc.context_len + rc.horizon),
         key=lambda s: s.id,
@@ -77,17 +74,17 @@ def evaluate_rollout(
         raise NoEligibleSequences(
             f"no sequence has length >= {rc.context_len + rc.horizon}"
         )
-    sums: dict = {}
-    counts: dict = {}
+    reports = []
     for seq in eligible:
         prefix = seq.steps[: rc.context_len].copy()
-        for h in range(rc.horizon):
-            pred = predictor.predict(prefix)
-            target = seq.steps[rc.context_len + h]
-            if not final_step_only or h == rc.horizon - 1:
-                _accumulate(sums, counts, metric_report(target, pred, seq.ordered))
-            prefix = np.vstack([prefix, pred])
-    out = _means(sums, counts)
+        for _ in range(rc.horizon):
+            prefix = np.vstack([prefix, predictor.predict(prefix)])
+        targets = seq.steps[rc.context_len : rc.context_len + rc.horizon]
+        preds = prefix[rc.context_len :]
+        if final_step_only:
+            targets, preds = targets[-1:], preds[-1:]
+        reports.append(metric_report(targets, preds, seq.ordered))
+    out = _means(reports)
     out["n_examples"] = len(eligible)
     out["n_skipped"] = n_skipped
     return out
@@ -165,13 +162,19 @@ def aliasing_diagnostic(
     """Measures how ambiguous the current distribution is as a predictor of
     the successor. For sampled (state, successor) pairs, finds the nearest
     cross-sequence state by current-distribution JSD and records both the
-    neighbor JSD and the successor JSD. history_better_rate is the fraction
-    of samples where the nearest neighbor by last-`window` history descriptor
-    has a strictly closer successor than the nearest by current state (None
-    when every successor gap ties, e.g. identical sequences)."""
+    neighbor JSD and the successor JSD. Each candidate sequence's states
+    with a successor are scored as one block against the sampled state; ties
+    go to the first minimum in sequence order, then position order, and
+    sequences without a transition are never candidates. history_better_rate
+    is the fraction of samples where the nearest neighbor by last-`window`
+    history descriptor has a strictly closer successor than the nearest by
+    current state (None when every successor gap ties, e.g. identical
+    sequences)."""
     thresholds = thresholds or DiagnosticThresholds()
-    if len(seqs) < 2:
-        raise TooFewSequences("aliasing diagnostic needs at least two sequences")
+    if sum(len(seq.steps) >= 2 for seq in seqs) < 2:
+        raise TooFewSequences(
+            "aliasing diagnostic needs at least two sequences with a transition"
+        )
     rng = np.random.default_rng(seed)
     positions = [
         (i, t)
@@ -190,16 +193,17 @@ def aliasing_diagnostic(
         best_cur_d = best_hist_d = np.inf
         desc = history_windows(seqs[i].steps, window)[t]
         for j, other in enumerate(seqs):
-            if j == i:
+            if j == i or len(other.steps) < 2:
                 continue
-            # one sequence's descriptors at a time keeps memory to one block
-            d_hist = np.abs(desc - history_windows(other.steps, window)).sum(axis=1)
-            for s in range(len(other.steps) - 1):
-                d_cur = jsd(cur, other.steps[s])
-                if d_cur < best_cur_d:
-                    best_cur_d, best_cur = d_cur, (j, s)
-                if d_hist[s] < best_hist_d:
-                    best_hist_d, best_hist = d_hist[s], (j, s)
+            # one sequence's states and descriptors at a time keeps memory to
+            # one block; a strict < keeps the first minimum across sequences
+            d_cur = jsd(cur, other.steps[:-1])
+            d_hist = np.abs(desc - history_windows(other.steps[:-1], window)).sum(axis=1)
+            s_cur, s_hist = int(np.argmin(d_cur)), int(np.argmin(d_hist))
+            if d_cur[s_cur] < best_cur_d:
+                best_cur_d, best_cur = d_cur[s_cur], (j, s_cur)
+            if d_hist[s_hist] < best_hist_d:
+                best_hist_d, best_hist = d_hist[s_hist], (j, s_hist)
         nj, ns = best_cur
         neighbor_jsds.append(best_cur_d)
         succ_gap_cur = jsd(succ, seqs[nj].steps[ns + 1])

@@ -69,8 +69,8 @@ def write_dataset(path, seqs, section_name: str = "") -> None:
 
 def ingest(path) -> IngestResult:
     """Reads a dataset file; rows are normalized, and rows whose total mass
-    is zero anywhere are dropped and counted. A non-finite value is a
-    ParseError naming its line."""
+    is zero anywhere are dropped and counted. A non-finite value or an id
+    repeated within the file is a ParseError naming its line."""
     with _open(path, "r") as fh:
         lines = fh.read().splitlines()
     if not lines:
@@ -93,6 +93,7 @@ def ingest(path) -> IngestResult:
     ordered = bool(header["ordered"])
 
     sequences = []
+    seen_ids: set = set()
     dropped = 0
     for lineno, raw in enumerate(lines[1:], start=2):
         if not raw.strip():
@@ -113,6 +114,10 @@ def ingest(path) -> IngestResult:
             raise ParseError("steps must be finite (no NaN or Infinity)", line=lineno)
         if "id" not in row:
             raise ParseError("row missing id", line=lineno)
+        seq_id = str(row["id"])
+        if seq_id in seen_ids:
+            raise ParseError(f"repeated id {seq_id!r}", line=lineno)
+        seen_ids.add(seq_id)
         mask = row.get("loss_mask")
         if mask is not None:
             mask = np.asarray(mask, dtype=bool)
@@ -125,7 +130,7 @@ def ingest(path) -> IngestResult:
         except AllZeroMass:
             dropped += 1
             continue
-        sequences.append(SimplexSeries(str(row["id"]), ordered, steps, mask))
+        sequences.append(SimplexSeries(seq_id, ordered, steps, mask))
     if dropped:
         log.warning("dropped %d rows with no usable mass from %s", dropped, path)
     return IngestResult(

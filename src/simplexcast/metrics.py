@@ -1,11 +1,13 @@
 """Divergences and distances between simplex points.
 
-All logarithms are natural. KL smooths both arguments with the same floor
-eps so that KL(p, p) == 0 exactly.
+Every metric reduces over the last axis, as `simplex.smooth` does: it takes
+one pair of distributions (D,) and returns a scalar, or a block (n, D) and
+returns (n,) values; a (D,) query broadcasts against a block. Each row of a
+block is summed as its own 1-D pair would be, so block and pair give the
+same bytes. All logarithms are natural. KL smooths both arguments with the
+same floor eps so that KL(p, p) == 0 exactly.
 """
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,43 +20,42 @@ DEFAULT_EPS = 1e-8
 def _check_same_dim(p, q):
     p = np.asarray(p, dtype=np.float64)
     q = np.asarray(q, dtype=np.float64)
-    if p.shape != q.shape:
-        raise DimensionMismatch(f"shapes {p.shape} and {q.shape} differ")
+    if p.shape[-1:] != q.shape[-1:]:
+        raise DimensionMismatch(f"shapes {p.shape} and {q.shape} differ in D")
     return p, q
 
 
-def kl(p: Dist, q: Dist, eps: float = DEFAULT_EPS) -> float:
+def kl(p: Dist, q: Dist, eps: float = DEFAULT_EPS):
     """KL(p || q) = sum p log(p/q), both arguments smoothed with eps."""
     p, q = _check_same_dim(p, q)
     ps = smooth(p, eps)
     qs = smooth(q, eps)
-    return float(np.sum(ps * (np.log(ps) - np.log(qs))))
+    return np.sum(ps * (np.log(ps) - np.log(qs)), axis=-1)
 
 
-def jsd(p: Dist, q: Dist, eps: float = DEFAULT_EPS) -> float:
+def jsd(p: Dist, q: Dist, eps: float = DEFAULT_EPS):
     """Jensen-Shannon divergence (natural log, in [0, ln 2])."""
     p, q = _check_same_dim(p, q)
     m = 0.5 * (p + q)
     return 0.5 * kl(p, m, eps) + 0.5 * kl(q, m, eps)
 
 
-def l1(p: Dist, q: Dist) -> float:
+def l1(p: Dist, q: Dist):
     p, q = _check_same_dim(p, q)
-    return float(np.abs(p - q).sum())
+    return np.abs(p - q).sum(axis=-1)
 
 
-def bray_curtis(p: Dist, q: Dist) -> float:
+def bray_curtis(p: Dist, q: Dist):
     """Sum|p-q| / Sum(p+q); equals l1/2 when both live on the simplex."""
     p, q = _check_same_dim(p, q)
-    denom = (p + q).sum()
-    return float(np.abs(p - q).sum() / denom)
+    return np.abs(p - q).sum(axis=-1) / (p + q).sum(axis=-1)
 
 
-def w1_ordered(p: Dist, q: Dist) -> float:
+def w1_ordered(p: Dist, q: Dist):
     """1-D Wasserstein distance with unit ground metric on ordered bins:
     sum_j |cumsum(p - q)_j|."""
     p, q = _check_same_dim(p, q)
-    return float(np.abs(np.cumsum(p - q)).sum())
+    return np.abs(np.cumsum(p - q, axis=-1)).sum(axis=-1)
 
 
 def js_weighted(dists, weights, eps: float = DEFAULT_EPS) -> float:
@@ -66,35 +67,20 @@ def js_weighted(dists, weights, eps: float = DEFAULT_EPS) -> float:
     if len(ds) != len(w):
         raise WeightSumInvalid("one weight per distribution required")
     mix = w @ ds
-    return float(sum(wz * kl(dz, mix, eps) for wz, dz in zip(w, ds)))
+    # the builtin sum adds the terms in order, as one pair at a time would
+    return float(sum(w * kl(ds, mix, eps)))
 
 
-def pinsker_lower_bound(p: Dist, q: Dist) -> float:
+def pinsker_lower_bound(p: Dist, q: Dist):
     """0.5 * ||p - q||_1^2, a lower bound on kl(p, q)."""
     return 0.5 * l1(p, q) ** 2
 
 
-@dataclass
-class MetricReport:
-    kl: float
-    jsd: float
-    l1: float
-    bray_curtis: float
-    w1: float | None = None
-
-    def as_dict(self) -> dict:
-        d = {"kl": self.kl, "jsd": self.jsd, "l1": self.l1, "bray_curtis": self.bray_curtis}
-        if self.w1 is not None:
-            d["w1"] = self.w1
-        return d
-
-
-def metric_report(p: Dist, q: Dist, ordered: bool = False, eps: float = DEFAULT_EPS) -> MetricReport:
-    """All metrics between a target p and a prediction q."""
-    return MetricReport(
-        kl=kl(p, q, eps),
-        jsd=jsd(p, q, eps),
-        l1=l1(p, q),
-        bray_curtis=bray_curtis(p, q),
-        w1=w1_ordered(p, q) if ordered else None,
-    )
+def metric_report(p: Dist, q: Dist, ordered: bool = False, eps: float = DEFAULT_EPS) -> dict:
+    """Every metric between targets p and predictions q, by name; "w1" only
+    on ordered supports. Values are scalars for a pair, (n,) for a block."""
+    report = {"kl": kl(p, q, eps), "jsd": jsd(p, q, eps), "l1": l1(p, q),
+              "bray_curtis": bray_curtis(p, q)}
+    if ordered:
+        report["w1"] = w1_ordered(p, q)
+    return report

@@ -509,20 +509,20 @@ class TrainConfig:
 
 
 def evaluate_val_kl(seqs, params: CastParams, max_positions: int, feats_cache: dict) -> float:
+    """Mean one-step KL over the first `max_positions` scored positions: one
+    forward pass and one `kl` call per sequence, summed in position order."""
     from .metrics import kl as kl_metric
 
     positions = scored_positions(seqs)[:max_positions]
     if not positions:
         return np.nan
-    total = 0.0
-    # positions run sequence by sequence: one forward pass per sequence
+    kls = []
     for seq_idx, group in groupby(positions, key=lambda pos: pos[0]):
         seq = seqs[seq_idx]
-        ts = [t for _, t in group]
+        ts = np.array([t for _, t in group])
         p_hat, _ = forward(seq.steps, ts, params, _features(seq, params.cfg, feats_cache))
-        for t, row in zip(ts, p_hat):
-            total += kl_metric(seq.steps[t + 1], row)
-    return total / len(positions)
+        kls.extend(kl_metric(seq.steps[ts + 1], p_hat))
+    return float(sum(kls) / len(positions))
 
 
 def train(
@@ -543,7 +543,10 @@ def train(
     # update writes into them, so a step allocates no parameter-sized array
     m, v, g, work = (np.zeros_like(params.flat) for _ in range(4))
     beta1, beta2, adam_eps = 0.9, 0.999, 1e-8
+    # features by sequence id, one cache per split: ids need only be unique
+    # within a file, so a validation id may name a different training sequence
     feats_cache: dict = {}
+    val_cache: dict = {}
     best = params.copy()
     best_val = np.inf
     log: list[dict] = []
@@ -584,7 +587,7 @@ def train(
                 avg_sum += params.flat
 
         if step % tc.eval_every == 0 or step == tc.iters:
-            val_kl = evaluate_val_kl(val_seqs, params, tc.max_val_positions, feats_cache)
+            val_kl = evaluate_val_kl(val_seqs, params, tc.max_val_positions, val_cache)
             log.append({"step": step, "train_loss": loss_value, "val_kl": val_kl})
             if np.isfinite(val_kl) and val_kl < best_val:
                 best_val = val_kl
@@ -594,6 +597,6 @@ def train(
         # Polyak-style tail averaging: the averaged iterate suppresses the
         # stochastic-gradient noise floor, so it replaces checkpoint selection
         best = CastParams(cfg, avg_sum / n_avg)
-        val_kl = evaluate_val_kl(val_seqs, best, tc.max_val_positions, feats_cache)
+        val_kl = evaluate_val_kl(val_seqs, best, tc.max_val_positions, val_cache)
         log.append({"step": tc.iters, "train_loss": float("nan"), "val_kl": val_kl})
     return best, log

@@ -127,10 +127,6 @@ def random_scenario(rng: np.random.Generator, d: int, k: int) -> AliasingScenari
 # ------------------------------------------------------- fixed-summary
 
 
-def _mixture_objective(dists: np.ndarray, pis: np.ndarray, q: np.ndarray) -> float:
-    return float(sum(pi * kl(u, q) for pi, u in zip(pis, dists)))
-
-
 def _minimize_kl_over_mixture(
     dists: np.ndarray,
     pis: np.ndarray,
@@ -157,7 +153,9 @@ def _minimize_kl_over_mixture(
             q = q_new
             break
         q = q_new
-    return min(_mixture_objective(dists, pis, qi) for qi in q)
+    # the builtin sum adds the (n_starts,) rows of weighted KLs regime by regime
+    objs = sum(pis[:, None] * kl(dists[:, None, :], q))
+    return float(objs.min())
 
 
 def fixed_summary_optimum(
@@ -417,14 +415,9 @@ class SyntheticTrainSettings:
 
 
 def _eval_final_transitions(predict_fn, seqs) -> tuple[float, float, float]:
-    kls, jsds, l1s = [], [], []
-    for seq in seqs:
-        target = seq.steps[-1]
-        pred = predict_fn(seq.steps[:-1])
-        kls.append(kl(target, pred))
-        jsds.append(jsd(target, pred))
-        l1s.append(l1(target, pred))
-    return float(np.mean(kls)), float(np.mean(jsds)), float(np.mean(l1s))
+    targets = np.array([seq.steps[-1] for seq in seqs])
+    preds = np.array([predict_fn(seq.steps[:-1]) for seq in seqs])
+    return tuple(float(np.mean(metric(targets, preds))) for metric in (kl, jsd, l1))
 
 
 def _train_synthetic_model(scenario, settings, seed, feature_mode, variant):
@@ -496,15 +489,15 @@ def run_synthetic_experiment(
     fixed_row = ExperimentRow(
         "fixed_summary_optimum",
         excess, 0.0,
-        float(sum(pi * jsd(u, q_star) for pi, u in zip(pis, us))), 0.0,
-        float(sum(pi * l1(u, q_star) for pi, u in zip(pis, us))), 0.0,
+        float(sum(pis * jsd(us, q_star))), 0.0,
+        float(sum(pis * l1(us, q_star))), 0.0,
     )
     oracle_preds = cast_oracle(scenario)
     oracle_row = ExperimentRow(
         "cast_oracle",
-        float(sum(pi * kl(u, p) for pi, u, p in zip(pis, us, oracle_preds))), 0.0,
-        float(sum(pi * jsd(u, p) for pi, u, p in zip(pis, us, oracle_preds))), 0.0,
-        float(sum(pi * l1(u, p) for pi, u, p in zip(pis, us, oracle_preds))), 0.0,
+        float(sum(pis * kl(us, oracle_preds))), 0.0,
+        float(sum(pis * jsd(us, oracle_preds))), 0.0,
+        float(sum(pis * l1(us, oracle_preds))), 0.0,
     )
 
     trained_specs = [

@@ -88,3 +88,39 @@ def val_kl_ref(seqs, params, max_positions):
         steps = seqs[seq_idx].steps
         total += kl(steps[t + 1], cast_predict_ref(params, steps, t))
     return total / len(positions)
+
+
+# ------------------------------------------------------------------------
+# One-pair references for the metrics of `simplexcast.metrics`, which reduce
+# over the last axis: every row of a block must reproduce these bytes.
+
+
+def kl_ref(p, q, eps=1e-8):
+    ps, qs = smooth_row_ref(p, eps), smooth_row_ref(q, eps)
+    return float(np.sum(ps * (np.log(ps) - np.log(qs))))
+
+
+def jsd_ref(p, q, eps=1e-8):
+    m = 0.5 * (p + q)
+    return 0.5 * kl_ref(p, m, eps) + 0.5 * kl_ref(q, m, eps)
+
+
+def l1_ref(p, q):
+    return float(np.abs(p - q).sum())
+
+
+def bray_curtis_ref(p, q):
+    return float(np.abs(p - q).sum() / (p + q).sum())
+
+
+def w1_ordered_ref(p, q):
+    return float(np.abs(np.cumsum(p - q)).sum())
+
+
+METRIC_REFS = {
+    "kl": kl_ref,
+    "jsd": jsd_ref,
+    "l1": l1_ref,
+    "bray_curtis": bray_curtis_ref,
+    "w1_ordered": w1_ordered_ref,
+}

@@ -78,6 +78,17 @@ class TestDatasetIO:
         # the file line, not the decoder's position within the row
         assert capsys.readouterr().err.startswith("error: line 3: bad row:")
 
+    def test_repeated_id_rejected_with_line(self, rng, tmp_path, capsys):
+        seqs = _seqs(rng)
+        seqs[2] = SimplexSeries("s0", True, seqs[2].steps, seqs[2].loss_mask)
+        path = tmp_path / "d.jsonl"
+        write_dataset(path, seqs)
+        with pytest.raises(ParseError) as exc:
+            ingest(path)
+        assert exc.value.line == 4
+        assert cli_dispatch(["evaluate", "--data", str(path), "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err.startswith("error: line 4: repeated id 's0'")
+
     def test_schema_version_mismatch(self, tmp_path):
         header = {"format_version": 99, "D": 2, "ordered": True, "section_name": ""}
         path = tmp_path / "d.jsonl"
@@ -419,6 +430,17 @@ class TestCli:
         payload = json.loads((tmp_path / "aliasing_diagnostic.json").read_text())
         assert payload["severity"] in ("strong", "moderate", "weak")
 
+    def test_diagnose_aliasing_needs_two_sequences_with_a_transition(
+        self, rng, tmp_path, capsys
+    ):
+        seqs = _seqs(rng, n=2)
+        seqs[1] = SimplexSeries("s1", True, seqs[1].steps[:1], np.ones(0, dtype=bool))
+        data = tmp_path / "d.jsonl"
+        write_dataset(data, seqs, section_name="unit")
+        code = _run(["diagnose-aliasing", "--data", str(data), "--out", str(tmp_path)])
+        assert code == 1
+        assert "two sequences with a transition" in capsys.readouterr().err
+
     def test_report_ranks(self, tmp_path):
         results = tmp_path / "results"
         results.mkdir()
@@ -433,6 +455,49 @@ class TestCli:
         assert payload["methods"] == ["m1", "m2"]
         csv_text = (tmp_path / "ranks.csv").read_text()
         assert csv_text.splitlines()[0] == "method,secA,secB,average_rank,top1"
+
+    def test_report_skips_non_object_results(self, tmp_path):
+        results = tmp_path / "results"
+        results.mkdir()
+        (results / "a.json").write_text(json.dumps([1, 2]))
+        (results / "b.json").write_text(
+            json.dumps({"method": "m1", "section": "secA", "metrics": {"kl": 0.1}})
+        )
+        assert _run(["report", "--results", str(results), "--out", str(tmp_path)]) == 0
+        assert json.loads((tmp_path / "ranks.json").read_text())["methods"] == ["m1"]
+
+    def test_report_missing_metric_exits_1(self, tmp_path, capsys):
+        results = tmp_path / "results"
+        results.mkdir()
+        (results / "b.json").write_text(
+            json.dumps({"method": "m1", "section": "secA", "metrics": {"kl": 0.1}})
+        )
+        code = _run(["report", "--results", str(results), "--metric", "foo",
+                     "--out", str(tmp_path)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "b.json has no metric 'foo'" in err
+
+    def test_train_validation_ignores_training_ids(self, rng, tmp_path):
+        # both files name their sequences system00000..system00004, as every
+        # simulated section does; validation must score its own sequences
+        from simplexcast.model import CastParams, TrainConfig, evaluate_val_kl
+
+        def section(path):
+            seqs = [SimplexSeries(f"system{i:05d}", True, rng.dirichlet(np.ones(4), size=12),
+                                  np.ones(11, dtype=bool)) for i in range(5)]
+            write_dataset(path, seqs, section_name="unit")
+
+        train_path, val_path = tmp_path / "train.jsonl", tmp_path / "val.jsonl"
+        section(train_path)
+        section(val_path)
+        assert _run(["train", "--data", str(train_path), "--val", str(val_path),
+                     "--iters", "10", "--out", str(tmp_path)]) == 0
+        (entry,) = json.loads((tmp_path / "train_log.json").read_text())["log"]
+        params = CastParams.load(tmp_path / "model.ckpt")
+        fresh = evaluate_val_kl(ingest(val_path).sequences, params,
+                                TrainConfig().max_val_positions, {})
+        assert entry["val_kl"] == fresh
 
     def test_json_flag_prints_payload(self, rng, tmp_path, capsys):
         data = tmp_path / "d.jsonl"

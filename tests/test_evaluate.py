@@ -230,6 +230,14 @@ class TestAliasingDiagnostic:
         with pytest.raises(TooFewSequences):
             aliasing_diagnostic([_series(rng, 5, 3)], n_samples=5)
 
+    def test_sequences_without_a_transition_do_not_count(self, rng):
+        # a T = 1 sequence has no (state, successor) pair to sample or match
+        long_seq, single = _series(rng, 6, 3, "long"), _series(rng, 1, 3, "single")
+        with pytest.raises(TooFewSequences):
+            aliasing_diagnostic([long_seq, single], n_samples=5)
+        rep = aliasing_diagnostic([single, long_seq, _series(rng, 4, 3, "s2")], n_samples=50)
+        assert rep.n_samples == 8
+
     def test_rate_in_unit_interval(self, rng):
         seqs = [_series(rng, 6, 3, f"s{i}") for i in range(4)]
         rep = aliasing_diagnostic(seqs, n_samples=40, seed=3)

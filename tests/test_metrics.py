@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
+from simplexcast import metrics
 from simplexcast.errors import DimensionMismatch, WeightSumInvalid
 from simplexcast.metrics import (
     bray_curtis,
@@ -16,7 +17,7 @@ from simplexcast.metrics import (
     w1_ordered,
 )
 
-from conftest import random_dist
+from conftest import METRIC_REFS, random_dist
 
 
 def transport_lp(p, q):
@@ -172,6 +173,34 @@ def test_sqrt_jsd_triangle_inequality(rng):
 def test_metric_report(rng):
     p, q = random_dist(rng, 5), random_dist(rng, 5)
     rep = metric_report(p, q, ordered=True)
-    assert rep.w1 == pytest.approx(w1_ordered(p, q))
-    assert "w1" in rep.as_dict()
-    assert metric_report(p, q).w1 is None
+    assert rep["w1"] == pytest.approx(w1_ordered(p, q))
+    assert list(rep) == ["kl", "jsd", "l1", "bray_curtis", "w1"]
+    assert "w1" not in metric_report(p, q)
+
+
+@pytest.mark.parametrize("name", sorted(METRIC_REFS))
+def test_block_rows_equal_pair_reference(rng, name):
+    """Rows of a block, and a (D,) query broadcast on either side, give the
+    bytes of the one-pair formula, from D = 2 to 80 and n = 1 to 300."""
+    metric, ref = getattr(metrics, name), METRIC_REFS[name]
+    sizes = [(2, 1), (2, 300), (80, 1), (80, 300)]
+    sizes += [(int(rng.integers(2, 81)), int(rng.integers(1, 301))) for _ in range(12)]
+    for d, n in sizes:
+        # small concentrations put many bins near zero, where the eps floor acts
+        p, q = (rng.dirichlet(np.full(d, 0.3), size=n) for _ in range(2))
+        query = rng.dirichlet(np.ones(d))
+        assert np.array_equal(metric(p, q), [ref(a, b) for a, b in zip(p, q)])
+        assert np.array_equal(metric(query, q), [ref(query, b) for b in q])
+        assert np.array_equal(metric(p, query), [ref(a, query) for a in p])
+        assert metric(p[0], q[0]) == ref(p[0], q[0])
+
+
+@pytest.mark.parametrize("name", sorted(METRIC_REFS))
+def test_block_dimension_mismatch_raises(name):
+    metric = getattr(metrics, name)
+    block = np.full((4, 3), 1 / 3)
+    for other in (np.full(5, 0.2), np.full((4, 2), 0.5)):
+        with pytest.raises(DimensionMismatch):
+            metric(block, other)
+        with pytest.raises(DimensionMismatch):
+            metric(other, block)
