@@ -7,10 +7,23 @@ abs/sqrt/clipping, and the boundary-clipped radius-1 mass shift over the
 last axis. Gradients are accumulated on leaf nodes after ``backward`` on a
 scalar output. An operand with ``requires_grad`` False is a constant: matmul
 skips its gradient, returning None, and ``backward`` ignores None.
+
+When one matmul operand is a 2-D matrix shared across a batched other
+operand (a weight applied to every row of a batch), its gradient is one
+``einsum`` of the upstream gradient with the other operand over the
+flattened batch axes. It equals summing the (batch, m, n) per-item products,
+which is never built. A node's first gradient contribution is stored as-is
+when its shape already matches, so no backward rule may write into the
+gradient it receives.
 """
 from __future__ import annotations
 
 import numpy as np
+
+
+def _batch_flat(x: np.ndarray) -> np.ndarray:
+    """(..., m, n) -> (batch, m, n), every leading axis folded into one."""
+    return x.reshape(-1, *x.shape[-2:])
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
@@ -115,7 +128,8 @@ class Var:
 
         def back(g):
             # promote 1-D operands to matrices as numpy does, then apply the
-            # batched rule; the gradient of a constant operand is skipped
+            # batched rule; the gradient of a constant operand is skipped, and
+            # a matrix shared across the batch contracts over the batch axes
             a2 = a[None, :] if a.ndim == 1 else a
             b2 = b[:, None] if b.ndim == 1 else b
             g = np.asarray(g)
@@ -125,9 +139,17 @@ class Var:
                 g = np.expand_dims(g, -2)
             ga = gb = None
             if self.requires_grad:
-                ga = _unbroadcast(g @ np.swapaxes(b2, -1, -2), a2.shape).reshape(a.shape)
+                if a2.ndim == 2 and b2.ndim > 2:
+                    ga = np.einsum("bin,bjn->ij", _batch_flat(g), _batch_flat(b2))
+                else:
+                    ga = _unbroadcast(g @ np.swapaxes(b2, -1, -2), a2.shape)
+                ga = ga.reshape(a.shape)
             if other.requires_grad:
-                gb = _unbroadcast(np.swapaxes(a2, -1, -2) @ g, b2.shape).reshape(b.shape)
+                if b2.ndim == 2 and a2.ndim > 2:
+                    gb = np.einsum("bmi,bmj->ij", _batch_flat(a2), _batch_flat(g))
+                else:
+                    gb = _unbroadcast(np.swapaxes(a2, -1, -2) @ g, b2.shape)
+                gb = gb.reshape(b.shape)
             return ga, gb
 
         out._backward = back
@@ -240,9 +262,11 @@ class Var:
                 if g is None or not parent.requires_grad:
                     continue
                 if parent.grad is None:
-                    # first contribution: take g as-is (never mutated in
-                    # place, so aliasing a child's buffer is safe)
-                    parent.grad = np.broadcast_to(g, parent.data.shape)
+                    # first contribution: stored as-is when its shape already
+                    # matches, else broadcast to it. No rule writes into its
+                    # incoming gradient, so sharing a child's buffer is safe.
+                    shape = parent.data.shape
+                    parent.grad = g if g.shape == shape else np.broadcast_to(g, shape)
                 else:
                     parent.grad = parent.grad + g
 

@@ -333,7 +333,9 @@ def _cmd_report(args) -> int:
         metrics = row["metrics"]
         if not isinstance(metrics, dict) or args.metric not in metrics:
             raise SimplexCastError(f"{path} has no metric {args.metric!r}")
-        table.setdefault(row["method"], {})[row["section"]] = metrics[args.metric]
+        # a rollout payload carries its horizon; it ranks in its own column
+        section = f"{row['section']}:rollout" if "horizon" in row else row["section"]
+        table.setdefault(row["method"], {})[section] = metrics[args.metric]
     if not table:
         raise SimplexCastError(f"no result files with metrics in {args.results}")
     rm = rank_aggregate(table)

@@ -150,3 +150,129 @@ def test_backward_requires_scalar():
     v = Var(np.ones(3))
     with pytest.raises(ValueError):
         (v * 2.0).backward()
+
+
+# ---------------------------------------------- shared-matrix matmul rule
+
+
+def product_sum_matmul_grads(a, b, g):
+    """The matmul gradients as the (batch, m, n) per-item products, summed
+    over the batch axes afterwards: the reference for the shared-matrix
+    rule."""
+    from simplexcast.autodiff import _unbroadcast
+
+    a2 = a[None, :] if a.ndim == 1 else a
+    b2 = b[:, None] if b.ndim == 1 else b
+    if b.ndim == 1:
+        g = g[..., None]
+    if a.ndim == 1:
+        g = np.expand_dims(g, -2)
+    ga = _unbroadcast(g @ np.swapaxes(b2, -1, -2), a2.shape).reshape(a.shape)
+    gb = _unbroadcast(np.swapaxes(a2, -1, -2) @ g, b2.shape).reshape(b.shape)
+    return ga, gb
+
+
+@pytest.mark.parametrize("f", [21, 212, 352])
+@pytest.mark.parametrize("b", [1, 3, 8])
+def test_shared_matrix_grad_bytes_on_model_shapes(rng, f, b):
+    # the retrieval keys wk (F, d_r) @ q (B, d_r, 1), and the mirrored form
+    # with the shared matrix on the right
+    wk, q = rng.normal(size=(f, 64)), rng.normal(size=(b, 64, 1))
+    out = Var(wk) @ Var(q)
+    g = rng.normal(size=out.shape)
+    for got, ref in zip(out._backward(g), product_sum_matmul_grads(wk, q, g)):
+        assert np.array_equal(got, ref)
+    x, w = rng.normal(size=(b, 1, 64)), rng.normal(size=(64, f))
+    out = Var(x) @ Var(w)
+    g = rng.normal(size=out.shape)
+    for got, ref in zip(out._backward(g), product_sum_matmul_grads(x, w, g)):
+        assert np.array_equal(got, ref)
+
+
+@pytest.mark.parametrize(
+    "a_shape, b_shape",
+    [
+        ((4, 3), (5, 3, 2)),  # contraction over the batch and n = 2
+        ((4, 3), (2, 5, 3, 2)),  # two leading batch axes
+        ((3,), (2, 5, 3, 4)),  # a shared 1-D operand
+        ((5, 4, 3), (3, 2)),  # the shared matrix on the right
+        ((2, 5, 4, 3), (3, 2)),
+        ((2, 5, 3), (3,)),  # a shared 1-D operand on the right
+    ],
+)
+def test_shared_matrix_grad_general_shapes(rng, a_shape, b_shape):
+    a0, b0 = rng.normal(size=a_shape), rng.normal(size=b_shape)
+    out_shape = (a0 @ b0).shape
+    w = rng.normal(size=out_shape)
+    g = rng.normal(size=out_shape)
+    ga, gb = (Var(a0) @ Var(b0))._backward(g)
+    ref_a, ref_b = product_sum_matmul_grads(a0, b0, g)
+    np.testing.assert_allclose(ga, ref_a, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(gb, ref_b, rtol=0, atol=1e-12)
+
+    wc = Var(w, requires_grad=False)
+    check_grad(lambda v: (wc * (v @ b0) * (v @ b0)).sum(), a0)
+    check_grad(lambda v: (wc * (a0 @ v) * (a0 @ v)).sum(), b0)
+
+
+# -------------------------------------------------- no-in-place contract
+
+
+def _rule_cases(rng):
+    """One output node per backward rule, its inputs all requiring a
+    gradient."""
+    x = Var(rng.uniform(0.5, 2.0, size=(3, 4)))
+    y = Var(rng.uniform(0.5, 2.0, size=(3, 4)))
+    row = Var(rng.uniform(0.5, 2.0, size=4))
+    batch = Var(rng.normal(size=(2, 4, 3)))
+    vec = Var(rng.normal(size=4))
+    left, stay, right = (Var(rng.uniform(size=(3, 5))) for _ in range(3))
+    return {
+        "add": x + y,
+        "add_broadcast": x + row,
+        "neg": -x,
+        "mul": x * y,
+        "mul_broadcast": x * row,
+        "truediv": x / row,
+        "matmul": x @ Var(rng.normal(size=(4, 2))),
+        "matmul_batched": batch @ Var(rng.normal(size=(2, 3, 5))),
+        "matmul_shared_left": x @ batch,
+        "matmul_shared_right": batch @ x,
+        "matmul_vector": x @ vec,
+        "getitem_basic": x[1:, ::2],
+        "getitem_advanced": x[[0, 0, 2]],
+        "reshape": x.reshape(12),
+        "sum_all": x.sum(),
+        "sum_axis": x.sum(axis=0),
+        "log": x.log(),
+        "sqrt": x.sqrt(),
+        "abs": x.abs(),
+        "sigmoid": x.sigmoid(),
+        "softmax": x.softmax(axis=0),
+        "clip_max": x.clip_max(1.0),
+        "shift_mass": shift_mass_var(left, stay, right),
+    }
+
+
+def test_rules_leave_incoming_gradient_unchanged(rng):
+    # backward stores a first contribution as-is, so one array may be a
+    # parent's gradient and a child's at once: no rule may write into it
+    for name, out in _rule_cases(rng).items():
+        g = rng.normal(size=out.shape)
+        g.setflags(write=False)
+        before = g.copy()
+        grads = out._backward(g)
+        assert len(grads) == len(out.parents), name
+        assert np.array_equal(g, before), name
+
+
+def test_accumulating_onto_a_shared_first_contribution(rng):
+    # a's first contribution comes from the add, the same array as y's and
+    # b's; adding a's second contribution must leave those unchanged
+    x, y = Var(rng.normal(size=4)), Var(rng.normal(size=4))
+    a = x * 2.0
+    b = a + y
+    ((b * b).sum() + a.sum()).backward()
+    np.testing.assert_array_equal(y.grad, 2.0 * b.data)
+    np.testing.assert_array_equal(b.grad, 2.0 * b.data)
+    np.testing.assert_array_equal(x.grad, 2.0 * (2.0 * b.data + 1.0))

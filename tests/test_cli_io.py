@@ -456,6 +456,27 @@ class TestCli:
         csv_text = (tmp_path / "ranks.csv").read_text()
         assert csv_text.splitlines()[0] == "method,secA,secB,average_rank,top1"
 
+    def test_report_ranks_rollout_in_its_own_column(self, tmp_path):
+        # the evaluate KLs rank m1 first and the rollout KLs rank m2 first;
+        # neither file may replace the other
+        results = tmp_path / "results"
+        results.mkdir()
+        for method, ev, ro in (("m1", 0.1, 0.4), ("m2", 0.2, 0.3)):
+            (results / f"evaluate_{method}.json").write_text(json.dumps(
+                {"method": method, "section": "secA", "metrics": {"kl": ev}}
+            ))
+            (results / f"rollout_{method}.json").write_text(json.dumps(
+                {"method": method, "section": "secA", "context_len": 8, "horizon": 4,
+                 "metrics": {"kl": ro}}
+            ))
+        assert _run(["report", "--results", str(results), "--out", str(tmp_path)]) == 0
+        payload = json.loads((tmp_path / "ranks.json").read_text())
+        assert payload["methods"] == ["m1", "m2"]
+        assert payload["sections"] == ["secA", "secA:rollout"]
+        assert payload["ranks"] == [[1.0, 2.0], [2.0, 1.0]]
+        csv_text = (tmp_path / "ranks.csv").read_text()
+        assert csv_text.splitlines()[0] == "method,secA,secA:rollout,average_rank,top1"
+
     def test_report_skips_non_object_results(self, tmp_path):
         results = tmp_path / "results"
         results.mkdir()

@@ -16,6 +16,7 @@ from simplexcast.model import (
     forward,
     gradient,
     loss,
+    loss_var,
     make_batch,
     scored_positions,
     support_position_encoding,
@@ -357,6 +358,30 @@ def test_gradient_zero_for_unused_transport_params(rng):
     _, grads = gradient(batch, params)
     assert np.allclose(grads["wt_h"], 0.0)
     assert np.allclose(grads["w_rho"], 0.0)
+
+
+@pytest.mark.parametrize(
+    "feature_mode, variant, rule_nodes, leaves",
+    [("current_only", "full", 91, 7), ("full", "anchor_only", 49, 7), ("full", "full", 120, 12)],
+)
+def test_synthetic_tape_node_counts(feature_mode, variant, rule_nodes, leaves):
+    # the requires-grad nodes that one synthetic training step's backward
+    # visits, batch of 8: nodes with a backward rule, and parameter leaves
+    from simplexcast.theory import build_aliasing_dataset, default_scenario
+
+    sc = default_scenario()
+    cfg = ModelConfig(dim=sc.dim, ordered=True, feature_mode=feature_mode, variant=variant,
+                      budget=sc.effective_budget())
+    seqs = build_aliasing_dataset(sc, 8, seed=0)
+    out = loss_var(make_batch(seqs, scored_positions(seqs), cfg), CastParams.init(cfg, 0).as_vars(), cfg)
+    seen, stack = {id(out): out}, [out]
+    while stack:
+        for parent in stack.pop().parents:
+            if parent.requires_grad and id(parent) not in seen:
+                seen[id(parent)] = parent
+                stack.append(parent)
+    with_rule = sum(node._backward is not None for node in seen.values())
+    assert (with_rule, len(seen) - with_rule) == (rule_nodes, leaves)
 
 
 # ---------------------------------------------------------------- training
