@@ -12,9 +12,9 @@ When one matmul operand is a 2-D matrix shared across a batched other
 operand (a weight applied to every row of a batch), its gradient is one
 ``einsum`` of the upstream gradient with the other operand over the
 flattened batch axes. It equals summing the (batch, m, n) per-item products,
-which is never built. A node's first gradient contribution is stored as-is
-when its shape already matches, so no backward rule may write into the
-gradient it receives.
+which is never built. Every backward rule returns gradients in its parents'
+shapes, and a node's first gradient contribution is stored as-is, so no
+backward rule may write into the gradient it receives.
 """
 from __future__ import annotations
 
@@ -262,11 +262,10 @@ class Var:
                 if g is None or not parent.requires_grad:
                     continue
                 if parent.grad is None:
-                    # first contribution: stored as-is when its shape already
-                    # matches, else broadcast to it. No rule writes into its
-                    # incoming gradient, so sharing a child's buffer is safe.
-                    shape = parent.data.shape
-                    parent.grad = g if g.shape == shape else np.broadcast_to(g, shape)
+                    # first contribution: stored as-is (every rule returns its
+                    # parent's shape). No rule writes into its incoming
+                    # gradient, so sharing a child's buffer is safe.
+                    parent.grad = g
                 else:
                     parent.grad = parent.grad + g
 

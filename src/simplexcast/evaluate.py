@@ -107,10 +107,13 @@ def rank_aggregate(table: dict) -> RankMatrix:
     methods = sorted(table)
     if not methods:
         raise ValueError("empty results table")
-    sections = sorted(table[methods[0]])
+    sections = sorted(set().union(*table.values()))
     for m in methods:
-        if sorted(table[m]) != sections:
-            raise ValueError(f"method {m!r} does not cover all sections")
+        missing = [s for s in sections if s not in table[m]]
+        if missing:
+            raise ValueError(
+                f"method {m!r} does not cover all sections: no {', '.join(missing)}"
+            )
     ranks = np.zeros((len(methods), len(sections)))
     for j, sec in enumerate(sections):
         values = np.array([table[m][sec] for m in methods], dtype=np.float64)

@@ -266,6 +266,14 @@ def test_rules_leave_incoming_gradient_unchanged(rng):
         assert np.array_equal(g, before), name
 
 
+def test_rules_return_parent_shapes(rng):
+    # backward stores a first contribution without broadcasting it
+    for name, out in _rule_cases(rng).items():
+        grads = out._backward(rng.normal(size=out.shape))
+        for parent, g in zip(out.parents, grads):
+            assert g.shape == parent.shape, name
+
+
 def test_accumulating_onto_a_shared_first_contribution(rng):
     # a's first contribution comes from the add, the same array as y's and
     # b's; adding a's second contribution must leave those unchanged

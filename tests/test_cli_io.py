@@ -477,6 +477,33 @@ class TestCli:
         csv_text = (tmp_path / "ranks.csv").read_text()
         assert csv_text.splitlines()[0] == "method,secA,secA:rollout,average_rank,top1"
 
+    def test_report_on_readme_file_set(self, rng, tmp_path, capsys):
+        # README's workflow evaluates and rolls out cast and persistence into
+        # one directory; with only half of those files, report names the gap
+        ckpt, _ = self._cast_checkpoint(rng, tmp_path)
+        data = tmp_path / "d.jsonl"
+        results = tmp_path / "eval"
+        rollout = ["--context", "4", "--horizon", "3"]
+
+        def run(command, method, extra=()):
+            model = ["--model", str(ckpt)] if method == "cast" else []
+            assert _run([command, "--data", str(data), "--method", method, *model,
+                         *extra, "--out", str(results)]) == 0
+
+        report = ["report", "--results", str(results), "--out", str(tmp_path / "report")]
+        run("evaluate", "cast")
+        run("rollout", "persistence", rollout)
+        capsys.readouterr()
+        assert _run(report) == 1
+        err = capsys.readouterr().err
+        assert "method 'cast' does not cover all sections: no unit:rollout" in err
+        run("evaluate", "persistence")
+        run("rollout", "cast", rollout)
+        assert _run(report) == 0
+        payload = json.loads((tmp_path / "report" / "ranks.json").read_text())
+        assert payload["methods"] == ["cast", "persistence"]
+        assert payload["sections"] == ["unit", "unit:rollout"]
+
     def test_report_skips_non_object_results(self, tmp_path):
         results = tmp_path / "results"
         results.mkdir()
