@@ -196,7 +196,6 @@ def _cmd_aliasing_synthetic(args) -> int:
         run_synthetic_experiment,
     )
 
-    seeds = [int(s) for s in args.seeds.split(",")]
     settings = SyntheticTrainSettings()
     if args.iters is not None:
         settings.iters = args.iters
@@ -205,7 +204,7 @@ def _cmd_aliasing_synthetic(args) -> int:
         settings.n_train = args.sequences
         settings.n_val = max(args.sequences // 4, 2)
         settings.n_eval = max(args.sequences // 2, 2)
-    result = run_synthetic_experiment(default_scenario(), seeds, settings)
+    result = run_synthetic_experiment(default_scenario(), args.seeds, settings)
     result.pop("logs", None)
     _emit(args, result, "aliasing_synthetic.json")
     return 0
@@ -222,6 +221,8 @@ def _cmd_theory_check(args) -> int:
         retrieval_consistency_check,
     )
 
+    if args.scenarios < 1:
+        raise SimplexCastError(f"--scenarios must be >= 1, got {args.scenarios}")
     rng = np.random.default_rng(args.seed)
     checks = {}
 
@@ -294,7 +295,6 @@ def _cmd_seed_study(args) -> int:
     train_res = ingest(args.data)
     val_res, selected_on = _selection_split(args, train_res)
     test_res = ingest(args.test) if args.test else train_res
-    seeds = [int(s) for s in args.seeds.split(",")]
     mc = ModelConfig(
         dim=train_res.dim, ordered=train_res.ordered, **_resolve(args, RunConfig(), ("variant",))
     )
@@ -306,7 +306,7 @@ def _cmd_seed_study(args) -> int:
         params, _ = train(train_res.sequences, val_res.sequences, mc, tc, seed)
         return evaluate_offline(CastPredictor(params), test_res.sequences)
 
-    result = seed_study(runner, seeds)
+    result = seed_study(runner, args.seeds)
     payload = {
         "seeds": result.seeds,
         "per_seed": result.per_seed,
@@ -367,6 +367,16 @@ def _cmd_report(args) -> int:
 
 
 # --------------------------------------------------------------- parser
+
+
+def _seed_list(text: str) -> list[int]:
+    """The value of `--seeds`: comma-separated integers."""
+    try:
+        return [int(s) for s in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated integers, got {text!r}"
+        ) from None
 
 
 def _add_common(sub):
@@ -432,7 +442,7 @@ def build_parser() -> argparse.ArgumentParser:
     ro.set_defaults(func=_cmd_rollout)
 
     al = subs.add_parser("aliasing-synthetic", help="run the synthetic aliasing experiment")
-    al.add_argument("--seeds", default="0,1,2")
+    al.add_argument("--seeds", type=_seed_list, default="0,1,2")
     al.add_argument("--iters", type=int, default=None)
     al.add_argument("--sequences", type=int, default=None)
     _add_common(al)
@@ -455,7 +465,7 @@ def build_parser() -> argparse.ArgumentParser:
     ss.add_argument("--test", default=None)
     ss.add_argument("--variant", default=None)
     ss.add_argument("--iters", type=int, default=None)
-    ss.add_argument("--seeds", default="0,1")
+    ss.add_argument("--seeds", type=_seed_list, default="0,1")
     _add_common(ss)
     ss.set_defaults(func=_cmd_seed_study)
 

@@ -415,6 +415,22 @@ class TestCli:
             "default_scenario", "retrieval_consistency",
         }
 
+    @pytest.mark.parametrize("value", ["0", "-2"])
+    def test_theory_check_rejects_no_scenarios(self, tmp_path, capsys, value):
+        assert _run(["theory-check", "--scenarios", value, "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == f"error: --scenarios must be >= 1, got {value}\n"
+        assert not (tmp_path / "theory_check.json").exists()
+
+    @pytest.mark.parametrize("command", [
+        ["aliasing-synthetic"], ["seed-study", "--data", "unused.jsonl"],
+    ])
+    @pytest.mark.parametrize("value", [",", "", "0,x", "1,,2"])
+    def test_seeds_must_be_integers(self, tmp_path, capsys, command, value):
+        assert _run(command + ["--seeds", value, "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert f"argument --seeds: expected comma-separated integers, got {value!r}" in err
+        assert "invalid literal" not in err
+
     def test_theory_check_seed_32_passes(self, tmp_path):
         assert _run(["theory-check", "--seed", "32", "--out", str(tmp_path)]) == 0
         payload = json.loads((tmp_path / "theory_check.json").read_text())
