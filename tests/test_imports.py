@@ -1,8 +1,9 @@
 """scipy stays off the import path of every command that solves no LP.
 
 Only `theory-check` and `aliasing-synthetic` use scipy, and they import it
-inside the solvers that call it. The check runs in a fresh interpreter,
-because this test process already holds scipy through other test modules.
+inside the solvers that call it. The check imports every `simplexcast`
+module and runs the other commands in a fresh interpreter, because this
+test process already holds scipy through other test modules.
 """
 import json
 import os
@@ -12,15 +13,13 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
-# the modules that a fresh CLI process loads for its subcommands
-MODULES = ("simplexcast.cli", "simplexcast.queue_sim", "simplexcast.model",
-           "simplexcast.baselines", "simplexcast.evaluate", "simplexcast.theory")
-
 SCRIPT = """
-import importlib, json, os, sys
+import importlib, json, os, pkgutil, sys
 
-for name in {modules!r}:
-    importlib.import_module(name)
+import simplexcast
+
+for module in pkgutil.iter_modules(simplexcast.__path__):
+    importlib.import_module("simplexcast." + module.name)
 from simplexcast.cli import cli_dispatch
 
 out = sys.argv[1]
@@ -42,17 +41,15 @@ calls.append(["report", "--results", runs, "--out", out])
 codes = [cli_dispatch(argv) for argv in calls]
 before = sorted(k for k in sys.modules if k.startswith("scipy"))
 theory = cli_dispatch(["theory-check", "--scenarios", "1", "--out", out])
-print(json.dumps({{"codes": codes, "scipy_before": before, "theory": theory,
-                  "optimize_after": "scipy.optimize" in sys.modules}}))
+print(json.dumps({"codes": codes, "scipy_before": before, "theory": theory,
+                  "optimize_after": "scipy.optimize" in sys.modules}))
 """
 
 
 def test_only_the_theory_commands_load_scipy(tmp_path):
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [str(SRC)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
     proc = subprocess.run(
-        [sys.executable, "-c", SCRIPT.format(modules=MODULES), str(tmp_path)],
-        env=env, capture_output=True, text=True, check=True,
+        [sys.executable, "-c", SCRIPT, str(tmp_path)],
+        env=dict(os.environ, PYTHONPATH=str(SRC)), capture_output=True, text=True, check=True,
     )
     result = json.loads(proc.stdout.splitlines()[-1])
     assert result["codes"] == [0] * 8, proc.stderr
