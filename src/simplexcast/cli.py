@@ -239,7 +239,7 @@ def _cmd_theory_check(args) -> int:
     violations = 0
     for _ in range(args.scenarios):
         s = random_scenario(rng, int(rng.integers(3, 7)), int(rng.integers(2, 5)))
-        _, excess, deltas = anchor_only_optimum(s, [s.p_star], n_starts=8)
+        excess, deltas = anchor_only_optimum(s)
         if excess < pinsker_separation(s, deltas) - 1e-9:
             violations += 1
     checks["pinsker_separation"] = {
@@ -249,7 +249,7 @@ def _cmd_theory_check(args) -> int:
 
     scen = default_scenario()
     _, fixed = fixed_summary_optimum(scen, verify=True)
-    _, anchor_excess, deltas = anchor_only_optimum(scen, [scen.p_star], n_starts=8)
+    anchor_excess, deltas = anchor_only_optimum(scen)
     checks["default_scenario"] = {
         "fixed_summary_excess": fixed,
         "anchor_only_excess": anchor_excess,
@@ -272,6 +272,8 @@ def _cmd_theory_check(args) -> int:
 def _cmd_diagnose_aliasing(args) -> int:
     from .evaluate import aliasing_diagnostic
 
+    if args.samples < 1:
+        raise SimplexCastError(f"--samples must be >= 1, got {args.samples}")
     data = ingest(args.data)
     report = aliasing_diagnostic(
         data.sequences, n_samples=args.samples, seed=args.seed

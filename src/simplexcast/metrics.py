@@ -71,11 +71,6 @@ def js_weighted(dists, weights, eps: float = DEFAULT_EPS) -> float:
     return float(sum(w * kl(ds, mix, eps)))
 
 
-def pinsker_lower_bound(p: Dist, q: Dist):
-    """0.5 * ||p - q||_1^2, a lower bound on kl(p, q)."""
-    return 0.5 * l1(p, q) ** 2
-
-
 def metric_report(p: Dist, q: Dist, ordered: bool = False, eps: float = DEFAULT_EPS) -> dict:
     """Every metric between targets p and predictions q, by name; "w1" only
     on ordered supports. Values are scalars for a pair, (n,) for a block."""

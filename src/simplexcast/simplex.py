@@ -66,17 +66,6 @@ def smooth(p: Dist, eps: float = 1e-8) -> Dist:
     return (p + eps) / (1.0 + p.shape[-1] * eps)
 
 
-def convex_mix(a: Dist, b: Dist, lam: float) -> Dist:
-    """Entrywise lam*a + (1-lam)*b; stays on the simplex by convexity."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.shape != b.shape:
-        raise DimensionMismatch(f"shapes {a.shape} and {b.shape} differ")
-    if not 0.0 <= lam <= 1.0:
-        raise ValueError("lam must lie in [0, 1]")
-    return lam * a + (1.0 - lam) * b
-
-
 @lru_cache(maxsize=64)
 def helmert_basis(d: int) -> NDArray[np.float64]:
     """Orthonormal contrast basis ((D-1) x D): row i contrasts the first i

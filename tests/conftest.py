@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
 
+from simplexcast.errors import DimensionMismatch
+from simplexcast.metrics import l1
+
 
 @pytest.fixture
 def rng():
@@ -124,3 +127,24 @@ METRIC_REFS = {
     "bray_curtis": bray_curtis_ref,
     "w1_ordered": w1_ordered_ref,
 }
+
+
+# ------------------------------------------------------------------------
+# Closed forms that only the tests use: the anchor mix of the operator and
+# Pinsker's lower bound on KL.
+
+
+def convex_mix(a, b, lam):
+    """Entrywise lam*a + (1-lam)*b; stays on the simplex by convexity."""
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    if a.shape != b.shape:
+        raise DimensionMismatch(f"shapes {a.shape} and {b.shape} differ")
+    if not 0.0 <= lam <= 1.0:
+        raise ValueError("lam must lie in [0, 1]")
+    return lam * a + (1.0 - lam) * b
+
+
+def pinsker_lower_bound(p, q):
+    """0.5 * ||p - q||_1^2, a lower bound on kl(p, q)."""
+    return 0.5 * l1(p, q) ** 2

@@ -446,6 +446,16 @@ class TestCli:
         payload = json.loads((tmp_path / "aliasing_diagnostic.json").read_text())
         assert payload["severity"] in ("strong", "moderate", "weak")
 
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    def test_diagnose_aliasing_rejects_no_samples(self, rng, tmp_path, capsys, value):
+        data = tmp_path / "d.jsonl"
+        write_dataset(data, _seqs(rng, n=4), section_name="unit")
+        out = tmp_path / "out"
+        assert _run(["diagnose-aliasing", "--data", str(data), "--samples", value,
+                     "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: --samples must be >= 1, got {value}\n"
+        assert not (out / "aliasing_diagnostic.json").exists()
+
     def test_diagnose_aliasing_needs_two_sequences_with_a_transition(
         self, rng, tmp_path, capsys
     ):

@@ -13,11 +13,10 @@ from simplexcast.metrics import (
     kl,
     l1,
     metric_report,
-    pinsker_lower_bound,
     w1_ordered,
 )
 
-from conftest import METRIC_REFS, random_dist
+from conftest import METRIC_REFS, pinsker_lower_bound, random_dist
 
 
 def transport_lp(p, q):

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from simplexcast.errors import AllZeroMass, DimensionMismatch, NegativeMass, ZeroComponent
 from simplexcast.simplex import (
     SimplexSeries,
-    convex_mix,
     helmert_basis,
     history_windows,
     ilr_forward,
@@ -19,6 +18,7 @@ from simplexcast.simplex import (
 )
 
 from conftest import (
+    convex_mix,
     descriptor_ref,
     ilr_rows_ref,
     random_dist,

@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 
+from simplexcast import theory
 from simplexcast.errors import OptimizationNotConverged
 from simplexcast.metrics import jsd, js_weighted, kl, l1
 from simplexcast.theory import (
@@ -12,7 +13,6 @@ from simplexcast.theory import (
     cast_oracle,
     default_scenario,
     fixed_summary_optimum,
-    l1_distance_to_hull,
     numeric_fixed_summary_minimum,
     pinsker_separation,
     random_scenario,
@@ -20,6 +20,8 @@ from simplexcast.theory import (
     retrieval_consistency_check,
 )
 from simplexcast.transport import TransportKernel, apply_transport
+
+from hull_reference import anchor_hull_optimum, l1_distance_to_hull
 
 
 # ------------------------------------------------------------ scenarios
@@ -166,6 +168,9 @@ class TestFixedSummary:
 
 
 class TestAnchorOnly:
+    """`anchor_only_optimum` is the one-point class {p*} in closed form; the
+    general anchor hull is solved by the reference in hull_reference.py."""
+
     def test_hull_distance_zero_for_member(self, rng):
         points = rng.dirichlet(np.ones(5), size=3)
         w = rng.dirichlet(np.ones(3))
@@ -188,15 +193,27 @@ class TestAnchorOnly:
         # anchors that span the successors make the anchor class sufficient
         s = default_scenario()
         us = s.successors()
-        qs, excess, deltas = anchor_only_optimum(s, list(us))
+        qs, excess, deltas = anchor_hull_optimum(s, list(us))
         assert excess < 1e-9
         assert np.all(deltas < 1e-9)
         for z in range(s.k):
             np.testing.assert_allclose(qs[z], us[z], atol=1e-5)
 
+    def test_closed_form_matches_reference_solver(self):
+        rng = np.random.default_rng(11)
+        scenarios = [default_scenario()] + [
+            random_scenario(rng, int(rng.integers(3, 7)), int(rng.integers(2, 5)))
+            for _ in range(60)
+        ]
+        for s in scenarios:
+            excess, deltas = anchor_only_optimum(s)
+            _, ref_excess, ref_deltas = anchor_hull_optimum(s, [s.p_star], n_starts=4)
+            assert excess == pytest.approx(ref_excess, rel=1e-9)
+            np.testing.assert_allclose(deltas, ref_deltas, rtol=0, atol=1e-9)
+
     def test_default_scenario_separation(self):
         s = default_scenario()
-        _, excess, deltas = anchor_only_optimum(s, [s.p_star])
+        excess, deltas = anchor_only_optimum(s)
         assert np.all(deltas > 0.1)
         assert excess >= pinsker_separation(s, deltas) - 1e-9
         _, fixed = fixed_summary_optimum(s)
@@ -208,12 +225,13 @@ class TestAnchorOnly:
         for _ in range(10):
             s = random_scenario(rng, d=rng.integers(3, 6), k=rng.integers(2, 4))
             # anchor_only_optimum raises if the Pinsker bound is violated
-            _, excess, deltas = anchor_only_optimum(s, [s.p_star], n_starts=8)
+            excess, deltas = anchor_only_optimum(s)
             assert excess >= pinsker_separation(s, deltas) - 1e-9
 
-    def test_empty_anchor_set_rejected(self):
-        with pytest.raises(ValueError):
-            anchor_only_optimum(default_scenario(), [])
+    def test_excess_below_pinsker_raises(self, monkeypatch):
+        monkeypatch.setattr(theory, "kl", lambda p, q: np.zeros(len(p)))
+        with pytest.raises(OptimizationNotConverged, match="below Pinsker"):
+            anchor_only_optimum(default_scenario())
 
 
 # -------------------------------------------------------------- oracle

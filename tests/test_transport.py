@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from simplexcast.metrics import l1, w1_ordered
-from simplexcast.simplex import convex_mix, mean_support, std_support
+from simplexcast.simplex import mean_support, std_support
 from simplexcast.transport import (
     BudgetParams,
     TransportKernel,
@@ -11,7 +11,7 @@ from simplexcast.transport import (
     operator_regularizer,
 )
 
-from conftest import random_dist
+from conftest import convex_mix, random_dist
 
 REG_WEIGHTS = (5e-4, 5e-4, 1e-4, 5e-4)
 
