@@ -185,8 +185,6 @@ class Predictor:
     whole sequence, row t from steps[: t + 1] only. The default `predict_all`
     calls `predict` on each prefix, and is the reference for overrides."""
 
-    name = "predictor"
-
     def predict(self, prefix: np.ndarray) -> np.ndarray:  # pragma: no cover
         raise NotImplementedError
 
@@ -197,16 +195,13 @@ class Predictor:
 
 @dataclass
 class PersistencePredictor(Predictor):
-    name: str = "persistence"
-
     def predict(self, prefix):
         return persistence_predict(prefix)
 
 
 @dataclass
 class AnalogPredictor(Predictor):
-    bank: AnalogBank = None
-    name: str = "analog_successor"
+    bank: AnalogBank
 
     def predict(self, prefix):
         return analog_predict(prefix, self.bank)
@@ -214,8 +209,7 @@ class AnalogPredictor(Predictor):
 
 @dataclass
 class VarPredictor(Predictor):
-    coef: VarCoefficients = None
-    name: str = "ilr_var"
+    coef: VarCoefficients
 
     def predict(self, prefix):
         return ilr_var_predict(prefix, self.coef)
@@ -223,8 +217,7 @@ class VarPredictor(Predictor):
 
 @dataclass
 class EtsPredictor(Predictor):
-    fitted: EtsAlphas = None
-    name: str = "ilr_ets"
+    fitted: EtsAlphas
 
     def predict(self, prefix):
         return ets_predict(prefix, self.fitted)
@@ -232,8 +225,7 @@ class EtsPredictor(Predictor):
 
 @dataclass
 class CastPredictor(Predictor):
-    params: object = None
-    name: str = "cast"
+    params: object
 
     def predict(self, prefix):
         return self.predict_all(prefix, [len(prefix) - 1])[0]

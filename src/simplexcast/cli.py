@@ -190,22 +190,15 @@ def _cmd_rollout(args) -> int:
 
 
 def _cmd_aliasing_synthetic(args) -> int:
-    from .theory import (
-        SyntheticTrainSettings,
-        default_scenario,
-        run_synthetic_experiment,
-    )
+    from .theory import default_scenario, run_synthetic_experiment
 
-    settings = SyntheticTrainSettings()
-    if args.iters is not None:
-        settings.iters = args.iters
-        settings.anchor_iters = args.iters
-    if args.sequences is not None:
-        settings.n_train = args.sequences
-        settings.n_val = max(args.sequences // 4, 2)
-        settings.n_eval = max(args.sequences // 2, 2)
-    result = run_synthetic_experiment(default_scenario(), args.seeds, settings)
-    result.pop("logs", None)
+    if args.iters is not None and args.iters < 1:
+        raise SimplexCastError(f"--iters must be >= 1, got {args.iters}")
+    if args.sequences < 2:
+        raise SimplexCastError(f"--sequences must be >= 2, got {args.sequences}")
+    result = run_synthetic_experiment(
+        default_scenario(), args.seeds, args.sequences, args.iters
+    )
     _emit(args, result, "aliasing_synthetic.json")
     return 0
 
@@ -445,8 +438,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     al = subs.add_parser("aliasing-synthetic", help="run the synthetic aliasing experiment")
     al.add_argument("--seeds", type=_seed_list, default="0,1,2")
-    al.add_argument("--iters", type=int, default=None)
-    al.add_argument("--sequences", type=int, default=None)
+    al.add_argument("--iters", type=int, default=None,
+                    help="iterations of every trained row (default: per row)")
+    al.add_argument("--sequences", type=int, default=240,
+                    help="training sequences; validation n/4, evaluation n/2, at least 2 each")
     _add_common(al)
     al.set_defaults(func=_cmd_aliasing_synthetic)
 

@@ -28,7 +28,7 @@ from __future__ import annotations
 import json
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field, fields
 from itertools import groupby
 
 import numpy as np
@@ -234,29 +234,11 @@ class CastParams:
     def save(self, path) -> None:
         """Writes atomically (io.atomic_write)."""
         entries = [{"name": k, "shape": list(v.shape)} for k, v in self.values.items()]
-        cfg = self.cfg
-        header = {
-            "format_version": 1,
-            "entries": entries,
-            "config": {
-                "dim": cfg.dim,
-                "ordered": cfg.ordered,
-                "window": cfg.window,
-                "ew_beta": cfg.ew_beta,
-                "feature_mode": cfg.feature_mode,
-                "heads": cfg.heads,
-                "d_r": cfg.d_r,
-                "lambda_min": cfg.lambda_min,
-                "lambda_max": cfg.lambda_max,
-                "rho_max": cfg.rho_max,
-                "lambda_init": cfg.lambda_init,
-                "rho_init": cfg.rho_init,
-                "budget": [cfg.budget.delta_mu, cfg.budget.delta_sigma, cfg.budget.epsilon],
-                "reg_weights": list(cfg.reg_weights),
-                "lambda_op": cfg.lambda_op,
-                "variant": cfg.variant,
-            },
-        }
+        # every ModelConfig field, the budget as its three numbers in the
+        # order `load` passes them back to BudgetParams
+        config = {f.name: getattr(self.cfg, f.name) for f in fields(self.cfg)}
+        config["budget"] = astuple(self.cfg.budget)
+        header = {"format_version": 1, "entries": entries, "config": config}
         blob = json.dumps(header, sort_keys=True).encode()
 
         def emit(fh):

@@ -448,9 +448,6 @@ class SplitManifest:
     fractions: tuple
     seed: int
 
-    def ids(self, split: str) -> list:
-        return sorted(k for k, v in self.assignments.items() if v == split)
-
 
 def support_width(series: SimplexSeries) -> int:
     """Highest occupancy bin carrying any mass across the series."""

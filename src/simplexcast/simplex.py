@@ -24,7 +24,7 @@ SUM_TOL = 1e-9
 Dist = NDArray[np.float64]
 
 
-def as_dist(values, renormalize: bool = True) -> Dist:
+def as_dist(values) -> Dist:
     """Validate (and if slightly off, renormalize) a vector as a distribution.
 
     Inputs whose sum deviates from 1 by more than SUM_TOL are renormalized
@@ -38,7 +38,7 @@ def as_dist(values, renormalize: bool = True) -> Dist:
     s = v.sum()
     if s <= 0:
         raise AllZeroMass("distribution has zero total mass")
-    if renormalize and abs(s - 1.0) > SUM_TOL:
+    if abs(s - 1.0) > SUM_TOL:
         v = v / s
     return v
 

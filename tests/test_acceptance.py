@@ -44,7 +44,6 @@ from simplexcast.theory import (
     random_scenario,
     retrieval_consistency_check,
     run_synthetic_experiment,
-    SyntheticTrainSettings,
     build_aliasing_dataset,
 )
 from simplexcast.transport import BudgetParams, cast_step

@@ -421,6 +421,18 @@ class TestCli:
         assert capsys.readouterr().err == f"error: --scenarios must be >= 1, got {value}\n"
         assert not (tmp_path / "theory_check.json").exists()
 
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    def test_aliasing_synthetic_rejects_no_iters(self, tmp_path, capsys, value):
+        assert _run(["aliasing-synthetic", "--iters", value, "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == f"error: --iters must be >= 1, got {value}\n"
+        assert not (tmp_path / "aliasing_synthetic.json").exists()
+
+    @pytest.mark.parametrize("value", ["1", "0", "-3"])
+    def test_aliasing_synthetic_rejects_too_few_sequences(self, tmp_path, capsys, value):
+        assert _run(["aliasing-synthetic", "--sequences", value, "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == f"error: --sequences must be >= 2, got {value}\n"
+        assert not (tmp_path / "aliasing_synthetic.json").exists()
+
     @pytest.mark.parametrize("command", [
         ["aliasing-synthetic"], ["seed-study", "--data", "unused.jsonl"],
     ])

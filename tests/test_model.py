@@ -1,4 +1,5 @@
 import hashlib
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from simplexcast.baselines import CastPredictor
 from simplexcast.metrics import kl
 from simplexcast.model import (
     CastParams,
+    _CONFIG_TYPES,
     _forward_var,
     ModelConfig,
     TrainConfig,
@@ -498,6 +500,10 @@ def test_checkpoint_round_trip(tmp_path, rng):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["again.ckpt", "model.ckpt"]
 
 
+def test_checkpoint_config_keys_are_the_model_config_fields():
+    assert set(_CONFIG_TYPES) == {f.name for f in fields(ModelConfig)}
+
+
 def test_values_are_views_into_flat_and_copy_is_not():
     params = CastParams.init(small_cfg(), seed=0)
     assert params.flat.flags.c_contiguous and params.flat.dtype == np.float64
@@ -569,21 +575,39 @@ def test_train_config_accepts_boundary_values():
     TrainConfig(lr=1e-300, clip_norm=1e-300, tail_average=0.999)
 
 
-def test_train_config_accepts_synthetic_settings(monkeypatch):
-    # every TrainConfig the synthetic experiment builds from its defaults
-    from simplexcast import model, theory
+def _record_train(monkeypatch) -> list:
+    """Replaces `model.train` with a stub that records each TrainConfig and
+    returns untrained parameters."""
+    from simplexcast import model
 
     built = []
 
-    def stop(train_seqs, val_seqs, cfg, tc, seed):
+    def record(train_seqs, val_seqs, cfg, tc, seed):
         built.append(tc)
-        raise StopIteration
+        return CastParams.init(cfg, seed), []
 
-    monkeypatch.setattr(model, "train", stop)
-    settings = theory.SyntheticTrainSettings(n_train=2, n_val=2)
-    for feature_mode, variant in [("full", "full"), ("full", "anchor_only"),
-                                  ("current_only", "full")]:
-        with pytest.raises(StopIteration):
-            theory._train_synthetic_model(theory.default_scenario(), settings, 0,
-                                          feature_mode, variant)
-    assert [tc.iters for tc in built] == [600, 500, 1000]
+    monkeypatch.setattr(model, "train", record)
+    return built
+
+
+def test_train_config_accepts_synthetic_settings(monkeypatch):
+    # every TrainConfig the synthetic experiment builds from TRAINED_ROWS
+    from simplexcast import theory
+
+    built = _record_train(monkeypatch)
+    theory.run_synthetic_experiment(theory.default_scenario(), [0], n_sequences=2)
+    assert [(tc.iters, tc.lr, tc.tail_average) for tc in built] == [
+        row[3:] for row in theory.TRAINED_ROWS
+    ]
+    assert [tc.iters for tc in built] == [1000, 500, 600]
+    assert all((tc.batch_size, tc.warmup, tc.weight_decay, tc.eval_every) == (8, 50, 0.0, 100)
+               for tc in built)
+
+
+def test_aliasing_synthetic_iters_sets_every_trained_row(monkeypatch, tmp_path):
+    from simplexcast.cli import cli_dispatch
+
+    built = _record_train(monkeypatch)
+    assert cli_dispatch(["aliasing-synthetic", "--seeds", "0", "--iters", "3",
+                         "--sequences", "8", "--out", str(tmp_path)]) == 0
+    assert [(tc.iters, tc.warmup) for tc in built] == [(3, 3)] * 3
