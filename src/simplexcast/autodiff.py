@@ -1,32 +1,25 @@
 """Minimal reverse-mode automatic differentiation over numpy arrays.
 
-Only the operations needed by the forecaster are implemented: elementwise
-arithmetic with broadcasting, matmul (batched over leading axes, as numpy
-broadcasts them), reshape, indexing, sum, log/sigmoid/softmax,
-abs/sqrt/clipping, and the boundary-clipped radius-1 mass shift over the
-last axis. Gradients are accumulated on leaf nodes after ``backward`` on a
-scalar output. An operand with ``requires_grad`` False is a constant: matmul
-skips its gradient, returning None, and ``backward`` ignores None.
+Only the operations the forecaster needs are implemented: elementwise
+addition, multiplication and division with broadcasting, matmul (batched
+over leading axes, as numpy broadcasts them), reshape, sum, sigmoid and
+softmax. Larger blocks (retrieval, the anchored-transport operator and its
+prior, the KL loss) compute their values in numpy and register one node
+each, `Var(value, parents, backward)`, with a hand-written backward.
+Gradients are accumulated on leaf nodes after ``backward`` on a scalar
+output. An operand with ``requires_grad`` False is a constant: its gradient
+may be returned as None, and ``backward`` ignores None.
 
-When one matmul operand is a 2-D matrix shared across a batched other
-operand (a weight applied to every row of a batch), its gradient is one
-``einsum`` of the upstream gradient with the other operand over the
-flattened batch axes. It equals summing the (batch, m, n) per-item products,
-which is never built. Every backward rule returns gradients in its parents'
-shapes, and a node's first gradient contribution is stored as-is, so no
-backward rule may write into the gradient it receives.
+Every backward rule returns gradients in its parents' shapes, and a node's
+first gradient contribution is stored as-is, so no backward rule may write
+into the gradient it receives.
 """
 from __future__ import annotations
 
 import numpy as np
 
 
-def _batch_flat(x: np.ndarray) -> np.ndarray:
-    """(..., m, n) -> (batch, m, n), every leading axis folded into one."""
-    return x.reshape(-1, *x.shape[-2:])
-
-
-def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
+def unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
     """Reduce a broadcasted gradient back to the original operand shape."""
     if grad.shape == shape:
         return grad
@@ -37,6 +30,18 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
     if axes:
         grad = grad.sum(axis=axes, keepdims=True)
     return grad.reshape(shape)
+
+
+def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
+    """Softmax over one axis, shifted by its max so exp cannot overflow."""
+    e = np.exp(x - x.max(axis=axis, keepdims=True))
+    return e / e.sum(axis=axis, keepdims=True)
+
+
+def softmax_vjp(s: np.ndarray, g: np.ndarray, axis: int = -1) -> np.ndarray:
+    """The gradient of the softmax logits, given its output s and the
+    gradient g of that output."""
+    return s * (g - (g * s).sum(axis=axis, keepdims=True))
 
 
 class Var:
@@ -72,23 +77,12 @@ class Var:
         out = Var(self.data + other.data, (self, other))
 
         def back(g):
-            return _unbroadcast(g, self.shape), _unbroadcast(g, other.shape)
+            return unbroadcast(g, self.shape), unbroadcast(g, other.shape)
 
         out._backward = back
         return out
 
     __radd__ = __add__
-
-    def __neg__(self):
-        out = Var(-self.data, (self,))
-        out._backward = lambda g: (-g,)
-        return out
-
-    def __sub__(self, other):
-        return self + (-Var.lift(other))
-
-    def __rsub__(self, other):
-        return Var.lift(other) + (-self)
 
     def __mul__(self, other):
         other = Var.lift(other)
@@ -96,8 +90,8 @@ class Var:
 
         def back(g):
             return (
-                _unbroadcast(g * other.data, self.shape),
-                _unbroadcast(g * self.data, other.shape),
+                unbroadcast(g * other.data, self.shape),
+                unbroadcast(g * self.data, other.shape),
             )
 
         out._backward = back
@@ -111,15 +105,12 @@ class Var:
 
         def back(g):
             return (
-                _unbroadcast(g / other.data, self.shape),
-                _unbroadcast(-g * self.data / other.data**2, other.shape),
+                unbroadcast(g / other.data, self.shape),
+                unbroadcast(-g * self.data / other.data**2, other.shape),
             )
 
         out._backward = back
         return out
-
-    def __rtruediv__(self, other):
-        return Var.lift(other) / self
 
     def __matmul__(self, other):
         other = Var.lift(other)
@@ -128,8 +119,7 @@ class Var:
 
         def back(g):
             # promote 1-D operands to matrices as numpy does, then apply the
-            # batched rule; the gradient of a constant operand is skipped, and
-            # a matrix shared across the batch contracts over the batch axes
+            # batched rule; the gradient of a constant operand is skipped
             a2 = a[None, :] if a.ndim == 1 else a
             b2 = b[:, None] if b.ndim == 1 else b
             g = np.asarray(g)
@@ -139,39 +129,10 @@ class Var:
                 g = np.expand_dims(g, -2)
             ga = gb = None
             if self.requires_grad:
-                if a2.ndim == 2 and b2.ndim > 2:
-                    ga = np.einsum("bin,bjn->ij", _batch_flat(g), _batch_flat(b2))
-                else:
-                    ga = _unbroadcast(g @ np.swapaxes(b2, -1, -2), a2.shape)
-                ga = ga.reshape(a.shape)
+                ga = unbroadcast(g @ np.swapaxes(b2, -1, -2), a2.shape).reshape(a.shape)
             if other.requires_grad:
-                if b2.ndim == 2 and a2.ndim > 2:
-                    gb = np.einsum("bmi,bmj->ij", _batch_flat(a2), _batch_flat(g))
-                else:
-                    gb = _unbroadcast(np.swapaxes(a2, -1, -2) @ g, b2.shape)
-                gb = gb.reshape(b.shape)
+                gb = unbroadcast(np.swapaxes(a2, -1, -2) @ g, b2.shape).reshape(b.shape)
             return ga, gb
-
-        out._backward = back
-        return out
-
-    def __rmatmul__(self, other):
-        return Var.lift(other) @ self
-
-    def __getitem__(self, idx):
-        out = Var(self.data[idx], (self,))
-        basic = all(
-            i is None or i is Ellipsis or isinstance(i, (int, slice))
-            for i in (idx if isinstance(idx, tuple) else (idx,))
-        )
-
-        def back(g):
-            full = np.zeros_like(self.data)
-            if basic:  # a basic index selects each element at most once
-                full[idx] += g
-            else:
-                np.add.at(full, idx, g)
-            return (full,)
 
         out._backward = back
         return out
@@ -192,22 +153,6 @@ class Var:
         out._backward = back
         return out
 
-    def log(self):
-        out = Var(np.log(self.data), (self,))
-        out._backward = lambda g: (g / self.data,)
-        return out
-
-    def sqrt(self):
-        r = np.sqrt(self.data)
-        out = Var(r, (self,))
-        out._backward = lambda g: (g / (2.0 * r),)
-        return out
-
-    def abs(self):
-        out = Var(np.abs(self.data), (self,))
-        out._backward = lambda g: (g * np.sign(self.data),)
-        return out
-
     def sigmoid(self):
         s = 1.0 / (1.0 + np.exp(-self.data))
         out = Var(s, (self,))
@@ -215,23 +160,9 @@ class Var:
         return out
 
     def softmax(self, axis=-1):
-        x = self.data - self.data.max(axis=axis, keepdims=True)
-        e = np.exp(x)
-        s = e / e.sum(axis=axis, keepdims=True)
+        s = softmax(self.data, axis)
         out = Var(s, (self,))
-
-        def back(g):
-            dot = (g * s).sum(axis=axis, keepdims=True)
-            return (s * (g - dot),)
-
-        out._backward = back
-        return out
-
-    def clip_max(self, hi: float):
-        """min(x, hi); zero gradient where clipped."""
-        mask = self.data < hi
-        out = Var(np.where(mask, self.data, hi), (self,))
-        out._backward = lambda g: (g * mask,)
+        out._backward = lambda g: (softmax_vjp(s, g, axis),)
         return out
 
     # -- backward pass --------------------------------------------------
@@ -269,23 +200,3 @@ class Var:
                 else:
                     parent.grad = parent.grad + g
 
-
-def shift_mass_var(left: Var, stay: Var, right: Var) -> Var:
-    """Differentiable boundary-clipped radius-1 mass accumulation over the
-    last axis, matching transport.shift_mass."""
-    from .transport import shift_mass
-
-    out_data = shift_mass(left.data, stay.data, right.data)
-    out = Var(out_data, (left, stay, right))
-
-    def back(g):
-        gl = np.empty_like(g)
-        gl[..., 0] = g[..., 0]
-        gl[..., 1:] = g[..., :-1]
-        gr = np.empty_like(g)
-        gr[..., -1] = g[..., -1]
-        gr[..., :-1] = g[..., 1:]
-        return gl, g.copy(), gr
-
-    out._backward = back
-    return out

@@ -13,11 +13,12 @@ the theory oracle runs.
 
 The forward pass has a leading batch axis: a training step is one tape over
 all B scored positions of the batch. Retrieval is masked causal attention
-over the memories padded to the longest prefix; the memory is a constant on
-the tape, so no gradient is computed for it. Scoring (`forward`) is one pass
-per sequence: every scored row reads one shared memory of the sequence's
-(feature, successor) pairs, and the causal mask lets row t see only the
-pairs before it.
+over the memories padded to the longest prefix, computed in numpy as one
+tape node with a hand-written backward; the memory is a constant, so no
+gradient is computed for it. The KL loss is one node too. Scoring
+(`forward`) is one pass per sequence: every scored row reads one shared
+memory of the sequence's (feature, successor) pairs, and the causal mask
+lets row t see only the pairs before it.
 
 The parameters live in one float64 buffer, `CastParams.flat`, and the named
 arrays the tape reads are views into it: init, copy, save, load, the AdamW
@@ -33,7 +34,7 @@ from itertools import groupby
 
 import numpy as np
 
-from .autodiff import Var
+from .autodiff import Var, softmax, softmax_vjp
 from .errors import (
     DivergedTraining,
     EmptyBatch,
@@ -300,43 +301,68 @@ def _pad_memory(mem_feats: list, mem_succ: list):
     return feats, succ, lengths
 
 
+def _retrieval(p: np.ndarray, h: np.ndarray, memory, pv: dict[str, Var], cfg: ModelConfig):
+    """Masked causal multi-head retrieval as one tape node over the query,
+    key and head-mix weights. Row i of the current distributions p (B, D)
+    and features h (B, F) attends to its first lengths[i] slots of the
+    padded memory from `_pad_memory`; each head is a softmax over scaled
+    dot-product scores, the heads are mixed by eta = softmax(h @ w_eta), and
+    a row with no memory takes r = p. Returns r and the per-head attention
+    weights (B, T)."""
+    mem_feats, mem_succ, lengths = memory
+    mask = np.where(np.arange(mem_feats.shape[1]) < lengths[:, None], 0.0, -np.inf)
+    empty = lengths == 0
+    mask[empty, 0] = 0.0  # keeps an empty row's softmax finite; r = p below
+    has = (~empty)[:, None].astype(np.float64)
+    scale = np.sqrt(cfg.d_r)
+    parents = tuple(pv[f"{w}{m}"] for m in range(cfg.heads) for w in ("wq", "wk")) + (pv["w_eta"],)
+    eta = softmax(h @ pv["w_eta"].data)
+    qs, attn, heads = [], [], []
+    r = np.zeros_like(p)
+    for m in range(cfg.heads):
+        q = h @ pv[f"wq{m}"].data
+        u = pv[f"wk{m}"].data @ q[:, :, None]  # (B, F, 1): the query in feature space
+        alpha = softmax((mem_feats @ u)[..., 0] / scale + mask)
+        head = (alpha[:, None, :] @ mem_succ)[:, 0, :]
+        r += head * eta[:, m : m + 1]
+        qs.append(q)
+        attn.append(alpha)
+        heads.append(head)
+    mix = r
+    if empty.any():
+        r = r * has + p * (1.0 - has)
+
+    def back(g):
+        g = g * has
+        grads = []
+        for m in range(cfg.heads):
+            g_alpha = (mem_succ @ (g * eta[:, m : m + 1])[:, :, None])[..., 0]
+            g_scores = softmax_vjp(attn[m], g_alpha) / scale
+            g_u = (g_scores[:, None, :] @ mem_feats)[:, 0, :]
+            grads += [h.T @ (g_u @ pv[f"wk{m}"].data), g_u.T @ qs[m]]
+        # the softmax rule for the eta logits, s * (g - sum(s * g)), with
+        # the mix subtracted from each head before the sum over bins: two
+        # heads that nearly agree then lose no digits to cancellation
+        g_logits = eta * np.stack([np.sum(g * (head - mix), axis=-1) for head in heads], axis=1)
+        grads.append(h.T @ g_logits)
+        return tuple(grads)
+
+    return Var(r, parents, back), attn
+
+
 def _forward_var(p: np.ndarray, h: np.ndarray, memory, pv: dict[str, Var], cfg: ModelConfig):
     """Differentiable forward pass over B positions at once: current
     distributions p (B, D), features h (B, F), and the padded retrieval
-    memory from `_pad_memory` (or None). Retrieval is masked causal
-    attention: row i attends to its first lengths[i] memory slots only, and
-    a row with no memory takes r = p. Returns (p_hat, parts) where parts
-    holds the intermediate Vars, one row each, for the regularizer and
-    trace."""
+    memory from `_pad_memory` (or None). Retrieval is `_retrieval`; without
+    a memory, or with current-only features, r = p. Returns (p_hat, parts)
+    where parts holds the intermediate Vars, one row each, for the
+    regularizer and trace."""
     b, d = p.shape
     hc = Var(h, requires_grad=False)
-
-    # retrieval
-    attn = []
     if memory is not None and cfg.feature_mode != "current_only":
-        mem_feats, mem_succ, lengths = memory
-        t_max = mem_feats.shape[1]
-        mask = np.where(np.arange(t_max) < lengths[:, None], 0.0, -np.inf)
-        empty = lengths == 0
-        mask[empty, 0] = 0.0  # keeps an empty row's softmax finite; r = p below
-        mf = Var(mem_feats, requires_grad=False)
-        ms = Var(mem_succ, requires_grad=False)
-        heads = []
-        for m in range(cfg.heads):
-            q = (hc @ pv[f"wq{m}"]).reshape(b, cfg.d_r, 1)
-            scores = (mf @ (pv[f"wk{m}"] @ q)).reshape(b, t_max)
-            alpha = (scores / np.sqrt(cfg.d_r) + mask).softmax()
-            heads.append((alpha.reshape(b, 1, t_max) @ ms).reshape(b, d))
-            attn.append(alpha.data)
-        eta = (hc @ pv["w_eta"]).softmax()
-        r = heads[0] * eta[:, 0:1]
-        for m in range(1, cfg.heads):
-            r = r + heads[m] * eta[:, m : m + 1]
-        if empty.any():
-            has = (~empty)[:, None].astype(np.float64)
-            r = r * has + p * (1.0 - has)
+        r, attn = _retrieval(p, h, memory, pv, cfg)
     else:
-        r = Var(p, requires_grad=False)
+        r, attn = Var(p, requires_grad=False), []
 
     # persistence gate
     if cfg.variant == "no_persistence_mix":
@@ -387,12 +413,14 @@ def forward(steps: np.ndarray, ts, params: CastParams, feats: np.ndarray | None 
 
 
 def _kl_term(target: np.ndarray, p_hat: Var, eps: float = 1e-8) -> Var:
-    """Per-row KL(target || p_hat) over the last axis, both eps-smoothed."""
+    """Per-row KL(target || p_hat) over the last axis, both eps-smoothed,
+    as one tape node."""
     d = target.shape[-1]
     ts = (target + eps) / (1.0 + d * eps)
-    qs = (p_hat + eps) * (1.0 / (1.0 + d * eps))
-    const = np.sum(ts * np.log(ts), axis=-1)
-    return const - (Var(ts, requires_grad=False) * qs.log()).sum(axis=-1)
+    c = 1.0 / (1.0 + d * eps)
+    qs = (p_hat.data + eps) * c
+    out = np.sum(ts * np.log(ts), axis=-1) - np.sum(ts * np.log(qs), axis=-1)
+    return Var(out, (p_hat,), lambda g: (-g[..., None] * ts / qs * c,))
 
 
 def _features(seq, cfg: ModelConfig, feats_cache: dict | None) -> np.ndarray:

@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import OptimizationNotConverged
 from .metrics import DEFAULT_EPS, jsd, js_weighted, kl, l1
-from .simplex import SimplexSeries, as_dist, mean_support, normalize
+from .simplex import SimplexSeries, as_dist, mean_support
 from .transport import BudgetParams, TransportKernel, apply_transport, cast_step
 
 
@@ -241,7 +241,6 @@ def regime_markers(d: int, k: int) -> np.ndarray:
 def build_aliasing_dataset(
     scenario: AliasingScenario,
     n_sequences: int,
-    noise: float = 0.0,
     seed: int = 0,
 ) -> list:
     """Sequences [c1_z, c2_z, p*, u_z]: a two-step mixture ramp whose marker
@@ -259,10 +258,7 @@ def build_aliasing_dataset(
     for i, z in enumerate(zs):
         c1 = 0.5 * scenario.p_star + 0.5 * markers[z]
         c2 = 0.8 * scenario.p_star + 0.2 * markers[z]
-        u = us[z]
-        if noise > 0:
-            u = normalize((1.0 - noise) * u + noise * rng.dirichlet(np.ones(d)))
-        steps = np.vstack([c1, c2, scenario.p_star, u])
+        steps = np.vstack([c1, c2, scenario.p_star, us[z]])
         out.append(SimplexSeries(f"alias{i:05d}_z{z}", True, steps, mask.copy()))
     return out
 

@@ -663,18 +663,21 @@ class TestCli:
 # rows at once may differ from one-row scores in the last ulp (BLAS rounds a
 # row differently with the row count), so the cast metrics and the training
 # log's validation KL are held to 1e-12 relative; every other output must
-# keep its bytes.
+# keep its bytes. The checkpoint, the cast rollout and the training loss were
+# re-recorded when retrieval, the operator and the KL loss became single tape
+# nodes, whose backward passes round differently (parameters moved at most
+# 6e-16).
 PIPELINE_SHA256 = {
-    "model.ckpt": "76056b1815ca3ec5441e079bcb9f86ed944d665553d321b337167417c6d44bb6",
+    "model.ckpt": "8182bffbea8c223b8079b79a2924f558b22ce98fecce619097b5485c0d6f3da7",
     "evaluate_persistence.json": "030ee353061e5c26b827eeb91342bd125d58fa49b05575657998d3acddb3134d",
     "evaluate_analog.json": "22485e5a1f6d4debfccdc5c57f92b4960e327b38aba086827b8bf0878dbcc79c",
     "evaluate_var.json": "13370bf9dffc2c3a21256b9e98327ab3dd7387dcd38b90c050cb0b8f36428f22",
     "evaluate_ets.json": "adc695a2de78eb424daadcc9470a54393668ec816044cc9c1a7f88eab0f823e9",
-    "rollout_cast.json": "c1b6296293cc78c934005ef3310bc047025f217cab89b9d19c6ea0abc387ce76",
+    "rollout_cast.json": "473742f9427a530079ea94193712c4215bd46ca9dbd288a436e614afe31506f6",
 }
 PIPELINE_TRAIN_LOG = {
     "checkpoint": "model.ckpt",
-    "log": [{"step": 30, "train_loss": 0.08158190995359656, "val_kl": 0.18841308686318572}],
+    "log": [{"step": 30, "train_loss": 0.08158190995359657, "val_kl": 0.18841308686318572}],
     "selected_on": "train",
 }
 PIPELINE_CAST_METRICS = {

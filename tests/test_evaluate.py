@@ -214,7 +214,7 @@ class TestAliasingDiagnostic:
     def test_theory_dataset_shows_strong_aliasing(self):
         from simplexcast.theory import build_aliasing_dataset, default_scenario
 
-        seqs = build_aliasing_dataset(default_scenario(), 60, noise=0.0, seed=0)
+        seqs = build_aliasing_dataset(default_scenario(), 60, seed=0)
         # score only the aliased transition (position 2) by sampling widely
         rep = aliasing_diagnostic(seqs, n_samples=400, seed=1)
         # states shared across regimes have exact matches in other sequences

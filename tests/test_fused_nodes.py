@@ -1,0 +1,102 @@
+"""The fused tape nodes (retrieval, the anchored-transport operator and its
+prior, the KL loss) against `tape_reference`, which builds the same forward
+pass from one tape node per arithmetic operation.
+
+Tolerances: the loss and p_hat within 1e-14, and every gradient within
+1e-12 of the largest gradient magnitude over all parameters.
+"""
+import numpy as np
+import pytest
+
+from simplexcast.autodiff import Var
+from simplexcast.model import (
+    VARIANTS,
+    CastParams,
+    ModelConfig,
+    _forward_var,
+    loss_var,
+    make_batch,
+)
+from simplexcast.simplex import SimplexSeries
+from simplexcast.transport import BudgetParams, cast_step, operator_regularizer
+
+from tape_reference import cast_step_ref, loss_var_ref, operator_regularizer_ref
+
+# a budget so small that the mean-shift gate binds (gate < 1) on most rows
+GATE_BINDS = dict(budget=BudgetParams(0.01, 0.0), rho_max=1.0)
+
+CONFIGS = (
+    [dict(variant=v, heads=h, ordered=o) for v in VARIANTS for h in (1, 2) for o in (True, False)]
+    + [dict(heads=h, **GATE_BINDS) for h in (1, 2)]
+    + [dict(feature_mode="current_only")]
+)
+N_BATCHES = 54  # two per configuration
+
+
+def _random_batch(rng, cfg):
+    """A batch over three sequences of unequal lengths: one t = 0 row with
+    no memory and four rows with memories of different lengths."""
+    seqs = [SimplexSeries(f"s{n}", cfg.ordered, rng.dirichlet(np.ones(cfg.dim), size=n))
+            for n in (int(rng.integers(6, 10)), 5, 3)]
+    positions = [(0, 0), (0, len(seqs[0].steps) - 2), (1, 3), (2, 1), (0, 2)]
+    return make_batch(seqs, positions, cfg)
+
+
+def _grads(pv):
+    return {k: (v.grad if v.grad is not None else np.zeros_like(v.data)) for k, v in pv.items()}
+
+
+def _assert_grads_close(got: dict, want: dict):
+    scale = max(np.abs(g).max() for g in want.values())
+    for k in want:
+        assert np.abs(got[k] - want[k]).max() <= 1e-12 * scale, k
+
+
+@pytest.mark.parametrize("i", range(N_BATCHES))
+def test_fused_loss_and_gradients_match_reference(i):
+    rng = np.random.default_rng(1000 + i)
+    kw = CONFIGS[i % len(CONFIGS)]
+    cfg = ModelConfig(dim=int(rng.integers(3, 8)),
+                      **{"ordered": True, "window": 3, "d_r": 6, **kw})
+    params = CastParams.init(cfg, seed=i)
+    batch = _random_batch(rng, cfg)
+
+    pv = params.as_vars()
+    out = loss_var(batch, pv, cfg)
+    out.backward()
+    pv_ref = params.as_vars()
+    ref, p_hat_ref = loss_var_ref(batch, pv_ref, cfg)
+    ref.backward()
+
+    assert abs(out.item() - ref.item()) <= 1e-14
+    p_hat, parts = _forward_var(*batch[:3], params.as_vars(), cfg)
+    assert np.abs(p_hat.data - p_hat_ref.data).max() <= 1e-14
+    _assert_grads_close(_grads(pv), _grads(pv_ref))
+    if kw.get("budget") is GATE_BINDS["budget"]:
+        assert np.any(parts["rho_eff"].data < parts["rho"].data)  # the gate binds
+
+
+@pytest.mark.parametrize("budget", [BudgetParams(), BudgetParams(0.01, 0.0)])
+def test_operator_matches_reference_on_oracle_shapes(rng, budget):
+    # theory.cast_oracle's call: one distribution, scalar lam and rho, and
+    # one (D, 3) array kernel, here with every input on the tape
+    for _ in range(10):
+        d = int(rng.integers(3, 9))
+        p, r = rng.dirichlet(np.ones(d)), rng.dirichlet(np.ones(d))
+        inputs = (r, float(rng.uniform()), rng.dirichlet(np.ones(3), size=d),
+                  float(rng.uniform(0.0, 1.0)))
+        w = rng.normal(size=d)
+        results = []
+        for step, prior in ((cast_step, operator_regularizer),
+                            (cast_step_ref, operator_regularizer_ref)):
+            leaves = [Var(np.array(x)) for x in inputs]
+            r_v, lam_v, k_v, rho_v = leaves
+            parts = step(p, r_v, lam_v, k_v, rho_v, budget)
+            out = (parts["p_hat"] * w).sum() + prior(parts, (0.1, 0.2, 0.3, 0.4))
+            out.backward()
+            grads = {j: v.grad for j, v in enumerate(leaves)}
+            results.append((out.item(), parts["p_hat"].data, grads))
+        (got, got_p, got_g), (want, want_p, want_g) = results
+        assert abs(got - want) <= 1e-14 * max(1.0, abs(want))
+        assert np.abs(got_p - want_p).max() <= 1e-14
+        _assert_grads_close(got_g, want_g)

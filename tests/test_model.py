@@ -25,6 +25,7 @@ from simplexcast.model import (
     train,
 )
 from simplexcast.simplex import SimplexSeries, mean_support, std_support
+from simplexcast.transport import BudgetParams
 
 from conftest import random_dist, val_kl_ref
 
@@ -282,13 +283,23 @@ def _unflatten(params, flat):
     return out
 
 
-@pytest.mark.parametrize("variant", ["full", "no_structural_reg", "anchor_only",
-                                     "fixed_local_kernel", "no_persistence_mix"])
-def test_gradient_matches_finite_differences(rng, variant):
-    cfg = small_cfg(variant=variant)
+FD_VARIANTS = ("full", "no_structural_reg", "anchor_only", "fixed_local_kernel",
+               "no_persistence_mix")
+# a budget so small that the mean-shift gate binds (gate < 1), with room for
+# the strength to grow
+GATE_BINDS = dict(budget=BudgetParams(0.01, 0.0), rho_max=1.0)
+
+
+@pytest.mark.parametrize("kw", [dict(variant=v) for v in FD_VARIANTS] + [GATE_BINDS],
+                         ids=list(FD_VARIANTS) + ["gate_binds"])
+def test_gradient_matches_finite_differences(rng, kw):
+    cfg = small_cfg(**kw)
     params = CastParams.init(cfg, seed=7)
     seqs = [random_series(rng, 7, cfg.dim, f"s{i}") for i in range(2)]
     batch = make_batch(seqs, [(0, 4), (1, 5), (0, 2)], cfg)
+    if kw is GATE_BINDS:
+        parts = _forward_var(*batch[:3], params.as_vars(), cfg)[1]
+        assert np.any(parts["rho_eff"].data < parts["rho"].data)
 
     _, grads = gradient(batch, params)
     flat_grad = np.concatenate([grads[k].ravel() for k in sorted(grads)])
@@ -364,7 +375,7 @@ def test_gradient_zero_for_unused_transport_params(rng):
 
 @pytest.mark.parametrize(
     "feature_mode, variant, rule_nodes, leaves",
-    [("current_only", "full", 91, 7), ("full", "anchor_only", 49, 7), ("full", "full", 120, 12)],
+    [("current_only", "full", 24, 7), ("full", "anchor_only", 10, 7), ("full", "full", 25, 12)],
 )
 def test_synthetic_tape_node_counts(feature_mode, variant, rule_nodes, leaves):
     # the requires-grad nodes that one synthetic training step's backward
@@ -417,7 +428,7 @@ def test_train_checkpoint_golden_with_clipping_and_tail_average(tmp_path):
     path = tmp_path / "model.ckpt"
     params.save(path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == (
-        "9090c04928ef8b2b805a6473f706bdb6328d5fa828c6949b823485ef75fdcfe3"
+        "208ea56aac7418d0d481eeafe3f44826938f63271475b7c29d428463ec235e86"
     )
 
 
