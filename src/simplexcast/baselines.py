@@ -2,10 +2,11 @@
 persistence, weighted analog retrieval, VAR and simple exponential smoothing in
 ilr coordinates.
 
-Each baseline reads a sequence through the block primitives of `simplex`:
-analog windows are `history_windows` rows, VAR and ETS take the ilr
-coordinates of a whole (T, D) block in one `ilr_forward` call, and ETS levels
-are `smoothed_levels`."""
+Each baseline is one `Predictor` subclass that holds its fitted state, and its
+fitter (`build_analog_bank`, `ilr_var_fit`, `ets_fit`) returns it. Each reads
+a sequence through the block primitives of `simplex`: analog windows are
+`history_windows` rows, VAR and ETS take the ilr coordinates of a whole (T, D)
+block in one `ilr_forward` call, and ETS levels are `smoothed_levels`."""
 from __future__ import annotations
 
 import logging
@@ -21,19 +22,38 @@ logger = logging.getLogger(__name__)
 ETS_ALPHA_GRID = np.round(np.arange(0.05, 0.951, 0.05), 2)
 
 
-def persistence_predict(prefix: np.ndarray) -> np.ndarray:
-    prefix = np.asarray(prefix, dtype=np.float64)
-    if prefix.ndim != 2 or len(prefix) == 0:
-        raise EmptyPrefix("persistence needs a nonempty prefix")
-    return prefix[-1].copy()
+class Predictor:
+    """Uniform one-step interface used by the evaluation harness. `predict`
+    forecasts the step after a prefix; `predict_all` forecasts rows `ts` of a
+    whole sequence, row t from steps[: t + 1] only. The default `predict_all`
+    calls `predict` on each prefix, and is the reference for overrides."""
+
+    def predict(self, prefix: np.ndarray) -> np.ndarray:  # pragma: no cover
+        raise NotImplementedError
+
+    def predict_all(self, steps: np.ndarray, ts) -> np.ndarray:
+        """One-step forecasts for rows `ts` of one sequence, (len(ts), D)."""
+        return np.array([self.predict(steps[: t + 1]) for t in ts])
+
+
+class PersistencePredictor(Predictor):
+    """Forecasts the last observed step."""
+
+    def predict(self, prefix):
+        prefix = np.asarray(prefix, dtype=np.float64)
+        if prefix.ndim != 2 or len(prefix) == 0:
+            raise EmptyPrefix("persistence needs a nonempty prefix")
+        return prefix[-1].copy()
 
 
 # ------------------------------------------------------------------ analog
 
 
 @dataclass
-class AnalogBank:
-    """Train-split memory of (flattened context window, successor) pairs."""
+class AnalogPredictor(Predictor):
+    """Train-split memory of (flattened context window, successor) pairs; a
+    forecast is the Gaussian-kernel average of the k nearest windows'
+    successors."""
 
     windows: np.ndarray  # (n, w * D)
     successors: np.ndarray  # (n, D)
@@ -41,9 +61,26 @@ class AnalogBank:
     k: int = 8
     bandwidth: float = 1.0
 
+    def predict(self, prefix):
+        prefix = np.asarray(prefix, dtype=np.float64)
+        if len(prefix) == 0:
+            raise EmptyPrefix("analog prediction needs a nonempty prefix")
+        if len(self.windows) == 0:
+            raise EmptyBank("empty analog bank")
+        query = history_windows(prefix[-self.w :], self.w)[-1]
+        dist = np.abs(self.windows - query).sum(axis=1)
+        k = min(self.k, len(dist))
+        idx = np.argpartition(dist, k - 1)[:k]
+        idx = idx[np.argsort(dist[idx], kind="stable")]
+        weights = np.exp(-(dist[idx] ** 2) / (2.0 * self.bandwidth**2))
+        if weights.sum() <= 0:
+            weights = np.ones(k)
+        weights = weights / weights.sum()
+        return weights @ self.successors[idx]
+
 
 def build_analog_bank(train_seqs, w: int = 4, k: int = 8, max_pairs: int = 50000,
-                      seed: int = 0) -> AnalogBank:
+                      seed: int = 0) -> AnalogPredictor:
     windows, succs = [], []
     for seq in train_seqs:
         steps = np.asarray(seq.steps, dtype=np.float64)
@@ -67,38 +104,33 @@ def build_analog_bank(train_seqs, w: int = 4, k: int = 8, max_pairs: int = 50000
     bw = float(np.median(nearest))
     if not np.isfinite(bw) or bw <= 0:
         bw = 1.0
-    return AnalogBank(windows, succs, w=w, k=k, bandwidth=bw)
-
-
-def analog_predict(prefix: np.ndarray, bank: AnalogBank) -> np.ndarray:
-    prefix = np.asarray(prefix, dtype=np.float64)
-    if len(prefix) == 0:
-        raise EmptyPrefix("analog prediction needs a nonempty prefix")
-    if len(bank.windows) == 0:
-        raise EmptyBank("empty analog bank")
-    query = history_windows(prefix[-bank.w :], bank.w)[-1]
-    dist = np.abs(bank.windows - query).sum(axis=1)
-    k = min(bank.k, len(dist))
-    idx = np.argpartition(dist, k - 1)[:k]
-    idx = idx[np.argsort(dist[idx], kind="stable")]
-    weights = np.exp(-(dist[idx] ** 2) / (2.0 * bank.bandwidth**2))
-    if weights.sum() <= 0:
-        weights = np.ones(k)
-    weights = weights / weights.sum()
-    return weights @ bank.successors[idx]
+    return AnalogPredictor(windows, succs, w=w, k=k, bandwidth=bw)
 
 
 # ------------------------------------------------------------------ ilr VAR
 
 
 @dataclass
-class VarCoefficients:
+class VarPredictor(Predictor):
+    """VAR(order) with intercept in ilr coordinates; persistence when `matrix`
+    is None or the prefix is shorter than the order."""
+
     order: int
-    matrix: np.ndarray | None  # (p * (D - 1) + 1, D - 1); None means fallback
-    dim: int = 0
+    matrix: np.ndarray | None  # (order * (D - 1) + 1, D - 1)
+
+    def predict(self, prefix):
+        prefix = np.asarray(prefix, dtype=np.float64)
+        if len(prefix) == 0:
+            raise EmptyPrefix("VAR prediction needs a nonempty prefix")
+        if self.matrix is None or len(prefix) < self.order:
+            return prefix[-1].copy()
+        lags = ilr_forward(smooth(prefix[: -self.order - 1 : -1]))  # newest first
+        x = np.append(lags, 1.0)
+        z_next = x @ self.matrix
+        return ilr_inverse(z_next, prefix.shape[1])
 
 
-def ilr_var_fit(train_seqs, order: int = 1, ridge: float = 1e-6) -> VarCoefficients:
+def ilr_var_fit(train_seqs, order: int = 1, ridge: float = 1e-6) -> VarPredictor:
     """Pooled ordinary least squares VAR(p) with intercept in ilr coordinates.
     Falls back to persistence (matrix=None) when there are too few pairs."""
     xs, ys = [], []
@@ -121,36 +153,33 @@ def ilr_var_fit(train_seqs, order: int = 1, ridge: float = 1e-6) -> VarCoefficie
             "ilr VAR(%d): %d pairs < %d columns; falling back to persistence",
             order, n_pairs, n_cols,
         )
-        return VarCoefficients(order, None, dim or 0)
+        return VarPredictor(order, None)
     x = np.concatenate(xs)
     y = np.concatenate(ys)
     gram = x.T @ x + ridge * np.eye(x.shape[1])
     theta = np.linalg.solve(gram, x.T @ y)
-    return VarCoefficients(order, theta, dim)
-
-
-def ilr_var_predict(prefix: np.ndarray, coef: VarCoefficients) -> np.ndarray:
-    prefix = np.asarray(prefix, dtype=np.float64)
-    if len(prefix) == 0:
-        raise EmptyPrefix("VAR prediction needs a nonempty prefix")
-    if coef.matrix is None or len(prefix) < coef.order:
-        return persistence_predict(prefix)
-    lags = ilr_forward(smooth(prefix[: -coef.order - 1 : -1]))  # newest first
-    x = np.append(lags, 1.0)
-    z_next = x @ coef.matrix
-    return ilr_inverse(z_next, prefix.shape[1])
+    return VarPredictor(order, theta)
 
 
 # ------------------------------------------------------------------ ilr ETS
 
 
 @dataclass
-class EtsAlphas:
+class EtsPredictor(Predictor):
+    """Simple exponential smoothing of each ilr coordinate; the forecast is
+    the last smoothed level."""
+
     alphas: np.ndarray  # (D - 1,)
-    dim: int
+
+    def predict(self, prefix):
+        prefix = np.asarray(prefix, dtype=np.float64)
+        if len(prefix) == 0:
+            raise EmptyPrefix("ETS prediction needs a nonempty prefix")
+        level = smoothed_levels(ilr_forward(smooth(prefix)), self.alphas)[-1]
+        return ilr_inverse(level, prefix.shape[1])
 
 
-def ets_fit(train_seqs) -> EtsAlphas:
+def ets_fit(train_seqs) -> EtsPredictor:
     """Per-ilr-coordinate grid search for the smoothing weight minimizing
     pooled one-step-ahead squared error."""
     if not train_seqs:
@@ -165,62 +194,10 @@ def ets_fit(train_seqs) -> EtsAlphas:
             levels = smoothed_levels(z, alpha)
             errors[ai] += ((z[1:] - levels[:-1]) ** 2).sum(axis=0)
     best = np.argmin(errors, axis=0)
-    return EtsAlphas(ETS_ALPHA_GRID[best], dim)
+    return EtsPredictor(ETS_ALPHA_GRID[best])
 
 
-def ets_predict(prefix: np.ndarray, fitted: EtsAlphas) -> np.ndarray:
-    prefix = np.asarray(prefix, dtype=np.float64)
-    if len(prefix) == 0:
-        raise EmptyPrefix("ETS prediction needs a nonempty prefix")
-    level = smoothed_levels(ilr_forward(smooth(prefix)), fitted.alphas)[-1]
-    return ilr_inverse(level, prefix.shape[1])
-
-
-# ---------------------------------------------------------------- wrappers
-
-
-class Predictor:
-    """Uniform one-step interface used by the evaluation harness. `predict`
-    forecasts the step after a prefix; `predict_all` forecasts rows `ts` of a
-    whole sequence, row t from steps[: t + 1] only. The default `predict_all`
-    calls `predict` on each prefix, and is the reference for overrides."""
-
-    def predict(self, prefix: np.ndarray) -> np.ndarray:  # pragma: no cover
-        raise NotImplementedError
-
-    def predict_all(self, steps: np.ndarray, ts) -> np.ndarray:
-        """One-step forecasts for rows `ts` of one sequence, (len(ts), D)."""
-        return np.array([self.predict(steps[: t + 1]) for t in ts])
-
-
-@dataclass
-class PersistencePredictor(Predictor):
-    def predict(self, prefix):
-        return persistence_predict(prefix)
-
-
-@dataclass
-class AnalogPredictor(Predictor):
-    bank: AnalogBank
-
-    def predict(self, prefix):
-        return analog_predict(prefix, self.bank)
-
-
-@dataclass
-class VarPredictor(Predictor):
-    coef: VarCoefficients
-
-    def predict(self, prefix):
-        return ilr_var_predict(prefix, self.coef)
-
-
-@dataclass
-class EtsPredictor(Predictor):
-    fitted: EtsAlphas
-
-    def predict(self, prefix):
-        return ets_predict(prefix, self.fitted)
+# -------------------------------------------------------------------- cast
 
 
 @dataclass

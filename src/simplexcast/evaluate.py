@@ -146,26 +146,19 @@ class DiagnosticThresholds:
     max_neighbor_jsd: float = 0.05
 
 
-@dataclass
-class DiagnosticReport:
-    neighbor_jsd_quantiles: dict
-    successor_jsd_quantiles: dict
-    history_better_rate: float | None
-    n_samples: int
-    severity: str
-
-
 def aliasing_diagnostic(
     seqs,
     n_samples: int = 500,
     thresholds: DiagnosticThresholds | None = None,
     window: int = 8,
     seed: int = 0,
-) -> DiagnosticReport:
+) -> dict:
     """Measures how ambiguous the current distribution is as a predictor of
     the successor. For sampled (state, successor) pairs, finds the nearest
     cross-sequence state by current-distribution JSD and records both the
-    neighbor JSD and the successor JSD. Each candidate sequence's states
+    neighbor JSD and the successor JSD, and returns their median and q90 as
+    `neighbor_jsd` and `successor_jsd`, with `history_better_rate`,
+    `n_samples` and `severity`. Each candidate sequence's states
     with a successor are scored as one block against the sampled state; ties
     go to the first minimum in sequence order, then position order, and
     sequences without a transition are never candidates. history_better_rate
@@ -240,26 +233,19 @@ def aliasing_diagnostic(
         severity = "moderate"
     else:
         severity = "weak"
-    return DiagnosticReport(
-        neighbor_jsd_quantiles=neigh_q,
-        successor_jsd_quantiles=succ_q,
-        history_better_rate=rate,
-        n_samples=take,
-        severity=severity,
-    )
+    return {
+        "neighbor_jsd": neigh_q,
+        "successor_jsd": succ_q,
+        "history_better_rate": rate,
+        "n_samples": take,
+        "severity": severity,
+    }
 
 
-@dataclass
-class SeedStudyResult:
-    seeds: list
-    per_seed: list  # list of per-metric dicts
-    mean: dict
-    sd: dict
-
-
-def seed_study(runner, seeds) -> SeedStudyResult:
-    """Runs `runner(seed) -> {metric: value}` once per seed and reports the
-    per-metric mean and sample standard deviation."""
+def seed_study(runner, seeds) -> dict:
+    """Runs `runner(seed) -> {metric: value}` once per seed. Returns the
+    seeds, the per-seed metric dicts (`per_seed`), and the per-metric `mean`
+    and sample standard deviation (`sd`)."""
     seeds = list(seeds)
     if len(seeds) < 2:
         raise ValueError("seed study needs at least two seeds")
@@ -274,4 +260,4 @@ def seed_study(runner, seeds) -> SeedStudyResult:
         vals = np.array([row[name] for row in per_seed], dtype=np.float64)
         mean[name] = float(vals.mean())
         sd[name] = float(vals.std(ddof=1))
-    return SeedStudyResult(seeds=seeds, per_seed=per_seed, mean=mean, sd=sd)
+    return {"seeds": seeds, "per_seed": per_seed, "mean": mean, "sd": sd}

@@ -106,10 +106,6 @@ class ServiceTimeFamily:
     def to_json(self) -> dict:
         return {"name": self.name, "params": dict(self.params)}
 
-    @staticmethod
-    def from_json(obj: dict) -> "ServiceTimeFamily":
-        return ServiceTimeFamily(obj["name"], dict(obj["params"]))
-
 
 @dataclass(frozen=True)
 class Modulation:
@@ -175,19 +171,6 @@ class QueueConfig:
             "dt": self.dt,
             "seed": self.seed,
         }
-
-    @staticmethod
-    def from_json(obj: dict) -> "QueueConfig":
-        mod = obj.get("modulation")
-        return QueueConfig(
-            arrival=ServiceTimeFamily.from_json(obj["arrival"]),
-            service=ServiceTimeFamily.from_json(obj["service"]),
-            modulation=None if mod is None else Modulation(**mod),
-            n_arrivals=obj["n_arrivals"],
-            n_replications=obj["n_replications"],
-            dt=obj["dt"],
-            seed=obj["seed"],
-        )
 
 
 def _replication_rng(master_seed: int, system_index: int, replication: int):
@@ -442,13 +425,6 @@ def generate_section(
 # ------------------------------------------------------------------- split
 
 
-@dataclass
-class SplitManifest:
-    assignments: dict  # system_id -> "train" | "val" | "test"
-    fractions: tuple
-    seed: int
-
-
 def support_width(series: SimplexSeries) -> int:
     """Highest occupancy bin carrying any mass across the series."""
     nz = np.flatnonzero(series.steps.sum(axis=0) > 0)
@@ -459,11 +435,12 @@ def split_systems(
     systems: list,
     fractions: tuple = (0.7, 0.1, 0.2),
     seed: int = 0,
-) -> SplitManifest:
+) -> dict:
     """Whole-system split stratified by support width: systems are ordered by
     width (ties shuffled) and streamed to the split with the largest deficit
     against its target fraction, which keeps every width decile and the global
-    counts within one system of proportional."""
+    counts within one system of proportional. Returns system id -> "train",
+    "val" or "test"."""
     if len(systems) < 10:
         raise TooFewSystems(f"need >= 10 systems, got {len(systems)}")
     if not np.isclose(sum(fractions), 1.0):
@@ -480,4 +457,4 @@ def split_systems(
         pick = int(np.argmax(deficits))
         counts[pick] += 1
         assignments[systems[idx].id] = names[pick]
-    return SplitManifest(assignments, tuple(fractions), seed)
+    return assignments

@@ -201,16 +201,10 @@ def anchor_only_optimum(scenario: AliasingScenario) -> tuple[float, np.ndarray]:
     of p* alone, {lambda p* + (1 - lambda) r : r in hull({p*})} = {p*}: the
     prediction is p* itself, its excess risk sum_z pi_z KL(u_z || p*), and
     each regime's gap delta_z = ||u_z - p*||_1. Returns (excess, deltas);
-    raises when the excess falls below the Pinsker separation."""
+    `theory-check` compares the excess with `pinsker_separation`."""
     us = scenario.successors()
     excess = float(scenario.pis @ kl(us, scenario.p_star))
-    deltas = l1(us, scenario.p_star)
-    lower = pinsker_separation(scenario, deltas)
-    if excess < lower - 1e-9:
-        raise OptimizationNotConverged(
-            f"excess {excess:.3e} below Pinsker separation {lower:.3e}"
-        )
-    return excess, deltas
+    return excess, l1(us, scenario.p_star)
 
 
 # --------------------------------------------------------- oracle
@@ -359,26 +353,19 @@ def run_synthetic_experiment(
 # --------------------------------------- retrieval consistency
 
 
-@dataclass
-class RetrievalConsistencyReport:
-    lipschitz: float
-    densities: list
-    max_nn_distance: list
-    max_error: list
-    violations: int
-
-
 def retrieval_consistency_check(
     d: int = 8,
     densities=(50, 100, 200, 400),
     n_queries: int = 1000,
     noise_l1: float = 0.02,
     seed: int = 0,
-) -> RetrievalConsistencyReport:
+) -> dict:
     """Synthetic Lipschitz successor map: m(h) = base + V h with V's columns
     summing to zero, so m maps the simplex into itself and is L-Lipschitz in
     L1 with L = max column absolute sum. Checks the 1-NN retrieval error
-    bound error <= L * d_t + ||xi||_1 at every query and density."""
+    bound error <= L * d_t + ||xi||_1 at every query and density. Returns
+    `lipschitz` (L), the count of `violations`, and per density the largest
+    nearest-neighbor distance (`max_nn_distance`) and error (`max_error`)."""
     rng = np.random.default_rng(seed)
     base = rng.dirichlet(np.ones(d))
     v = 0.05 * rng.standard_normal((d, d))
@@ -411,4 +398,5 @@ def retrieval_consistency_check(
             worst_e = max(worst_e, err)
         max_d.append(worst_d)
         max_err.append(worst_e)
-    return RetrievalConsistencyReport(lip, list(densities), max_d, max_err, violations)
+    return {"lipschitz": lip, "violations": violations, "max_nn_distance": max_d,
+            "max_error": max_err}

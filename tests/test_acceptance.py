@@ -242,7 +242,7 @@ def test_criterion_6_retrieval_approximation_bound():
         report = retrieval_consistency_check(
             d=6 + seed, densities=(50, 200), n_queries=125, seed=seed
         )
-        violations += report.violations
+        violations += report["violations"]
         total_queries += 125 * 2
     ok = violations == 0 and total_queries >= 1000
     _report(6, "retrieval approximation bound, 1e3 scenarios", ok,
@@ -313,7 +313,7 @@ def test_criterion_7_queue_simulator():
         systems.append(SimplexSeries(f"sys{i:05d}", True, steps, None))
     manifest = split_systems(systems, fractions=(0.7, 0.1, 0.2), seed=9)
     counts = {
-        name: sum(v == name for v in manifest.assignments.values())
+        name: sum(v == name for v in manifest.values())
         for name in ("train", "val", "test")
     }
     elapsed = time.time() - t0
@@ -390,7 +390,7 @@ def _queue_split_sections(section, n_systems, seed, n_arrivals, n_replications):
     manifest = split_systems(sec.systems, seed=seed)
     by_split = {"train": [], "val": [], "test": []}
     for s in sec.systems:
-        by_split[manifest.assignments[s.id]].append(s)
+        by_split[manifest[s.id]].append(s)
     return by_split
 
 

@@ -2,17 +2,15 @@ import numpy as np
 import pytest
 
 from simplexcast.baselines import (
-    AnalogBank,
-    CastPredictor,
     ETS_ALPHA_GRID,
+    AnalogPredictor,
+    CastPredictor,
+    EtsPredictor,
+    PersistencePredictor,
     Predictor,
-    analog_predict,
     build_analog_bank,
     ets_fit,
-    ets_predict,
     ilr_var_fit,
-    ilr_var_predict,
-    persistence_predict,
 )
 from simplexcast.errors import EmptyBank, EmptyPrefix
 from simplexcast.simplex import SimplexSeries, ilr_forward, ilr_inverse, smooth, smoothed_levels
@@ -30,13 +28,13 @@ def series_from(rng, t_len, d, seq_id="s"):
 
 def test_persistence_returns_last():
     a, b, c = np.eye(3)
-    assert np.array_equal(persistence_predict(np.array([a, b, c])), c)
-    assert np.array_equal(persistence_predict(np.array([a])), a)
+    assert np.array_equal(PersistencePredictor().predict(np.array([a, b, c])), c)
+    assert np.array_equal(PersistencePredictor().predict(np.array([a])), a)
 
 
 def test_persistence_empty_prefix():
     with pytest.raises(EmptyPrefix):
-        persistence_predict(np.empty((0, 3)))
+        PersistencePredictor().predict(np.empty((0, 3)))
 
 
 # ------------------------------------------------------------------ analog
@@ -47,7 +45,7 @@ def test_analog_exact_match_returns_successor(rng):
     bank = build_analog_bank(seqs, w=3, k=1)
     steps = seqs[0].steps
     # query = the exact training window ending at t=4; k=1 picks distance 0
-    pred = analog_predict(steps[:5], bank)
+    pred = bank.predict(steps[:5])
     assert np.allclose(pred, steps[5])
 
 
@@ -55,8 +53,8 @@ def test_analog_constant_successors(rng):
     u = random_dist(rng, 4)
     windows = np.array([random_dist(rng, 4 * 2).ravel() for _ in range(6)])
     windows = windows.reshape(6, -1)
-    bank = AnalogBank(windows, np.tile(u, (6, 1)), w=2, k=4, bandwidth=0.5)
-    pred = analog_predict(np.array([random_dist(rng, 4), random_dist(rng, 4)]), bank)
+    bank = AnalogPredictor(windows, np.tile(u, (6, 1)), w=2, k=4, bandwidth=0.5)
+    pred = bank.predict(np.array([random_dist(rng, 4), random_dist(rng, 4)]))
     assert np.allclose(pred, u)
 
 
@@ -68,16 +66,16 @@ def test_analog_equal_distances_average():
     # two bank windows symmetric around the query: equal L1 distance
     w1 = np.concatenate([p, np.array([0.5, 0.3, 0.2])])
     w2 = np.concatenate([p, np.array([0.2, 0.3, 0.5])])
-    bank = AnalogBank(np.array([w1, w2]), np.array([s1, s2]), w=2, k=2, bandwidth=1.0)
+    bank = AnalogPredictor(np.array([w1, w2]), np.array([s1, s2]), w=2, k=2, bandwidth=1.0)
     query = np.array([p, np.array([0.35, 0.3, 0.35])])
-    pred = analog_predict(query, bank)
+    pred = bank.predict(query)
     assert np.allclose(pred, 0.5 * (s1 + s2))
 
 
 def test_analog_output_in_hull_and_simplex(rng):
     seqs = [series_from(rng, 10, 5, f"s{i}") for i in range(2)]
     bank = build_analog_bank(seqs, w=4, k=8)
-    pred = analog_predict(seqs[0].steps[:6], bank)
+    pred = bank.predict(seqs[0].steps[:6])
     assert np.isclose(pred.sum(), 1.0)
     assert np.all(pred >= -1e-12)
     assert pred.min() >= bank.successors.min() - 1e-12
@@ -85,9 +83,9 @@ def test_analog_output_in_hull_and_simplex(rng):
 
 
 def test_analog_empty_bank():
-    bank = AnalogBank(np.empty((0, 4)), np.empty((0, 2)), w=2, k=1)
+    bank = AnalogPredictor(np.empty((0, 4)), np.empty((0, 2)), w=2, k=1)
     with pytest.raises(EmptyBank):
-        analog_predict(np.full((1, 2), 0.5), bank)
+        bank.predict(np.full((1, 2), 0.5))
 
 
 # ------------------------------------------------------------------ ilr VAR
@@ -117,13 +115,13 @@ def test_var_recovers_generator(rng):
     for i in range(1, 4):
         more, _, _ = _var_generated_series(rng, d, 40, a=a_true, c=c_true)
         seqs.append(SimplexSeries(f"gen{i}", True, more))
-    coef = ilr_var_fit(seqs, order=1)
+    var = ilr_var_fit(seqs, order=1)
     # layout: first (d-1) rows = lag matrix (transposed), last row = intercept
-    a_fit = coef.matrix[: d - 1].T
-    c_fit = coef.matrix[-1]
+    a_fit = var.matrix[: d - 1].T
+    c_fit = var.matrix[-1]
     assert np.allclose(a_fit, a_true, atol=1e-5)
     assert np.allclose(c_fit, c_true, atol=1e-5)
-    pred = ilr_var_predict(steps[:10], coef)
+    pred = var.predict(steps[:10])
     z_next = a_true @ ilr_forward(smooth(steps[9])) + c_true
     assert np.allclose(pred, ilr_inverse(z_next, d), atol=1e-5)
 
@@ -131,17 +129,17 @@ def test_var_recovers_generator(rng):
 def test_var_constant_series(rng):
     p = random_dist(rng, 4)
     steps = np.tile(p, (20, 1))
-    coef = ilr_var_fit([SimplexSeries("c", True, steps)])
-    pred = ilr_var_predict(steps[:5], coef)
+    var = ilr_var_fit([SimplexSeries("c", True, steps)])
+    pred = var.predict(steps[:5])
     assert np.allclose(pred, p, atol=1e-6)
 
 
 def test_var_d2_scalar_log_odds(rng):
     # D=2: ilr is a scalar log-odds coordinate; VAR(1) is scalar AR(1)
     steps, a_true, c_true = _var_generated_series(rng, 2, 40)
-    coef = ilr_var_fit([SimplexSeries("d2", True, steps)])
-    assert coef.matrix.shape == (2, 1)
-    assert np.isclose(coef.matrix[0, 0], a_true[0, 0], atol=1e-5)
+    var = ilr_var_fit([SimplexSeries("d2", True, steps)])
+    assert var.matrix.shape == (2, 1)
+    assert np.isclose(var.matrix[0, 0], a_true[0, 0], atol=1e-5)
 
 
 def test_var_insufficient_data_falls_back(rng, caplog):
@@ -149,10 +147,10 @@ def test_var_insufficient_data_falls_back(rng, caplog):
     import logging
 
     with caplog.at_level(logging.WARNING):
-        coef = ilr_var_fit([seq], order=1)
-    assert coef.matrix is None
+        var = ilr_var_fit([seq], order=1)
+    assert var.matrix is None
     assert any("persistence" in r.message for r in caplog.records)
-    pred = ilr_var_predict(seq.steps, coef)
+    pred = var.predict(seq.steps)
     assert np.allclose(pred, seq.steps[-1])
 
 
@@ -162,16 +160,14 @@ def test_var_insufficient_data_falls_back(rng, caplog):
 def test_ets_constant_series(rng):
     p = random_dist(rng, 4)
     steps = np.tile(p, (15, 1))
-    fitted = ets_fit([SimplexSeries("c", True, steps)])
-    assert np.allclose(ets_predict(steps, fitted), p, atol=1e-6)
+    ets = ets_fit([SimplexSeries("c", True, steps)])
+    assert np.allclose(ets.predict(steps), p, atol=1e-6)
 
 
 def test_ets_alpha_one_is_persistence(rng):
-    from simplexcast.baselines import EtsAlphas
-
     steps = np.array([random_dist(rng, 5) for _ in range(8)])
-    fitted = EtsAlphas(np.ones(4), 5)
-    pred = ets_predict(steps, fitted)
+    ets = EtsPredictor(np.ones(4))
+    pred = ets.predict(steps)
     assert np.allclose(pred, smooth(steps[-1]) / smooth(steps[-1]).sum(), atol=1e-6)
 
 
@@ -181,11 +177,11 @@ def test_ets_linear_drift_picks_large_alpha(rng):
     zs = np.array([[0.05 * t, -0.03 * t] for t in range(40)])
     steps = np.array([ilr_inverse(z, d) for z in zs])
     seqs = [SimplexSeries("drift", True, steps)]
-    fitted = ets_fit(seqs)
-    assert np.all(fitted.alphas >= 0.9)
+    ets = ets_fit(seqs)
+    assert np.all(ets.alphas >= 0.9)
     # error with fitted alphas beats the smallest-alpha variant
     z = ilr_forward(smooth(steps))
-    err_big = ((z[1:] - smoothed_levels(z, fitted.alphas[0])[:-1]) ** 2).sum()
+    err_big = ((z[1:] - smoothed_levels(z, ets.alphas[0])[:-1]) ** 2).sum()
     err_small = ((z[1:] - smoothed_levels(z, 0.05)[:-1]) ** 2).sum()
     assert err_big < err_small
 
@@ -240,9 +236,9 @@ def _var_design_ref(train_seqs, order):
     return np.array(xs), np.array(ys)
 
 
-def _var_predict_ref(prefix, coef):
-    lags = [ilr_rows_ref(prefix[-j][None])[0] for j in range(1, coef.order + 1)]
-    return ilr_inverse(np.concatenate(lags + [[1.0]]) @ coef.matrix, prefix.shape[1])
+def _var_predict_ref(prefix, var):
+    lags = [ilr_rows_ref(prefix[-j][None])[0] for j in range(1, var.order + 1)]
+    return ilr_inverse(np.concatenate(lags + [[1.0]]) @ var.matrix, prefix.shape[1])
 
 
 def _reference_seqs(rng, d, lengths=(1, 9, 30)):
@@ -252,11 +248,11 @@ def _reference_seqs(rng, d, lengths=(1, 9, 30)):
 def test_ets_equals_per_row_reference(rng):
     for d in range(2, 36):
         seqs = _reference_seqs(rng, d)
-        fitted = ets_fit(seqs)
-        assert np.array_equal(fitted.alphas, _ets_fit_ref(seqs))
+        ets = ets_fit(seqs)
+        assert np.array_equal(ets.alphas, _ets_fit_ref(seqs))
         for t_len in (1, 2, 9, 30):
             prefix = seqs[2].steps[:t_len]
-            assert np.array_equal(ets_predict(prefix, fitted), _ets_predict_ref(prefix, fitted.alphas))
+            assert np.array_equal(ets.predict(prefix), _ets_predict_ref(prefix, ets.alphas))
 
 
 @pytest.mark.parametrize("order", [1, 2])
@@ -264,13 +260,13 @@ def test_var_equals_per_row_reference(rng, order):
     ridge = 1e-6
     for d in range(2, 36):
         seqs = _reference_seqs(rng, d, lengths=(1, 30, 40, 50))
-        coef = ilr_var_fit(seqs, order=order, ridge=ridge)
+        var = ilr_var_fit(seqs, order=order, ridge=ridge)
         x, y = _var_design_ref(seqs, order)
         gram = x.T @ x + ridge * np.eye(x.shape[1])
-        assert np.array_equal(coef.matrix, np.linalg.solve(gram, x.T @ y))
+        assert np.array_equal(var.matrix, np.linalg.solve(gram, x.T @ y))
         for t_len in (order, 7):
             prefix = seqs[1].steps[:t_len]
-            assert np.array_equal(ilr_var_predict(prefix, coef), _var_predict_ref(prefix, coef))
+            assert np.array_equal(var.predict(prefix), _var_predict_ref(prefix, var))
 
 
 def test_analog_equals_per_position_reference(rng):
@@ -288,7 +284,7 @@ def test_analog_equals_per_position_reference(rng):
             idx = idx[np.argsort(dist[idx], kind="stable")]
             weights = np.exp(-(dist[idx] ** 2) / (2.0 * bank.bandwidth**2))
             expected = (weights / weights.sum()) @ bank.successors[idx]
-            assert np.array_equal(analog_predict(prefix, bank), expected)
+            assert np.array_equal(bank.predict(prefix), expected)
 
 
 # ------------------------------------------------- cross-module consistency
@@ -304,7 +300,7 @@ def test_persistence_equals_degenerate_cast(rng):
     steps = np.array([random_dist(rng, 5) for _ in range(7)])
     p_hat, _ = forward(steps, np.arange(6), params)
     for t in range(6):
-        assert np.allclose(p_hat[t], persistence_predict(steps[: t + 1]), atol=1e-12)
+        assert np.allclose(p_hat[t], PersistencePredictor().predict(steps[: t + 1]), atol=1e-12)
 
 
 # ----------------------------------------------------- one-pass cast scorer

@@ -2,6 +2,8 @@
 import hashlib
 import json
 import os
+import subprocess
+import sys
 import tempfile
 
 import numpy as np
@@ -9,6 +11,7 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
+from simplexcast import cli, theory
 from simplexcast.cli import cli_dispatch
 from simplexcast.errors import ParseError, SchemaVersionMismatch
 from simplexcast.io import RunConfig, ingest, write_dataset, write_json
@@ -443,6 +446,36 @@ class TestCli:
         assert f"argument --seeds: expected comma-separated integers, got {value!r}" in err
         assert "invalid literal" not in err
 
+    def test_theory_check_reports_pinsker_violation(self, tmp_path, monkeypatch):
+        # with every KL read as 0 the anchor-only excess falls below the
+        # Pinsker separation: a failed check, reported and exit 2
+        monkeypatch.setattr(theory, "kl", lambda p, q: np.zeros(len(p)))
+        assert _run(["theory-check", "--scenarios", "3", "--out", str(tmp_path)]) == 2
+        payload = json.loads((tmp_path / "theory_check.json").read_text())
+        assert payload["pass"] is False
+        assert payload["checks"]["pinsker_separation"]["violations"] >= 1
+        assert payload["checks"]["pinsker_separation"]["pass"] is False
+
+    def test_theory_check_reports_default_identity_failure(self, tmp_path, monkeypatch):
+        # a numeric minimum 1e-7 off passes the random scenarios' 1e-6 check
+        # but not the default scenario's 1e-8
+        minimize = theory._minimize_kl_over_mixture
+        monkeypatch.setattr(theory, "_minimize_kl_over_mixture",
+                            lambda *a, **kw: minimize(*a, **kw) + 1e-7)
+        assert _run(["theory-check", "--scenarios", "3", "--out", str(tmp_path)]) == 2
+        checks = json.loads((tmp_path / "theory_check.json").read_text())["checks"]
+        assert checks["fixed_summary_identity"]["pass"] is True
+        assert checks["default_scenario"]["pass"] is False
+
+    def test_module_runs_as_a_script(self, tmp_path):
+        env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(cli.__file__))}
+        argv = [sys.executable, "-m", "simplexcast.cli", "theory-check", "--scenarios", "1"]
+        done = subprocess.run(argv + ["--out", str(tmp_path)], env=env, capture_output=True)
+        assert done.returncode == 0, done.stderr
+        assert (tmp_path / "theory_check.json").exists()
+        done = subprocess.run(argv + ["--no-such-flag"], env=env, capture_output=True)
+        assert done.returncode == 1
+
     def test_theory_check_seed_32_passes(self, tmp_path):
         assert _run(["theory-check", "--seed", "32", "--out", str(tmp_path)]) == 0
         payload = json.loads((tmp_path / "theory_check.json").read_text())
@@ -711,3 +744,32 @@ def test_pipeline_golden_outputs(tmp_path):
     metrics = json.loads((tmp_path / "evaluate_cast.json").read_text())["metrics"]
     assert metrics == pytest.approx(PIPELINE_CAST_METRICS, rel=1e-12)
 
+
+# Outputs of the analysis commands and the four baseline rollouts on the same
+# section, recorded before the baselines became one Predictor class each and
+# the analyses returned their payloads; each must keep its bytes. The section's
+# split manifest is pinned in test_queue_sim.py.
+ANALYSIS_SHA256 = {
+    "aliasing_diagnostic.json": "67de06e576fc2a425236310ab9da72f6243d64082884699678428bb39cb6c1d5",
+    "seed_study.json": "e3b25f922ed1663c3db558699b553b400c15840d50289f163d000b80c0dd0cb4",
+    "theory_check.json": "60039f53294f08f5c2d994db56ae05f73b41961d6a5e03a38b9ee47d34bc1944",
+    "rollout_persistence.json": "485697081bf10b86ae29421d75e21941618edea026822c6c06b2d31301cfd7b9",
+    "rollout_analog.json": "c6d41cc0a71dd2fc193d160b9c0d2cee3fd58bf36b517c619e8149dd2e33fa22",
+    "rollout_var.json": "286e9515bd86980faf6c5293a5a640d5440ed5ffd13adc94d02cc4a62aca53d8",
+    "rollout_ets.json": "859769a1e05b5c7e9dca9cd42986b97d71f1c3e38e21273f6b5c6732ebf919b2",
+}
+
+
+def test_analysis_golden_outputs(tmp_path):
+    data = str(tmp_path / "nonhomogeneous.jsonl")
+    common = ["--seed", "0", "--out", str(tmp_path)]
+    assert _run(["simulate-queues", "--section", "nonhomogeneous", "--systems", "10",
+                 "--arrivals", "100", "--replications", "20", "--seed", "7",
+                 "--out", str(tmp_path)]) == 0
+    assert _run(["diagnose-aliasing", "--data", data] + common) == 0
+    assert _run(["seed-study", "--data", data, "--iters", "5"] + common) == 0
+    assert _run(["theory-check", "--scenarios", "3"] + common) == 0
+    for method in ("persistence", "analog", "var", "ets"):
+        assert _run(["rollout", "--data", data, "--method", method] + common) == 0
+    for name, digest in ANALYSIS_SHA256.items():
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name

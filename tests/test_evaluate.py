@@ -208,8 +208,8 @@ class TestAliasingDiagnostic:
         steps = rng.dirichlet(np.ones(4), size=6)
         seqs = [SimplexSeries(f"s{i}", True, steps.copy(), np.ones(5, dtype=bool)) for i in range(3)]
         rep = aliasing_diagnostic(seqs, n_samples=30, seed=0)
-        assert rep.successor_jsd_quantiles["median"] == pytest.approx(0.0, abs=1e-12)
-        assert rep.history_better_rate is None
+        assert rep["successor_jsd"]["median"] == pytest.approx(0.0, abs=1e-12)
+        assert rep["history_better_rate"] is None
 
     def test_theory_dataset_shows_strong_aliasing(self):
         from simplexcast.theory import build_aliasing_dataset, default_scenario
@@ -218,13 +218,13 @@ class TestAliasingDiagnostic:
         # score only the aliased transition (position 2) by sampling widely
         rep = aliasing_diagnostic(seqs, n_samples=400, seed=1)
         # states shared across regimes have exact matches in other sequences
-        assert rep.neighbor_jsd_quantiles["median"] == pytest.approx(0.0, abs=1e-9)
+        assert rep["neighbor_jsd"]["median"] == pytest.approx(0.0, abs=1e-9)
         # at the aliased state the successors differ across regimes, so the
         # q90 successor gap is large while the neighbor gap is zero
-        assert rep.successor_jsd_quantiles["q90"] > 0.005
-        assert rep.history_better_rate is not None
-        assert rep.history_better_rate > 0.9
-        assert rep.severity == "strong"
+        assert rep["successor_jsd"]["q90"] > 0.005
+        assert rep["history_better_rate"] is not None
+        assert rep["history_better_rate"] > 0.9
+        assert rep["severity"] == "strong"
 
     def test_too_few_sequences(self, rng):
         with pytest.raises(TooFewSequences):
@@ -236,13 +236,13 @@ class TestAliasingDiagnostic:
         with pytest.raises(TooFewSequences):
             aliasing_diagnostic([long_seq, single], n_samples=5)
         rep = aliasing_diagnostic([single, long_seq, _series(rng, 4, 3, "s2")], n_samples=50)
-        assert rep.n_samples == 8
+        assert rep["n_samples"] == 8
 
     def test_rate_in_unit_interval(self, rng):
         seqs = [_series(rng, 6, 3, f"s{i}") for i in range(4)]
         rep = aliasing_diagnostic(seqs, n_samples=40, seed=3)
-        if rep.history_better_rate is not None:
-            assert 0.0 <= rep.history_better_rate <= 1.0
+        if rep["history_better_rate"] is not None:
+            assert 0.0 <= rep["history_better_rate"] <= 1.0
 
     @pytest.mark.parametrize("d", [2, 6, 21, 35])
     def test_equals_per_candidate_reference(self, rng, d):
@@ -278,9 +278,9 @@ class TestAliasingDiagnostic:
             if not np.isclose(gap_hist, gap_cur, atol=1e-12):
                 comparable += 1
                 better += gap_hist < gap_cur
-        assert rep.history_better_rate == (better / comparable if comparable else None)
-        assert rep.neighbor_jsd_quantiles["q90"] == float(np.quantile(neighbor, 0.9))
-        assert rep.successor_jsd_quantiles["median"] == float(np.quantile(successor, 0.5))
+        assert rep["history_better_rate"] == (better / comparable if comparable else None)
+        assert rep["neighbor_jsd"]["q90"] == float(np.quantile(neighbor, 0.9))
+        assert rep["successor_jsd"]["median"] == float(np.quantile(successor, 0.5))
 
     def test_thresholds_drive_severity(self, rng):
         seqs = [_series(rng, 6, 3, f"s{i}") for i in range(3)]
@@ -289,16 +289,16 @@ class TestAliasingDiagnostic:
             thresholds=DiagnosticThresholds(strong_successor_jsd=0.0, max_neighbor_jsd=10.0),
             seed=0,
         )
-        assert loose.severity == "strong"
+        assert loose["severity"] == "strong"
 
 
 class TestSeedStudy:
     def test_deterministic_runner_zero_sd(self):
         res = seed_study(lambda seed: {"kl": 0.5, "jsd": 0.1}, [0, 1, 2])
-        assert res.sd["kl"] == pytest.approx(0.0, abs=1e-15)
-        assert res.sd["jsd"] == pytest.approx(0.0, abs=1e-15)
-        assert res.mean["kl"] == pytest.approx(0.5)
-        assert res.mean["jsd"] == pytest.approx(0.1)
+        assert res["sd"]["kl"] == pytest.approx(0.0, abs=1e-15)
+        assert res["sd"]["jsd"] == pytest.approx(0.0, abs=1e-15)
+        assert res["mean"]["kl"] == pytest.approx(0.5)
+        assert res["mean"]["jsd"] == pytest.approx(0.1)
 
     def test_identical_seed_repeated_zero_sd(self, rng):
         def runner(seed):
@@ -306,12 +306,12 @@ class TestSeedStudy:
             return {"kl": float(r.uniform())}
 
         res = seed_study(runner, [7, 7, 7])
-        assert res.sd["kl"] == 0.0
+        assert res["sd"]["kl"] == 0.0
 
     def test_mean_and_sample_sd(self):
         res = seed_study(lambda seed: {"m": float(seed)}, [0, 1, 2, 3])
-        assert res.mean["m"] == pytest.approx(1.5)
-        assert res.sd["m"] == pytest.approx(np.std([0, 1, 2, 3], ddof=1))
+        assert res["mean"]["m"] == pytest.approx(1.5)
+        assert res["sd"]["m"] == pytest.approx(np.std([0, 1, 2, 3], ddof=1))
 
     def test_requires_two_seeds(self):
         with pytest.raises(ValueError):

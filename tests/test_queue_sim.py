@@ -2,6 +2,7 @@ import hashlib
 import heapq
 import math
 from collections import deque
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -189,10 +190,15 @@ def test_sample_config_deterministic():
     assert a == b
 
 
-def test_config_json_round_trip():
+def test_config_json_names_every_field():
+    # the section manifest records each system's config through to_json
     rng = np.random.default_rng(2)
     c = sample_config("nonhomogeneous", rng, n_arrivals=50, n_replications=5, seed=77)
-    assert QueueConfig.from_json(c.to_json()) == c
+    obj = c.to_json()
+    assert set(obj) == {f.name for f in fields(QueueConfig)}
+    assert set(obj["arrival"]) == set(obj["service"]) == {f.name for f in fields(ServiceTimeFamily)}
+    assert set(obj["modulation"]) == {f.name for f in fields(Modulation)}
+    assert [obj["n_arrivals"], obj["n_replications"], obj["seed"]] == [50, 5, 77]
 
 
 # -------------------------------------------------------------- modulation
@@ -401,23 +407,23 @@ def test_split_10000_systems_exact_counts():
     systems = [_fake_system(i, int(rng.integers(1, 40))) for i in range(10000)]
     manifest = split_systems(systems, seed=1)
     counts = {s: 0 for s in ("train", "val", "test")}
-    for v in manifest.assignments.values():
+    for v in manifest.values():
         counts[v] += 1
     assert counts == {"train": 7000, "val": 1000, "test": 2000}
-    assert len(manifest.assignments) == 10000
+    assert len(manifest) == 10000
 
 
 def test_split_is_partition_and_stratified():
     rng = np.random.default_rng(6)
     systems = [_fake_system(i, int(rng.integers(1, 30))) for i in range(400)]
     manifest = split_systems(systems, seed=2)
-    assert set(manifest.assignments) == {s.id for s in systems}
+    assert set(manifest) == {s.id for s in systems}
     # per width-rank decile, train fraction within one system of 70%
     widths = {s.id: support_width(s) for s in systems}
     ordered = sorted(systems, key=lambda s: widths[s.id])
     for d in range(10):
         block = ordered[d * 40 : (d + 1) * 40]
-        n_train = sum(manifest.assignments[s.id] == "train" for s in block)
+        n_train = sum(manifest[s.id] == "train" for s in block)
         assert abs(n_train - 28) <= 2  # streaming allocation, small slack
     with pytest.raises(TooFewSystems):
         split_systems(systems[:5])

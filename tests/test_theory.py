@@ -2,8 +2,6 @@
 import numpy as np
 import pytest
 
-from simplexcast import theory
-from simplexcast.errors import OptimizationNotConverged
 from simplexcast.metrics import jsd, js_weighted, kl, l1
 from simplexcast.theory import (
     AliasingScenario,
@@ -224,14 +222,8 @@ class TestAnchorOnly:
     def test_pinsker_fuzz(self, rng):
         for _ in range(10):
             s = random_scenario(rng, d=rng.integers(3, 6), k=rng.integers(2, 4))
-            # anchor_only_optimum raises if the Pinsker bound is violated
             excess, deltas = anchor_only_optimum(s)
             assert excess >= pinsker_separation(s, deltas) - 1e-9
-
-    def test_excess_below_pinsker_raises(self, monkeypatch):
-        monkeypatch.setattr(theory, "kl", lambda p, q: np.zeros(len(p)))
-        with pytest.raises(OptimizationNotConverged, match="below Pinsker"):
-            anchor_only_optimum(default_scenario())
 
 
 # -------------------------------------------------------------- oracle
@@ -324,18 +316,18 @@ class TestAliasingDataset:
 class TestRetrievalConsistency:
     def test_no_bound_violations(self):
         report = retrieval_consistency_check(d=8, n_queries=1000, seed=0)
-        assert report.violations == 0
-        assert report.lipschitz > 0
+        assert report["violations"] == 0
+        assert report["lipschitz"] > 0
 
     def test_nn_distance_shrinks_with_density(self):
         report = retrieval_consistency_check(
             d=4, densities=(25, 100, 400, 1600), n_queries=300, seed=2
         )
-        assert report.max_nn_distance[-1] < report.max_nn_distance[0]
+        assert report["max_nn_distance"][-1] < report["max_nn_distance"][0]
 
     def test_zero_noise_bounded_by_lipschitz_term(self):
         report = retrieval_consistency_check(
             d=5, densities=(200,), n_queries=500, noise_l1=0.0, seed=1
         )
-        assert report.violations == 0
-        assert report.max_error[0] <= report.lipschitz * report.max_nn_distance[0] + 1e-9
+        assert report["violations"] == 0
+        assert report["max_error"][0] <= report["lipschitz"] * report["max_nn_distance"][0] + 1e-9
