@@ -1,14 +1,14 @@
-"""Minimal reverse-mode automatic differentiation over numpy arrays.
+"""Minimal reverse-mode automatic differentiation over numpy arrays: the
+tape core.
 
-Only the operations the forecaster needs are implemented: elementwise
-addition, multiplication and division with broadcasting, matmul (batched
-over leading axes, as numpy broadcasts them), reshape, sum, sigmoid and
-softmax. Larger blocks (retrieval, the anchored-transport operator and its
-prior, the KL loss) compute their values in numpy and register one node
-each, `Var(value, parents, backward)`, with a hand-written backward.
-Gradients are accumulated on leaf nodes after ``backward`` on a scalar
-output. An operand with ``requires_grad`` False is a constant: its gradient
-may be returned as None, and ``backward`` ignores None.
+Every node is written by hand: a block of the forecaster computes its value
+in numpy and registers one node, `Var(value, parents, backward)`, whose
+backward maps the node's gradient to one gradient per parent. Gradients are
+accumulated on leaf nodes after ``backward`` on a scalar output. An operand
+with ``requires_grad`` False is a constant: its gradient may be returned as
+None, and ``backward`` ignores None. The tape has no operator overloads;
+the one-op-per-node reference that the hand-written nodes are tested
+against lives in ``tests/tape_reference.py``.
 
 Every backward rule returns gradients in its parents' shapes, and a node's
 first gradient contribution is stored as-is, so no backward rule may write
@@ -49,9 +49,6 @@ class Var:
 
     __slots__ = ("data", "grad", "parents", "_backward", "requires_grad")
 
-    # make numpy defer to the reflected operators below
-    __array_ufunc__ = None
-
     def __init__(self, data, parents=(), backward=None, requires_grad=True):
         self.data = np.asarray(data, dtype=np.float64)
         self.grad = None
@@ -66,106 +63,10 @@ class Var:
     def item(self) -> float:
         return float(self.data)
 
-    # -- graph construction helpers -------------------------------------
-
-    @staticmethod
-    def lift(x) -> "Var":
-        return x if isinstance(x, Var) else Var(x, requires_grad=False)
-
-    def __add__(self, other):
-        other = Var.lift(other)
-        out = Var(self.data + other.data, (self, other))
-
-        def back(g):
-            return unbroadcast(g, self.shape), unbroadcast(g, other.shape)
-
-        out._backward = back
-        return out
-
-    __radd__ = __add__
-
-    def __mul__(self, other):
-        other = Var.lift(other)
-        out = Var(self.data * other.data, (self, other))
-
-        def back(g):
-            return (
-                unbroadcast(g * other.data, self.shape),
-                unbroadcast(g * self.data, other.shape),
-            )
-
-        out._backward = back
-        return out
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = Var.lift(other)
-        out = Var(self.data / other.data, (self, other))
-
-        def back(g):
-            return (
-                unbroadcast(g / other.data, self.shape),
-                unbroadcast(-g * self.data / other.data**2, other.shape),
-            )
-
-        out._backward = back
-        return out
-
-    def __matmul__(self, other):
-        other = Var.lift(other)
-        out = Var(self.data @ other.data, (self, other))
-        a, b = self.data, other.data
-
-        def back(g):
-            # promote 1-D operands to matrices as numpy does, then apply the
-            # batched rule; the gradient of a constant operand is skipped
-            a2 = a[None, :] if a.ndim == 1 else a
-            b2 = b[:, None] if b.ndim == 1 else b
-            g = np.asarray(g)
-            if b.ndim == 1:
-                g = g[..., None]
-            if a.ndim == 1:
-                g = np.expand_dims(g, -2)
-            ga = gb = None
-            if self.requires_grad:
-                ga = unbroadcast(g @ np.swapaxes(b2, -1, -2), a2.shape).reshape(a.shape)
-            if other.requires_grad:
-                gb = unbroadcast(np.swapaxes(a2, -1, -2) @ g, b2.shape).reshape(b.shape)
-            return ga, gb
-
-        out._backward = back
-        return out
-
-    def reshape(self, *shape):
-        out = Var(self.data.reshape(*shape), (self,))
-        out._backward = lambda g: (np.reshape(g, self.shape),)
-        return out
-
-    def sum(self, axis=None):
-        out = Var(self.data.sum(axis=axis), (self,))
-
-        def back(g):
-            if axis is None:
-                return (np.broadcast_to(g, self.shape).copy(),)
-            return (np.broadcast_to(np.expand_dims(g, axis), self.shape).copy(),)
-
-        out._backward = back
-        return out
-
-    def sigmoid(self):
-        s = 1.0 / (1.0 + np.exp(-self.data))
-        out = Var(s, (self,))
-        out._backward = lambda g: (g * s * (1.0 - s),)
-        return out
-
-    def softmax(self, axis=-1):
-        s = softmax(self.data, axis)
-        out = Var(s, (self,))
-        out._backward = lambda g: (softmax_vjp(s, g, axis),)
-        return out
-
-    # -- backward pass --------------------------------------------------
+    @classmethod
+    def lift(cls, x) -> "Var":
+        """x itself if it is a tape node, else x as a constant node."""
+        return x if isinstance(x, Var) else cls(x, requires_grad=False)
 
     def backward(self):
         if self.data.ndim != 0:
@@ -199,4 +100,3 @@ class Var:
                     parent.grad = g
                 else:
                     parent.grad = parent.grad + g
-

@@ -3,7 +3,8 @@ and the theory checks.
 
 Exit codes: 0 success, 1 validation error (bad flags, config, or input
 files), 2 runtime failure. `theory-check` also exits 2 when a check fails,
-after writing its report.
+and `aliasing-synthetic` when the fixed-summary identity fails, each after
+writing its report.
 """
 from __future__ import annotations
 
@@ -85,7 +86,11 @@ def _cmd_simulate_queues(args) -> int:
     return 0
 
 
-def _predictor(method, data, train_seqs, args):
+def _data_and_predictor(args):
+    """The prologue of `evaluate` and `rollout`: the scored split --data and
+    the predictor of --method. A fitted baseline is fitted on --train and
+    needs it: fitted on the scored split, the analog bank would hold the
+    very windows it is queried with."""
     from .baselines import (
         CastPredictor,
         PersistencePredictor,
@@ -95,25 +100,23 @@ def _predictor(method, data, train_seqs, args):
     )
     from .model import CastParams
 
-    if method == "persistence":
-        return PersistencePredictor()
-    if method == "analog":
-        return build_analog_bank(train_seqs)
-    if method == "var":
-        return ilr_var_fit(train_seqs)
-    if method == "ets":
-        return ets_fit(train_seqs)
-    if method == "cast":
-        if not args.model:
-            raise SimplexCastError("--model checkpoint required for method=cast")
-        params = CastParams.load(args.model)
-        if (params.cfg.dim, params.cfg.ordered) != (data.dim, data.ordered):
-            raise SimplexCastError(
-                f"checkpoint is for D={params.cfg.dim}, ordered={params.cfg.ordered}; "
-                f"data has D={data.dim}, ordered={data.ordered}"
-            )
-        return CastPredictor(params)
-    raise SimplexCastError(f"unknown method {method!r}")
+    fitters = {"analog": build_analog_bank, "var": ilr_var_fit, "ets": ets_fit}
+    if args.method in fitters and not args.train:
+        raise SimplexCastError(f"--method {args.method} is fitted on training data: give --train")
+    data = ingest(args.data)
+    if args.method in fitters:
+        return data, fitters[args.method](ingest(args.train).sequences)
+    if args.method == "persistence":
+        return data, PersistencePredictor()
+    if not args.model:
+        raise SimplexCastError("--model checkpoint required for method=cast")
+    params = CastParams.load(args.model)
+    if (params.cfg.dim, params.cfg.ordered) != (data.dim, data.ordered):
+        raise SimplexCastError(
+            f"checkpoint is for D={params.cfg.dim}, ordered={params.cfg.ordered}; "
+            f"data has D={data.dim}, ordered={data.ordered}"
+        )
+    return data, CastPredictor(params)
 
 
 def _selection_split(args, train_res):
@@ -155,9 +158,7 @@ def _cmd_train(args) -> int:
 def _cmd_evaluate(args) -> int:
     from .evaluate import evaluate_offline
 
-    data = ingest(args.data)
-    train_seqs = ingest(args.train).sequences if args.train else data.sequences
-    predictor = _predictor(args.method, data, train_seqs, args)
+    data, predictor = _data_and_predictor(args)
     result = evaluate_offline(predictor, data.sequences)
     payload = {"method": args.method, "section": data.section_name, "metrics": result}
     _emit(args, payload, f"evaluate_{args.method}.json")
@@ -167,9 +168,7 @@ def _cmd_evaluate(args) -> int:
 def _cmd_rollout(args) -> int:
     from .evaluate import RolloutConfig, evaluate_rollout
 
-    data = ingest(args.data)
-    train_seqs = ingest(args.train).sequences if args.train else data.sequences
-    predictor = _predictor(args.method, data, train_seqs, args)
+    data, predictor = _data_and_predictor(args)
     rc = RolloutConfig(
         context_len=args.context, horizon=args.horizon, max_examples=args.max_examples
     )
@@ -198,13 +197,15 @@ def _cmd_aliasing_synthetic(args) -> int:
         default_scenario(), args.seeds, args.sequences, args.iters
     )
     _emit(args, result, "aliasing_synthetic.json")
-    return 0
+    # the trained rows' checks are reported only: short runs do not converge
+    return 0 if result["checks"]["fixed_summary_identity"] else 2
 
 
 def _cmd_theory_check(args) -> int:
     from .theory import (
         anchor_only_optimum,
         default_scenario,
+        fixed_summary_identity,
         fixed_summary_optimum,
         numeric_fixed_summary_minimum,
         pinsker_separation,
@@ -250,7 +251,7 @@ def _cmd_theory_check(args) -> int:
         "anchor_only_excess": anchor_excess,
         "delta_positive": delta_positive,
         "pass": bool(
-            abs(numeric_fixed_summary_minimum(scen) - fixed) <= 1e-8
+            fixed_summary_identity(scen)
             and anchor_excess >= fixed
             and delta_positive
         ),
@@ -406,7 +407,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     ev = subs.add_parser("evaluate", help="offline teacher-forced evaluation")
     ev.add_argument("--data", required=True)
-    ev.add_argument("--train", default=None, help="training data for fit-based baselines")
+    ev.add_argument("--train", default=None,
+                    help="training data that analog, var and ets are fitted on (required for them)")
     ev.add_argument("--method", default="persistence",
                     choices=["persistence", "analog", "var", "ets", "cast"])
     ev.add_argument("--model", default=None, help="checkpoint for method=cast")
@@ -415,7 +417,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     ro = subs.add_parser("rollout", help="autoregressive rollout evaluation")
     ro.add_argument("--data", required=True)
-    ro.add_argument("--train", default=None)
+    ro.add_argument("--train", default=None,
+                    help="training data that analog, var and ets are fitted on (required for them)")
     ro.add_argument("--method", default="persistence",
                     choices=["persistence", "analog", "var", "ets", "cast"])
     ro.add_argument("--model", default=None)

@@ -12,13 +12,15 @@ transport, budget gate and mix, and the operator regularizer, are
 the theory oracle runs.
 
 The forward pass has a leading batch axis: a training step is one tape over
-all B scored positions of the batch. Retrieval is masked causal attention
-over the memories padded to the longest prefix, computed in numpy as one
-tape node with a hand-written backward; the memory is a constant, so no
-gradient is computed for it. The KL loss is one node too. Scoring
-(`forward`) is one pass per sequence: every scored row reads one shared
-memory of the sequence's (feature, successor) pairs, and the causal mask
-lets row t see only the pairs before it.
+all B scored positions of the batch. Every stage computes its value in
+numpy and registers one tape node with a hand-written backward: retrieval
+(masked causal attention over the memories padded to the longest prefix;
+the memory is a constant, so no gradient is computed for it), the two
+gates, the kernel head, the operator and its prior, the per-row KL, and the
+mean loss. A full-model step is 8 such nodes. Scoring (`forward`) is one
+pass per sequence: every scored row reads one shared memory of the
+sequence's (feature, successor) pairs, and the causal mask lets row t see
+only the pairs before it.
 
 The parameters live in one float64 buffer, `CastParams.flat`, and the named
 arrays the tape reads are views into it: init, copy, save, load, the AdamW
@@ -350,47 +352,62 @@ def _retrieval(p: np.ndarray, h: np.ndarray, memory, pv: dict[str, Var], cfg: Mo
     return Var(r, parents, back), attn
 
 
+def _gate(h: np.ndarray, w: Var, b: Var, lo: float, hi: float) -> Var:
+    """lo + (hi - lo) * sigmoid(h @ w + b), one value per row of the
+    features h (B, F), as one tape node over the weight w and bias b."""
+    s = 1.0 / (1.0 + np.exp(-(h @ w.data + b.data)))
+    span = hi - lo
+
+    def back(g):
+        g_logit = g * span * s * (1.0 - s)
+        return h.T @ g_logit, g_logit.sum()
+
+    return Var(lo + span * s, (w, b), back)
+
+
+def _kernel_head(h: np.ndarray, pe: np.ndarray, pv: dict[str, Var]) -> Var:
+    """Per-row, per-bin transport kernels, (B, D, 3): a softmax over the
+    three offsets of logits h @ wt_h (one per row) + pe @ wt_pe (one per
+    bin, from the support position encoding pe (D, 2)) + bt, as one tape
+    node over wt_h, wt_pe and bt."""
+    wt_h, wt_pe, bt = pv["wt_h"], pv["wt_pe"], pv["bt"]
+    s = softmax((h @ wt_h.data).reshape(len(h), 1, 3) + pe @ wt_pe.data + bt.data)
+
+    def back(g):
+        g = softmax_vjp(s, g)
+        return h.T @ g.sum(axis=1), pe.T @ g.sum(axis=0), g.sum(axis=(0, 1))
+
+    return Var(s, (wt_h, wt_pe, bt), back)
+
+
 def _forward_var(p: np.ndarray, h: np.ndarray, memory, pv: dict[str, Var], cfg: ModelConfig):
     """Differentiable forward pass over B positions at once: current
     distributions p (B, D), features h (B, F), and the padded retrieval
     memory from `_pad_memory` (or None). Retrieval is `_retrieval`; without
-    a memory, or with current-only features, r = p. Returns (p_hat, parts)
-    where parts holds the intermediate Vars, one row each, for the
-    regularizer and trace."""
-    b, d = p.shape
-    hc = Var(h, requires_grad=False)
+    a memory, or with current-only features, r = p. The persistence gate,
+    transport-strength gate and kernel head are one tape node each, and the
+    anchor, transport, budget gate and mix run in `transport.cast_step`.
+    Returns (p_hat, parts) where parts holds the intermediate Vars, one row
+    each, for the regularizer and trace."""
+    d = p.shape[1]
     if memory is not None and cfg.feature_mode != "current_only":
         r, attn = _retrieval(p, h, memory, pv, cfg)
     else:
-        r, attn = Var(p, requires_grad=False), []
-
-    # persistence gate
-    if cfg.variant == "no_persistence_mix":
-        lam = Var(0.0, requires_grad=False)
-    else:
-        lam = cfg.lambda_min + (cfg.lambda_max - cfg.lambda_min) * (
-            hc @ pv["w_gate"] + pv["b_gate"]
-        ).sigmoid()
-
-    # transport head; the anchor, transport, budget gate and mix run in
-    # transport.cast_step
+        r, attn = p, []
+    lam = 0.0
+    if cfg.variant != "no_persistence_mix":
+        lam = _gate(h, pv["w_gate"], pv["b_gate"], cfg.lambda_min, cfg.lambda_max)
     kernel = rho_raw = None
     if cfg.transport_active:
-        rho_raw = cfg.rho_max * (hc @ pv["w_rho"] + pv["b_rho"]).sigmoid()
+        rho_raw = _gate(h, pv["w_rho"], pv["b_rho"], 0.0, cfg.rho_max)
         if cfg.variant == "fixed_local_kernel":
             kernel = fixed_local_kernel(d)
         else:
-            pe = support_position_encoding(d)
-            logits = (
-                (hc @ pv["wt_h"]).reshape(b, 1, 3)
-                + (Var(pe, requires_grad=False) @ pv["wt_pe"])
-                + pv["bt"]
-            )
-            kernel = logits.softmax(axis=-1)
             # boundary rows cannot move mass outside; the clip in shift_mass
             # handles it, no masking required
+            kernel = _kernel_head(h, support_position_encoding(d), pv)
     parts = cast_step(p, r, lam, kernel, rho_raw, cfg.budget)
-    parts.update(lam=lam, r=r, attn=attn)
+    parts.update(lam=Var.lift(lam), r=Var.lift(r), attn=attn)
     return parts["p_hat"], parts
 
 
@@ -450,18 +467,30 @@ def make_batch(seqs, positions, cfg: ModelConfig, feats_cache: dict | None = Non
     return p, h, memory, targets
 
 
+def _mean_loss(kl: Var, prior: Var | None, lambda_op: float) -> Var:
+    """mean(kl) + lambda_op * mean(prior) over the per-row KL and operator
+    prior values, or mean(kl) without a prior, as one tape node."""
+    n = len(kl.data)
+    total = kl.data.sum() / n
+    if prior is None:
+        return Var(total, (kl,), lambda g: (np.full(kl.shape, g / n),))
+    total = total + (prior.data.sum() / n) * lambda_op
+
+    def back(g):
+        return np.full(kl.shape, g / n), np.full(prior.shape, g * lambda_op / n)
+
+    return Var(total, (kl, prior), back)
+
+
 def loss_var(batch: tuple, pv: dict[str, Var], cfg: ModelConfig) -> Var:
     """Mean one-step KL over a `make_batch` batch plus lambda_op times the
     mean operator regularizer, from one forward pass over all items."""
     p, h, memory, targets = batch
     p_hat, parts = _forward_var(p, h, memory, pv, cfg)
-    n = len(p)
-    total = _kl_term(targets, p_hat).sum() / n
+    prior = None
     if cfg.variant != "no_structural_reg":
-        reg = operator_regularizer(parts, cfg.reg_weights)
-        if reg is not None:
-            total = total + (reg.sum() / n) * cfg.lambda_op
-    return total
+        prior = operator_regularizer(parts, cfg.reg_weights)
+    return _mean_loss(_kl_term(targets, p_hat), prior, cfg.lambda_op)
 
 
 def loss(batch: tuple, params: CastParams) -> float:

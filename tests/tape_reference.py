@@ -1,22 +1,136 @@
 """The forecaster's forward pass built from elementary tape nodes, one per
-arithmetic operation: the reference for the fused nodes of retrieval
-(`model._retrieval`), the anchored-transport operator
-(`transport.cast_step` and `transport.operator_regularizer`) and the KL loss
-(`model._kl_term`).
+arithmetic operation: the reference for the hand-written nodes of
+retrieval (`model._retrieval`), the persistence and transport-strength
+gates (`model._gate`), the kernel head (`model._kernel_head`), the
+anchored-transport operator (`transport.cast_step` and
+`transport.operator_regularizer`), the KL loss (`model._kl_term`) and the
+loss reduction (`model._mean_loss`).
 
-Each stage here is the composition of small rules that the fused nodes
-replace, so reverse mode over it is an independent derivation of the same
-gradients. The ops that `simplexcast.autodiff.Var` does not provide
-(negation, subtraction, basic indexing, log, sqrt, abs, clipping from above
-and the boundary-clipped radius-1 mass shift) are node-building functions
-below, with the backward rules the tape used for them.
+Each stage here is the composition of small rules that the hand-written
+nodes replace, so reverse mode over it is an independent derivation of the
+same gradients. `Var` below is `simplexcast.autodiff.Var` with the
+operator library: broadcasting add, multiply and divide, batched matmul,
+reshape, sum, sigmoid and softmax. The other ops (negation, subtraction,
+basic indexing, log, sqrt, abs, clipping from above and the
+boundary-clipped radius-1 mass shift) are node-building functions below.
+Every rule here runs on the package's own `backward`.
 """
 import numpy as np
 
-from simplexcast.autodiff import Var
+from simplexcast import autodiff
+from simplexcast.autodiff import softmax, softmax_vjp, unbroadcast
 from simplexcast.model import fixed_local_kernel, support_position_encoding
 from simplexcast.simplex import support_bins
 from simplexcast.transport import shift_mass
+
+
+class Var(autodiff.Var):
+    """A tape node with elementary operators. An operand may be a
+    reference node, a package node or a constant (lifted to a node)."""
+
+    __slots__ = ()
+
+    # make numpy defer to the reflected operators below
+    __array_ufunc__ = None
+
+    def __add__(self, other):
+        other = Var.lift(other)
+        out = Var(self.data + other.data, (self, other))
+
+        def back(g):
+            return unbroadcast(g, self.shape), unbroadcast(g, other.shape)
+
+        out._backward = back
+        return out
+
+    __radd__ = __add__
+
+    def __mul__(self, other):
+        other = Var.lift(other)
+        out = Var(self.data * other.data, (self, other))
+
+        def back(g):
+            return (
+                unbroadcast(g * other.data, self.shape),
+                unbroadcast(g * self.data, other.shape),
+            )
+
+        out._backward = back
+        return out
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        other = Var.lift(other)
+        out = Var(self.data / other.data, (self, other))
+
+        def back(g):
+            return (
+                unbroadcast(g / other.data, self.shape),
+                unbroadcast(-g * self.data / other.data**2, other.shape),
+            )
+
+        out._backward = back
+        return out
+
+    def __matmul__(self, other):
+        other = Var.lift(other)
+        out = Var(self.data @ other.data, (self, other))
+        a, b = self.data, other.data
+
+        def back(g):
+            # promote 1-D operands to matrices as numpy does, then apply the
+            # batched rule; the gradient of a constant operand is skipped
+            a2 = a[None, :] if a.ndim == 1 else a
+            b2 = b[:, None] if b.ndim == 1 else b
+            g = np.asarray(g)
+            if b.ndim == 1:
+                g = g[..., None]
+            if a.ndim == 1:
+                g = np.expand_dims(g, -2)
+            ga = gb = None
+            if self.requires_grad:
+                ga = unbroadcast(g @ np.swapaxes(b2, -1, -2), a2.shape).reshape(a.shape)
+            if other.requires_grad:
+                gb = unbroadcast(np.swapaxes(a2, -1, -2) @ g, b2.shape).reshape(b.shape)
+            return ga, gb
+
+        out._backward = back
+        return out
+
+    def reshape(self, *shape):
+        out = Var(self.data.reshape(*shape), (self,))
+        out._backward = lambda g: (np.reshape(g, self.shape),)
+        return out
+
+    def sum(self, axis=None):
+        out = Var(self.data.sum(axis=axis), (self,))
+
+        def back(g):
+            if axis is None:
+                return (np.broadcast_to(g, self.shape).copy(),)
+            return (np.broadcast_to(np.expand_dims(g, axis), self.shape).copy(),)
+
+        out._backward = back
+        return out
+
+    def sigmoid(self):
+        s = 1.0 / (1.0 + np.exp(-self.data))
+        out = Var(s, (self,))
+        out._backward = lambda g: (g * s * (1.0 - s),)
+        return out
+
+    def softmax(self, axis=-1):
+        s = softmax(self.data, axis)
+        out = Var(s, (self,))
+        out._backward = lambda g: (softmax_vjp(s, g, axis),)
+        return out
+
+
+def as_ref_vars(params):
+    """The parameters of a `model.CastParams` as reference leaves."""
+    return {k: Var(v) for k, v in params.values.items()}
+
 
 # ---------------------------------------------------------------- ops
 

@@ -1,9 +1,25 @@
+"""The tape: `simplexcast.autodiff.Var.backward` itself, the elementary
+operators of the reference tape (`tape_reference.Var`) against finite
+differences, and the contract every backward rule keeps, hand-written or
+reference."""
 import numpy as np
 import pytest
 
-from simplexcast.autodiff import Var
-from simplexcast.model import CastParams, ModelConfig, _kl_term, _pad_memory, _retrieval
+from simplexcast import autodiff
+from simplexcast.model import (
+    CastParams,
+    ModelConfig,
+    _gate,
+    _kernel_head,
+    _kl_term,
+    _mean_loss,
+    _pad_memory,
+    _retrieval,
+    support_position_encoding,
+)
 from simplexcast.transport import BudgetParams, cast_step, operator_regularizer
+
+from tape_reference import Var
 
 
 def finite_diff(f, x, h=1e-6):
@@ -132,9 +148,11 @@ def test_shared_subexpression(rng):
 
 
 def test_backward_requires_scalar():
-    v = Var(np.ones(3))
+    v = autodiff.Var(np.ones(3))
     with pytest.raises(ValueError):
-        (v * 2.0).backward()
+        v.backward()
+    with pytest.raises(ValueError):
+        autodiff.Var(2.0 * v.data, (v,), lambda g: (2.0 * g,)).backward()
 
 
 # ------------------------------------- matmul with a matrix shared by a batch
@@ -206,7 +224,8 @@ def test_shared_matrix_grad_general_shapes(rng, a_shape, b_shape):
 
 def _rule_cases(rng):
     """One output node per backward rule, its inputs all requiring a
-    gradient; the fused nodes of the forecaster on small random inputs."""
+    gradient: the reference tape's operators, and the hand-written nodes of
+    the forecaster on small random inputs."""
     x = Var(rng.uniform(0.5, 2.0, size=(3, 4)))
     y = Var(rng.uniform(0.5, 2.0, size=(3, 4)))
     row = Var(rng.uniform(0.5, 2.0, size=4))
@@ -225,7 +244,8 @@ def _rule_cases(rng):
     memory = _pad_memory([rng.normal(size=(t, cfg.feature_dim)) for t in lengths],
                          [rng.dirichlet(np.ones(5), size=t) for t in lengths])
     h = rng.normal(size=(3, cfg.feature_dim))
-    retrieval, _ = _retrieval(p.data, h, memory, CastParams.init(cfg, 0).as_vars(), cfg)
+    pv = CastParams.init(cfg, 0).as_vars()
+    retrieval, _ = _retrieval(p.data, h, memory, pv, cfg)
     return {
         "add": x + y,
         "add_broadcast": x + row,
@@ -249,6 +269,10 @@ def _rule_cases(rng):
         "operator_regularizer_oracle_shapes": operator_regularizer(oracle, (0.1, 0.2, 0.3, 0.4)),
         "retrieval": retrieval,
         "kl": _kl_term(rng.dirichlet(np.ones(5), size=3), p),
+        "gate": _gate(h, pv["w_gate"], pv["b_gate"], cfg.lambda_min, cfg.lambda_max),
+        "kernel_head": _kernel_head(h, support_position_encoding(5), pv),
+        "mean_loss": _mean_loss(Var(rng.uniform(size=3)), Var(rng.uniform(size=3)), 0.5),
+        "mean_loss_no_prior": _mean_loss(Var(rng.uniform(size=3)), None, 0.5),
     }
 
 
@@ -273,12 +297,17 @@ def test_rules_return_parent_shapes(rng):
 
 
 def test_accumulating_onto_a_shared_first_contribution(rng):
-    # a's first contribution comes from the add, the same array as y's and
-    # b's; adding a's second contribution must leave those unchanged
-    x, y = Var(rng.normal(size=4)), Var(rng.normal(size=4))
-    a = x * 2.0
-    b = a + y
-    ((b * b).sum() + a.sum()).backward()
+    # b's rule hands its incoming gradient to a and y unchanged, so a's first
+    # contribution is the very array that is b's and y's gradient; adding a's
+    # second contribution, through s, must leave those unchanged
+    V = autodiff.Var
+    x, y = V(rng.normal(size=4)), V(rng.normal(size=4))
+    a = V(2.0 * x.data, (x,), lambda g: (2.0 * g,))
+    b = V(a.data + y.data, (a, y), lambda g: (g, g))
+    s = V(a.data.sum(), (a,), lambda g: (np.full(4, g),))
+    out = V(b.data @ b.data + s.data, (b, s), lambda g: (2.0 * g * b.data, g))
+    out.backward()
+    assert y.grad is b.grad
     np.testing.assert_array_equal(y.grad, 2.0 * b.data)
     np.testing.assert_array_equal(b.grad, 2.0 * b.data)
     np.testing.assert_array_equal(x.grad, 2.0 * (2.0 * b.data + 1.0))

@@ -299,6 +299,17 @@ class TestCli:
         payload = json.loads((tmp_path / "rollout_persistence.json").read_text())
         assert payload["metrics"]["n_examples"] == 3
 
+    @pytest.mark.parametrize("command", ["evaluate", "rollout"])
+    @pytest.mark.parametrize("method", ["analog", "var", "ets"])
+    def test_fitted_baseline_needs_train(self, rng, tmp_path, capsys, command, method):
+        # fitted on the split it scores, a baseline would be scored in-sample
+        data = tmp_path / "d.jsonl"
+        write_dataset(data, _seqs(rng, t=10), section_name="unit")
+        out = tmp_path / "out"
+        assert _run([command, "--data", str(data), "--method", method, "--out", str(out)]) == 1
+        assert "--train" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_train_then_cast_evaluate(self, rng, tmp_path):
         data = tmp_path / "d.jsonl"
         write_dataset(data, _seqs(rng, n=4, t=8), section_name="unit")
@@ -467,6 +478,17 @@ class TestCli:
         assert checks["fixed_summary_identity"]["pass"] is True
         assert checks["default_scenario"]["pass"] is False
 
+    def test_aliasing_synthetic_reports_identity_failure(self, tmp_path, monkeypatch):
+        # the same offset fails the fixed-summary identity of aliasing-synthetic:
+        # the report is written with the verdict false, and the exit code is 2
+        minimize = theory._minimize_kl_over_mixture
+        monkeypatch.setattr(theory, "_minimize_kl_over_mixture",
+                            lambda *a, **kw: minimize(*a, **kw) + 1e-7)
+        assert _run(["aliasing-synthetic", "--seeds", "0", "--iters", "2", "--sequences", "8",
+                     "--out", str(tmp_path)]) == 2
+        checks = json.loads((tmp_path / "aliasing_synthetic.json").read_text())["checks"]
+        assert checks["fixed_summary_identity"] is False
+
     def test_module_runs_as_a_script(self, tmp_path):
         env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(cli.__file__))}
         argv = [sys.executable, "-m", "simplexcast.cli", "theory-check", "--scenarios", "1"]
@@ -549,8 +571,8 @@ class TestCli:
         assert csv_text.splitlines()[0] == "method,secA,secA:rollout,average_rank,top1"
 
     def test_report_on_readme_file_set(self, rng, tmp_path, capsys):
-        # README's workflow evaluates and rolls out cast and persistence into
-        # one directory; with only half of those files, report names the gap
+        # README's workflow evaluates and rolls out each method into one
+        # directory; with only half of those files, report names the gap
         ckpt, _ = self._cast_checkpoint(rng, tmp_path)
         data = tmp_path / "d.jsonl"
         results = tmp_path / "eval"
@@ -731,8 +753,8 @@ def test_pipeline_golden_outputs(tmp_path):
                  "--out", str(tmp_path)]) == 0
     assert _run(["train", "--data", data, "--iters", "30"] + common) == 0
     for method in ("persistence", "analog", "var", "ets", "cast"):
-        assert _run(["evaluate", "--data", data, "--method", method, "--model", ckpt]
-                    + common) == 0
+        assert _run(["evaluate", "--data", data, "--train", data, "--method", method,
+                     "--model", ckpt] + common) == 0
     assert _run(["rollout", "--data", data, "--method", "cast", "--model", ckpt] + common) == 0
     for name, digest in PIPELINE_SHA256.items():
         assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
@@ -770,6 +792,7 @@ def test_analysis_golden_outputs(tmp_path):
     assert _run(["seed-study", "--data", data, "--iters", "5"] + common) == 0
     assert _run(["theory-check", "--scenarios", "3"] + common) == 0
     for method in ("persistence", "analog", "var", "ets"):
-        assert _run(["rollout", "--data", data, "--method", method] + common) == 0
+        assert _run(["rollout", "--data", data, "--train", data, "--method", method]
+                    + common) == 0
     for name, digest in ANALYSIS_SHA256.items():
         assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name

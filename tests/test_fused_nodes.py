@@ -1,6 +1,7 @@
-"""The fused tape nodes (retrieval, the anchored-transport operator and its
-prior, the KL loss) against `tape_reference`, which builds the same forward
-pass from one tape node per arithmetic operation.
+"""The hand-written tape nodes (retrieval, the gates, the kernel head, the
+anchored-transport operator and its prior, the KL loss and the loss
+reduction) against `tape_reference`, which builds the same forward pass
+from one tape node per arithmetic operation.
 
 Tolerances: the loss and p_hat within 1e-14, and every gradient within
 1e-12 of the largest gradient magnitude over all parameters.
@@ -8,7 +9,6 @@ Tolerances: the loss and p_hat within 1e-14, and every gradient within
 import numpy as np
 import pytest
 
-from simplexcast.autodiff import Var
 from simplexcast.model import (
     VARIANTS,
     CastParams,
@@ -20,7 +20,13 @@ from simplexcast.model import (
 from simplexcast.simplex import SimplexSeries
 from simplexcast.transport import BudgetParams, cast_step, operator_regularizer
 
-from tape_reference import cast_step_ref, loss_var_ref, operator_regularizer_ref
+from tape_reference import (
+    Var,
+    as_ref_vars,
+    cast_step_ref,
+    loss_var_ref,
+    operator_regularizer_ref,
+)
 
 # a budget so small that the mean-shift gate binds (gate < 1) on most rows
 GATE_BINDS = dict(budget=BudgetParams(0.01, 0.0), rho_max=1.0)
@@ -64,7 +70,7 @@ def test_fused_loss_and_gradients_match_reference(i):
     pv = params.as_vars()
     out = loss_var(batch, pv, cfg)
     out.backward()
-    pv_ref = params.as_vars()
+    pv_ref = as_ref_vars(params)
     ref, p_hat_ref = loss_var_ref(batch, pv_ref, cfg)
     ref.backward()
 
@@ -92,7 +98,7 @@ def test_operator_matches_reference_on_oracle_shapes(rng, budget):
             leaves = [Var(np.array(x)) for x in inputs]
             r_v, lam_v, k_v, rho_v = leaves
             parts = step(p, r_v, lam_v, k_v, rho_v, budget)
-            out = (parts["p_hat"] * w).sum() + prior(parts, (0.1, 0.2, 0.3, 0.4))
+            out = (Var.lift(w) * parts["p_hat"]).sum() + prior(parts, (0.1, 0.2, 0.3, 0.4))
             out.backward()
             grads = {j: v.grad for j, v in enumerate(leaves)}
             results.append((out.item(), parts["p_hat"].data, grads))

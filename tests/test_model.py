@@ -375,7 +375,7 @@ def test_gradient_zero_for_unused_transport_params(rng):
 
 @pytest.mark.parametrize(
     "feature_mode, variant, rule_nodes, leaves",
-    [("current_only", "full", 24, 7), ("full", "anchor_only", 10, 7), ("full", "full", 25, 12)],
+    [("current_only", "full", 7, 7), ("full", "anchor_only", 5, 7), ("full", "full", 8, 12)],
 )
 def test_synthetic_tape_node_counts(feature_mode, variant, rule_nodes, leaves):
     # the requires-grad nodes that one synthetic training step's backward

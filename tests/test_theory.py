@@ -10,6 +10,7 @@ from simplexcast.theory import (
     build_aliasing_dataset,
     cast_oracle,
     default_scenario,
+    fixed_summary_identity,
     fixed_summary_optimum,
     numeric_fixed_summary_minimum,
     pinsker_separation,
@@ -112,7 +113,8 @@ class TestFixedSummary:
             rho=0.3,
             regimes=(Regime(0.5, kernel), Regime(0.5, kernel)),
         )
-        q, excess = fixed_summary_optimum(s, verify=True)
+        q, excess = fixed_summary_optimum(s)
+        assert fixed_summary_identity(s)
         assert excess < 1e-12
         np.testing.assert_allclose(q, s.successor(0), atol=1e-12)
 
