@@ -1,14 +1,15 @@
 """Minimal reverse-mode automatic differentiation over numpy arrays: the
 tape core.
 
-Every node is written by hand: a block of the forecaster computes its value
-in numpy and registers one node, `Var(value, parents, backward)`, whose
-backward maps the node's gradient to one gradient per parent. Gradients are
+The forecaster registers one node per training step (`model.loss_var`):
+`Var(value, parents, backward)`, whose backward maps the node's gradient
+to one gradient per parent, here the parameter leaves. Gradients are
 accumulated on leaf nodes after ``backward`` on a scalar output. An operand
 with ``requires_grad`` False is a constant: its gradient may be returned as
 None, and ``backward`` ignores None. The tape has no operator overloads;
-the one-op-per-node reference that the hand-written nodes are tested
-against lives in ``tests/tape_reference.py``.
+the one-op-per-node reference that the forecaster's reverse passes are
+tested against lives in ``tests/tape_reference.py``, and ``softmax`` and
+``softmax_vjp`` are the softmax rule that both share.
 
 Every backward rule returns gradients in its parents' shapes, and a node's
 first gradient contribution is stored as-is, so no backward rule may write
@@ -17,19 +18,6 @@ into the gradient it receives.
 from __future__ import annotations
 
 import numpy as np
-
-
-def unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
-    """Reduce a broadcasted gradient back to the original operand shape."""
-    if grad.shape == shape:
-        return grad
-    extra = grad.ndim - len(shape)
-    if extra > 0:
-        grad = grad.sum(axis=tuple(range(extra)))
-    axes = tuple(i for i, s in enumerate(shape) if s == 1 and grad.shape[i] != 1)
-    if axes:
-        grad = grad.sum(axis=axes, keepdims=True)
-    return grad.reshape(shape)
 
 
 def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
@@ -62,11 +50,6 @@ class Var:
 
     def item(self) -> float:
         return float(self.data)
-
-    @classmethod
-    def lift(cls, x) -> "Var":
-        """x itself if it is a tape node, else x as a constant node."""
-        return x if isinstance(x, Var) else cls(x, requires_grad=False)
 
     def backward(self):
         if self.data.ndim != 0:

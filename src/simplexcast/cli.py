@@ -18,7 +18,7 @@ import sys
 
 import numpy as np
 
-from .errors import SimplexCastError
+from .errors import ParseError, SimplexCastError
 from .io import RunConfig, atomic_write, ingest, write_dataset, write_json
 
 log = logging.getLogger(__name__)
@@ -46,6 +46,15 @@ def _resolve(args, cfg_file: RunConfig, keys) -> dict:
         if value is not None:
             out[key] = value
     return out
+
+
+def _ingest_like(path, data, flag: str):
+    """`ingest(path)` of the `flag` file, which must match --data's D and ordered."""
+    res = ingest(path)
+    if (res.dim, res.ordered) != (data.dim, data.ordered):
+        raise SimplexCastError(f"{flag} has D={res.dim}, ordered={res.ordered}; "
+                               f"--data has D={data.dim}, ordered={data.ordered}")
+    return res
 
 
 def _emit(args, payload, filename) -> str:
@@ -105,7 +114,7 @@ def _data_and_predictor(args):
         raise SimplexCastError(f"--method {args.method} is fitted on training data: give --train")
     data = ingest(args.data)
     if args.method in fitters:
-        return data, fitters[args.method](ingest(args.train).sequences)
+        return data, fitters[args.method](_ingest_like(args.train, data, "--train").sequences)
     if args.method == "persistence":
         return data, PersistencePredictor()
     if not args.model:
@@ -122,7 +131,7 @@ def _data_and_predictor(args):
 def _selection_split(args, train_res):
     """The split that model selection reads, and its name."""
     if args.val:
-        return ingest(args.val), "val"
+        return _ingest_like(args.val, train_res, "--val"), "val"
     log.warning("no --val given: the model is selected on the training split")
     return train_res, "train"
 
@@ -288,7 +297,7 @@ def _cmd_seed_study(args) -> int:
 
     train_res = ingest(args.data)
     val_res, selected_on = _selection_split(args, train_res)
-    test_res = ingest(args.test) if args.test else train_res
+    test_res = _ingest_like(args.test, train_res, "--test") if args.test else train_res
     mc = ModelConfig(
         dim=train_res.dim, ordered=train_res.ordered, **_resolve(args, RunConfig(), ("variant",))
     )
@@ -314,15 +323,23 @@ def _cmd_report(args) -> int:
             continue
         path = os.path.join(args.results, name)
         with open(path) as fh:
-            row = json.load(fh)
+            try:
+                row = json.load(fh)
+            except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+                raise ParseError(f"{path}: not a JSON file: {exc}") from exc
         if not isinstance(row, dict) or not {"method", "section", "metrics"} <= row.keys():
             continue
+        if not isinstance(row["method"], str) or not isinstance(row["section"], str):
+            raise ParseError(f"{path}: method and section must be strings")
         metrics = row["metrics"]
         if not isinstance(metrics, dict) or args.metric not in metrics:
             raise SimplexCastError(f"{path} has no metric {args.metric!r}")
+        value = metrics[args.metric]
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ParseError(f"{path}: metric {args.metric!r} must be a number, got {value!r}")
         # a rollout payload carries its horizon; it ranks in its own column
         section = f"{row['section']}:rollout" if "horizon" in row else row["section"]
-        table.setdefault(row["method"], {})[section] = metrics[args.metric]
+        table.setdefault(row["method"], {})[section] = value
     if not table:
         raise SimplexCastError(f"no result files with metrics in {args.results}")
     rm = rank_aggregate(table)
@@ -478,10 +495,10 @@ def cli_dispatch(argv=None) -> int:
         return 0 if exc.code == 0 else 1
     try:
         return args.func(args)
-    except (SimplexCastError, FileNotFoundError, ValueError) as exc:
+    except (SimplexCastError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except Exception as exc:  # pragma: no cover - defensive
+    except Exception as exc:
         print(f"runtime failure: {exc}", file=sys.stderr)
         return 2
 

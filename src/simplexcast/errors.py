@@ -5,6 +5,12 @@ class SimplexCastError(Exception):
     """Base class for all package-specific errors."""
 
 
+class InvalidValue(SimplexCastError, ValueError):
+    """An argument, config value or input outside what the package accepts.
+    Also a ValueError, so a caller that catches ValueError still catches it;
+    the CLI maps it to exit 1, and any other ValueError to exit 2."""
+
+
 class AllZeroMass(SimplexCastError):
     pass
 
@@ -70,10 +76,6 @@ class NoEligibleSequences(SimplexCastError):
 
 
 class TooFewSequences(SimplexCastError):
-    pass
-
-
-class OptimizationNotConverged(SimplexCastError):
     pass
 
 

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NoEligibleSequences, NoScoredPositions, TooFewSequences
+from .errors import InvalidValue, NoEligibleSequences, NoScoredPositions, TooFewSequences
 from .metrics import jsd, metric_report
 from .simplex import history_windows
 
@@ -48,9 +48,9 @@ class RolloutConfig:
 
     def __post_init__(self):
         if self.context_len < 1 or self.horizon < 1:
-            raise ValueError("context_len and horizon must be >= 1")
+            raise InvalidValue("context_len and horizon must be >= 1")
         if self.max_examples < 1:
-            raise ValueError("max_examples must be >= 1")
+            raise InvalidValue("max_examples must be >= 1")
 
 
 def evaluate_rollout(
@@ -106,12 +106,12 @@ def rank_aggregate(table: dict) -> RankMatrix:
     (rank exactly the minimum of the section) win counts."""
     methods = sorted(table)
     if not methods:
-        raise ValueError("empty results table")
+        raise InvalidValue("empty results table")
     sections = sorted(set().union(*table.values()))
     for m in methods:
         missing = [s for s in sections if s not in table[m]]
         if missing:
-            raise ValueError(
+            raise InvalidValue(
                 f"method {m!r} does not cover all sections: no {', '.join(missing)}"
             )
     ranks = np.zeros((len(methods), len(sections)))
@@ -248,12 +248,12 @@ def seed_study(runner, seeds) -> dict:
     and sample standard deviation (`sd`)."""
     seeds = list(seeds)
     if len(seeds) < 2:
-        raise ValueError("seed study needs at least two seeds")
+        raise InvalidValue("seed study needs at least two seeds")
     per_seed = [dict(runner(seed)) for seed in seeds]
     names = per_seed[0].keys()
     for row in per_seed[1:]:
         if row.keys() != names:
-            raise ValueError("runner returned inconsistent metric names")
+            raise InvalidValue("runner returned inconsistent metric names")
     mean = {}
     sd = {}
     for name in names:

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import AllZeroMass, ParseError, SchemaVersionMismatch
+from .errors import AllZeroMass, InvalidValue, ParseError, SchemaVersionMismatch
 from .simplex import SimplexSeries, normalize
 
 log = logging.getLogger(__name__)
@@ -41,12 +41,12 @@ class IngestResult:
 def write_dataset(path, seqs, section_name: str = "") -> None:
     """Writes a dataset atomically (temp file + rename)."""
     if not seqs:
-        raise ValueError("cannot write an empty dataset")
+        raise InvalidValue("cannot write an empty dataset")
     dim = seqs[0].steps.shape[1]
     ordered = seqs[0].ordered
     for s in seqs:
         if s.steps.shape[1] != dim or s.ordered != ordered:
-            raise ValueError("all sequences must share D and orderedness")
+            raise InvalidValue("all sequences must share D and orderedness")
     header = {
         "format_version": DATASET_FORMAT_VERSION,
         "D": dim,
@@ -69,10 +69,15 @@ def write_dataset(path, seqs, section_name: str = "") -> None:
 
 def ingest(path) -> IngestResult:
     """Reads a dataset file; rows are normalized, and rows whose total mass
-    is zero anywhere are dropped and counted. A non-finite value or an id
-    repeated within the file is a ParseError naming its line."""
+    is zero anywhere are dropped and counted. A header whose D is not an
+    integer >= 2, whose ordered is not a boolean or whose section_name is not
+    a string, a loss_mask entry that is not a boolean, a non-finite value, and an id repeated within the
+    file are each a ParseError naming its line."""
     with _open(path, "r") as fh:
-        lines = fh.read().splitlines()
+        try:
+            lines = fh.read().splitlines()
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"not a text file: {exc}") from exc
     if not lines:
         raise ParseError("empty dataset file", line=1)
     try:
@@ -89,8 +94,13 @@ def ingest(path) -> IngestResult:
     for key in ("D", "ordered", "section_name"):
         if key not in header:
             raise ParseError(f"header missing {key!r}", line=1)
-    dim = int(header["D"])
-    ordered = bool(header["ordered"])
+    dim, ordered = header["D"], header["ordered"]
+    if isinstance(dim, bool) or not isinstance(dim, int) or dim < 2:
+        raise ParseError(f"header D must be an integer >= 2, got {dim!r}", line=1)
+    if not isinstance(ordered, bool):
+        raise ParseError(f"header ordered must be true or false, got {ordered!r}", line=1)
+    if not isinstance(header["section_name"], str):
+        raise ParseError("header section_name must be a string", line=1)
 
     sequences = []
     seen_ids: set = set()
@@ -120,6 +130,8 @@ def ingest(path) -> IngestResult:
         seen_ids.add(seq_id)
         mask = row.get("loss_mask")
         if mask is not None:
+            if not isinstance(mask, list) or not all(isinstance(x, bool) for x in mask):
+                raise ParseError("loss_mask must be a list of true/false", line=lineno)
             mask = np.asarray(mask, dtype=bool)
             if mask.shape != (len(steps) - 1,):
                 raise ParseError(
@@ -136,7 +148,7 @@ def ingest(path) -> IngestResult:
     return IngestResult(
         sequences=sequences,
         dropped_rows=dropped,
-        section_name=str(header["section_name"]),
+        section_name=header["section_name"],
         ordered=ordered,
         dim=dim,
     )
@@ -199,6 +211,8 @@ class RunConfig:
                 raw = json.load(fh)
             except json.JSONDecodeError as exc:
                 raise ParseError(f"bad config: {exc}", line=exc.lineno) from exc
+            except UnicodeDecodeError as exc:
+                raise ParseError(f"bad config: {exc}") from exc
         if not isinstance(raw, dict):
             raise ParseError("config must be a JSON object")
         for key, value in raw.items():

@@ -4,27 +4,26 @@ The causal encoder is a fixed windowed feature map (recent distributions,
 exponentially weighted running mean, one-step delta, and ordered-support
 moments); everything downstream of it is learnable: per-head retrieval
 projections, head mixing, the persistence gate, the transport head, and
-the transport-strength gate. All learnable paths run through the autodiff
-tape so gradients are exact reverse-mode. The model produces the operator's
-inputs (retrieval r, gate lambda, kernel, raw strength rho); the anchor,
+the transport-strength gate. The model produces the operator's inputs
+(retrieval r, gate lambda, kernel, raw strength rho); the anchor,
 transport, budget gate and mix, and the operator regularizer, are
 `transport.cast_step` and `transport.operator_regularizer`, the same code
 the theory oracle runs.
 
-The forward pass has a leading batch axis: a training step is one tape over
-all B scored positions of the batch. Every stage computes its value in
-numpy and registers one tape node with a hand-written backward: retrieval
-(masked causal attention over the memories padded to the longest prefix;
-the memory is a constant, so no gradient is computed for it), the two
-gates, the kernel head, the operator and its prior, the per-row KL, and the
-mean loss. A full-model step is 8 such nodes. Scoring (`forward`) is one
-pass per sequence: every scored row reads one shared memory of the
-sequence's (feature, successor) pairs, and the causal mask lets row t see
-only the pairs before it.
+The forward pass has a leading batch axis and runs on plain arrays. Every
+stage (retrieval, the two gates, the kernel head, the operator and its
+prior, the per-row KL) returns its value and its reverse pass, a
+hand-written vector-Jacobian product, so gradients are exact reverse-mode.
+`loss_var` is the one place that builds a tape: one node whose parents are
+the parameter leaves and whose backward runs the stages' reverse passes in
+a fixed order. Scoring (`forward`) builds no tape and is one pass per
+sequence: every scored row reads one shared memory of the sequence's
+(feature, successor) pairs, and the causal mask lets row t see only the
+pairs before it.
 
 The parameters live in one float64 buffer, `CastParams.flat`, and the named
-arrays the tape reads are views into it: init, copy, save, load, the AdamW
-update and tail averaging each act on the one buffer.
+arrays the forward pass reads are views into it: init, copy, save, load,
+the AdamW update and tail averaging each act on the one buffer.
 """
 from __future__ import annotations
 
@@ -37,12 +36,7 @@ from itertools import groupby
 import numpy as np
 
 from .autodiff import Var, softmax, softmax_vjp
-from .errors import (
-    DivergedTraining,
-    EmptyBatch,
-    EmptyPrefix,
-    NonFiniteGradient,
-)
+from .errors import DivergedTraining, EmptyBatch, EmptyPrefix, InvalidValue, NonFiniteGradient
 from .io import atomic_write
 from .simplex import history_windows, smoothed_levels, support_bins
 from .transport import BudgetParams, cast_step, operator_regularizer
@@ -88,25 +82,25 @@ class ModelConfig:
 
     def __post_init__(self):
         if self.variant not in VARIANTS:
-            raise ValueError(f"unknown variant {self.variant!r}")
+            raise InvalidValue(f"unknown variant {self.variant!r}")
         if self.feature_mode not in ("full", "current_only"):
-            raise ValueError(f"unknown feature_mode {self.feature_mode!r}")
+            raise InvalidValue(f"unknown feature_mode {self.feature_mode!r}")
         if self.variant == "single_head":
             object.__setattr__(self, "heads", 1)
         if min(self.window, self.heads, self.d_r) < 1:
-            raise ValueError("window, heads and d_r must be >= 1")
+            raise InvalidValue("window, heads and d_r must be >= 1")
         if not 0.0 <= self.lambda_min <= self.lambda_max <= 1.0:
-            raise ValueError("need 0 <= lambda_min <= lambda_max <= 1")
+            raise InvalidValue("need 0 <= lambda_min <= lambda_max <= 1")
         # above 1, (1 - rho_eff) * a goes negative and closure breaks
         if not 0.0 < self.rho_max <= 1.0:
-            raise ValueError("rho_max must lie in (0, 1]")
+            raise InvalidValue("rho_max must lie in (0, 1]")
         w = self.reg_weights
         if not (
             isinstance(w, (tuple, list))
             and len(w) == 4
             and all(isinstance(x, (int, float)) and x >= 0 for x in w)
         ):
-            raise ValueError("reg_weights must be four nonnegative numbers")
+            raise InvalidValue("reg_weights must be four nonnegative numbers")
         object.__setattr__(self, "reg_weights", tuple(w))
 
     @property
@@ -190,12 +184,12 @@ def _has_json_type(v, kind: str) -> bool:
 
 def _check_header_config(c) -> None:
     if not isinstance(c, dict) or set(c) != set(_CONFIG_TYPES):
-        raise ValueError(f"checkpoint config must have exactly the keys {sorted(_CONFIG_TYPES)}")
+        raise InvalidValue(f"checkpoint config must have exactly the keys {sorted(_CONFIG_TYPES)}")
     for key, kind in _CONFIG_TYPES.items():
         if not _has_json_type(c[key], kind):
-            raise ValueError(f"checkpoint config {key!r} must be of JSON type {kind}")
+            raise InvalidValue(f"checkpoint config {key!r} must be of JSON type {kind}")
     if len(c["budget"]) != 3:
-        raise ValueError("checkpoint config 'budget' must have three numbers")
+        raise InvalidValue("checkpoint config 'budget' must have three numbers")
 
 
 class CastParams:
@@ -254,21 +248,21 @@ class CastParams:
 
     @staticmethod
     def load(path) -> "CastParams":
-        """Reads a checkpoint, rejecting with ValueError a bad header, a
+        """Reads a checkpoint, rejecting with InvalidValue a bad header, a
         config key that is missing or of the wrong type, an entry list other
         than the names and shapes of `param_shapes` in order, and any other
         byte length."""
         with open(path, "rb") as fh:
             data = fh.read()
         if data[:4] != CHECKPOINT_MAGIC or len(data) < 8:
-            raise ValueError("not a checkpoint file")
+            raise InvalidValue("not a checkpoint file")
         (n,) = struct.unpack("<I", data[4:8])
         try:
             header = json.loads(data[8 : 8 + n].decode())
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise ValueError(f"bad checkpoint header: {exc}") from exc
+            raise InvalidValue(f"bad checkpoint header: {exc}") from exc
         if not isinstance(header, dict) or header.get("format_version") != 1:
-            raise ValueError("unsupported checkpoint version")
+            raise InvalidValue("unsupported checkpoint version")
         c = header.get("config")
         _check_header_config(c)
         c = dict(c)
@@ -278,12 +272,12 @@ class CastParams:
         try:
             layout = [(e["name"], tuple(e["shape"])) for e in header.get("entries")]
         except (KeyError, TypeError) as exc:
-            raise ValueError("bad checkpoint entries") from exc
+            raise InvalidValue("bad checkpoint entries") from exc
         if layout != expected:
-            raise ValueError("checkpoint entries do not match the model layout")
+            raise InvalidValue("checkpoint entries do not match the model layout")
         size = 8 + n + 8 * sum(math.prod(shape) for _, shape in expected)
         if len(data) != size:
-            raise ValueError(f"checkpoint is {len(data)} bytes, expected {size}")
+            raise InvalidValue(f"checkpoint is {len(data)} bytes, expected {size}")
         return CastParams(cfg, np.frombuffer(data, dtype="<f8", offset=8 + n).astype(np.float64))
 
 
@@ -303,27 +297,28 @@ def _pad_memory(mem_feats: list, mem_succ: list):
     return feats, succ, lengths
 
 
-def _retrieval(p: np.ndarray, h: np.ndarray, memory, pv: dict[str, Var], cfg: ModelConfig):
-    """Masked causal multi-head retrieval as one tape node over the query,
-    key and head-mix weights. Row i of the current distributions p (B, D)
-    and features h (B, F) attends to its first lengths[i] slots of the
-    padded memory from `_pad_memory`; each head is a softmax over scaled
+def _retrieval(p: np.ndarray, h: np.ndarray, memory, values: dict, cfg: ModelConfig):
+    """Masked causal multi-head retrieval over the query, key and head-mix
+    weights in `values`. Row i of the current distributions p (B, D) and
+    features h (B, F) attends to its first lengths[i] slots of the padded
+    memory from `_pad_memory`; each head is a softmax over scaled
     dot-product scores, the heads are mixed by eta = softmax(h @ w_eta), and
-    a row with no memory takes r = p. Returns r and the per-head attention
-    weights (B, T)."""
+    a row with no memory takes r = p. The memory is a constant, so no
+    gradient is computed for it. Returns r, its reverse pass to the
+    gradients of wq0, wk0, wq1, wk1, ... and w_eta, and the per-head
+    attention weights (B, T)."""
     mem_feats, mem_succ, lengths = memory
     mask = np.where(np.arange(mem_feats.shape[1]) < lengths[:, None], 0.0, -np.inf)
     empty = lengths == 0
     mask[empty, 0] = 0.0  # keeps an empty row's softmax finite; r = p below
     has = (~empty)[:, None].astype(np.float64)
     scale = np.sqrt(cfg.d_r)
-    parents = tuple(pv[f"{w}{m}"] for m in range(cfg.heads) for w in ("wq", "wk")) + (pv["w_eta"],)
-    eta = softmax(h @ pv["w_eta"].data)
+    eta = softmax(h @ values["w_eta"])
     qs, attn, heads = [], [], []
     r = np.zeros_like(p)
     for m in range(cfg.heads):
-        q = h @ pv[f"wq{m}"].data
-        u = pv[f"wk{m}"].data @ q[:, :, None]  # (B, F, 1): the query in feature space
+        q = h @ values[f"wq{m}"]
+        u = values[f"wk{m}"] @ q[:, :, None]  # (B, F, 1): the query in feature space
         alpha = softmax((mem_feats @ u)[..., 0] / scale + mask)
         head = (alpha[:, None, :] @ mem_succ)[:, 0, :]
         r += head * eta[:, m : m + 1]
@@ -341,7 +336,7 @@ def _retrieval(p: np.ndarray, h: np.ndarray, memory, pv: dict[str, Var], cfg: Mo
             g_alpha = (mem_succ @ (g * eta[:, m : m + 1])[:, :, None])[..., 0]
             g_scores = softmax_vjp(attn[m], g_alpha) / scale
             g_u = (g_scores[:, None, :] @ mem_feats)[:, 0, :]
-            grads += [h.T @ (g_u @ pv[f"wk{m}"].data), g_u.T @ qs[m]]
+            grads += [h.T @ (g_u @ values[f"wk{m}"]), g_u.T @ qs[m]]
         # the softmax rule for the eta logits, s * (g - sum(s * g)), with
         # the mix subtracted from each head before the sum over bins: two
         # heads that nearly agree then lose no digits to cancellation
@@ -349,66 +344,71 @@ def _retrieval(p: np.ndarray, h: np.ndarray, memory, pv: dict[str, Var], cfg: Mo
         grads.append(h.T @ g_logits)
         return tuple(grads)
 
-    return Var(r, parents, back), attn
+    return r, back, attn
 
 
-def _gate(h: np.ndarray, w: Var, b: Var, lo: float, hi: float) -> Var:
+def _gate(h: np.ndarray, w: np.ndarray, b: np.ndarray, lo: float, hi: float):
     """lo + (hi - lo) * sigmoid(h @ w + b), one value per row of the
-    features h (B, F), as one tape node over the weight w and bias b."""
-    s = 1.0 / (1.0 + np.exp(-(h @ w.data + b.data)))
+    features h (B, F), and its reverse pass to the gradients of the weight
+    w and bias b."""
+    s = 1.0 / (1.0 + np.exp(-(h @ w + b)))
     span = hi - lo
 
     def back(g):
         g_logit = g * span * s * (1.0 - s)
         return h.T @ g_logit, g_logit.sum()
 
-    return Var(lo + span * s, (w, b), back)
+    return lo + span * s, back
 
 
-def _kernel_head(h: np.ndarray, pe: np.ndarray, pv: dict[str, Var]) -> Var:
+def _kernel_head(h: np.ndarray, pe: np.ndarray, values: dict):
     """Per-row, per-bin transport kernels, (B, D, 3): a softmax over the
     three offsets of logits h @ wt_h (one per row) + pe @ wt_pe (one per
-    bin, from the support position encoding pe (D, 2)) + bt, as one tape
-    node over wt_h, wt_pe and bt."""
-    wt_h, wt_pe, bt = pv["wt_h"], pv["wt_pe"], pv["bt"]
-    s = softmax((h @ wt_h.data).reshape(len(h), 1, 3) + pe @ wt_pe.data + bt.data)
+    bin, from the support position encoding pe (D, 2)) + bt, and its
+    reverse pass to the gradients of wt_h, wt_pe and bt."""
+    s = softmax((h @ values["wt_h"]).reshape(len(h), 1, 3) + pe @ values["wt_pe"] + values["bt"])
 
     def back(g):
         g = softmax_vjp(s, g)
         return h.T @ g.sum(axis=1), pe.T @ g.sum(axis=0), g.sum(axis=(0, 1))
 
-    return Var(s, (wt_h, wt_pe, bt), back)
+    return s, back
 
 
-def _forward_var(p: np.ndarray, h: np.ndarray, memory, pv: dict[str, Var], cfg: ModelConfig):
-    """Differentiable forward pass over B positions at once: current
-    distributions p (B, D), features h (B, F), and the padded retrieval
-    memory from `_pad_memory` (or None). Retrieval is `_retrieval`; without
-    a memory, or with current-only features, r = p. The persistence gate,
-    transport-strength gate and kernel head are one tape node each, and the
-    anchor, transport, budget gate and mix run in `transport.cast_step`.
-    Returns (p_hat, parts) where parts holds the intermediate Vars, one row
-    each, for the regularizer and trace."""
+def _forward(p: np.ndarray, h: np.ndarray, memory, values: dict, cfg: ModelConfig):
+    """Forward pass over B positions at once from the parameter arrays
+    `values`: current distributions p (B, D), features h (B, F), and the
+    padded retrieval memory from `_pad_memory` (or None). Without a memory,
+    or with current-only features, r = p. The heads feed
+    `transport.cast_step`. Returns p_hat, the step's parts with lam, r and
+    attn added (one row each), and one (operator input, parameter names,
+    reverse pass) entry per head that ran."""
     d = p.shape[1]
+    heads = []
     if memory is not None and cfg.feature_mode != "current_only":
-        r, attn = _retrieval(p, h, memory, pv, cfg)
+        r, back, attn = _retrieval(p, h, memory, values, cfg)
+        names = tuple(f"{w}{m}" for m in range(cfg.heads) for w in ("wq", "wk")) + ("w_eta",)
+        heads.append(("r", names, back))
     else:
         r, attn = p, []
     lam = 0.0
     if cfg.variant != "no_persistence_mix":
-        lam = _gate(h, pv["w_gate"], pv["b_gate"], cfg.lambda_min, cfg.lambda_max)
+        lam, back = _gate(h, values["w_gate"], values["b_gate"], cfg.lambda_min, cfg.lambda_max)
+        heads.append(("lam", ("w_gate", "b_gate"), back))
     kernel = rho_raw = None
     if cfg.transport_active:
-        rho_raw = _gate(h, pv["w_rho"], pv["b_rho"], 0.0, cfg.rho_max)
+        rho_raw, back = _gate(h, values["w_rho"], values["b_rho"], 0.0, cfg.rho_max)
+        heads.append(("rho", ("w_rho", "b_rho"), back))
         if cfg.variant == "fixed_local_kernel":
             kernel = fixed_local_kernel(d)
         else:
             # boundary rows cannot move mass outside; the clip in shift_mass
             # handles it, no masking required
-            kernel = _kernel_head(h, support_position_encoding(d), pv)
+            kernel, back = _kernel_head(h, support_position_encoding(d), values)
+            heads.append(("kernel", ("wt_h", "wt_pe", "bt"), back))
     parts = cast_step(p, r, lam, kernel, rho_raw, cfg.budget)
-    parts.update(lam=Var.lift(lam), r=Var.lift(r), attn=attn)
-    return parts["p_hat"], parts
+    parts.update(lam=lam, r=r, attn=attn)
+    return parts["p_hat"], parts, heads
 
 
 def forward(steps: np.ndarray, ts, params: CastParams, feats: np.ndarray | None = None):
@@ -417,27 +417,27 @@ def forward(steps: np.ndarray, ts, params: CastParams, feats: np.ndarray | None 
     `encode_all(steps)` when the caller has them cached. Every row reads
     the same memory, the pairs (feats[j], steps[j + 1]) for j < max(ts),
     and the causal mask lets row t attend to its first t pairs only.
-    Returns p_hat (len(ts), D) and the parts of `_forward_var`, one row
-    each."""
+    Returns p_hat (len(ts), D) and the parts of `_forward`, one row each.
+    Builds no tape."""
     ts = np.asarray(ts, dtype=int)
     tm = int(ts.max())
     steps = np.asarray(steps, dtype=np.float64)[: tm + 1]
     if feats is None:
         feats = encode_all(steps, params.cfg)
     memory = None if tm == 0 else (feats[None, :tm], steps[None, 1:], ts)
-    p_hat, parts = _forward_var(steps[ts], feats[ts], memory, params.as_vars(), params.cfg)
-    return p_hat.data, parts
+    p_hat, parts, _ = _forward(steps[ts], feats[ts], memory, params.values, params.cfg)
+    return p_hat, parts
 
 
-def _kl_term(target: np.ndarray, p_hat: Var, eps: float = 1e-8) -> Var:
+def _kl_term(target: np.ndarray, p_hat: np.ndarray, eps: float = 1e-8):
     """Per-row KL(target || p_hat) over the last axis, both eps-smoothed,
-    as one tape node."""
+    and its reverse pass to the gradient of p_hat."""
     d = target.shape[-1]
     ts = (target + eps) / (1.0 + d * eps)
     c = 1.0 / (1.0 + d * eps)
-    qs = (p_hat.data + eps) * c
+    qs = (p_hat + eps) * c
     out = np.sum(ts * np.log(ts), axis=-1) - np.sum(ts * np.log(qs), axis=-1)
-    return Var(out, (p_hat,), lambda g: (-g[..., None] * ts / qs * c,))
+    return out, lambda g: -g[..., None] * ts / qs * c
 
 
 def _features(seq, cfg: ModelConfig, feats_cache: dict | None) -> np.ndarray:
@@ -452,7 +452,7 @@ def _features(seq, cfg: ModelConfig, feats_cache: dict | None) -> np.ndarray:
 
 def make_batch(seqs, positions, cfg: ModelConfig, feats_cache: dict | None = None):
     """Teacher-forced inputs at `positions`, (sequence index, t) pairs each
-    predicting steps[t + 1] from steps[: t + 1], stacked for `_forward_var`:
+    predicting steps[t + 1] from steps[: t + 1], stacked for `_forward`:
     current distributions (B, D), features (B, F), padded memory, and the
     targets (B, D)."""
     if len(positions) == 0:
@@ -467,34 +467,34 @@ def make_batch(seqs, positions, cfg: ModelConfig, feats_cache: dict | None = Non
     return p, h, memory, targets
 
 
-def _mean_loss(kl: Var, prior: Var | None, lambda_op: float) -> Var:
-    """mean(kl) + lambda_op * mean(prior) over the per-row KL and operator
-    prior values, or mean(kl) without a prior, as one tape node."""
-    n = len(kl.data)
-    total = kl.data.sum() / n
-    if prior is None:
-        return Var(total, (kl,), lambda g: (np.full(kl.shape, g / n),))
-    total = total + (prior.data.sum() / n) * lambda_op
-
-    def back(g):
-        return np.full(kl.shape, g / n), np.full(prior.shape, g * lambda_op / n)
-
-    return Var(total, (kl, prior), back)
-
-
 def loss_var(batch: tuple, pv: dict[str, Var], cfg: ModelConfig) -> Var:
     """Mean one-step KL over a `make_batch` batch plus lambda_op times the
-    mean operator regularizer, from one forward pass over all items."""
+    mean operator regularizer, as the one tape node of a training step over
+    the parameter leaves pv. Its backward runs the mean, the KL, the step's
+    `vjp` plus the prior's, then each head's reverse pass; a leaf that no
+    head reached gets None."""
     p, h, memory, targets = batch
-    p_hat, parts = _forward_var(p, h, memory, pv, cfg)
+    p_hat, parts, heads = _forward(p, h, memory, {k: v.data for k, v in pv.items()}, cfg)
+    kl, kl_back = _kl_term(targets, p_hat)
+    n = len(kl)
+    total = kl.sum() / n
     prior = None
     if cfg.variant != "no_structural_reg":
         prior = operator_regularizer(parts, cfg.reg_weights)
-    return _mean_loss(_kl_term(targets, p_hat), prior, cfg.lambda_op)
+    if prior is not None:
+        total = total + (prior[0].sum() / n) * cfg.lambda_op
 
+    def back(g):
+        g_in = parts["vjp"](kl_back(np.full(n, g / n)))
+        if prior is not None:
+            g_in = [a + b for a, b in zip(g_in, prior[1](np.full(n, g * cfg.lambda_op / n)))]
+        g_in = dict(zip(("r", "lam", "kernel", "rho"), g_in))
+        grads = {}
+        for name, keys, head_back in heads:
+            grads.update(zip(keys, head_back(g_in[name])))
+        return tuple(grads.get(k) for k in pv)
 
-def loss(batch: tuple, params: CastParams) -> float:
-    return loss_var(batch, params.as_vars(), params.cfg).item()
+    return Var(total, tuple(pv.values()), back)
 
 
 def gradient(batch: tuple, params: CastParams) -> tuple[float, dict[str, np.ndarray]]:
@@ -533,18 +533,18 @@ class TrainConfig:
     def __post_init__(self):
         for name in ("iters", "batch_size", "eval_every", "max_val_positions"):
             if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+                raise InvalidValue(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.warmup < 0:
-            raise ValueError(f"warmup must be >= 0, got {self.warmup}")
+            raise InvalidValue(f"warmup must be >= 0, got {self.warmup}")
         # written so that NaN fails every check
         if not (np.isfinite(self.lr) and self.lr > 0):
-            raise ValueError(f"lr must be positive and finite, got {self.lr}")
+            raise InvalidValue(f"lr must be positive and finite, got {self.lr}")
         if not (np.isfinite(self.weight_decay) and self.weight_decay >= 0):
-            raise ValueError(f"weight_decay must be >= 0 and finite, got {self.weight_decay}")
+            raise InvalidValue(f"weight_decay must be >= 0 and finite, got {self.weight_decay}")
         if not (np.isfinite(self.clip_norm) and self.clip_norm > 0):
-            raise ValueError(f"clip_norm must be positive and finite, got {self.clip_norm}")
+            raise InvalidValue(f"clip_norm must be positive and finite, got {self.clip_norm}")
         if not 0.0 <= self.tail_average < 1.0:
-            raise ValueError(f"tail_average must lie in [0, 1), got {self.tail_average}")
+            raise InvalidValue(f"tail_average must lie in [0, 1), got {self.tail_average}")
 
 
 def evaluate_val_kl(seqs, params: CastParams, max_positions: int, feats_cache: dict) -> float:

@@ -16,11 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    ConfigUtilizationOutOfBand,
-    RejectionBudgetExceeded,
-    TooFewSystems,
-)
+from .errors import ConfigUtilizationOutOfBand, InvalidValue, RejectionBudgetExceeded, TooFewSystems
 from .simplex import SimplexSeries
 
 UTILIZATION_BAND = (0.26, 0.6)
@@ -46,7 +42,7 @@ class ServiceTimeFamily:
 
     def __post_init__(self):
         if self.name not in HOMOGENEOUS_FAMILIES:
-            raise ValueError(f"unknown family {self.name!r}")
+            raise InvalidValue(f"unknown family {self.name!r}")
 
     def mean(self) -> float:
         p = self.params
@@ -118,9 +114,9 @@ class Modulation:
 
     def __post_init__(self):
         if not (0.0 <= self.amplitude < 1.0):
-            raise ValueError("amplitude must be in [0, 1)")
+            raise InvalidValue("amplitude must be in [0, 1)")
         if self.period <= 0:
-            raise ValueError("period must be positive")
+            raise InvalidValue("period must be positive")
 
 
 @dataclass(frozen=True)
@@ -135,13 +131,13 @@ class QueueConfig:
 
     def __post_init__(self):
         if self.n_arrivals < 1:
-            raise ValueError(f"number of arrivals must be >= 1, got {self.n_arrivals}")
+            raise InvalidValue(f"number of arrivals must be >= 1, got {self.n_arrivals}")
         if self.n_replications < 1:
-            raise ValueError(
+            raise InvalidValue(
                 f"number of replications must be >= 1, got {self.n_replications}"
             )
         if not self.dt > 0:
-            raise ValueError(f"grid step dt must be positive, got {self.dt}")
+            raise InvalidValue(f"grid step dt must be positive, got {self.dt}")
 
     @property
     def utilization(self) -> float:
@@ -275,7 +271,7 @@ def sample_config(
         families = NONHOMOGENEOUS_FAMILIES
         modulated = True
     else:
-        raise ValueError(f"unknown section {section!r}")
+        raise InvalidValue(f"unknown section {section!r}")
     lo, hi = UTILIZATION_BAND
     for _ in range(max_attempts):
         arrival_mean = rng.uniform(0.5, 1.2)
@@ -352,7 +348,7 @@ def _draw_family(name: str, mean: float, rng: np.random.Generator) -> ServiceTim
         shape = float(rng.uniform(0.8, 2.5))
         scale = mean / math.gamma(1.0 + 1.0 / shape)
         return ServiceTimeFamily("weibull", {"shape": shape, "scale": scale})
-    raise ValueError(f"unknown family {name!r}")
+    raise InvalidValue(f"unknown family {name!r}")
 
 
 def pad_to_section_dim(series_list: list[SimplexSeries]) -> tuple[list[SimplexSeries], int]:
@@ -408,7 +404,7 @@ def generate_section(
     n_replications: int = 200,
 ) -> QueueSection:
     if n_systems < 1:
-        raise ValueError(f"number of systems must be >= 1, got {n_systems}")
+        raise InvalidValue(f"number of systems must be >= 1, got {n_systems}")
     rng = np.random.default_rng(master_seed)
     configs, systems = [], []
     for i in range(n_systems):
@@ -444,7 +440,7 @@ def split_systems(
     if len(systems) < 10:
         raise TooFewSystems(f"need >= 10 systems, got {len(systems)}")
     if not np.isclose(sum(fractions), 1.0):
-        raise ValueError("fractions must sum to 1")
+        raise InvalidValue("fractions must sum to 1")
     rng = np.random.default_rng(seed)
     widths = np.array([support_width(s) for s in systems])
     jitter = rng.permutation(len(systems))

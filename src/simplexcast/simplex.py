@@ -17,7 +17,7 @@ from functools import lru_cache
 import numpy as np
 from numpy.typing import NDArray
 
-from .errors import AllZeroMass, DimensionMismatch, NegativeMass, ZeroComponent
+from .errors import AllZeroMass, DimensionMismatch, InvalidValue, NegativeMass, ZeroComponent
 
 SUM_TOL = 1e-9
 
@@ -61,7 +61,7 @@ def normalize(raw) -> Dist:
 def smooth(p: Dist, eps: float = 1e-8) -> Dist:
     """Floor distributions (last axis) away from zero: (p + eps) / (1 + D*eps)."""
     if eps <= 0:
-        raise ValueError("eps must be positive")
+        raise InvalidValue("eps must be positive")
     p = np.asarray(p, dtype=np.float64)
     return (p + eps) / (1.0 + p.shape[-1] * eps)
 

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import InvalidValue
 from .metrics import DEFAULT_EPS, jsd, js_weighted, kl, l1
 from .simplex import SimplexSeries, as_dist, mean_support
 from .transport import BudgetParams, TransportKernel, apply_transport, cast_step
@@ -46,9 +47,9 @@ class AliasingScenario:
         object.__setattr__(self, "regimes", tuple(self.regimes))
         pis = np.array([r.pi for r in self.regimes])
         if not np.isclose(pis.sum(), 1.0, atol=1e-9) or np.any(pis < 0):
-            raise ValueError("regime weights must be a distribution")
+            raise InvalidValue("regime weights must be a distribution")
         if not (0.0 < self.rho <= 1.0):
-            raise ValueError("rho must be in (0, 1]")
+            raise InvalidValue("rho must be in (0, 1]")
 
     @property
     def k(self) -> int:
@@ -87,7 +88,7 @@ class AliasingScenario:
         b = self.effective_budget().budget(self.p_star)
         for shift in self._mean_shifts():
             if shift > b:
-                raise ValueError(
+                raise InvalidValue(
                     f"mean shift {shift:.4f} exceeds budget {b:.4f}; "
                     "successors are outside the gated transport class"
                 )
@@ -212,7 +213,7 @@ def cast_oracle(scenario: AliasingScenario) -> np.ndarray:
     budget = scenario.effective_budget()
     p = scenario.p_star
     return np.array([
-        cast_step(p, p, 1.0, regime.kernel.rows, scenario.rho, budget)["p_hat"].data
+        cast_step(p, p, 1.0, regime.kernel.rows, scenario.rho, budget)["p_hat"]
         for regime in scenario.regimes
     ])
 
@@ -237,7 +238,7 @@ def build_aliasing_dataset(
     component reveals the regime, then the aliased state, then the regime's
     successor. Only the final transition is scored."""
     if n_sequences < 2:
-        raise ValueError("need at least two sequences")
+        raise InvalidValue("need at least two sequences")
     rng = np.random.default_rng(seed)
     d, k = scenario.dim, scenario.k
     markers = regime_markers(d, k)

@@ -10,9 +10,9 @@ within B = delta_mu + delta_sigma * std_support(a).
 `operator_regularizer` are the only implementation of the operator; the
 model trains and predicts through them. Both work on the last axis, so they
 take one distribution (D,) or a batch (B, D) with one operator per row.
-Each computes its block in numpy and registers one tape node whose backward
-is written by hand (the custom vector-Jacobian-product pattern); the two
-backwards share one reverse chain through the mean shift and the budget.
+Each runs on plain arrays and returns its value with its reverse pass, a
+hand-written vector-Jacobian product (the custom-VJP pattern); the two
+reverse passes share one chain through the mean shift and the budget.
 `apply_transport` and `TransportKernel` define scenario successors and
 serve as independent numpy references in the tests.
 """
@@ -23,8 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from .autodiff import Var, unbroadcast
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, InvalidValue
 from .simplex import Dist, std_support, support_bins
 
 
@@ -40,7 +39,7 @@ class TransportKernel:
         if rows.ndim != 2 or rows.shape[1] != 3:
             raise DimensionMismatch(f"kernel rows must be (D, 3), got {rows.shape}")
         if np.any(rows < 0) or np.any(np.abs(rows.sum(axis=1) - 1.0) > 1e-9):
-            raise ValueError("kernel rows must be nonnegative and sum to 1")
+            raise InvalidValue("kernel rows must be nonnegative and sum to 1")
 
     @property
     def dim(self) -> int:
@@ -68,7 +67,7 @@ class BudgetParams:
 
     def __post_init__(self):
         if self.delta_mu < 0 or self.delta_sigma < 0:
-            raise ValueError("budget coefficients must be nonnegative")
+            raise InvalidValue("budget coefficients must be nonnegative")
 
     def budget(self, a: Dist) -> float:
         return self.delta_mu + self.delta_sigma * std_support(a)
@@ -113,50 +112,39 @@ def _shift_mass_vjp(g: np.ndarray) -> np.ndarray:
 def cast_step(p, r, lam, kernel, rho, budget: BudgetParams) -> dict:
     """One anchored-transport transition: anchor a = lam*p + (1-lam)*r, then
     mix in the radius-1 transport of a with the strength rho scaled down by
-    the mean-shift budget gate. Arguments are tape Vars or plain arrays;
-    kernel=None means anchor only (unordered supports, or the anchor_only
-    variant). This is the one implementation that training, inference and
-    the theory oracle run.
+    the mean-shift budget gate. kernel=None means anchor only (unordered
+    supports, or the anchor_only variant). This is the one implementation
+    that training, inference and the theory oracle run.
 
     p and r are (..., D): one distribution, or a batch (B, D) with one
     transition per row. lam and rho are per row (shape (...), or scalars
     shared by every row) and the kernel is (..., D, 3) or one (D, 3) kernel
     for every row.
 
-    The step is computed in numpy and registers one tape node, p_hat, whose
-    parents are (p, r, lam) without a kernel and (p, r, lam, kernel, rho)
-    with one. Its backward is written by hand, with the rules of the
-    elementwise derivation: the 1e-18 inside the support std, the sign of
-    delta_mu, and no gradient through the gate where it is clipped at 1.
-
-    Returns the parts by name: a, ta, kernel, rho, rho_eff, delta_mu,
-    budget and p_hat as Vars, only p_hat (a without a kernel) on the tape;
-    the transport entries are None without a kernel. The per-row entries
-    rho_eff, delta_mu and budget have shape (...). With a kernel, `chain`
-    is the reverse chain through delta_mu and the budget that
+    Returns the parts by name as arrays: a, ta, kernel, rho, rho_eff,
+    delta_mu, budget and p_hat (a without a kernel); the transport entries
+    are None without a kernel. The per-row entries rho_eff, delta_mu and
+    budget have shape (...). `vjp` maps a gradient of p_hat to those of
+    (r, lam, kernel, rho), the last two None without a kernel, by the rules
+    of the elementwise derivation: the 1e-18 inside the support std, the
+    sign of delta_mu, and no gradient through the gate where it is clipped
+    at 1. An input with one value per row gets a gradient of its shape; a
+    shared one is a constant whose gradient is not read. With a kernel,
+    `chain` is the reverse chain through delta_mu and the budget that
     `operator_regularizer` shares."""
-    p, r, lam = Var.lift(p), Var.lift(r), Var.lift(lam)
-    lam_c = lam.data[..., None]
-    a = lam_c * p.data + (1.0 - lam_c) * r.data
+    lam_c = np.asarray(lam, dtype=np.float64)[..., None]
+    a = lam_c * p + (1.0 - lam_c) * r
 
-    def anchor_grads(g_a):
-        """(p, r, lam) gradients from one of a."""
-        return (
-            g_a * lam_c if p.requires_grad else None,
-            g_a * (1.0 - lam_c) if r.requires_grad else None,
-            unbroadcast(np.sum(g_a * (p.data - r.data), axis=-1), lam.shape)
-            if lam.requires_grad else None,
-        )
+    def anchor_vjp(g_a):
+        """(r, lam) gradients from one of a."""
+        return g_a * (1.0 - lam_c), np.sum(g_a * (p - r), axis=-1)
 
     parts = dict.fromkeys(("ta", "kernel", "rho", "rho_eff", "delta_mu", "budget"))
     if kernel is None:
-        a_var = Var(a, (p, r, lam), anchor_grads)
-        parts.update(a=a_var, p_hat=a_var)
+        parts.update(a=a, p_hat=a, vjp=lambda g: anchor_vjp(g) + (None, None))
         return parts
 
-    kernel, rho = Var.lift(kernel), Var.lift(rho)
-    k = kernel.data
-    m = a[..., None] * k
+    m = a[..., None] * kernel
     ta = shift_mass(m[..., 0], m[..., 1], m[..., 2])
     bins = support_bins(a.shape[-1])
     centered = bins - (a @ bins)[..., None]
@@ -167,12 +155,12 @@ def cast_step(p, r, lam, kernel, rho, budget: BudgetParams) -> dict:
     ratio = b / den
     binds = ratio < 1.0  # the budget scales rho down; elsewhere the gate is 1
     gate = np.where(binds, ratio, 1.0)
-    rho_eff = rho.data * gate
+    rho_eff = rho * gate
     re = rho_eff[..., None]
     p_hat = (1.0 - re) * a + re * ta
 
     def chain(g_a, g_ta, g_dm, g_b, g_k):
-        """(p, r, lam, kernel) gradients from those of a, ta, delta_mu, the
+        """(r, lam, kernel) gradients from those of a, ta, delta_mu, the
         budget and the kernel, in the layout of a and of a * kernel; g_a
         and g_ta are written into."""
         g_dm_bins = g_dm[..., None] * bins
@@ -183,54 +171,49 @@ def cast_step(p, r, lam, kernel, rho, budget: BudgetParams) -> dict:
         g_a += g_var * centered * centered
         g_a -= g_centered.sum(axis=-1)[..., None] * bins
         g_m = _shift_mass_vjp(g_ta)
-        g_a += (g_m * k).sum(axis=-1)
-        g_k = g_k + a[..., None] * g_m
-        return anchor_grads(g_a) + (
-            unbroadcast(g_k, kernel.shape) if kernel.requires_grad else None,
-        )
+        g_a += (g_m * kernel).sum(axis=-1)
+        return anchor_vjp(g_a) + (g_k + a[..., None] * g_m,)
 
-    def back(g):
+    def vjp(g):
         g_re = np.sum(g * (ta - a), axis=-1)
-        g_ratio = g_re * rho.data * binds
+        g_ratio = g_re * rho * binds
         g_abs = -g_ratio * b / (den * den)
         grads = chain(g * (1.0 - re), g * re, g_abs * np.sign(delta_mu), g_ratio / den, 0.0)
-        return grads + (unbroadcast(g_re * gate, rho.shape) if rho.requires_grad else None,)
+        return grads + (g_re * gate,)
 
-    parts.update(a=Var.lift(a), ta=Var.lift(ta), kernel=kernel, rho=rho,
-                 rho_eff=Var.lift(rho_eff), delta_mu=Var.lift(delta_mu), budget=Var.lift(b),
-                 chain=chain, p_hat=Var(p_hat, (p, r, lam, kernel, rho), back))
+    parts.update(a=a, ta=ta, kernel=kernel, rho=rho, rho_eff=rho_eff, delta_mu=delta_mu, budget=b,
+                 chain=chain, vjp=vjp, p_hat=p_hat)
     return parts
 
 
-def operator_regularizer(parts, weights) -> Var | None:
+def operator_regularizer(parts, weights):
     """Target-free operator prior on the parts of a cast_step: weighted sum
     of transport strength, off-identity mass, neighbor roughness, and
-    relative mean shift, one value per row. One tape node with the parents
-    of the step's p_hat; its backward reaches them through the step's
-    `chain`. None when the step had no transport."""
-    kernel = parts["kernel"]
-    if kernel is None:
+    relative mean shift, one value per row. Returns (prior, vjp), where vjp
+    maps a gradient of the prior to those of the step's (r, lam, kernel,
+    rho) through the step's `chain`; None when the step had no transport."""
+    k = parts["kernel"]
+    if k is None:
         return None
     w_strength, w_offid, w_smooth, w_shift = weights
-    k, rho = kernel.data, parts["rho"]
-    dm, b = parts["delta_mu"].data, parts["budget"].data
+    dm, b = parts["delta_mu"], parts["budget"]
     off_id = (k[..., 0] * k[..., 0]).sum(axis=-1) + (k[..., 2] * k[..., 2]).sum(axis=-1)
     dk = k[..., :-1, :] - k[..., 1:, :]
     smoothness = (dk * dk).sum(axis=(-2, -1))
     ratio = dm / b
-    prior = (w_strength * rho.data + w_offid * off_id + w_smooth * smoothness
+    prior = (w_strength * parts["rho"] + w_offid * off_id + w_smooth * smoothness
              + w_shift * (ratio * ratio))
 
-    def back(g):
+    def vjp(g):
         g_row = g[..., None, None]
         g_k = (2.0 * w_offid) * g_row * k * _OFF_IDENTITY
         g_dk = (2.0 * w_smooth) * g_row * dk
         g_k[..., :-1, :] += g_dk
         g_k[..., 1:, :] -= g_dk
         g_ratio = (2.0 * w_shift) * g * ratio
-        a = parts["a"].data
+        a = parts["a"]
         grads = parts["chain"](np.zeros_like(a), np.zeros_like(a), g_ratio / b,
                                -g_ratio * dm / (b * b), g_k)
-        return grads + (unbroadcast(w_strength * g, rho.shape) if rho.requires_grad else None,)
+        return grads + (w_strength * g,)
 
-    return Var(prior, parts["p_hat"].parents, back)
+    return prior, vjp

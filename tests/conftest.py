@@ -71,13 +71,20 @@ def ilr_rows_ref(steps):
 def cast_predict_ref(params, steps, t):
     """The forecast of steps[t + 1] from its own encoding of steps[: t + 1]
     and its own memory of the t pairs before t."""
-    from simplexcast.model import _forward_var, _pad_memory, encode_all
+    from simplexcast.model import _forward, _pad_memory, encode_all
 
     prefix = steps[: t + 1]
     feats = encode_all(prefix, params.cfg)
     memory = _pad_memory([feats[:t]], [prefix[1:]])
-    p_hat, _ = _forward_var(prefix[t:], feats[t:], memory, params.as_vars(), params.cfg)
-    return p_hat.data[0]
+    p_hat, _, _ = _forward(prefix[t:], feats[t:], memory, params.values, params.cfg)
+    return p_hat[0]
+
+
+def loss(batch, params):
+    """The training loss of `model.loss_var` at `params`, as a float."""
+    from simplexcast.model import loss_var
+
+    return loss_var(batch, params.as_vars(), params.cfg).item()
 
 
 def val_kl_ref(seqs, params, max_positions):

@@ -11,8 +11,12 @@ check the general statement and the closed form against it.
 import numpy as np
 from scipy.optimize import linprog, minimize
 
-from simplexcast.errors import OptimizationNotConverged
+from simplexcast.errors import SimplexCastError
 from simplexcast.metrics import DEFAULT_EPS, kl
+
+
+class OptimizationNotConverged(SimplexCastError):
+    """A reference solver stopped without converging."""
 
 
 def l1_distance_to_hull(target: np.ndarray, points: np.ndarray) -> float:

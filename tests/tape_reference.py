@@ -1,27 +1,42 @@
 """The forecaster's forward pass built from elementary tape nodes, one per
-arithmetic operation: the reference for the hand-written nodes of
+arithmetic operation: the reference for the hand-written reverse passes of
 retrieval (`model._retrieval`), the persistence and transport-strength
 gates (`model._gate`), the kernel head (`model._kernel_head`), the
 anchored-transport operator (`transport.cast_step` and
 `transport.operator_regularizer`), the KL loss (`model._kl_term`) and the
-loss reduction (`model._mean_loss`).
+loss reduction (`model.loss_var`).
 
 Each stage here is the composition of small rules that the hand-written
-nodes replace, so reverse mode over it is an independent derivation of the
-same gradients. `Var` below is `simplexcast.autodiff.Var` with the
-operator library: broadcasting add, multiply and divide, batched matmul,
-reshape, sum, sigmoid and softmax. The other ops (negation, subtraction,
-basic indexing, log, sqrt, abs, clipping from above and the
-boundary-clipped radius-1 mass shift) are node-building functions below.
-Every rule here runs on the package's own `backward`.
+reverse passes replace, so reverse mode over it is an independent
+derivation of the same gradients. `Var` below is `simplexcast.autodiff.Var`
+with the operator library: broadcasting add, multiply and divide, batched
+matmul, reshape, sum, sigmoid and softmax, with constants lifted to nodes
+(`Var.lift`) and gradients summed back to their operands' shapes
+(`unbroadcast`). The other ops (negation, subtraction, basic indexing,
+log, sqrt, abs, clipping from above and the boundary-clipped radius-1 mass
+shift) are node-building functions below. Every rule here runs on the
+package's own `backward`.
 """
 import numpy as np
 
 from simplexcast import autodiff
-from simplexcast.autodiff import softmax, softmax_vjp, unbroadcast
+from simplexcast.autodiff import softmax, softmax_vjp
 from simplexcast.model import fixed_local_kernel, support_position_encoding
 from simplexcast.simplex import support_bins
 from simplexcast.transport import shift_mass
+
+
+def unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
+    """Reduce a broadcasted gradient back to the original operand shape."""
+    if grad.shape == shape:
+        return grad
+    extra = grad.ndim - len(shape)
+    if extra > 0:
+        grad = grad.sum(axis=tuple(range(extra)))
+    axes = tuple(i for i, s in enumerate(shape) if s == 1 and grad.shape[i] != 1)
+    if axes:
+        grad = grad.sum(axis=axes, keepdims=True)
+    return grad.reshape(shape)
 
 
 class Var(autodiff.Var):
@@ -32,6 +47,11 @@ class Var(autodiff.Var):
 
     # make numpy defer to the reflected operators below
     __array_ufunc__ = None
+
+    @classmethod
+    def lift(cls, x) -> "Var":
+        """x itself if it is a tape node, else x as a constant node."""
+        return x if isinstance(x, autodiff.Var) else cls(x, requires_grad=False)
 
     def __add__(self, other):
         other = Var.lift(other)
@@ -272,7 +292,7 @@ def retrieval_ref(p, hc, memory, pv, cfg):
 
 
 def forward_var_ref(p, h, memory, pv, cfg):
-    """`model._forward_var` with every stage on elementary nodes."""
+    """`model._forward` with every stage on elementary nodes."""
     b, d = p.shape
     hc = Var(h, requires_grad=False)
     attn = []

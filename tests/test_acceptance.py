@@ -22,7 +22,6 @@ from simplexcast.model import (
     ModelConfig,
     TrainConfig,
     gradient,
-    loss,
     make_batch,
     train,
 )
@@ -50,7 +49,7 @@ from simplexcast.transport import BudgetParams, cast_step
 from simplexcast.baselines import CastPredictor, PersistencePredictor
 from simplexcast.evaluate import RolloutConfig, evaluate_offline, evaluate_rollout
 
-from conftest import convex_mix, pinsker_lower_bound, random_dist
+from conftest import convex_mix, loss, pinsker_lower_bound, random_dist
 
 
 def _report(number: int, name: str, ok: bool, detail: str = "") -> None:
@@ -217,7 +216,7 @@ def test_criterion_5_cast_step_fuzz():
         # independent numpy references
         a = convex_mix(p, r, lam)
         parts = cast_step(p, r, lam, rows, rho, b)
-        p_hat, rho_eff = parts["p_hat"].data, parts["rho_eff"].item()
+        p_hat, rho_eff = parts["p_hat"], parts["rho_eff"].item()
         closure = np.all(p_hat >= -1e-12) and abs(p_hat.sum() - 1.0) < 1e-9
         drift = w1_ordered(a, p_hat) <= rho_eff * 1.0 + 1e-9
         mean_ok = abs(mean_support(p_hat) - mean_support(a)) <= rho * b.budget(a) + 1e-9

@@ -1,7 +1,7 @@
 """The tape: `simplexcast.autodiff.Var.backward` itself, the elementary
 operators of the reference tape (`tape_reference.Var`) against finite
-differences, and the contract every backward rule keeps, hand-written or
-reference."""
+differences, and the contract every reverse pass keeps: the reference
+tape's rules, the forecaster's stages and its one loss node."""
 import numpy as np
 import pytest
 
@@ -12,14 +12,16 @@ from simplexcast.model import (
     _gate,
     _kernel_head,
     _kl_term,
-    _mean_loss,
     _pad_memory,
     _retrieval,
+    loss_var,
+    make_batch,
     support_position_encoding,
 )
+from simplexcast.simplex import SimplexSeries
 from simplexcast.transport import BudgetParams, cast_step, operator_regularizer
 
-from tape_reference import Var
+from tape_reference import Var, unbroadcast
 
 
 def finite_diff(f, x, h=1e-6):
@@ -163,8 +165,6 @@ def product_sum_matmul_grads(a, b, g):
     over the batch axes afterwards: the reference for a matrix shared
     across a batched operand. Byte equality pins the summation order that
     the training checkpoints' goldens were recorded with."""
-    from simplexcast.autodiff import unbroadcast
-
     a2 = a[None, :] if a.ndim == 1 else a
     b2 = b[:, None] if b.ndim == 1 else b
     if b.ndim == 1:
@@ -222,10 +222,16 @@ def test_shared_matrix_grad_general_shapes(rng, a_shape, b_shape):
 # -------------------------------------------------- no-in-place contract
 
 
+def _node(out):
+    """A tape node as a rule case: its shape, rule and parents' shapes."""
+    return out.shape, out._backward, [parent.shape for parent in out.parents]
+
+
 def _rule_cases(rng):
-    """One output node per backward rule, its inputs all requiring a
-    gradient: the reference tape's operators, and the hand-written nodes of
-    the forecaster on small random inputs."""
+    """One case per reverse pass: the output shape, the rule, and the shape
+    of each input it returns a gradient for (None where it returns none).
+    The cases are the reference tape's operators, the forecaster's stages
+    on small random inputs, and the one loss node of a training step."""
     x = Var(rng.uniform(0.5, 2.0, size=(3, 4)))
     y = Var(rng.uniform(0.5, 2.0, size=(3, 4)))
     row = Var(rng.uniform(0.5, 2.0, size=4))
@@ -234,66 +240,84 @@ def _rule_cases(rng):
 
     # three transitions over D = 5, and one with the theory oracle's shapes
     # (scalar lam and rho, one (D, 3) kernel) whose budget gate binds
-    p, r = (Var(rng.dirichlet(np.ones(5), size=3)) for _ in range(2))
-    lam, rho = Var(rng.uniform(size=3)), Var(rng.uniform(0.0, 0.2, size=3))
-    step = cast_step(p, r, lam, Var(rng.dirichlet(np.ones(3), size=(3, 5))), rho, BudgetParams())
-    oracle = cast_step(Var(p.data[0]), Var(r.data[0]), Var(0.4),
-                       Var(rng.dirichlet(np.ones(3), size=5)), Var(0.9), BudgetParams(0.01, 0.0))
+    p, r = (rng.dirichlet(np.ones(5), size=3) for _ in range(2))
+    lam, rho = rng.uniform(size=3), rng.uniform(0.0, 0.2, size=3)
+    kernel, k_oracle = rng.dirichlet(np.ones(3), size=(3, 5)), rng.dirichlet(np.ones(3), size=5)
+    step = cast_step(p, r, lam, kernel, rho, BudgetParams())
+    oracle = cast_step(p[0], r[0], np.float64(0.4), k_oracle, np.float64(0.9),
+                       BudgetParams(0.01, 0.0))
+    step_inputs = [r.shape, lam.shape, kernel.shape, rho.shape]
+    oracle_inputs = [(5,), (), (5, 3), ()]
+    weights = (0.1, 0.2, 0.3, 0.4)
+    prior, prior_vjp = operator_regularizer(step, weights)
+    oracle_prior, oracle_prior_vjp = operator_regularizer(oracle, weights)
+
     cfg = ModelConfig(dim=5, ordered=True, window=2, heads=2, d_r=4)
     lengths = (0, 2, 4)  # a row with no memory, and unequal memories
     memory = _pad_memory([rng.normal(size=(t, cfg.feature_dim)) for t in lengths],
                          [rng.dirichlet(np.ones(5), size=t) for t in lengths])
     h = rng.normal(size=(3, cfg.feature_dim))
-    pv = CastParams.init(cfg, 0).as_vars()
-    retrieval, _ = _retrieval(p.data, h, memory, pv, cfg)
+    params = CastParams.init(cfg, 0)
+    values = params.values
+    retrieval, retrieval_back, _ = _retrieval(p, h, memory, values, cfg)
+    kl, kl_back = _kl_term(rng.dirichlet(np.ones(5), size=3), p)
+    gate, gate_back = _gate(h, values["w_gate"], values["b_gate"], cfg.lambda_min,
+                            cfg.lambda_max)
+    pe = support_position_encoding(5)
+    kernel_head, kernel_head_back = _kernel_head(h, pe, values)
+    seqs = [SimplexSeries(f"s{i}", True, rng.dirichlet(np.ones(5), size=6)) for i in range(2)]
+    out = loss_var(make_batch(seqs, [(0, 0), (0, 4), (1, 2)], cfg), params.as_vars(), cfg)
     return {
-        "add": x + y,
-        "add_broadcast": x + row,
-        "mul": x * y,
-        "mul_broadcast": x * row,
-        "truediv": x / row,
-        "matmul": x @ Var(rng.normal(size=(4, 2))),
-        "matmul_batched": batch @ Var(rng.normal(size=(2, 3, 5))),
-        "matmul_shared_left": x @ batch,
-        "matmul_shared_right": batch @ x,
-        "matmul_vector": x @ vec,
-        "reshape": x.reshape(12),
-        "sum_all": x.sum(),
-        "sum_axis": x.sum(axis=0),
-        "sigmoid": x.sigmoid(),
-        "softmax": x.softmax(axis=0),
-        "cast_step_anchor": cast_step(p, r, lam, None, None, BudgetParams())["p_hat"],
-        "cast_step": step["p_hat"],
-        "cast_step_oracle_shapes": oracle["p_hat"],
-        "operator_regularizer": operator_regularizer(step, (0.1, 0.2, 0.3, 0.4)),
-        "operator_regularizer_oracle_shapes": operator_regularizer(oracle, (0.1, 0.2, 0.3, 0.4)),
-        "retrieval": retrieval,
-        "kl": _kl_term(rng.dirichlet(np.ones(5), size=3), p),
-        "gate": _gate(h, pv["w_gate"], pv["b_gate"], cfg.lambda_min, cfg.lambda_max),
-        "kernel_head": _kernel_head(h, support_position_encoding(5), pv),
-        "mean_loss": _mean_loss(Var(rng.uniform(size=3)), Var(rng.uniform(size=3)), 0.5),
-        "mean_loss_no_prior": _mean_loss(Var(rng.uniform(size=3)), None, 0.5),
+        "add": _node(x + y),
+        "add_broadcast": _node(x + row),
+        "mul": _node(x * y),
+        "mul_broadcast": _node(x * row),
+        "truediv": _node(x / row),
+        "matmul": _node(x @ Var(rng.normal(size=(4, 2)))),
+        "matmul_batched": _node(batch @ Var(rng.normal(size=(2, 3, 5)))),
+        "matmul_shared_left": _node(x @ batch),
+        "matmul_shared_right": _node(batch @ x),
+        "matmul_vector": _node(x @ vec),
+        "reshape": _node(x.reshape(12)),
+        "sum_all": _node(x.sum()),
+        "sum_axis": _node(x.sum(axis=0)),
+        "sigmoid": _node(x.sigmoid()),
+        "softmax": _node(x.softmax(axis=0)),
+        "cast_step_anchor": ((3, 5), cast_step(p, r, lam, None, None, BudgetParams())["vjp"],
+                             [r.shape, lam.shape, None, None]),
+        "cast_step": ((3, 5), step["vjp"], step_inputs),
+        "cast_step_oracle_shapes": ((5,), oracle["vjp"], oracle_inputs),
+        "operator_regularizer": (prior.shape, prior_vjp, step_inputs),
+        "operator_regularizer_oracle_shapes": (np.shape(oracle_prior), oracle_prior_vjp,
+                                               oracle_inputs),
+        "retrieval": (retrieval.shape, retrieval_back,
+                      [values[k].shape for k in ("wq0", "wk0", "wq1", "wk1", "w_eta")]),
+        "kl": (kl.shape, lambda g: (kl_back(g),), [p.shape]),
+        "gate": (gate.shape, gate_back, [values["w_gate"].shape, values["b_gate"].shape]),
+        "kernel_head": (kernel_head.shape, kernel_head_back,
+                        [values[k].shape for k in ("wt_h", "wt_pe", "bt")]),
+        "loss": _node(out),
     }
 
 
 def test_rules_leave_incoming_gradient_unchanged(rng):
     # backward stores a first contribution as-is, so one array may be a
     # parent's gradient and a child's at once: no rule may write into it
-    for name, out in _rule_cases(rng).items():
-        g = rng.normal(size=out.shape)
+    for name, (shape, back, _) in _rule_cases(rng).items():
+        g = rng.normal(size=shape)
         g.setflags(write=False)
         before = g.copy()
-        grads = out._backward(g)
-        assert len(grads) == len(out.parents), name
+        back(g)
         assert np.array_equal(g, before), name
 
 
 def test_rules_return_parent_shapes(rng):
     # backward stores a first contribution without broadcasting it
-    for name, out in _rule_cases(rng).items():
-        grads = out._backward(rng.normal(size=out.shape))
-        for parent, g in zip(out.parents, grads):
-            assert g.shape == parent.shape, name
+    for name, (shape, back, inputs) in _rule_cases(rng).items():
+        grads = back(rng.normal(size=shape))
+        assert len(grads) == len(inputs), name
+        for g, want in zip(grads, inputs):
+            assert (g is None) if want is None else np.shape(g) == want, name
 
 
 def test_accumulating_onto_a_shared_first_contribution(rng):

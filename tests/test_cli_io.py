@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from simplexcast import cli, theory
 from simplexcast.cli import cli_dispatch
-from simplexcast.errors import ParseError, SchemaVersionMismatch
+from simplexcast.errors import InvalidValue, ParseError, SchemaVersionMismatch, SimplexCastError
 from simplexcast.io import RunConfig, ingest, write_dataset, write_json
 from simplexcast.simplex import SimplexSeries
 
@@ -121,6 +121,43 @@ class TestDatasetIO:
         assert exc.value.line == 3
         assert cli_dispatch(["evaluate", "--data", str(path), "--out", str(tmp_path)]) == 1
         assert capsys.readouterr().err.startswith("error: line 3: steps must be finite")
+
+    @pytest.mark.parametrize(
+        "field, message",
+        [
+            ({"D": "abc"}, "header D must be an integer >= 2, got 'abc'"),
+            ({"D": True}, "header D must be an integer >= 2, got True"),
+            ({"D": 1}, "header D must be an integer >= 2, got 1"),
+            ({"ordered": "no"}, "header ordered must be true or false, got 'no'"),
+            ({"section_name": ["x"]}, "header section_name must be a string"),
+        ],
+        ids=["D_string", "D_boolean", "D_below_2", "ordered_string", "section_name_list"],
+    )
+    def test_bad_header_value_rejected_at_line_1(self, tmp_path, capsys, field, message):
+        header = {"format_version": 1, "D": 2, "ordered": True, "section_name": "", **field}
+        row = {"id": "x", "steps": [[0.5, 0.5], [0.25, 0.75]]}
+        path = tmp_path / "d.jsonl"
+        path.write_text(json.dumps(header) + "\n" + json.dumps(row) + "\n")
+        with pytest.raises(ParseError) as exc:
+            ingest(path)
+        assert exc.value.line == 1
+        assert cli_dispatch(["evaluate", "--data", str(path), "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: line 1: {message}")
+
+    @pytest.mark.parametrize("mask", [["x"], [None], [1], "yes"])
+    def test_non_boolean_loss_mask_rejected_with_line(self, tmp_path, capsys, mask):
+        header = {"format_version": 1, "D": 2, "ordered": True, "section_name": ""}
+        good = {"id": "a", "steps": [[0.5, 0.5], [0.25, 0.75]], "loss_mask": [True]}
+        bad = {"id": "b", "steps": [[0.5, 0.5], [0.25, 0.75]], "loss_mask": mask}
+        path = tmp_path / "d.jsonl"
+        path.write_text("\n".join(json.dumps(x) for x in (header, good, bad)) + "\n")
+        with pytest.raises(ParseError) as exc:
+            ingest(path)
+        assert exc.value.line == 3
+        assert cli_dispatch(["evaluate", "--data", str(path), "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err.startswith(
+            "error: line 3: loss_mask must be a list of true/false"
+        )
 
     def test_empty_dataset_rejected(self, tmp_path):
         with pytest.raises(ValueError):
@@ -606,6 +643,92 @@ class TestCli:
         )
         assert _run(["report", "--results", str(results), "--out", str(tmp_path)]) == 0
         assert json.loads((tmp_path / "ranks.json").read_text())["methods"] == ["m1"]
+
+    def test_report_truncated_result_file_exits_1(self, tmp_path, capsys):
+        results = tmp_path / "results"
+        results.mkdir()
+        (results / "a.json").write_text('{"method":')
+        assert _run(["report", "--results", str(results), "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "a.json: not a JSON file" in err
+
+    @pytest.mark.parametrize("field", [{"section": ["secA"]}, {"method": 3}])
+    def test_report_non_string_method_or_section_exits_1(self, tmp_path, capsys, field):
+        results = tmp_path / "results"
+        results.mkdir()
+        row = {"method": "m1", "section": "secA", "metrics": {"kl": 0.1}, **field}
+        (results / "b.json").write_text(json.dumps(row))
+        assert _run(["report", "--results", str(results), "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "b.json: method and section must be strings" in err
+
+    def test_report_non_number_metric_exits_1(self, tmp_path, capsys):
+        results = tmp_path / "results"
+        results.mkdir()
+        (results / "b.json").write_text(
+            json.dumps({"method": "m1", "section": "secA", "metrics": {"kl": "low"}})
+        )
+        assert _run(["report", "--results", str(results), "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "b.json: metric 'kl' must be a number" in err
+
+    def test_non_utf8_input_files_exit_1(self, rng, tmp_path, capsys):
+        # a decoding failure is a ValueError; each reader reports it as bad input
+        binary = b"\xff\xfe\x00\x81"
+        data = tmp_path / "d.jsonl"
+        write_dataset(data, _seqs(rng))
+        (tmp_path / "bin.jsonl").write_bytes(binary)
+        (tmp_path / "cfg.json").write_bytes(binary)
+        results = tmp_path / "results"
+        results.mkdir()
+        (results / "a.json").write_bytes(binary)
+        calls = [
+            (["evaluate", "--data", str(tmp_path / "bin.jsonl")], "error: not a text file"),
+            (["train", "--data", str(data), "--config", str(tmp_path / "cfg.json")],
+             "error: bad config"),
+            (["report", "--results", str(results)], "a.json: not a JSON file"),
+        ]
+        for argv, message in calls:
+            assert _run(argv + ["--out", str(tmp_path / "out")]) == 1, argv
+            assert message in capsys.readouterr().err, argv
+
+    def test_internal_value_error_exits_2(self, tmp_path, capsys, monkeypatch):
+        # only the package's own InvalidValue means bad input; any other
+        # ValueError is a fault of the program
+        import simplexcast.evaluate
+
+        assert issubclass(InvalidValue, SimplexCastError) and issubclass(InvalidValue, ValueError)
+
+        def broken(table):
+            raise ValueError("boom")
+
+        monkeypatch.setattr(simplexcast.evaluate, "rank_aggregate", broken)
+        results = tmp_path / "results"
+        results.mkdir()
+        (results / "b.json").write_text(
+            json.dumps({"method": "m1", "section": "secA", "metrics": {"kl": 0.1}})
+        )
+        assert _run(["report", "--results", str(results), "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith("runtime failure: boom")
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["evaluate", "--method", "analog", "--train"], "--train"),
+            (["train", "--iters", "1", "--val"], "--val"),
+            (["seed-study", "--iters", "1", "--seeds", "0,1", "--test"], "--test"),
+        ],
+        ids=["evaluate_train", "train_val", "seed_study_test"],
+    )
+    def test_second_file_of_other_dimension_exits_1(self, rng, tmp_path, capsys, argv, flag):
+        data, other = tmp_path / "d4.jsonl", tmp_path / "d3.jsonl"
+        write_dataset(data, _seqs(rng, d=4))
+        write_dataset(other, _seqs(rng, d=3))
+        code = _run(argv + [str(other), "--data", str(data), "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert f"error: {flag} has D=3, ordered=True; --data has D=4, ordered=True" in (
+            capsys.readouterr().err
+        )
 
     def test_report_missing_metric_exits_1(self, tmp_path, capsys):
         results = tmp_path / "results"

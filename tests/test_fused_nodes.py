@@ -1,7 +1,8 @@
-"""The hand-written tape nodes (retrieval, the gates, the kernel head, the
-anchored-transport operator and its prior, the KL loss and the loss
-reduction) against `tape_reference`, which builds the same forward pass
-from one tape node per arithmetic operation.
+"""The hand-written reverse passes (retrieval, the gates, the kernel head,
+the anchored-transport operator and its prior, the KL loss and the loss
+reduction, run by `model.loss_var`'s one tape node) against
+`tape_reference`, which builds the same forward pass from one tape node per
+arithmetic operation.
 
 Tolerances: the loss and p_hat within 1e-14, and every gradient within
 1e-12 of the largest gradient magnitude over all parameters.
@@ -13,7 +14,7 @@ from simplexcast.model import (
     VARIANTS,
     CastParams,
     ModelConfig,
-    _forward_var,
+    _forward,
     loss_var,
     make_batch,
 )
@@ -75,34 +76,42 @@ def test_fused_loss_and_gradients_match_reference(i):
     ref.backward()
 
     assert abs(out.item() - ref.item()) <= 1e-14
-    p_hat, parts = _forward_var(*batch[:3], params.as_vars(), cfg)
-    assert np.abs(p_hat.data - p_hat_ref.data).max() <= 1e-14
+    p_hat, parts, _ = _forward(*batch[:3], params.values, cfg)
+    assert np.abs(p_hat - p_hat_ref.data).max() <= 1e-14
     _assert_grads_close(_grads(pv), _grads(pv_ref))
     if kw.get("budget") is GATE_BINDS["budget"]:
-        assert np.any(parts["rho_eff"].data < parts["rho"].data)  # the gate binds
+        assert np.any(parts["rho_eff"] < parts["rho"])  # the gate binds
 
 
 @pytest.mark.parametrize("budget", [BudgetParams(), BudgetParams(0.01, 0.0)])
 def test_operator_matches_reference_on_oracle_shapes(rng, budget):
     # theory.cast_oracle's call: one distribution, scalar lam and rho, and
-    # one (D, 3) array kernel, here with every input on the tape
+    # one (D, 3) array kernel; the reference has every input on the tape, and
+    # the step's vjp plus the prior's gives the gradients of
+    # sum(w * p_hat) + prior for (r, lam, kernel, rho)
+    weights = (0.1, 0.2, 0.3, 0.4)
     for _ in range(10):
         d = int(rng.integers(3, 9))
         p, r = rng.dirichlet(np.ones(d)), rng.dirichlet(np.ones(d))
         inputs = (r, float(rng.uniform()), rng.dirichlet(np.ones(3), size=d),
                   float(rng.uniform(0.0, 1.0)))
         w = rng.normal(size=d)
-        results = []
-        for step, prior in ((cast_step, operator_regularizer),
-                            (cast_step_ref, operator_regularizer_ref)):
-            leaves = [Var(np.array(x)) for x in inputs]
-            r_v, lam_v, k_v, rho_v = leaves
-            parts = step(p, r_v, lam_v, k_v, rho_v, budget)
-            out = (Var.lift(w) * parts["p_hat"]).sum() + prior(parts, (0.1, 0.2, 0.3, 0.4))
-            out.backward()
-            grads = {j: v.grad for j, v in enumerate(leaves)}
-            results.append((out.item(), parts["p_hat"].data, grads))
-        (got, got_p, got_g), (want, want_p, want_g) = results
-        assert abs(got - want) <= 1e-14 * max(1.0, abs(want))
-        assert np.abs(got_p - want_p).max() <= 1e-14
+
+        parts = cast_step(p, *inputs, budget)
+        prior, prior_vjp = operator_regularizer(parts, weights)
+        got = float(np.sum(w * parts["p_hat"]) + prior)
+        got_g = dict(enumerate(g + g_prior for g, g_prior
+                               in zip(parts["vjp"](w), prior_vjp(np.ones(())))))
+
+        leaves = [Var(np.array(x)) for x in inputs]
+        ref_parts = cast_step_ref(p, *leaves, budget)
+        out = ((Var.lift(w) * ref_parts["p_hat"]).sum()
+               + operator_regularizer_ref(ref_parts, weights))
+        out.backward()
+        want_g = {j: v.grad for j, v in enumerate(leaves)}
+
+        assert abs(got - out.item()) <= 1e-14 * max(1.0, abs(out.item()))
+        assert np.abs(parts["p_hat"] - ref_parts["p_hat"].data).max() <= 1e-14
+        for j, g in got_g.items():
+            assert np.shape(g) == np.shape(inputs[j])
         _assert_grads_close(got_g, want_g)

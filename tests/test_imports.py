@@ -3,7 +3,8 @@
 scipy is only a test oracle (tests/hull_reference.py, the LP checks of the
 metrics). The check imports every `simplexcast` module and runs every
 command in a fresh interpreter, because this test process already holds
-scipy through other test modules.
+scipy through other test modules. A second fresh interpreter checks that
+`theory-check`, which trains nothing, never loads the tape.
 """
 import json
 import os
@@ -65,3 +66,22 @@ def test_no_command_loads_scipy(tmp_path):
     assert result["scipy"] == []
     # positive control: the same check sees scipy once something loads it
     assert "scipy.optimize" in result["control"]
+
+
+THEORY_SCRIPT = """
+import json, sys
+
+from simplexcast.cli import cli_dispatch
+
+code = cli_dispatch(["theory-check", "--scenarios", "1", "--out", sys.argv[1]])
+print(json.dumps({"code": code, "autodiff": "simplexcast.autodiff" in sys.modules}))
+"""
+
+
+def test_theory_check_loads_no_tape(tmp_path):
+    proc = subprocess.run(
+        [sys.executable, "-c", THEORY_SCRIPT, str(tmp_path)],
+        env=dict(os.environ, PYTHONPATH=str(SRC)), capture_output=True, text=True, check=True,
+    )
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result == {"code": 0, "autodiff": False}, proc.stderr
