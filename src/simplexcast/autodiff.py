@@ -1,15 +1,14 @@
 """Minimal reverse-mode automatic differentiation over numpy arrays: the
-tape core.
+tape core, `Var` and its `backward`.
 
 The forecaster registers one node per training step (`model.loss_var`):
-`Var(value, parents, backward)`, whose backward maps the node's gradient
-to one gradient per parent, here the parameter leaves. Gradients are
+`Var(value, parents, backward)` over one leaf, the parameter buffer, whose
+backward maps the node's gradient to one gradient per parent. Gradients are
 accumulated on leaf nodes after ``backward`` on a scalar output. An operand
 with ``requires_grad`` False is a constant: its gradient may be returned as
 None, and ``backward`` ignores None. The tape has no operator overloads;
 the one-op-per-node reference that the forecaster's reverse passes are
-tested against lives in ``tests/tape_reference.py``, and ``softmax`` and
-``softmax_vjp`` are the softmax rule that both share.
+tested against lives in ``tests/tape_reference.py``.
 
 Every backward rule returns gradients in its parents' shapes, and a node's
 first gradient contribution is stored as-is, so no backward rule may write
@@ -18,18 +17,6 @@ into the gradient it receives.
 from __future__ import annotations
 
 import numpy as np
-
-
-def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Softmax over one axis, shifted by its max so exp cannot overflow."""
-    e = np.exp(x - x.max(axis=axis, keepdims=True))
-    return e / e.sum(axis=axis, keepdims=True)
-
-
-def softmax_vjp(s: np.ndarray, g: np.ndarray, axis: int = -1) -> np.ndarray:
-    """The gradient of the softmax logits, given its output s and the
-    gradient g of that output."""
-    return s * (g - (g * s).sum(axis=axis, keepdims=True))
 
 
 class Var:

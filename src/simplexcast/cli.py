@@ -495,7 +495,8 @@ def cli_dispatch(argv=None) -> int:
         return 0 if exc.code == 0 else 1
     try:
         return args.func(args)
-    except (SimplexCastError, FileNotFoundError) as exc:
+    # a path missing or of the wrong kind is bad input; a full disk is not
+    except (SimplexCastError, FileNotFoundError, IsADirectoryError, NotADirectoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:

@@ -39,10 +39,6 @@ class EmptyBatch(SimplexCastError):
     pass
 
 
-class NonFiniteGradient(SimplexCastError):
-    pass
-
-
 class DivergedTraining(SimplexCastError):
     pass
 

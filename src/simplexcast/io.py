@@ -23,10 +23,19 @@ log = logging.getLogger(__name__)
 DATASET_FORMAT_VERSION = 1
 
 
-def _open(path, mode):
-    if str(path).endswith(".gz"):
-        return gzip.open(path, mode + "t")
-    return open(path, mode)
+def _read_text(path, what: str) -> str:
+    """The text of a file, a .gz path decompressed; text that is not UTF-8
+    or bytes that are not one whole gzip stream are a ParseError."""
+    import zlib  # already loaded by gzip
+
+    opened = gzip.open(path, "rt") if str(path).endswith(".gz") else open(path)
+    with opened as fh:
+        try:
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{what}: {exc}") from exc
+        except (gzip.BadGzipFile, EOFError, zlib.error) as exc:
+            raise ParseError(f"{path}: not a whole gzip file: {exc}") from exc
 
 
 @dataclass
@@ -70,14 +79,11 @@ def write_dataset(path, seqs, section_name: str = "") -> None:
 def ingest(path) -> IngestResult:
     """Reads a dataset file; rows are normalized, and rows whose total mass
     is zero anywhere are dropped and counted. A header whose D is not an
-    integer >= 2, whose ordered is not a boolean or whose section_name is not
-    a string, a loss_mask entry that is not a boolean, a non-finite value, and an id repeated within the
-    file are each a ParseError naming its line."""
-    with _open(path, "r") as fh:
-        try:
-            lines = fh.read().splitlines()
-        except UnicodeDecodeError as exc:
-            raise ParseError(f"not a text file: {exc}") from exc
+    integer >= 2, whose ordered is not a boolean or whose section_name is
+    not a string, a loss_mask entry that is not a boolean, a non-finite
+    value, and an id repeated within the file are each a ParseError naming
+    its line; so is a file that `_read_text` rejects, without a line."""
+    lines = _read_text(path, "not a text file").splitlines()
     if not lines:
         raise ParseError("empty dataset file", line=1)
     try:
@@ -206,13 +212,10 @@ class RunConfig:
 
     @staticmethod
     def load(path) -> "RunConfig":
-        with _open(path, "r") as fh:
-            try:
-                raw = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ParseError(f"bad config: {exc}", line=exc.lineno) from exc
-            except UnicodeDecodeError as exc:
-                raise ParseError(f"bad config: {exc}") from exc
+        try:
+            raw = json.loads(_read_text(path, "bad config"))
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"bad config: {exc}", line=exc.lineno) from exc
         if not isinstance(raw, dict):
             raise ParseError("config must be a JSON object")
         for key, value in raw.items():

@@ -14,16 +14,16 @@ The forward pass has a leading batch axis and runs on plain arrays. Every
 stage (retrieval, the two gates, the kernel head, the operator and its
 prior, the per-row KL) returns its value and its reverse pass, a
 hand-written vector-Jacobian product, so gradients are exact reverse-mode.
-`loss_var` is the one place that builds a tape: one node whose parents are
-the parameter leaves and whose backward runs the stages' reverse passes in
-a fixed order. Scoring (`forward`) builds no tape and is one pass per
-sequence: every scored row reads one shared memory of the sequence's
-(feature, successor) pairs, and the causal mask lets row t see only the
-pairs before it.
+`loss_var` is the one place that builds a tape: one node over one leaf,
+`CastParams.flat`, whose backward runs the stages' reverse passes in a
+fixed order into a gradient of the same layout. Scoring (`forward`) builds
+no tape and is one pass per sequence: every scored row reads one shared
+memory of the sequence's (feature, successor) pairs, and the causal mask
+lets row t see only the pairs before it.
 
 The parameters live in one float64 buffer, `CastParams.flat`, and the named
 arrays the forward pass reads are views into it: init, copy, save, load,
-the AdamW update and tail averaging each act on the one buffer.
+the gradient, the AdamW update and tail averaging each act on one such buffer.
 """
 from __future__ import annotations
 
@@ -35,10 +35,10 @@ from itertools import groupby
 
 import numpy as np
 
-from .autodiff import Var, softmax, softmax_vjp
-from .errors import DivergedTraining, EmptyBatch, EmptyPrefix, InvalidValue, NonFiniteGradient
+from .autodiff import Var
+from .errors import DivergedTraining, EmptyBatch, EmptyPrefix, InvalidValue
 from .io import atomic_write
-from .simplex import history_windows, smoothed_levels, support_bins
+from .simplex import history_windows, smoothed_levels, softmax, softmax_vjp, support_bins
 from .transport import BudgetParams, cast_step, operator_regularizer
 
 VARIANTS = (
@@ -51,6 +51,7 @@ VARIANTS = (
 )
 
 CHECKPOINT_MAGIC = b"SXC1"
+MAX_VAL_POSITIONS = 256  # scored validation positions that model selection reads
 
 
 def _solve_gate_bias(target: float, lo: float, hi: float) -> float:
@@ -222,9 +223,6 @@ class CastParams:
 
     def copy(self) -> "CastParams":
         return CastParams(self.cfg, self.flat.copy())
-
-    def as_vars(self) -> dict[str, Var]:
-        return {k: Var(v) for k, v in self.values.items()}
 
     # -- checkpoint serialization ---------------------------------------
 
@@ -467,14 +465,16 @@ def make_batch(seqs, positions, cfg: ModelConfig, feats_cache: dict | None = Non
     return p, h, memory, targets
 
 
-def loss_var(batch: tuple, pv: dict[str, Var], cfg: ModelConfig) -> Var:
+def loss_var(batch: tuple, params: CastParams, out: CastParams | None = None) -> Var:
     """Mean one-step KL over a `make_batch` batch plus lambda_op times the
     mean operator regularizer, as the one tape node of a training step over
-    the parameter leaves pv. Its backward runs the mean, the KL, the step's
-    `vjp` plus the prior's, then each head's reverse pass; a leaf that no
-    head reached gets None."""
+    one leaf, `params.flat`. Its backward runs the mean, the KL, the step's
+    `vjp` plus the prior's, then each head's reverse pass into its views of
+    a gradient laid out as `params.flat`, zero where no head reads: the
+    buffer of `out` when given, else a new one."""
+    cfg = params.cfg
     p, h, memory, targets = batch
-    p_hat, parts, heads = _forward(p, h, memory, {k: v.data for k, v in pv.items()}, cfg)
+    p_hat, parts, heads = _forward(p, h, memory, params.values, cfg)
     kl, kl_back = _kl_term(targets, p_hat)
     n = len(kl)
     total = kl.sum() / n
@@ -489,25 +489,23 @@ def loss_var(batch: tuple, pv: dict[str, Var], cfg: ModelConfig) -> Var:
         if prior is not None:
             g_in = [a + b for a, b in zip(g_in, prior[1](np.full(n, g * cfg.lambda_op / n)))]
         g_in = dict(zip(("r", "lam", "kernel", "rho"), g_in))
-        grads = {}
+        grad = CastParams(cfg, np.empty_like(params.flat)) if out is None else out
+        grad.flat.fill(0.0)
         for name, keys, head_back in heads:
-            grads.update(zip(keys, head_back(g_in[name])))
-        return tuple(grads.get(k) for k in pv)
+            for key, g_key in zip(keys, head_back(g_in[name])):
+                grad.values[key][...] = g_key
+        return (grad.flat,)
 
-    return Var(total, tuple(pv.values()), back)
+    return Var(total, (Var(params.flat),), back)
 
 
-def gradient(batch: tuple, params: CastParams) -> tuple[float, dict[str, np.ndarray]]:
-    """Exact reverse-mode gradient of the training loss for every parameter."""
-    pv = params.as_vars()
-    out = loss_var(batch, pv, params.cfg)
-    if not np.isfinite(out.data):
-        raise NonFiniteGradient(f"loss is not finite: {out.data}")
-    out.backward()
-    grads = {
-        k: (v.grad if v.grad is not None else np.zeros_like(v.data)) for k, v in pv.items()
-    }
-    return out.item(), grads
+def gradient(batch: tuple, params: CastParams,
+             out: CastParams | None = None) -> tuple[float, np.ndarray]:
+    """The training loss and its exact gradient, laid out as `params.flat`
+    (in `out.flat` when given)."""
+    node = loss_var(batch, params, out)
+    node.backward()
+    return node.item(), node.parents[0].grad
 
 
 def scored_positions(seqs) -> list[tuple[int, int]]:
@@ -527,11 +525,10 @@ class TrainConfig:
     weight_decay: float = 0.1
     clip_norm: float = 1.0
     eval_every: int = 100
-    max_val_positions: int = 256
     tail_average: float = 0.0  # fraction of final iters whose weights are averaged
 
     def __post_init__(self):
-        for name in ("iters", "batch_size", "eval_every", "max_val_positions"):
+        for name in ("iters", "batch_size", "eval_every"):
             if getattr(self, name) < 1:
                 raise InvalidValue(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.warmup < 0:
@@ -578,9 +575,12 @@ def train(
     positions = scored_positions(train_seqs)
     if not positions:
         raise EmptyBatch("training split has no scored positions")
-    # AdamW moments and two scratch buffers in the layout of params.flat; the
-    # update writes into them, so a step allocates no parameter-sized array
-    m, v, g, work = (np.zeros_like(params.flat) for _ in range(4))
+    # the gradient with its named views, the AdamW moments and a scratch
+    # buffer in the layout of params.flat; each step writes into them, since a
+    # new parameter-sized array per step can cost fresh pages and page faults
+    grad = CastParams(cfg, np.zeros_like(params.flat))
+    g = grad.flat
+    m, v, work = (np.zeros_like(params.flat) for _ in range(3))
     beta1, beta2, adam_eps = 0.9, 0.999, 1e-8
     # features by sequence id, one cache per split: ids need only be unique
     # within a file, so a validation id may name a different training sequence
@@ -596,16 +596,15 @@ def train(
         idx = rng.integers(0, len(positions), size=min(tc.batch_size, len(positions)))
         # no name holds the batch, so its padded memory is freed before validation
         picked = [positions[i] for i in idx]
-        loss_value, grads = gradient(make_batch(train_seqs, picked, cfg, feats_cache), params)
+        loss_value, _ = gradient(make_batch(train_seqs, picked, cfg, feats_cache), params, grad)
         if not np.isfinite(loss_value):
-            raise DivergedTraining(f"loss diverged at step {step}")
+            raise DivergedTraining(f"loss is not finite at step {step}: {loss_value}")
 
         # one partial sum per parameter, in layout order: one sum over the
         # whole buffer would round differently and change the checkpoint bytes
-        norm = np.sqrt(sum(float(np.sum(x * x)) for x in grads.values()))
+        norm = np.sqrt(sum(float(np.sum(x * x)) for x in grad.values.values()))
         scale = min(1.0, tc.clip_norm / (norm + 1e-12))
         lr = tc.lr * min(1.0, step / max(tc.warmup, 1))
-        np.concatenate([grads[k].ravel() for k in params.values], out=g)
         g *= scale
         m *= beta1
         m += np.multiply(1 - beta1, g, out=work)
@@ -626,7 +625,7 @@ def train(
                 avg_sum += params.flat
 
         if step % tc.eval_every == 0 or step == tc.iters:
-            val_kl = evaluate_val_kl(val_seqs, params, tc.max_val_positions, val_cache)
+            val_kl = evaluate_val_kl(val_seqs, params, MAX_VAL_POSITIONS, val_cache)
             log.append({"step": step, "train_loss": loss_value, "val_kl": val_kl})
             if np.isfinite(val_kl) and val_kl < best_val:
                 best_val = val_kl
@@ -636,6 +635,6 @@ def train(
         # Polyak-style tail averaging: the averaged iterate suppresses the
         # stochastic-gradient noise floor, so it replaces checkpoint selection
         best = CastParams(cfg, avg_sum / n_avg)
-        val_kl = evaluate_val_kl(val_seqs, best, tc.max_val_positions, val_cache)
+        val_kl = evaluate_val_kl(val_seqs, best, MAX_VAL_POSITIONS, val_cache)
         log.append({"step": tc.iters, "train_loss": float("nan"), "val_kl": val_kl})
     return best, log

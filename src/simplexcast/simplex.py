@@ -1,7 +1,7 @@
 """Probability vectors on the simplex: construction, smoothing, mixing,
-isometric log-ratio coordinates, ordered-support moments, and the causal
-sequence primitives that the encoder, the baselines and the aliasing
-diagnostic share.
+isometric log-ratio coordinates, ordered-support moments, the softmax and
+its reverse pass, and the causal sequence primitives that the encoder, the
+baselines and the aliasing diagnostic share.
 
 A distribution is represented as a 1-D float64 numpy array with nonnegative
 entries summing to one; a sequence of them is a (T, D) array. `smooth` and
@@ -98,10 +98,18 @@ def ilr_inverse(z, d: int) -> Dist:
     z = np.asarray(z, dtype=np.float64)
     if z.size != d - 1:
         raise DimensionMismatch(f"expected {d - 1} coordinates, got {z.size}")
-    x = helmert_basis(d).T @ z
-    x -= x.max()
-    e = np.exp(x)
-    return e / e.sum()
+    return softmax(helmert_basis(d).T @ z)
+
+
+def softmax(x, axis: int = -1) -> NDArray[np.float64]:
+    """Softmax over one axis, shifted by its max so exp cannot overflow."""
+    e = np.exp(x - x.max(axis=axis, keepdims=True))
+    return e / e.sum(axis=axis, keepdims=True)
+
+
+def softmax_vjp(s, g, axis: int = -1) -> NDArray[np.float64]:
+    """The gradient of the softmax logits from its output s and output gradient g."""
+    return s * (g - (g * s).sum(axis=axis, keepdims=True))
 
 
 def history_windows(steps, w: int) -> NDArray[np.float64]:

@@ -84,7 +84,7 @@ def loss(batch, params):
     """The training loss of `model.loss_var` at `params`, as a float."""
     from simplexcast.model import loss_var
 
-    return loss_var(batch, params.as_vars(), params.cfg).item()
+    return loss_var(batch, params).item()
 
 
 def val_kl_ref(seqs, params, max_positions):

@@ -20,9 +20,8 @@ package's own `backward`.
 import numpy as np
 
 from simplexcast import autodiff
-from simplexcast.autodiff import softmax, softmax_vjp
 from simplexcast.model import fixed_local_kernel, support_position_encoding
-from simplexcast.simplex import support_bins
+from simplexcast.simplex import softmax, softmax_vjp, support_bins
 from simplexcast.transport import shift_mass
 
 

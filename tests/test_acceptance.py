@@ -167,8 +167,8 @@ def test_criterion_4_gradient_matches_finite_differences():
             for i in range(2)
         ]
         batch = make_batch(seqs, [(0, t_len - 2), (1, 1)], cfg)
-        _, grads = gradient(batch, params)
-        flat_grad = _flatten(grads)
+        _, g = gradient(batch, params)
+        flat_grad = _flatten(CastParams(cfg, g).values)
         flat0 = _flatten(params.values)
         step = 1e-5
         fd = np.zeros_like(flat0)

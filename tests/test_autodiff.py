@@ -266,7 +266,7 @@ def _rule_cases(rng):
     pe = support_position_encoding(5)
     kernel_head, kernel_head_back = _kernel_head(h, pe, values)
     seqs = [SimplexSeries(f"s{i}", True, rng.dirichlet(np.ones(5), size=6)) for i in range(2)]
-    out = loss_var(make_batch(seqs, [(0, 0), (0, 4), (1, 2)], cfg), params.as_vars(), cfg)
+    out = loss_var(make_batch(seqs, [(0, 0), (0, 4), (1, 2)], cfg), params)
     return {
         "add": _node(x + y),
         "add_broadcast": _node(x + row),

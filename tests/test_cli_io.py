@@ -692,6 +692,48 @@ class TestCli:
             assert _run(argv + ["--out", str(tmp_path / "out")]) == 1, argv
             assert message in capsys.readouterr().err, argv
 
+    @pytest.mark.parametrize(
+        "argv, wrong",
+        [
+            (["report", "--results", "{data}"], "{data}"),
+            (["evaluate", "--data", "{dir}"], "{dir}"),
+            (["train", "--data", "{data}", "--config", "{dir}"], "{dir}"),
+            (["evaluate", "--data", "{data}", "--method", "cast", "--model", "{dir}"], "{dir}"),
+        ],
+        ids=["report_results_file", "evaluate_data_dir", "train_config_dir", "cast_model_dir"],
+    )
+    def test_path_of_the_wrong_kind_exits_1(self, rng, tmp_path, capsys, argv, wrong):
+        paths = {"data": str(tmp_path / "d.jsonl"), "dir": str(tmp_path / "adir")}
+        write_dataset(paths["data"], _seqs(rng))
+        os.mkdir(paths["dir"])
+        argv = [a.format(**paths) for a in argv]
+        assert _run(argv + ["--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and repr(wrong.format(**paths)) in err
+
+    @pytest.mark.parametrize("damage", ["truncated", "not_gzip"])
+    def test_corrupt_gzip_input_exits_1(self, rng, tmp_path, capsys, damage):
+        import gzip
+
+        data, cfg = tmp_path / "d.jsonl.gz", tmp_path / "cfg.json.gz"
+        write_dataset(data, _seqs(rng))
+        if damage == "truncated":
+            data.write_bytes(data.read_bytes()[:-30])
+            cfg.write_bytes(gzip.compress(b'{"iters": 2}')[:-8])
+        else:
+            data.write_bytes(gzip.decompress(data.read_bytes()))
+            cfg.write_text('{"iters": 2}')
+        good = tmp_path / "good.jsonl"
+        write_dataset(good, _seqs(rng))
+        for argv, path in [(["evaluate", "--data", str(data)], data),
+                           (["train", "--data", str(good), "--config", str(cfg)], cfg)]:
+            assert _run(argv + ["--out", str(tmp_path / "out")]) == 1, argv
+            assert f"error: {path}: not a whole gzip file" in capsys.readouterr().err, argv
+        with pytest.raises(ParseError):
+            ingest(data)
+        with pytest.raises(ParseError):
+            RunConfig.load(cfg)
+
     def test_internal_value_error_exits_2(self, tmp_path, capsys, monkeypatch):
         # only the package's own InvalidValue means bad input; any other
         # ValueError is a fault of the program
@@ -745,7 +787,7 @@ class TestCli:
     def test_train_validation_ignores_training_ids(self, rng, tmp_path):
         # both files name their sequences system00000..system00004, as every
         # simulated section does; validation must score its own sequences
-        from simplexcast.model import CastParams, TrainConfig, evaluate_val_kl
+        from simplexcast.model import MAX_VAL_POSITIONS, CastParams, evaluate_val_kl
 
         def section(path):
             seqs = [SimplexSeries(f"system{i:05d}", True, rng.dirichlet(np.ones(4), size=12),
@@ -759,8 +801,7 @@ class TestCli:
                      "--iters", "10", "--out", str(tmp_path)]) == 0
         (entry,) = json.loads((tmp_path / "train_log.json").read_text())["log"]
         params = CastParams.load(tmp_path / "model.ckpt")
-        fresh = evaluate_val_kl(ingest(val_path).sequences, params,
-                                TrainConfig().max_val_positions, {})
+        fresh = evaluate_val_kl(ingest(val_path).sequences, params, MAX_VAL_POSITIONS, {})
         assert entry["val_kl"] == fresh
 
     def test_json_flag_prints_payload(self, rng, tmp_path, capsys):

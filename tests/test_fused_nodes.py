@@ -1,8 +1,8 @@
 """The hand-written reverse passes (retrieval, the gates, the kernel head,
 the anchored-transport operator and its prior, the KL loss and the loss
-reduction, run by `model.loss_var`'s one tape node) against
-`tape_reference`, which builds the same forward pass from one tape node per
-arithmetic operation.
+reduction, run by `model.gradient` through `model.loss_var`'s one tape
+node) against `tape_reference`, which builds the same forward pass from one
+tape node per arithmetic operation.
 
 Tolerances: the loss and p_hat within 1e-14, and every gradient within
 1e-12 of the largest gradient magnitude over all parameters.
@@ -15,7 +15,7 @@ from simplexcast.model import (
     CastParams,
     ModelConfig,
     _forward,
-    loss_var,
+    gradient,
     make_batch,
 )
 from simplexcast.simplex import SimplexSeries
@@ -68,17 +68,15 @@ def test_fused_loss_and_gradients_match_reference(i):
     params = CastParams.init(cfg, seed=i)
     batch = _random_batch(rng, cfg)
 
-    pv = params.as_vars()
-    out = loss_var(batch, pv, cfg)
-    out.backward()
+    value, g = gradient(batch, params)
     pv_ref = as_ref_vars(params)
     ref, p_hat_ref = loss_var_ref(batch, pv_ref, cfg)
     ref.backward()
 
-    assert abs(out.item() - ref.item()) <= 1e-14
+    assert abs(value - ref.item()) <= 1e-14
     p_hat, parts, _ = _forward(*batch[:3], params.values, cfg)
     assert np.abs(p_hat - p_hat_ref.data).max() <= 1e-14
-    _assert_grads_close(_grads(pv), _grads(pv_ref))
+    _assert_grads_close(CastParams(cfg, g).values, _grads(pv_ref))
     if kw.get("budget") is GATE_BINDS["budget"]:
         assert np.any(parts["rho_eff"] < parts["rho"])  # the gate binds
 

@@ -4,8 +4,10 @@ scipy is only a test oracle (tests/hull_reference.py, the LP checks of the
 metrics). The check imports every `simplexcast` module and runs every
 command in a fresh interpreter, because this test process already holds
 scipy through other test modules. A second fresh interpreter checks that
-`theory-check`, which trains nothing, never loads the tape.
+`theory-check`, which trains nothing, never loads the tape, and a parse of
+the package's imports checks that `model` alone imports the tape.
 """
+import ast
 import json
 import os
 import subprocess
@@ -85,3 +87,25 @@ def test_theory_check_loads_no_tape(tmp_path):
     )
     result = json.loads(proc.stdout.splitlines()[-1])
     assert result == {"code": 0, "autodiff": False}, proc.stderr
+
+
+def _imported_modules(path: Path) -> set:
+    """Every module that a source file imports, relative imports resolved
+    against the `simplexcast` package."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = "simplexcast." * (node.level > 0) + (node.module or "")
+            names.add(base.rstrip("."))
+            names.update(f"{base.rstrip('.')}.{alias.name}" for alias in node.names)
+    return names
+
+
+def test_only_model_imports_the_tape():
+    importers = sorted(
+        path.name for path in (SRC / "simplexcast").glob("*.py")
+        if "simplexcast.autodiff" in _imported_modules(path)
+    )
+    assert importers == ["model.py"]

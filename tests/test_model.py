@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from simplexcast.baselines import CastPredictor
+from simplexcast.errors import DivergedTraining
 from simplexcast.metrics import kl
 from simplexcast.model import (
     CastParams,
@@ -233,9 +234,10 @@ def test_scoring_builds_no_tape(rng, monkeypatch):
     CastPredictor(params).predict_all(seqs[1].steps, np.arange(6))
     cast_oracle(default_scenario())
     assert made == []
-    # positive control: the training loss builds one node over the leaves
-    loss(make_batch(seqs, [(0, 3)], cfg), params)
-    assert len(made) == len(params.values) + 1
+    # positive control: a training step's gradient builds the loss node
+    # and its one leaf
+    gradient(make_batch(seqs, [(0, 3)], cfg), params)
+    assert len(made) == 2
 
 
 # ---------------------------------------------------------------- causality
@@ -327,7 +329,8 @@ def test_gradient_matches_finite_differences(rng, kw):
         parts = _forward(*batch[:3], params.values, cfg)[1]
         assert np.any(parts["rho_eff"] < parts["rho"])
 
-    _, grads = gradient(batch, params)
+    _, g = gradient(batch, params)
+    grads = CastParams(cfg, g).values
     flat_grad = np.concatenate([grads[k].ravel() for k in sorted(grads)])
 
     flat0 = _flatten(params)
@@ -361,11 +364,12 @@ def test_batch_equals_mean_of_one_item_batches(rng, kw):
     seqs = [random_series(rng, n, cfg.dim, f"s{n}") for n in (9, 5, 3)]
     # a t = 0 item (empty memory) and memories of unequal lengths
     positions = [(0, 0), (0, 7), (1, 3), (2, 1), (0, 4)]
-    loss_b, grads_b = gradient(make_batch(seqs, positions, cfg), params)
+    loss_b, g_b = gradient(make_batch(seqs, positions, cfg), params)
     singles = [gradient(make_batch(seqs, [pos], cfg), params) for pos in positions]
     assert loss_b == pytest.approx(np.mean([s[0] for s in singles]), rel=1e-12, abs=1e-15)
-    for k, g in grads_b.items():
-        mean = np.mean([s[1][k] for s in singles], axis=0)
+    grads_single = [CastParams(cfg, s[1]).values for s in singles]
+    for k, g in CastParams(cfg, g_b).values.items():
+        mean = np.mean([grads[k] for grads in grads_single], axis=0)
         scale = max(np.abs(mean).max(), 1e-300)
         assert np.abs(g - mean).max() <= 1e-12 * scale, k
 
@@ -394,9 +398,26 @@ def test_gradient_zero_for_unused_transport_params(rng):
     params = CastParams.init(cfg, seed=2)
     seqs = [random_series(rng, 6, cfg.dim)]
     batch = make_batch(seqs, [(0, 3)], cfg)
-    _, grads = gradient(batch, params)
-    assert np.allclose(grads["wt_h"], 0.0)
-    assert np.allclose(grads["w_rho"], 0.0)
+    _, g = gradient(batch, params)
+    assert g.shape == params.flat.shape
+    grads = CastParams(cfg, g).values
+    # exactly zero: no head of the variant reads them
+    for k in ("wt_h", "wt_pe", "bt", "w_rho", "b_rho"):
+        assert not grads[k].any(), k
+    assert grads["w_gate"].any()
+
+
+def test_gradient_into_a_used_buffer_equals_a_new_one(rng):
+    # train passes one buffer to every step, holding the last step's update;
+    # parameters that no head reads must still come back zero
+    cfg = small_cfg(variant="anchor_only")
+    params = CastParams.init(cfg, seed=2)
+    batch = make_batch([random_series(rng, 6, cfg.dim)], [(0, 3), (0, 1)], cfg)
+    value, g = gradient(batch, params)
+    buf = CastParams(cfg, np.full_like(params.flat, np.nan))
+    value_buf, g_buf = gradient(batch, params, buf)
+    assert g_buf is buf.flat and value_buf == value
+    np.testing.assert_array_equal(g_buf, g)
 
 
 @pytest.mark.parametrize(
@@ -404,15 +425,15 @@ def test_gradient_zero_for_unused_transport_params(rng):
 )
 def test_synthetic_tape_node_counts(feature_mode, variant):
     # the requires-grad nodes that one synthetic training step's backward
-    # visits, batch of 8: the one loss node, and all 12 parameter leaves,
-    # also those that no head of the variant reads
+    # visits, batch of 8: the one loss node and its one leaf, the parameter
+    # buffer, whichever heads the variant runs
     from simplexcast.theory import build_aliasing_dataset, default_scenario
 
     sc = default_scenario()
     cfg = ModelConfig(dim=sc.dim, ordered=True, feature_mode=feature_mode, variant=variant,
                       budget=sc.effective_budget())
     seqs = build_aliasing_dataset(sc, 8, seed=0)
-    out = loss_var(make_batch(seqs, scored_positions(seqs), cfg), CastParams.init(cfg, 0).as_vars(), cfg)
+    out = loss_var(make_batch(seqs, scored_positions(seqs), cfg), CastParams.init(cfg, 0))
     seen, stack = {id(out): out}, [out]
     while stack:
         for parent in stack.pop().parents:
@@ -420,7 +441,7 @@ def test_synthetic_tape_node_counts(feature_mode, variant):
                 seen[id(parent)] = parent
                 stack.append(parent)
     with_rule = sum(node._backward is not None for node in seen.values())
-    assert (with_rule, len(seen) - with_rule) == (1, 12)
+    assert (with_rule, len(seen) - with_rule) == (1, 1)
 
 
 # ---------------------------------------------------------------- training
@@ -469,6 +490,16 @@ def test_train_reduces_loss_on_learnable_signal(rng):
     tc = TrainConfig(iters=150, batch_size=6, eval_every=25, lr=2e-2, warmup=10)
     params, log = train(seqs[:2], seqs[2:], cfg, tc, seed=5)
     assert log[-1]["val_kl"] < log[0]["val_kl"]
+
+
+def test_train_stops_at_the_step_whose_loss_is_not_finite(rng):
+    # a learning rate of 1e300 throws the parameters to ~1e297 at step 1, and
+    # the retrieval scores of step 2 overflow
+    seqs = _tiny_dataset(rng, 3)
+    tc = TrainConfig(iters=5, batch_size=4, lr=1e300)
+    with np.errstate(all="ignore"), pytest.raises(DivergedTraining,
+                                                  match="^loss is not finite at step 2: nan$"):
+        train(seqs[:2], seqs[2:], small_cfg(), tc, seed=0)
 
 
 def test_scored_positions_respect_mask(rng):
@@ -593,8 +624,7 @@ def test_config_rejects_bad_values(bad):
 
 @pytest.mark.parametrize(
     "bad",
-    [dict(iters=0), dict(iters=-5), dict(batch_size=0), dict(eval_every=0),
-     dict(max_val_positions=0), dict(warmup=-1)]
+    [dict(iters=0), dict(iters=-5), dict(batch_size=0), dict(eval_every=0), dict(warmup=-1)]
     + [dict(lr=v) for v in (0.0, -1e-3, np.nan, np.inf)]
     + [dict(weight_decay=v) for v in (-0.1, np.nan, np.inf)]
     + [dict(clip_norm=v) for v in (0.0, -1.0, np.nan, np.inf)]
@@ -607,8 +637,8 @@ def test_train_config_rejects_bad_values(bad):
 
 
 def test_train_config_accepts_boundary_values():
-    TrainConfig(iters=1, batch_size=1, eval_every=1, max_val_positions=1, warmup=0,
-                weight_decay=0.0, tail_average=0.0)
+    TrainConfig(iters=1, batch_size=1, eval_every=1, warmup=0, weight_decay=0.0,
+                tail_average=0.0)
     TrainConfig(lr=1e-300, clip_norm=1e-300, tail_average=0.999)
 
 
