@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyBank, EmptyPrefix, InsufficientData
+from .errors import InvalidValue
 from .simplex import history_windows, ilr_forward, ilr_inverse, smooth, smoothed_levels
 
 logger = logging.getLogger(__name__)
@@ -42,7 +42,7 @@ class PersistencePredictor(Predictor):
     def predict(self, prefix):
         prefix = np.asarray(prefix, dtype=np.float64)
         if prefix.ndim != 2 or len(prefix) == 0:
-            raise EmptyPrefix("persistence needs a nonempty prefix")
+            raise InvalidValue("persistence needs a nonempty prefix")
         return prefix[-1].copy()
 
 
@@ -64,9 +64,9 @@ class AnalogPredictor(Predictor):
     def predict(self, prefix):
         prefix = np.asarray(prefix, dtype=np.float64)
         if len(prefix) == 0:
-            raise EmptyPrefix("analog prediction needs a nonempty prefix")
+            raise InvalidValue("analog prediction needs a nonempty prefix")
         if len(self.windows) == 0:
-            raise EmptyBank("empty analog bank")
+            raise InvalidValue("empty analog bank")
         query = history_windows(prefix[-self.w :], self.w)[-1]
         dist = np.abs(self.windows - query).sum(axis=1)
         k = min(self.k, len(dist))
@@ -87,7 +87,7 @@ def build_analog_bank(train_seqs, w: int = 4, k: int = 8, max_pairs: int = 50000
         windows.append(history_windows(steps, w)[:-1])
         succs.append(steps[1:])
     if sum(len(x) for x in windows) == 0:
-        raise EmptyBank("no training pairs for analog bank")
+        raise InvalidValue("no training pairs for analog bank")
     windows = np.concatenate(windows)
     succs = np.concatenate(succs)
     if len(windows) > max_pairs:
@@ -121,7 +121,7 @@ class VarPredictor(Predictor):
     def predict(self, prefix):
         prefix = np.asarray(prefix, dtype=np.float64)
         if len(prefix) == 0:
-            raise EmptyPrefix("VAR prediction needs a nonempty prefix")
+            raise InvalidValue("VAR prediction needs a nonempty prefix")
         if self.matrix is None or len(prefix) < self.order:
             return prefix[-1].copy()
         lags = ilr_forward(smooth(prefix[: -self.order - 1 : -1]))  # newest first
@@ -174,7 +174,7 @@ class EtsPredictor(Predictor):
     def predict(self, prefix):
         prefix = np.asarray(prefix, dtype=np.float64)
         if len(prefix) == 0:
-            raise EmptyPrefix("ETS prediction needs a nonempty prefix")
+            raise InvalidValue("ETS prediction needs a nonempty prefix")
         level = smoothed_levels(ilr_forward(smooth(prefix)), self.alphas)[-1]
         return ilr_inverse(level, prefix.shape[1])
 
@@ -183,7 +183,7 @@ def ets_fit(train_seqs) -> EtsPredictor:
     """Per-ilr-coordinate grid search for the smoothing weight minimizing
     pooled one-step-ahead squared error."""
     if not train_seqs:
-        raise InsufficientData("ETS needs at least one training series")
+        raise InvalidValue("ETS needs at least one training series")
     dim = np.asarray(train_seqs[0].steps).shape[1]
     zs = [ilr_forward(smooth(seq.steps)) for seq in train_seqs]
     errors = np.zeros((len(ETS_ALPHA_GRID), dim - 1))

@@ -19,7 +19,7 @@ import sys
 import numpy as np
 
 from .errors import ParseError, SimplexCastError
-from .io import RunConfig, atomic_write, ingest, write_dataset, write_json
+from .io import atomic_write, ingest, load_run_config, write_dataset, write_json
 
 log = logging.getLogger(__name__)
 
@@ -35,7 +35,7 @@ def _out_dir(args) -> str:
     return "."
 
 
-def _resolve(args, cfg_file: RunConfig, keys) -> dict:
+def _resolve(args, cfg_file: dict, keys) -> dict:
     """Keyword arguments for a config dataclass: a flag beats the config
     file, and a key set by neither is left to the dataclass default."""
     out = {}
@@ -139,7 +139,7 @@ def _selection_split(args, train_res):
 def _cmd_train(args) -> int:
     from .model import ModelConfig, TrainConfig, train
 
-    cfg_file = RunConfig.load(args.config) if args.config else RunConfig()
+    cfg_file = load_run_config(args.config) if args.config else {}
     train_res = ingest(args.data)
     val_res, selected_on = _selection_split(args, train_res)
     mc = ModelConfig(
@@ -212,11 +212,12 @@ def _cmd_aliasing_synthetic(args) -> int:
 
 def _cmd_theory_check(args) -> int:
     from .theory import (
+        FIXED_SUMMARY_TOL,
         anchor_only_optimum,
         default_scenario,
+        fixed_summary_gap,
         fixed_summary_identity,
         fixed_summary_optimum,
-        numeric_fixed_summary_minimum,
         pinsker_separation,
         random_scenario,
         retrieval_consistency_check,
@@ -227,14 +228,15 @@ def _cmd_theory_check(args) -> int:
     rng = np.random.default_rng(args.seed)
     checks = {}
 
-    gaps = []
-    for _ in range(args.scenarios):
-        s = random_scenario(rng, int(rng.integers(2, 7)), int(rng.integers(2, 5)))
-        _, analytic = fixed_summary_optimum(s)
-        gaps.append(abs(numeric_fixed_summary_minimum(s, n_starts=10) - analytic))
+    max_gap = max(
+        fixed_summary_gap(
+            random_scenario(rng, int(rng.integers(2, 7)), int(rng.integers(2, 5))), n_starts=10
+        )
+        for _ in range(args.scenarios)
+    )
     checks["fixed_summary_identity"] = {
-        "max_gap": float(max(gaps)),
-        "pass": bool(max(gaps) < 1e-6),
+        "max_gap": float(max_gap),
+        "pass": bool(max_gap <= FIXED_SUMMARY_TOL),
     }
 
     scen = default_scenario()
@@ -299,9 +301,9 @@ def _cmd_seed_study(args) -> int:
     val_res, selected_on = _selection_split(args, train_res)
     test_res = _ingest_like(args.test, train_res, "--test") if args.test else train_res
     mc = ModelConfig(
-        dim=train_res.dim, ordered=train_res.ordered, **_resolve(args, RunConfig(), ("variant",))
+        dim=train_res.dim, ordered=train_res.ordered, **_resolve(args, {}, ("variant",))
     )
-    tc = TrainConfig(**_resolve(args, RunConfig(), ("iters",)))
+    tc = TrainConfig(**_resolve(args, {}, ("iters",)))
 
     def runner(seed):
         from .baselines import CastPredictor
@@ -342,28 +344,17 @@ def _cmd_report(args) -> int:
         table.setdefault(row["method"], {})[section] = value
     if not table:
         raise SimplexCastError(f"no result files with metrics in {args.results}")
-    rm = rank_aggregate(table)
+    payload = {"metric": args.metric, **rank_aggregate(table)}
 
     buf = _stdio.StringIO()
     writer = csv.writer(buf)
-    writer.writerow(["method"] + rm.sections + ["average_rank", "top1"])
-    for i, method in enumerate(rm.methods):
-        writer.writerow(
-            [method]
-            + [f"{r:g}" for r in rm.ranks[i]]
-            + [f"{rm.average_rank[i]:g}", str(rm.top1_counts[i])]
-        )
+    writer.writerow(["method"] + payload["sections"] + ["average_rank", "top1"])
+    for method, ranks, average, top1 in zip(payload["methods"], payload["ranks"],
+                                            payload["average_rank"], payload["top1_counts"]):
+        writer.writerow([method] + [f"{r:g}" for r in ranks] + [f"{average:g}", str(top1)])
     csv_text = buf.getvalue()
     out = _out_dir(args)
     atomic_write(os.path.join(out, "ranks.csv"), lambda fh: fh.write(csv_text))
-    payload = {
-        "metric": args.metric,
-        "methods": rm.methods,
-        "sections": rm.sections,
-        "ranks": rm.ranks.tolist(),
-        "average_rank": rm.average_rank.tolist(),
-        "top1_counts": rm.top1_counts.tolist(),
-    }
     _emit(args, payload, "ranks.json")
     if not args.json:
         print(f"wrote {os.path.join(out, 'ranks.csv')}")

@@ -11,77 +11,9 @@ class InvalidValue(SimplexCastError, ValueError):
     the CLI maps it to exit 1, and any other ValueError to exit 2."""
 
 
-class AllZeroMass(SimplexCastError):
-    pass
-
-
-class NegativeMass(SimplexCastError):
-    pass
-
-
-class DimensionMismatch(SimplexCastError):
-    pass
-
-
-class ZeroComponent(SimplexCastError):
-    pass
-
-
-class WeightSumInvalid(SimplexCastError):
-    pass
-
-
-class EmptyPrefix(SimplexCastError):
-    pass
-
-
-class EmptyBatch(SimplexCastError):
-    pass
-
-
-class DivergedTraining(SimplexCastError):
-    pass
-
-
-class EmptyBank(SimplexCastError):
-    pass
-
-
-class InsufficientData(SimplexCastError):
-    pass
-
-
-class ConfigUtilizationOutOfBand(SimplexCastError):
-    pass
-
-
-class RejectionBudgetExceeded(SimplexCastError):
-    pass
-
-
-class TooFewSystems(SimplexCastError):
-    pass
-
-
-class NoScoredPositions(SimplexCastError):
-    pass
-
-
-class NoEligibleSequences(SimplexCastError):
-    pass
-
-
-class TooFewSequences(SimplexCastError):
-    pass
-
-
 class ParseError(SimplexCastError):
     """Bad input file; the message starts with "line N:" when the line is known."""
 
     def __init__(self, message: str, line: int | None = None):
         super().__init__(message if line is None else f"line {line}: {message}")
         self.line = line
-
-
-class SchemaVersionMismatch(SimplexCastError):
-    pass

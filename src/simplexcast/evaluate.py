@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidValue, NoEligibleSequences, NoScoredPositions, TooFewSequences
+from .errors import InvalidValue
 from .metrics import jsd, metric_report
 from .simplex import history_windows
 
@@ -36,7 +36,7 @@ def evaluate_offline(predictor, seqs) -> dict:
         preds = predictor.predict_all(seq.steps, ts)
         reports.append(metric_report(seq.steps[ts + 1], preds, seq.ordered))
     if not reports:
-        raise NoScoredPositions("no masked positions in the split")
+        raise InvalidValue("no masked positions in the split")
     return _means(reports)
 
 
@@ -71,9 +71,7 @@ def evaluate_rollout(
     n_skipped = len(seqs) - len(eligible)
     eligible = eligible[: rc.max_examples]
     if not eligible:
-        raise NoEligibleSequences(
-            f"no sequence has length >= {rc.context_len + rc.horizon}"
-        )
+        raise InvalidValue(f"no sequence has length >= {rc.context_len + rc.horizon}")
     reports = []
     for seq in eligible:
         prefix = seq.steps[: rc.context_len].copy()
@@ -90,20 +88,13 @@ def evaluate_rollout(
     return out
 
 
-@dataclass
-class RankMatrix:
-    methods: list
-    sections: list
-    ranks: np.ndarray  # (M, S) tie-averaged ranks, 1 = best
-    average_rank: np.ndarray  # (M,)
-    top1_counts: np.ndarray  # (M,) sections where the method is strictly-or-tied best
-
-
-def rank_aggregate(table: dict) -> RankMatrix:
+def rank_aggregate(table: dict) -> dict:
     """table maps method name -> {section name -> metric value}; every method
-    must cover the same sections. Lower metric = rank 1; ties get the average
-    of the ranks they span. Also reports per-method average rank and top-1
-    (rank exactly the minimum of the section) win counts."""
+    must cover the same sections. Returns the sorted `methods` and
+    `sections`, the (method, section) `ranks` (lower metric = rank 1; ties
+    get the average of the ranks they span), each method's `average_rank`
+    and its `top1_counts`, the sections where its rank is exactly the
+    minimum, all as lists."""
     methods = sorted(table)
     if not methods:
         raise InvalidValue("empty results table")
@@ -130,13 +121,13 @@ def rank_aggregate(table: dict) -> RankMatrix:
             i = k + 1
         ranks[:, j] = col
     top1 = (ranks == ranks.min(axis=0, keepdims=True)).sum(axis=1)
-    return RankMatrix(
-        methods=methods,
-        sections=sections,
-        ranks=ranks,
-        average_rank=ranks.mean(axis=1),
-        top1_counts=top1.astype(int),
-    )
+    return {
+        "methods": methods,
+        "sections": sections,
+        "ranks": ranks.tolist(),
+        "average_rank": ranks.mean(axis=1).tolist(),
+        "top1_counts": top1.tolist(),
+    }
 
 
 @dataclass(frozen=True)
@@ -168,7 +159,7 @@ def aliasing_diagnostic(
     sequences)."""
     thresholds = thresholds or DiagnosticThresholds()
     if sum(len(seq.steps) >= 2 for seq in seqs) < 2:
-        raise TooFewSequences(
+        raise InvalidValue(
             "aliasing diagnostic needs at least two sequences with a transition"
         )
     rng = np.random.default_rng(seed)

@@ -11,11 +11,11 @@ import json
 import logging
 import os
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AllZeroMass, InvalidValue, ParseError, SchemaVersionMismatch
+from .errors import InvalidValue, ParseError
 from .simplex import SimplexSeries, normalize
 
 log = logging.getLogger(__name__)
@@ -25,7 +25,8 @@ DATASET_FORMAT_VERSION = 1
 
 def _read_text(path, what: str) -> str:
     """The text of a file, a .gz path decompressed; text that is not UTF-8
-    or bytes that are not one whole gzip stream are a ParseError."""
+    or bytes that are not one whole gzip stream are a ParseError naming the
+    file."""
     import zlib  # already loaded by gzip
 
     opened = gzip.open(path, "rt") if str(path).endswith(".gz") else open(path)
@@ -33,7 +34,7 @@ def _read_text(path, what: str) -> str:
         try:
             return fh.read()
         except UnicodeDecodeError as exc:
-            raise ParseError(f"{what}: {exc}") from exc
+            raise ParseError(f"{path}: {what}: {exc}") from exc
         except (gzip.BadGzipFile, EOFError, zlib.error) as exc:
             raise ParseError(f"{path}: not a whole gzip file: {exc}") from exc
 
@@ -80,9 +81,10 @@ def ingest(path) -> IngestResult:
     """Reads a dataset file; rows are normalized, and rows whose total mass
     is zero anywhere are dropped and counted. A header whose D is not an
     integer >= 2, whose ordered is not a boolean or whose section_name is
-    not a string, a loss_mask entry that is not a boolean, a non-finite
-    value, and an id repeated within the file are each a ParseError naming
-    its line; so is a file that `_read_text` rejects, without a line."""
+    not a string, a loss_mask entry that is not a boolean, a non-finite or
+    negative value, and an id repeated within the file are each a
+    ParseError naming its line; so are a file that `_read_text` rejects and
+    an unsupported format_version, without a line."""
     lines = _read_text(path, "not a text file").splitlines()
     if not lines:
         raise ParseError("empty dataset file", line=1)
@@ -93,7 +95,7 @@ def ingest(path) -> IngestResult:
     if not isinstance(header, dict) or "format_version" not in header:
         raise ParseError("header must be an object with format_version", line=1)
     if header["format_version"] != DATASET_FORMAT_VERSION:
-        raise SchemaVersionMismatch(
+        raise ParseError(
             f"dataset format {header['format_version']} "
             f"(supported: {DATASET_FORMAT_VERSION})"
         )
@@ -143,12 +145,12 @@ def ingest(path) -> IngestResult:
                 raise ParseError(
                     f"loss_mask must have length {len(steps) - 1}", line=lineno
                 )
-        try:
-            steps = np.array([normalize(step) for step in steps])
-        except AllZeroMass:
+        if np.any(steps < 0):
+            raise ParseError("steps must be nonnegative", line=lineno)
+        if np.any(steps.sum(axis=1) == 0):
             dropped += 1
             continue
-        sequences.append(SimplexSeries(seq_id, ordered, steps, mask))
+        sequences.append(SimplexSeries(seq_id, ordered, normalize(steps), mask))
     if dropped:
         log.warning("dropped %d rows with no usable mass from %s", dropped, path)
     return IngestResult(
@@ -202,31 +204,22 @@ _RUN_CONFIG_FIELDS = {
 }
 
 
-@dataclass
-class RunConfig:
+def load_run_config(path) -> dict:
     """The `train --config` file: ModelConfig/TrainConfig values that a flag
     given on the command line overrides. Unknown keys and wrong types are
     rejected before any work starts."""
-
-    values: dict = field(default_factory=dict)
-
-    @staticmethod
-    def load(path) -> "RunConfig":
-        try:
-            raw = json.loads(_read_text(path, "bad config"))
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"bad config: {exc}", line=exc.lineno) from exc
-        if not isinstance(raw, dict):
-            raise ParseError("config must be a JSON object")
-        for key, value in raw.items():
-            if key not in _RUN_CONFIG_FIELDS:
-                raise ParseError(f"unknown config key {key!r}")
-            expected = _RUN_CONFIG_FIELDS[key]
-            ok = isinstance(value, (float, int) if expected is float else expected)
-            # JSON true/false load as bool, which Python counts as an int
-            if isinstance(value, bool) or not ok:
-                raise ParseError(f"config key {key!r} must be {expected.__name__}")
-        return RunConfig(dict(raw))
-
-    def get(self, key, default=None):
-        return self.values.get(key, default)
+    try:
+        raw = json.loads(_read_text(path, "bad config"))
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"{path}: bad config: {exc}", line=exc.lineno) from exc
+    if not isinstance(raw, dict):
+        raise ParseError("config must be a JSON object")
+    for key, value in raw.items():
+        if key not in _RUN_CONFIG_FIELDS:
+            raise ParseError(f"unknown config key {key!r}")
+        expected = _RUN_CONFIG_FIELDS[key]
+        ok = isinstance(value, (float, int) if expected is float else expected)
+        # JSON true/false load as bool, which Python counts as an int
+        if isinstance(value, bool) or not ok:
+            raise ParseError(f"config key {key!r} must be {expected.__name__}")
+    return raw

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DimensionMismatch, WeightSumInvalid
+from .errors import InvalidValue
 from .simplex import Dist, smooth
 
 DEFAULT_EPS = 1e-8
@@ -21,7 +21,7 @@ def _check_same_dim(p, q):
     p = np.asarray(p, dtype=np.float64)
     q = np.asarray(q, dtype=np.float64)
     if p.shape[-1:] != q.shape[-1:]:
-        raise DimensionMismatch(f"shapes {p.shape} and {q.shape} differ in D")
+        raise InvalidValue(f"shapes {p.shape} and {q.shape} differ in D")
     return p, q
 
 
@@ -62,10 +62,10 @@ def js_weighted(dists, weights, eps: float = DEFAULT_EPS) -> float:
     """Weighted Jensen-Shannon divergence: sum_z pi_z KL(u_z || mix)."""
     w = np.asarray(weights, dtype=np.float64)
     if np.any(w < 0) or abs(w.sum() - 1.0) > 1e-9:
-        raise WeightSumInvalid("weights must be nonnegative and sum to 1")
+        raise InvalidValue("weights must be nonnegative and sum to 1")
     ds = np.asarray([np.asarray(d, dtype=np.float64) for d in dists])
     if len(ds) != len(w):
-        raise WeightSumInvalid("one weight per distribution required")
+        raise InvalidValue("one weight per distribution required")
     mix = w @ ds
     # the builtin sum adds the terms in order, as one pair at a time would
     return float(sum(w * kl(ds, mix, eps)))

@@ -36,7 +36,7 @@ from itertools import groupby
 import numpy as np
 
 from .autodiff import Var
-from .errors import DivergedTraining, EmptyBatch, EmptyPrefix, InvalidValue
+from .errors import InvalidValue
 from .io import atomic_write
 from .simplex import history_windows, smoothed_levels, softmax, softmax_vjp, support_bins
 from .transport import BudgetParams, cast_step, operator_regularizer
@@ -119,7 +119,7 @@ def encode_all(steps: np.ndarray, cfg: ModelConfig) -> np.ndarray:
     only on steps[: t + 1]."""
     steps = np.asarray(steps, dtype=np.float64)
     if steps.ndim != 2 or len(steps) == 0:
-        raise EmptyPrefix("need a nonempty (T, D) prefix")
+        raise InvalidValue("need a nonempty (T, D) prefix")
     d = steps.shape[1]
     if cfg.feature_mode == "current_only":
         feats = [steps]
@@ -454,7 +454,7 @@ def make_batch(seqs, positions, cfg: ModelConfig, feats_cache: dict | None = Non
     current distributions (B, D), features (B, F), padded memory, and the
     targets (B, D)."""
     if len(positions) == 0:
-        raise EmptyBatch("no scored positions in batch")
+        raise InvalidValue("no scored positions in batch")
     items = [(seqs[i].steps, t, _features(seqs[i], cfg, feats_cache)) for i, t in positions]
     p = np.stack([steps[t] for steps, t, _ in items])
     h = np.stack([feats[t] for _, t, feats in items])
@@ -574,7 +574,7 @@ def train(
     params = CastParams.init(cfg, seed)
     positions = scored_positions(train_seqs)
     if not positions:
-        raise EmptyBatch("training split has no scored positions")
+        raise InvalidValue("training split has no scored positions")
     # the gradient with its named views, the AdamW moments and a scratch
     # buffer in the layout of params.flat; each step writes into them, since a
     # new parameter-sized array per step can cost fresh pages and page faults
@@ -598,7 +598,7 @@ def train(
         picked = [positions[i] for i in idx]
         loss_value, _ = gradient(make_batch(train_seqs, picked, cfg, feats_cache), params, grad)
         if not np.isfinite(loss_value):
-            raise DivergedTraining(f"loss is not finite at step {step}: {loss_value}")
+            raise InvalidValue(f"loss is not finite at step {step}: {loss_value}")
 
         # one partial sum per parameter, in layout order: one sum over the
         # whole buffer would round differently and change the checkpoint bytes

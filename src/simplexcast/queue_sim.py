@@ -12,11 +12,11 @@ distribution-valued time step.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import ConfigUtilizationOutOfBand, InvalidValue, RejectionBudgetExceeded, TooFewSystems
+from .errors import InvalidValue
 from .simplex import SimplexSeries
 
 UTILIZATION_BAND = (0.26, 0.6)
@@ -99,9 +99,6 @@ class ServiceTimeFamily:
             return p["scale"] * rng.weibull(p["shape"], size)
         raise AssertionError(self.name)
 
-    def to_json(self) -> dict:
-        return {"name": self.name, "params": dict(self.params)}
-
 
 @dataclass(frozen=True)
 class Modulation:
@@ -147,26 +144,7 @@ class QueueConfig:
         lo, hi = UTILIZATION_BAND
         u = self.utilization
         if not (lo <= u <= hi):
-            raise ConfigUtilizationOutOfBand(
-                f"utilization {u:.4f} outside [{lo}, {hi}]"
-            )
-
-    def to_json(self) -> dict:
-        return {
-            "arrival": self.arrival.to_json(),
-            "service": self.service.to_json(),
-            "modulation": None
-            if self.modulation is None
-            else {
-                "amplitude": self.modulation.amplitude,
-                "period": self.modulation.period,
-                "phase": self.modulation.phase,
-            },
-            "n_arrivals": self.n_arrivals,
-            "n_replications": self.n_replications,
-            "dt": self.dt,
-            "seed": self.seed,
-        }
+            raise InvalidValue(f"utilization {u:.4f} outside [{lo}, {hi}]")
 
 
 def _replication_rng(master_seed: int, system_index: int, replication: int):
@@ -295,7 +273,7 @@ def sample_config(
         )
         if lo <= config.utilization <= hi:
             return config
-    raise RejectionBudgetExceeded(f"no config accepted in {max_attempts} attempts")
+    raise InvalidValue(f"no config accepted in {max_attempts} attempts")
 
 
 PARAM_PRIORS = {
@@ -386,7 +364,7 @@ class QueueSection:
             "systems": [
                 {
                     "system_id": s.id,
-                    "config": c.to_json(),
+                    "config": asdict(c),
                     "split": None
                     if split_assignments is None
                     else split_assignments.get(s.id),
@@ -438,7 +416,7 @@ def split_systems(
     counts within one system of proportional. Returns system id -> "train",
     "val" or "test"."""
     if len(systems) < 10:
-        raise TooFewSystems(f"need >= 10 systems, got {len(systems)}")
+        raise InvalidValue(f"need >= 10 systems, got {len(systems)}")
     if not np.isclose(sum(fractions), 1.0):
         raise InvalidValue("fractions must sum to 1")
     rng = np.random.default_rng(seed)

@@ -4,10 +4,10 @@ its reverse pass, and the causal sequence primitives that the encoder, the
 baselines and the aliasing diagnostic share.
 
 A distribution is represented as a 1-D float64 numpy array with nonnegative
-entries summing to one; a sequence of them is a (T, D) array. `smooth` and
-`ilr_forward` work over the last axis, so they take one distribution or a
-whole block. Support bins are indexed 1..D throughout, so the mean of a
-point mass at bin k is k.
+entries summing to one; a sequence of them is a (T, D) array. `normalize`,
+`smooth` and `ilr_forward` work over the last axis, so they take one
+distribution or a whole block. Support bins are indexed 1..D throughout, so
+the mean of a point mass at bin k is k.
 """
 from __future__ import annotations
 
@@ -17,7 +17,7 @@ from functools import lru_cache
 import numpy as np
 from numpy.typing import NDArray
 
-from .errors import AllZeroMass, DimensionMismatch, InvalidValue, NegativeMass, ZeroComponent
+from .errors import InvalidValue
 
 SUM_TOL = 1e-9
 
@@ -32,29 +32,27 @@ def as_dist(values) -> Dist:
     """
     v = np.asarray(values, dtype=np.float64)
     if v.ndim != 1 or v.size < 2:
-        raise DimensionMismatch(f"expected 1-D vector with D >= 2, got shape {v.shape}")
+        raise InvalidValue(f"expected 1-D vector with D >= 2, got shape {v.shape}")
     if np.any(v < 0):
-        raise NegativeMass("distribution has negative entries")
+        raise InvalidValue("distribution has negative entries")
     s = v.sum()
     if s <= 0:
-        raise AllZeroMass("distribution has zero total mass")
+        raise InvalidValue("distribution has zero total mass")
     if abs(s - 1.0) > SUM_TOL:
         v = v / s
     return v
 
 
 def normalize(raw) -> Dist:
-    """Normalize nonnegative masses to a distribution.
-
-    Raises AllZeroMass if the total mass is zero and NegativeMass if any
-    entry is negative.
-    """
+    """Normalize nonnegative masses to distributions over the last axis; a
+    negative entry or a total mass of zero is an InvalidValue. Each row of
+    a block is summed as its own 1-D vector would be."""
     v = np.asarray(raw, dtype=np.float64)
     if np.any(v < 0):
-        raise NegativeMass("raw masses contain negative entries")
-    s = v.sum()
-    if s == 0:
-        raise AllZeroMass("raw masses sum to zero")
+        raise InvalidValue("raw masses contain negative entries")
+    s = v.sum(axis=-1, keepdims=True)
+    if np.any(s == 0):
+        raise InvalidValue("raw masses sum to zero")
     return v / s
 
 
@@ -85,7 +83,7 @@ def ilr_forward(p: Dist) -> NDArray[np.float64]:
     axis: (..., D) -> (..., D-1)."""
     p = np.asarray(p, dtype=np.float64)
     if np.any(p <= 0):
-        raise ZeroComponent("ilr requires strictly positive entries; smooth first")
+        raise InvalidValue("ilr requires strictly positive entries; smooth first")
     logp = np.log(p)
     clr = logp - logp.mean(axis=-1, keepdims=True)
     # a stacked mat-vec gives each row the bytes of the 1-D product;
@@ -97,7 +95,7 @@ def ilr_inverse(z, d: int) -> Dist:
     """Inverse ilr: softmax of the basis-expanded coordinates."""
     z = np.asarray(z, dtype=np.float64)
     if z.size != d - 1:
-        raise DimensionMismatch(f"expected {d - 1} coordinates, got {z.size}")
+        raise InvalidValue(f"expected {d - 1} coordinates, got {z.size}")
     return softmax(helmert_basis(d).T @ z)
 
 
@@ -167,13 +165,13 @@ class SimplexSeries:
     def __post_init__(self):
         self.steps = np.asarray(self.steps, dtype=np.float64)
         if self.steps.ndim != 2 or self.steps.shape[1] < 2:
-            raise DimensionMismatch(f"steps must be (T, D>=2), got {self.steps.shape}")
+            raise InvalidValue(f"steps must be (T, D>=2), got {self.steps.shape}")
         if self.loss_mask is None:
             self.loss_mask = np.ones(len(self.steps) - 1, dtype=bool)
         else:
             self.loss_mask = np.asarray(self.loss_mask, dtype=bool)
         if self.loss_mask.shape != (len(self.steps) - 1,):
-            raise DimensionMismatch(
+            raise InvalidValue(
                 f"loss_mask length {self.loss_mask.shape} != T-1 = {len(self.steps) - 1}"
             )
 

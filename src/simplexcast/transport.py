@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from .errors import DimensionMismatch, InvalidValue
+from .errors import InvalidValue
 from .simplex import Dist, std_support, support_bins
 
 
@@ -37,7 +37,7 @@ class TransportKernel:
         rows = np.asarray(self.rows, dtype=np.float64)
         object.__setattr__(self, "rows", rows)
         if rows.ndim != 2 or rows.shape[1] != 3:
-            raise DimensionMismatch(f"kernel rows must be (D, 3), got {rows.shape}")
+            raise InvalidValue(f"kernel rows must be (D, 3), got {rows.shape}")
         if np.any(rows < 0) or np.any(np.abs(rows.sum(axis=1) - 1.0) > 1e-9):
             raise InvalidValue("kernel rows must be nonnegative and sum to 1")
 
@@ -88,7 +88,7 @@ def apply_transport(kernel: TransportKernel, a: Dist) -> Dist:
     """(T a)(k) = sum_j a(j) sum_o K(j,o) 1{k = clip(j+o, 1, D)}."""
     a = np.asarray(a, dtype=np.float64)
     if kernel.dim != a.size:
-        raise DimensionMismatch(f"kernel dim {kernel.dim} != dist dim {a.size}")
+        raise InvalidValue(f"kernel dim {kernel.dim} != dist dim {a.size}")
     m = a[:, None] * kernel.rows
     return shift_mass(m[:, 0], m[:, 1], m[:, 2])
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from simplexcast.errors import DimensionMismatch
+from simplexcast.errors import InvalidValue
 from simplexcast.metrics import l1
 
 
@@ -146,7 +146,7 @@ def convex_mix(a, b, lam):
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     if a.shape != b.shape:
-        raise DimensionMismatch(f"shapes {a.shape} and {b.shape} differ")
+        raise InvalidValue(f"shapes {a.shape} and {b.shape} differ")
     if not 0.0 <= lam <= 1.0:
         raise ValueError("lam must lie in [0, 1]")
     return lam * a + (1.0 - lam) * b

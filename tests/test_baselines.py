@@ -12,7 +12,7 @@ from simplexcast.baselines import (
     ets_fit,
     ilr_var_fit,
 )
-from simplexcast.errors import EmptyBank, EmptyPrefix
+from simplexcast.errors import InvalidValue
 from simplexcast.simplex import SimplexSeries, ilr_forward, ilr_inverse, smooth, smoothed_levels
 
 from conftest import cast_predict_ref, ilr_rows_ref, random_dist, window_ref
@@ -33,7 +33,7 @@ def test_persistence_returns_last():
 
 
 def test_persistence_empty_prefix():
-    with pytest.raises(EmptyPrefix):
+    with pytest.raises(InvalidValue, match="^persistence needs a nonempty prefix$"):
         PersistencePredictor().predict(np.empty((0, 3)))
 
 
@@ -84,7 +84,7 @@ def test_analog_output_in_hull_and_simplex(rng):
 
 def test_analog_empty_bank():
     bank = AnalogPredictor(np.empty((0, 4)), np.empty((0, 2)), w=2, k=1)
-    with pytest.raises(EmptyBank):
+    with pytest.raises(InvalidValue, match="^empty analog bank$"):
         bank.predict(np.full((1, 2), 0.5))
 
 

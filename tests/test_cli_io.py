@@ -13,8 +13,8 @@ from hypothesis import strategies as st
 
 from simplexcast import cli, theory
 from simplexcast.cli import cli_dispatch
-from simplexcast.errors import InvalidValue, ParseError, SchemaVersionMismatch, SimplexCastError
-from simplexcast.io import RunConfig, ingest, write_dataset, write_json
+from simplexcast.errors import InvalidValue, ParseError, SimplexCastError
+from simplexcast.io import ingest, load_run_config, write_dataset, write_json
 from simplexcast.simplex import SimplexSeries
 
 
@@ -96,8 +96,9 @@ class TestDatasetIO:
         header = {"format_version": 99, "D": 2, "ordered": True, "section_name": ""}
         path = tmp_path / "d.jsonl"
         path.write_text(json.dumps(header) + "\n")
-        with pytest.raises(SchemaVersionMismatch):
+        with pytest.raises(ParseError, match=r"^dataset format 99 \(supported: 1\)$") as exc:
             ingest(path)
+        assert exc.value.line is None
 
     def test_wrong_dim_rejected(self, tmp_path):
         header = {"format_version": 1, "D": 3, "ordered": True, "section_name": ""}
@@ -121,6 +122,30 @@ class TestDatasetIO:
         assert exc.value.line == 3
         assert cli_dispatch(["evaluate", "--data", str(path), "--out", str(tmp_path)]) == 1
         assert capsys.readouterr().err.startswith("error: line 3: steps must be finite")
+
+    def test_negative_value_rejected_with_line(self, tmp_path, capsys):
+        header = {"format_version": 1, "D": 3, "ordered": True, "section_name": ""}
+        good = {"id": "a", "steps": [[0.2, 0.3, 0.5], [0.1, 0.1, 0.8]]}
+        bad = {"id": "b", "steps": [[0.2, 0.3, 0.5], [0.6, -0.1, 0.5]]}
+        path = tmp_path / "d.jsonl"
+        path.write_text("\n".join(json.dumps(r) for r in (header, good, bad)) + "\n")
+        with pytest.raises(ParseError, match="^line 3: steps must be nonnegative$") as exc:
+            ingest(path)
+        assert exc.value.line == 3
+        assert cli_dispatch(["evaluate", "--data", str(path), "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == "error: line 3: steps must be nonnegative\n"
+
+    def test_negative_value_after_a_zero_mass_step_rejected(self, tmp_path):
+        # a row is checked whole before its zero-mass steps drop it
+        header = {"format_version": 1, "D": 3, "ordered": True, "section_name": ""}
+        row = {"id": "b", "steps": [[0.0, 0.0, 0.0], [0.6, -0.1, 0.5]]}
+        path = tmp_path / "d.jsonl"
+        path.write_text(json.dumps(header) + "\n" + json.dumps(row) + "\n")
+        with pytest.raises(ParseError, match="^line 2: steps must be nonnegative$"):
+            ingest(path)
+        row["steps"][1][1] = 0.1
+        path.write_text(json.dumps(header) + "\n" + json.dumps(row) + "\n")
+        assert ingest(path).dropped_rows == 1
 
     @pytest.mark.parametrize(
         "field, message",
@@ -230,7 +255,7 @@ class TestRunConfig:
     def test_load_valid(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"iters": 100, "lr": 0.01}))
-        cfg = RunConfig.load(path)
+        cfg = load_run_config(path)
         assert cfg.get("iters") == 100
         assert cfg.get("missing", 7) == 7
 
@@ -239,7 +264,7 @@ class TestRunConfig:
     @given(st.fixed_dictionaries({}, optional=_CONFIG_SCHEMA))
     def test_accepts_each_schema_key_with_its_type(self, raw):
         with tempfile.TemporaryDirectory() as tmp:
-            cfg = RunConfig.load(_write_config(tmp, raw))
+            cfg = load_run_config(_write_config(tmp, raw))
         for key, value in raw.items():
             assert cfg.get(key) == value
 
@@ -252,7 +277,7 @@ class TestRunConfig:
     def test_rejects_any_other_key(self, key, value):
         with tempfile.TemporaryDirectory() as tmp:
             with pytest.raises(ParseError, match="unknown config key"):
-                RunConfig.load(_write_config(tmp, {"iters": 3, key: value}))
+                load_run_config(_write_config(tmp, {"iters": 3, key: value}))
 
     @seed(20261018)
     @settings(max_examples=80, deadline=None)
@@ -263,19 +288,19 @@ class TestRunConfig:
         key, value = key_value
         with tempfile.TemporaryDirectory() as tmp:
             with pytest.raises(ParseError, match=f"config key '{key}' must be"):
-                RunConfig.load(_write_config(tmp, {key: value}))
+                load_run_config(_write_config(tmp, {key: value}))
 
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"itres": 100}))
         with pytest.raises(ParseError):
-            RunConfig.load(path)
+            load_run_config(path)
 
     def test_wrong_type_rejected(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"iters": "many"}))
         with pytest.raises(ParseError):
-            RunConfig.load(path)
+            load_run_config(path)
 
 
 def _run(args):
@@ -505,14 +530,15 @@ class TestCli:
         assert payload["checks"]["pinsker_separation"]["pass"] is False
 
     def test_theory_check_reports_default_identity_failure(self, tmp_path, monkeypatch):
-        # a numeric minimum 1e-7 off passes the random scenarios' 1e-6 check
-        # but not the default scenario's 1e-8
+        # a numeric minimum 1e-7 off fails the one 1e-8 tolerance, in the
+        # random scenarios and in the default scenario alike
         minimize = theory._minimize_kl_over_mixture
         monkeypatch.setattr(theory, "_minimize_kl_over_mixture",
                             lambda *a, **kw: minimize(*a, **kw) + 1e-7)
         assert _run(["theory-check", "--scenarios", "3", "--out", str(tmp_path)]) == 2
         checks = json.loads((tmp_path / "theory_check.json").read_text())["checks"]
-        assert checks["fixed_summary_identity"]["pass"] is True
+        assert checks["fixed_summary_identity"]["max_gap"] == pytest.approx(1e-7, rel=1e-6)
+        assert checks["fixed_summary_identity"]["pass"] is False
         assert checks["default_scenario"]["pass"] is False
 
     def test_aliasing_synthetic_reports_identity_failure(self, tmp_path, monkeypatch):
@@ -683,14 +709,33 @@ class TestCli:
         results.mkdir()
         (results / "a.json").write_bytes(binary)
         calls = [
-            (["evaluate", "--data", str(tmp_path / "bin.jsonl")], "error: not a text file"),
+            (["evaluate", "--data", str(tmp_path / "bin.jsonl")],
+             f"error: {tmp_path / 'bin.jsonl'}: not a text file"),
             (["train", "--data", str(data), "--config", str(tmp_path / "cfg.json")],
-             "error: bad config"),
+             f"error: {tmp_path / 'cfg.json'}: bad config"),
             (["report", "--results", str(results)], "a.json: not a JSON file"),
         ]
         for argv, message in calls:
             assert _run(argv + ["--out", str(tmp_path / "out")]) == 1, argv
             assert message in capsys.readouterr().err, argv
+
+    def test_non_utf8_train_file_names_itself(self, rng, tmp_path, capsys):
+        # --data and --train are both datasets: the message says which one is bad
+        data, fitted = tmp_path / "d.jsonl", tmp_path / "train.jsonl"
+        write_dataset(data, _seqs(rng))
+        fitted.write_bytes(b"\xff\xfe\x00\x81")
+        assert _run(["evaluate", "--data", str(data), "--train", str(fitted),
+                     "--method", "analog", "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err.startswith(
+            f"error: {fitted}: not a text file: 'utf-8' codec can't decode byte 0xff")
+
+    def test_config_not_json_names_itself_and_line(self, rng, tmp_path, capsys):
+        data, cfg = tmp_path / "d.jsonl", tmp_path / "cfg.json"
+        write_dataset(data, _seqs(rng))
+        cfg.write_text('{"iters": 2,\n')
+        assert _run(["train", "--data", str(data), "--config", str(cfg),
+                     "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err.startswith(f"error: line 2: {cfg}: bad config: Expecting")
 
     @pytest.mark.parametrize(
         "argv, wrong",
@@ -732,7 +777,7 @@ class TestCli:
         with pytest.raises(ParseError):
             ingest(data)
         with pytest.raises(ParseError):
-            RunConfig.load(cfg)
+            load_run_config(cfg)
 
     def test_internal_value_error_exits_2(self, tmp_path, capsys, monkeypatch):
         # only the package's own InvalidValue means bad input; any other
@@ -960,3 +1005,32 @@ def test_analysis_golden_outputs(tmp_path):
                     + common) == 0
     for name, digest in ANALYSIS_SHA256.items():
         assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
+
+
+# The `report` outputs of a results directory with tied ranks and a rollout
+# column, recorded while the ranks were still returned as a RankMatrix.
+RANKS_SHA256 = {
+    "ranks.json": "3045b65eec4c73bffda1fe8699c7ef9bbc94f57e2714b9daea30288ee698c98d",
+    "ranks.csv": "e941c3560c152212cd62e801bf6a35f67e98fa0614f81582e2334a9ab4f0f1f5",
+}
+RANKS_TABLE = {
+    "analog": {"homogeneous": 0.31, "nonhomogeneous": 0.2, "nonhomogeneous:rollout": 0.5},
+    "cast": {"homogeneous": 0.12, "nonhomogeneous": 0.2, "nonhomogeneous:rollout": 0.4},
+    "ets": {"homogeneous": 0.12, "nonhomogeneous": 0.35, "nonhomogeneous:rollout": 0.45},
+    "persistence": {"homogeneous": 0.4, "nonhomogeneous": 0.1, "nonhomogeneous:rollout": 0.4},
+}
+
+
+def test_report_golden_outputs(tmp_path):
+    results = tmp_path / "results"
+    results.mkdir()
+    for method, columns in RANKS_TABLE.items():
+        for column, value in columns.items():
+            section, _, kind = column.partition(":")
+            row = {"method": method, "section": section, "metrics": {"kl": value, "jsd": value / 4}}
+            if kind:
+                row.update(context_len=8, horizon=4)
+            (results / f"{kind or 'evaluate'}_{method}_{section}.json").write_text(json.dumps(row))
+    assert _run(["report", "--results", str(results), "--out", str(tmp_path / "out")]) == 0
+    for name, digest in RANKS_SHA256.items():
+        assert hashlib.sha256((tmp_path / "out" / name).read_bytes()).hexdigest() == digest, name

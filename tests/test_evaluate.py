@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from simplexcast.baselines import PersistencePredictor
-from simplexcast.errors import NoEligibleSequences, NoScoredPositions, TooFewSequences
+from simplexcast.errors import InvalidValue
 from simplexcast.evaluate import (
     DiagnosticThresholds,
     RolloutConfig,
@@ -51,7 +51,7 @@ class TestEvaluateOffline:
 
     def test_all_false_mask_raises(self, rng):
         seq = _series(rng, 5, 3, mask=[False] * 4)
-        with pytest.raises(NoScoredPositions):
+        with pytest.raises(InvalidValue, match="^no masked positions in the split$"):
             evaluate_offline(PersistencePredictor(), [seq])
 
     def test_rerun_is_identical(self, rng):
@@ -103,7 +103,7 @@ class TestEvaluateRollout:
 
     def test_no_eligible_raises(self, rng):
         seq = _series(rng, 4, 3)
-        with pytest.raises(NoEligibleSequences):
+        with pytest.raises(InvalidValue, match="^no sequence has length >= 12$"):
             evaluate_rollout(PersistencePredictor(), [seq], RolloutConfig(8, 4))
 
     def test_max_examples_selects_by_sorted_id(self, rng):
@@ -158,9 +158,8 @@ class TestEvaluateRollout:
 class TestRankAggregate:
     def test_single_method_rank_one_everywhere(self):
         rm = rank_aggregate({"only": {"a": 0.5, "b": 0.1}})
-        np.testing.assert_array_equal(rm.ranks, [[1.0, 1.0]])
-        assert rm.average_rank[0] == 1.0
-        assert rm.top1_counts[0] == 2
+        assert rm == {"methods": ["only"], "sections": ["a", "b"], "ranks": [[1.0, 1.0]],
+                      "average_rank": [1.0], "top1_counts": [2]}
 
     def test_strict_ordering(self):
         rm = rank_aggregate(
@@ -169,11 +168,11 @@ class TestRankAggregate:
                 "bad": {"a": 0.5, "b": 0.6, "c": 0.7},
             }
         )
-        i_good = rm.methods.index("good")
-        i_bad = rm.methods.index("bad")
-        assert rm.average_rank[i_good] == 1.0
-        assert rm.average_rank[i_bad] == 2.0
-        assert rm.top1_counts[i_good] == 3 and rm.top1_counts[i_bad] == 0
+        i_good = rm["methods"].index("good")
+        i_bad = rm["methods"].index("bad")
+        assert rm["average_rank"][i_good] == 1.0
+        assert rm["average_rank"][i_bad] == 2.0
+        assert rm["top1_counts"][i_good] == 3 and rm["top1_counts"][i_bad] == 0
 
     def test_tie_gets_average_rank(self):
         rm = rank_aggregate(
@@ -183,11 +182,11 @@ class TestRankAggregate:
                 "m3": {"a": 0.9, "b": 0.2, "c": 0.1},
             }
         )
-        j = rm.sections.index("a")
-        col = rm.ranks[:, j]
-        assert col[rm.methods.index("m1")] == 1.5
-        assert col[rm.methods.index("m2")] == 1.5
-        assert col[rm.methods.index("m3")] == 3.0
+        j = rm["sections"].index("a")
+        col = np.asarray(rm["ranks"])[:, j]
+        assert col[rm["methods"].index("m1")] == 1.5
+        assert col[rm["methods"].index("m2")] == 1.5
+        assert col[rm["methods"].index("m3")] == 3.0
 
     def test_rows_sum_per_section(self, rng):
         table = {
@@ -196,10 +195,10 @@ class TestRankAggregate:
         }
         rm = rank_aggregate(table)
         expected = 4 * 5 / 2
-        np.testing.assert_allclose(rm.ranks.sum(axis=0), expected)
+        np.testing.assert_allclose(np.sum(rm["ranks"], axis=0), expected)
 
     def test_incomplete_table_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidValue, match="^method 'm1' does not cover all sections: no b$"):
             rank_aggregate({"m1": {"a": 0.1}, "m2": {"b": 0.2}})
 
 
@@ -227,13 +226,13 @@ class TestAliasingDiagnostic:
         assert rep["severity"] == "strong"
 
     def test_too_few_sequences(self, rng):
-        with pytest.raises(TooFewSequences):
+        with pytest.raises(InvalidValue, match="^aliasing diagnostic needs at least two sequences"):
             aliasing_diagnostic([_series(rng, 5, 3)], n_samples=5)
 
     def test_sequences_without_a_transition_do_not_count(self, rng):
         # a T = 1 sequence has no (state, successor) pair to sample or match
         long_seq, single = _series(rng, 6, 3, "long"), _series(rng, 1, 3, "single")
-        with pytest.raises(TooFewSequences):
+        with pytest.raises(InvalidValue, match="^aliasing diagnostic needs at least two sequences"):
             aliasing_diagnostic([long_seq, single], n_samples=5)
         rep = aliasing_diagnostic([single, long_seq, _series(rng, 4, 3, "s2")], n_samples=50)
         assert rep["n_samples"] == 8

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from simplexcast.baselines import CastPredictor
-from simplexcast.errors import DivergedTraining
+from simplexcast.errors import InvalidValue
 from simplexcast.metrics import kl
 from simplexcast.model import (
     CastParams,
@@ -497,7 +497,7 @@ def test_train_stops_at_the_step_whose_loss_is_not_finite(rng):
     # the retrieval scores of step 2 overflow
     seqs = _tiny_dataset(rng, 3)
     tc = TrainConfig(iters=5, batch_size=4, lr=1e300)
-    with np.errstate(all="ignore"), pytest.raises(DivergedTraining,
+    with np.errstate(all="ignore"), pytest.raises(InvalidValue,
                                                   match="^loss is not finite at step 2: nan$"):
         train(seqs[:2], seqs[2:], small_cfg(), tc, seed=0)
 

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from simplexcast.errors import AllZeroMass, DimensionMismatch, NegativeMass, ZeroComponent
+from simplexcast.errors import InvalidValue
 from simplexcast.simplex import (
     SimplexSeries,
     helmert_basis,
@@ -35,12 +35,21 @@ class TestNormalize:
         np.testing.assert_allclose(normalize([1, 0, 0, 3]), [0.25, 0, 0, 0.75])
 
     def test_all_zero(self):
-        with pytest.raises(AllZeroMass):
+        with pytest.raises(InvalidValue, match="^raw masses sum to zero$"):
             normalize([0, 0])
 
     def test_negative(self):
-        with pytest.raises(NegativeMass):
+        with pytest.raises(InvalidValue, match="^raw masses contain negative entries$"):
             normalize([1, -1])
+
+    def test_block_rows_have_the_bytes_of_each_row(self, rng):
+        for d in (2, 7, 8, 9, 33):
+            block = rng.random((12, d)) * 1e3
+            block[rng.random(block.shape) < 0.3] = 0.0
+            block[:, 0] += 1e-9
+            assert np.array_equal(normalize(block), np.array([normalize(r) for r in block]))
+        with pytest.raises(InvalidValue, match="^raw masses sum to zero$"):
+            normalize([[1.0, 0.0], [0.0, 0.0]])
 
 
 class TestSmooth:
@@ -77,7 +86,7 @@ class TestConvexMix:
         np.testing.assert_array_equal(convex_mix(a, b, 0.25), convex_mix(b, a, 0.75))
 
     def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(InvalidValue, match=r"^shapes \(2,\) and \(3,\) differ$"):
             convex_mix(np.array([0.5, 0.5]), np.array([1 / 3] * 3), 0.5)
 
 
@@ -104,7 +113,7 @@ class TestIlr:
                 assert np.abs(back - p).sum() < 1e-10
 
     def test_zero_component(self):
-        with pytest.raises(ZeroComponent):
+        with pytest.raises(InvalidValue, match="^ilr requires strictly positive entries"):
             ilr_forward(np.array([1.0, 0.0]))
 
     def test_inverse_zero_is_uniform(self):
@@ -153,7 +162,7 @@ class TestSimplexSeries:
         assert s.loss_mask.all()
 
     def test_bad_mask_length(self):
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(InvalidValue, match="^loss_mask length"):
             SimplexSeries("a", False, np.full((4, 3), 1 / 3), np.ones(2, dtype=bool))
 
 
@@ -188,7 +197,7 @@ class TestSequencePrimitives:
             assert np.array_equal(ilr_forward(smooth(steps)), ilr_rows_ref(steps))
 
     def test_block_ilr_zero_component(self):
-        with pytest.raises(ZeroComponent):
+        with pytest.raises(InvalidValue, match="^ilr requires strictly positive entries"):
             ilr_forward(np.array([[0.5, 0.5], [1.0, 0.0]]))
 
     @pytest.mark.parametrize("ew_beta", [0.0, 0.5, 0.75, 0.9, 0.95, 1.0])
