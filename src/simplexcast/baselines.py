@@ -3,10 +3,11 @@ persistence, weighted analog retrieval, VAR and simple exponential smoothing in
 ilr coordinates.
 
 Each baseline is one `Predictor` subclass that holds its fitted state, and its
-fitter (`build_analog_bank`, `ilr_var_fit`, `ets_fit`) returns it. Each reads
-a sequence through the block primitives of `simplex`: analog windows are
-`history_windows` rows, VAR and ETS take the ilr coordinates of a whole (T, D)
-block in one `ilr_forward` call, and ETS levels are `smoothed_levels`."""
+fitter (`build_analog_bank`, `ilr_var_fit`, `ets_fit`) returns it. Each
+forecasts the scored rows of a sequence in one causal pass over it, through
+the block primitives of `simplex`: analog queries are `history_windows` rows,
+VAR and ETS take the ilr coordinates of the whole (T, D) block in one
+`ilr_forward` call, and ETS levels are `smoothed_levels`."""
 from __future__ import annotations
 
 import logging
@@ -23,27 +24,36 @@ ETS_ALPHA_GRID = np.round(np.arange(0.05, 0.951, 0.05), 2)
 
 
 class Predictor:
-    """Uniform one-step interface used by the evaluation harness. `predict`
-    forecasts the step after a prefix; `predict_all` forecasts rows `ts` of a
-    whole sequence, row t from steps[: t + 1] only. The default `predict_all`
-    calls `predict` on each prefix, and is the reference for overrides."""
+    """Uniform one-step interface used by the evaluation harness.
+    `predict_all(steps, ts)` forecasts rows `ts` of a whole sequence in one
+    pass, (len(ts), D), row t from steps[: t + 1] only. `predict(prefix)`
+    forecasts the step after a prefix as the last row of `predict_all`; each
+    subclass defines it in its own namespace, where the traced benchmark
+    patches it."""
 
     def predict(self, prefix: np.ndarray) -> np.ndarray:  # pragma: no cover
         raise NotImplementedError
 
-    def predict_all(self, steps: np.ndarray, ts) -> np.ndarray:
-        """One-step forecasts for rows `ts` of one sequence, (len(ts), D)."""
-        return np.array([self.predict(steps[: t + 1]) for t in ts])
+    def predict_all(self, steps: np.ndarray, ts) -> np.ndarray:  # pragma: no cover
+        raise NotImplementedError
+
+
+def _sequence(steps, name: str) -> np.ndarray:
+    """steps as a (T, D) float array; an empty one is an InvalidValue."""
+    steps = np.asarray(steps, dtype=np.float64)
+    if steps.ndim != 2 or len(steps) == 0:
+        raise InvalidValue(f"{name} needs a nonempty prefix")
+    return steps
 
 
 class PersistencePredictor(Predictor):
     """Forecasts the last observed step."""
 
     def predict(self, prefix):
-        prefix = np.asarray(prefix, dtype=np.float64)
-        if prefix.ndim != 2 or len(prefix) == 0:
-            raise InvalidValue("persistence needs a nonempty prefix")
-        return prefix[-1].copy()
+        return self.predict_all(prefix, [len(prefix) - 1])[0]
+
+    def predict_all(self, steps, ts):
+        return _sequence(steps, "persistence")[np.asarray(ts, dtype=np.intp)]
 
 
 # ------------------------------------------------------------------ analog
@@ -62,21 +72,32 @@ class AnalogPredictor(Predictor):
     bandwidth: float = 1.0
 
     def predict(self, prefix):
-        prefix = np.asarray(prefix, dtype=np.float64)
-        if len(prefix) == 0:
-            raise InvalidValue("analog prediction needs a nonempty prefix")
+        return self.predict_all(prefix, [len(prefix) - 1])[0]
+
+    def predict_all(self, steps, ts):
+        steps = _sequence(steps, "analog prediction")
         if len(self.windows) == 0:
             raise InvalidValue("empty analog bank")
-        query = history_windows(prefix[-self.w :], self.w)[-1]
-        dist = np.abs(self.windows - query).sum(axis=1)
-        k = min(self.k, len(dist))
-        idx = np.argpartition(dist, k - 1)[:k]
-        idx = idx[np.argsort(dist[idx], kind="stable")]
-        weights = np.exp(-(dist[idx] ** 2) / (2.0 * self.bandwidth**2))
-        if weights.sum() <= 0:
-            weights = np.ones(k)
-        weights = weights / weights.sum()
-        return weights @ self.successors[idx]
+        k = min(self.k, len(self.windows))
+        out = np.empty((len(ts), steps.shape[1]))
+        buf = np.empty(self.windows.shape)
+        # one query at a time keeps memory to one bank-sized buffer
+        for row, query in zip(out, history_windows(steps, self.w)[ts]):
+            dist = _l1_to_rows(self.windows, query, buf)
+            idx = np.argpartition(dist, k - 1)[:k]
+            idx = idx[np.argsort(dist[idx], kind="stable")]
+            weights = np.exp(-(dist[idx] ** 2) / (2.0 * self.bandwidth**2))
+            if weights.sum() <= 0:
+                weights = np.ones(k)
+            weights = weights / weights.sum()
+            row[:] = weights @ self.successors[idx]
+        return out
+
+
+def _l1_to_rows(bank, query, buf):
+    """L1 distance from query to each row of bank, computed in buf (bank's
+    shape): reusing one buffer spares a fresh bank-sized temporary per query."""
+    return np.abs(np.subtract(bank, query, out=buf), out=buf).sum(axis=1)
 
 
 def build_analog_bank(train_seqs, w: int = 4, k: int = 8, max_pairs: int = 50000,
@@ -97,8 +118,9 @@ def build_analog_bank(train_seqs, w: int = 4, k: int = 8, max_pairs: int = 50000
     rng = np.random.default_rng(seed + 1)
     sample = rng.choice(len(windows), min(len(windows), 200), replace=False)
     nearest = []
+    buf = np.empty(windows.shape)
     for i in sample:
-        d = np.abs(windows - windows[i]).sum(axis=1)
+        d = _l1_to_rows(windows, windows[i], buf)
         d[i] = np.inf
         nearest.append(d.min())
     bw = float(np.median(nearest))
@@ -113,21 +135,28 @@ def build_analog_bank(train_seqs, w: int = 4, k: int = 8, max_pairs: int = 50000
 @dataclass
 class VarPredictor(Predictor):
     """VAR(order) with intercept in ilr coordinates; persistence when `matrix`
-    is None or the prefix is shorter than the order."""
+    is None or the prefix is shorter than the order (row t < order - 1)."""
 
     order: int
     matrix: np.ndarray | None  # (order * (D - 1) + 1, D - 1)
 
     def predict(self, prefix):
-        prefix = np.asarray(prefix, dtype=np.float64)
-        if len(prefix) == 0:
-            raise InvalidValue("VAR prediction needs a nonempty prefix")
-        if self.matrix is None or len(prefix) < self.order:
-            return prefix[-1].copy()
-        lags = ilr_forward(smooth(prefix[: -self.order - 1 : -1]))  # newest first
-        x = np.append(lags, 1.0)
-        z_next = x @ self.matrix
-        return ilr_inverse(z_next, prefix.shape[1])
+        return self.predict_all(prefix, [len(prefix) - 1])[0]
+
+    def predict_all(self, steps, ts):
+        steps = _sequence(steps, "VAR prediction")
+        ts = np.asarray(ts, dtype=np.intp)
+        out = steps[ts]
+        fit = ts >= self.order - 1
+        if self.matrix is None or not fit.any():
+            return out
+        z = ilr_forward(smooth(steps))
+        t = ts[fit]
+        # row i holds z[t], z[t-1], ..., z[t-order+1] (newest first), then 1
+        x = np.hstack([z[t - j] for j in range(self.order)] + [np.ones((len(t), 1))])
+        # stacked vec-mat products keep each row's bytes, as `x @ matrix` would not
+        out[fit] = ilr_inverse((x[:, None, :] @ self.matrix)[:, 0, :], steps.shape[1])
+        return out
 
 
 def ilr_var_fit(train_seqs, order: int = 1, ridge: float = 1e-6) -> VarPredictor:
@@ -172,11 +201,28 @@ class EtsPredictor(Predictor):
     alphas: np.ndarray  # (D - 1,)
 
     def predict(self, prefix):
-        prefix = np.asarray(prefix, dtype=np.float64)
-        if len(prefix) == 0:
-            raise InvalidValue("ETS prediction needs a nonempty prefix")
-        level = smoothed_levels(ilr_forward(smooth(prefix)), self.alphas)[-1]
-        return ilr_inverse(level, prefix.shape[1])
+        return self.predict_all(prefix, [len(prefix) - 1])[0]
+
+    def predict_all(self, steps, ts):
+        steps = _sequence(steps, "ETS prediction")
+        levels = smoothed_levels(ilr_forward(smooth(steps)), self.alphas)
+        return ilr_inverse(levels[np.asarray(ts, dtype=np.intp)], steps.shape[1])
+
+
+def _ets_errors(zs, dim: int) -> np.ndarray:
+    """Pooled one-step-ahead squared error of each grid alpha (row) on each
+    ilr coordinate (column). The grid is one broadcast axis of the levels;
+    each series is added in turn, and series shorter than 2 are skipped."""
+    alphas = ETS_ALPHA_GRID[:, None]
+    errors = np.zeros((len(ETS_ALPHA_GRID), dim - 1))
+    for z in zs:
+        if len(z) < 2:
+            continue
+        levels = smoothed_levels(np.repeat(z[:, None, :], len(alphas), axis=1), alphas)
+        # each alpha's (T-1, D-1) block is summed on its own: a (T-1, 1) block
+        # sums pairwise, so one sum over the stacked blocks changes D = 2's bytes
+        errors += [((z[1:] - lv) ** 2).sum(axis=0) for lv in levels[:-1].swapaxes(0, 1)]
+    return errors
 
 
 def ets_fit(train_seqs) -> EtsPredictor:
@@ -185,16 +231,8 @@ def ets_fit(train_seqs) -> EtsPredictor:
     if not train_seqs:
         raise InvalidValue("ETS needs at least one training series")
     dim = np.asarray(train_seqs[0].steps).shape[1]
-    zs = [ilr_forward(smooth(seq.steps)) for seq in train_seqs]
-    errors = np.zeros((len(ETS_ALPHA_GRID), dim - 1))
-    for ai, alpha in enumerate(ETS_ALPHA_GRID):
-        for z in zs:
-            if len(z) < 2:
-                continue
-            levels = smoothed_levels(z, alpha)
-            errors[ai] += ((z[1:] - levels[:-1]) ** 2).sum(axis=0)
-    best = np.argmin(errors, axis=0)
-    return EtsPredictor(ETS_ALPHA_GRID[best])
+    errors = _ets_errors([ilr_forward(smooth(seq.steps)) for seq in train_seqs], dim)
+    return EtsPredictor(ETS_ALPHA_GRID[np.argmin(errors, axis=0)])
 
 
 # -------------------------------------------------------------------- cast

@@ -49,8 +49,15 @@ def _resolve(args, cfg_file: dict, keys) -> dict:
 
 
 def _ingest_like(path, data, flag: str):
-    """`ingest(path)` of the `flag` file, which must match --data's D and ordered."""
-    res = ingest(path)
+    """`ingest(path)` of the `flag` file, which must match --data's D and
+    ordered. A parse error that does not name the file already is prefixed
+    with the flag and the file's name."""
+    try:
+        res = ingest(path)
+    except ParseError as exc:
+        if os.fspath(path) in str(exc):
+            raise
+        raise ParseError(f"{flag} {os.path.basename(path)}: {exc}") from exc
     if (res.dim, res.ordered) != (data.dim, data.ordered):
         raise SimplexCastError(f"{flag} has D={res.dim}, ordered={res.ordered}; "
                                f"--data has D={data.dim}, ordered={data.ordered}")

@@ -171,6 +171,9 @@ def aliasing_diagnostic(
     take = min(n_samples, len(positions))
     chosen = [positions[k] for k in rng.choice(len(positions), size=take, replace=False)]
 
+    # each sequence's descriptors once; row t reads only steps[: t + 1], so
+    # the rows before the last are the descriptors of the states with a successor
+    descs = [history_windows(seq.steps, window) for seq in seqs]
     neighbor_jsds, successor_jsds = [], []
     history_better, comparable = 0, 0
     for i, t in chosen:
@@ -178,14 +181,14 @@ def aliasing_diagnostic(
         succ = seqs[i].steps[t + 1]
         best_cur = best_hist = None
         best_cur_d = best_hist_d = np.inf
-        desc = history_windows(seqs[i].steps, window)[t]
+        desc = descs[i][t]
         for j, other in enumerate(seqs):
             if j == i or len(other.steps) < 2:
                 continue
-            # one sequence's states and descriptors at a time keeps memory to
-            # one block; a strict < keeps the first minimum across sequences
+            # one sequence's distances at a time keeps memory to one block;
+            # a strict < keeps the first minimum across sequences
             d_cur = jsd(cur, other.steps[:-1])
-            d_hist = np.abs(desc - history_windows(other.steps[:-1], window)).sum(axis=1)
+            d_hist = np.abs(desc - descs[j][:-1]).sum(axis=1)
             s_cur, s_hist = int(np.argmin(d_cur)), int(np.argmin(d_hist))
             if d_cur[s_cur] < best_cur_d:
                 best_cur_d, best_cur = d_cur[s_cur], (j, s_cur)

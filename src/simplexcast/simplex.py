@@ -5,9 +5,9 @@ baselines and the aliasing diagnostic share.
 
 A distribution is represented as a 1-D float64 numpy array with nonnegative
 entries summing to one; a sequence of them is a (T, D) array. `normalize`,
-`smooth` and `ilr_forward` work over the last axis, so they take one
-distribution or a whole block. Support bins are indexed 1..D throughout, so
-the mean of a point mass at bin k is k.
+`smooth`, `ilr_forward` and `ilr_inverse` work over the last axis, so they
+take one distribution or a whole block. Support bins are indexed 1..D
+throughout, so the mean of a point mass at bin k is k.
 """
 from __future__ import annotations
 
@@ -92,11 +92,13 @@ def ilr_forward(p: Dist) -> NDArray[np.float64]:
 
 
 def ilr_inverse(z, d: int) -> Dist:
-    """Inverse ilr: softmax of the basis-expanded coordinates."""
+    """Inverse ilr over the last axis, (..., D-1) -> (..., D): softmax of the
+    basis-expanded coordinates."""
     z = np.asarray(z, dtype=np.float64)
-    if z.size != d - 1:
-        raise InvalidValue(f"expected {d - 1} coordinates, got {z.size}")
-    return softmax(helmert_basis(d).T @ z)
+    if z.ndim == 0 or z.shape[-1] != d - 1:
+        raise InvalidValue(f"expected {d - 1} coordinates, got shape {z.shape}")
+    # stacked, as in ilr_forward: each row has the bytes of the 1-D product
+    return softmax((helmert_basis(d).T @ z[..., None])[..., 0])
 
 
 def softmax(x, axis: int = -1) -> NDArray[np.float64]:

@@ -59,6 +59,15 @@ def ilr_row_ref(p):
     return helmert_basis(p.size) @ (logp - logp.mean())
 
 
+def ilr_inverse_row_ref(z):
+    """Inverse ilr of one coordinate vector as a 1-D mat-vec and softmax."""
+    from simplexcast.simplex import helmert_basis
+
+    x = helmert_basis(z.size + 1).T @ z
+    e = np.exp(x - x.max())
+    return e / e.sum()
+
+
 def ilr_rows_ref(steps):
     return np.array([ilr_row_ref(smooth_row_ref(p)) for p in steps])
 

@@ -7,7 +7,8 @@ from simplexcast.baselines import (
     CastPredictor,
     EtsPredictor,
     PersistencePredictor,
-    Predictor,
+    VarPredictor,
+    _ets_errors,
     build_analog_bank,
     ets_fit,
     ilr_var_fit,
@@ -15,7 +16,7 @@ from simplexcast.baselines import (
 from simplexcast.errors import InvalidValue
 from simplexcast.simplex import SimplexSeries, ilr_forward, ilr_inverse, smooth, smoothed_levels
 
-from conftest import cast_predict_ref, ilr_rows_ref, random_dist, window_ref
+from conftest import cast_predict_ref, ilr_inverse_row_ref, ilr_rows_ref, random_dist, window_ref
 
 
 def series_from(rng, t_len, d, seq_id="s"):
@@ -193,8 +194,13 @@ def test_ets_grid_is_as_specified():
 
 
 # ------------------------------------- block code against per-row references
-# Each reference is the per-position / per-row code the baselines ran before
-# they read whole blocks; the block code must give the same bytes.
+# Each reference is the per-prefix / per-row code the baselines ran before
+# they read whole sequences; the one-pass code must give the same bytes.
+
+
+def _per_prefix_loop(predictor, steps, ts):
+    """Row t forecast by `predict` on the prefix steps[: t + 1] alone."""
+    return np.array([predictor.predict(steps[: t + 1]) for t in ts])
 
 
 def _ses_levels_ref(z, alpha):
@@ -205,7 +211,7 @@ def _ses_levels_ref(z, alpha):
     return levels
 
 
-def _ets_fit_ref(train_seqs):
+def _ets_errors_ref(train_seqs):
     dim = train_seqs[0].steps.shape[1]
     zs = [ilr_rows_ref(seq.steps) for seq in train_seqs]
     errors = np.zeros((len(ETS_ALPHA_GRID), dim - 1))
@@ -215,7 +221,7 @@ def _ets_fit_ref(train_seqs):
                 continue
             levels = _ses_levels_ref(z, alpha)
             errors[ai] += ((z[1:] - levels[:-1]) ** 2).sum(axis=0)
-    return ETS_ALPHA_GRID[np.argmin(errors, axis=0)]
+    return errors
 
 
 def _ets_predict_ref(prefix, alphas):
@@ -223,7 +229,7 @@ def _ets_predict_ref(prefix, alphas):
     level = z[0].copy()
     for t in range(1, len(z)):
         level = alphas * z[t] + (1 - alphas) * level
-    return ilr_inverse(level, prefix.shape[1])
+    return ilr_inverse_row_ref(level)
 
 
 def _var_design_ref(train_seqs, order):
@@ -237,8 +243,31 @@ def _var_design_ref(train_seqs, order):
 
 
 def _var_predict_ref(prefix, var):
+    if var.matrix is None or len(prefix) < var.order:
+        return prefix[-1].copy()
     lags = [ilr_rows_ref(prefix[-j][None])[0] for j in range(1, var.order + 1)]
-    return ilr_inverse(np.concatenate(lags + [[1.0]]) @ var.matrix, prefix.shape[1])
+    return ilr_inverse_row_ref(np.concatenate(lags + [[1.0]]) @ var.matrix)
+
+
+def _analog_predict_ref(prefix, bank):
+    query = window_ref(prefix, len(prefix) - 1, bank.w)
+    dist = np.abs(bank.windows - query).sum(axis=1)
+    k = min(bank.k, len(dist))
+    idx = np.argpartition(dist, k - 1)[:k]
+    idx = idx[np.argsort(dist[idx], kind="stable")]
+    weights = np.exp(-(dist[idx] ** 2) / (2.0 * bank.bandwidth**2))
+    return (weights / weights.sum()) @ bank.successors[idx]
+
+
+def _predict_ref(predictor, prefix):
+    """One forecast from a prefix by the matching per-row reference."""
+    if isinstance(predictor, AnalogPredictor):
+        return _analog_predict_ref(prefix, predictor)
+    if isinstance(predictor, VarPredictor):
+        return _var_predict_ref(prefix, predictor)
+    if isinstance(predictor, EtsPredictor):
+        return _ets_predict_ref(prefix, predictor.alphas)
+    return prefix[-1].copy()
 
 
 def _reference_seqs(rng, d, lengths=(1, 9, 30)):
@@ -247,9 +276,14 @@ def _reference_seqs(rng, d, lengths=(1, 9, 30)):
 
 def test_ets_equals_per_row_reference(rng):
     for d in range(2, 36):
+        # a pool of mixed lengths; the length-1 series is skipped
         seqs = _reference_seqs(rng, d)
         ets = ets_fit(seqs)
-        assert np.array_equal(ets.alphas, _ets_fit_ref(seqs))
+        errors = _ets_errors_ref(seqs)
+        # bytes, not closeness: argmin breaks a tie by the first alpha
+        assert np.array_equal(_ets_errors([ilr_forward(smooth(s.steps)) for s in seqs], d),
+                              errors)
+        assert np.array_equal(ets.alphas, ETS_ALPHA_GRID[np.argmin(errors, axis=0)])
         for t_len in (1, 2, 9, 30):
             prefix = seqs[2].steps[:t_len]
             assert np.array_equal(ets.predict(prefix), _ets_predict_ref(prefix, ets.alphas))
@@ -277,14 +311,55 @@ def test_analog_equals_per_position_reference(rng):
             windows = [window_ref(s.steps, t, w) for s in seqs for t in range(len(s.steps) - 1)]
             assert np.array_equal(bank.windows, np.array(windows))
             assert np.array_equal(bank.successors, np.concatenate([s.steps[1:] for s in seqs]))
+            sample = np.random.default_rng(1).choice(len(windows), len(windows), replace=False)
+            nearest = [np.delete(np.abs(bank.windows - bank.windows[i]).sum(axis=1), i).min()
+                       for i in sample]
+            assert bank.bandwidth == float(np.median(nearest))
             prefix = seqs[2].steps[:5]
-            query = window_ref(prefix, len(prefix) - 1, w)
-            dist = np.abs(bank.windows - query).sum(axis=1)
-            idx = np.argpartition(dist, 2)[:3]
-            idx = idx[np.argsort(dist[idx], kind="stable")]
-            weights = np.exp(-(dist[idx] ** 2) / (2.0 * bank.bandwidth**2))
-            expected = (weights / weights.sum()) @ bank.successors[idx]
-            assert np.array_equal(bank.predict(prefix), expected)
+            assert np.array_equal(bank.predict(prefix), _analog_predict_ref(prefix, bank))
+
+
+def _fitted(name, seqs):
+    return {
+        "persistence": lambda s: PersistencePredictor(),
+        "analog": lambda s: build_analog_bank(s, w=4, k=3),
+        "var1": lambda s: ilr_var_fit(s, order=1),
+        "var2": lambda s: ilr_var_fit(s, order=2),
+        "var_none": lambda s: VarPredictor(2, None),
+        "ets": ets_fit,
+    }[name](seqs)
+
+
+BASELINES = ("persistence", "analog", "var1", "var2", "var_none", "ets")
+
+
+@pytest.mark.parametrize("t_len", [1, 2, 150])
+@pytest.mark.parametrize("d", [2, 6, 21])
+@pytest.mark.parametrize("name", BASELINES)
+def test_predict_all_equals_per_prefix_reference(rng, name, d, t_len):
+    predictor = _fitted(name, _reference_seqs(rng, d, lengths=(1, 30, 40, 50)))
+    steps = series_from(rng, t_len, d).steps
+    # every row, so VAR(2) includes its t = 0 persistence row
+    ts = np.arange(t_len)
+    got = predictor.predict_all(steps, ts)
+    assert np.array_equal(got, np.array([_predict_ref(predictor, steps[: t + 1]) for t in ts]))
+    assert np.array_equal(got, _per_prefix_loop(predictor, steps, ts))
+    # a subset of rows, out of the sequence's order, and no rows
+    assert np.array_equal(predictor.predict_all(steps, ts[::-2]), got[::-2])
+    assert predictor.predict_all(steps, []).shape == (0, d)
+
+
+@pytest.mark.parametrize("name", ["persistence", "analog", "var1", "var2", "ets"])
+def test_predict_all_row_t_reads_only_steps_up_to_t(rng, name):
+    d, t_len = 6, 40
+    predictor = _fitted(name, _reference_seqs(rng, d, lengths=(30, 40, 50)))
+    steps = series_from(rng, t_len, d).steps
+    ts = np.arange(t_len)
+    want = predictor.predict_all(steps, ts)
+    for t in ts[:-1]:
+        perturbed = steps.copy()
+        perturbed[t + 1 :] = series_from(rng, t_len - t - 1, d).steps
+        assert np.array_equal(predictor.predict_all(perturbed, ts)[t], want[t])
 
 
 # ------------------------------------------------- cross-module consistency
@@ -321,7 +396,7 @@ def test_cast_predict_all_equals_per_prefix_loop(rng, kw):
     # a t = 0 row, gaps, and every row of the sequence
     for ts in ([0, 2, 3, 7, 10], [5, 9], np.arange(11)):
         got = predictor.predict_all(steps, ts)
-        want = Predictor.predict_all(predictor, steps, ts)
+        want = _per_prefix_loop(predictor, steps, ts)
         assert got.shape == (len(ts), cfg.dim)
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-15)
         # and `predict` itself against a per-position memory and encoding

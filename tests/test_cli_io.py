@@ -729,6 +729,24 @@ class TestCli:
         assert capsys.readouterr().err.startswith(
             f"error: {fitted}: not a text file: 'utf-8' codec can't decode byte 0xff")
 
+    @pytest.mark.parametrize("command,flag,extra", [
+        ("evaluate", "--train", ["--method", "analog"]),
+        ("train", "--val", ["--iters", "1"]),
+    ])
+    def test_bad_row_in_split_file_names_its_flag(self, rng, tmp_path, capsys,
+                                                   command, flag, extra):
+        # the same row in --data reads "error: line 3: ..." (see above)
+        data, split = tmp_path / "d.jsonl", tmp_path / "split.jsonl"
+        write_dataset(data, _seqs(rng))
+        header = {"format_version": 1, "D": 4, "ordered": True, "section_name": ""}
+        good = {"id": "a", "steps": [[0.1, 0.2, 0.3, 0.4]] * 2}
+        bad = {"id": "b", "steps": [[0.1, 0.2, 0.3, 0.4], [0.6, -0.1, 0.3, 0.2]]}
+        split.write_text("\n".join(json.dumps(r) for r in (header, good, bad)) + "\n")
+        assert _run([command, "--data", str(data), flag, str(split), *extra,
+                     "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {flag} split.jsonl: line 3: steps must be nonnegative\n")
+
     def test_config_not_json_names_itself_and_line(self, rng, tmp_path, capsys):
         data, cfg = tmp_path / "d.jsonl", tmp_path / "cfg.json"
         write_dataset(data, _seqs(rng))

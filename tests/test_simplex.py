@@ -20,6 +20,7 @@ from simplexcast.simplex import (
 from conftest import (
     convex_mix,
     descriptor_ref,
+    ilr_inverse_row_ref,
     ilr_rows_ref,
     random_dist,
     stacked_windows_ref,
@@ -195,6 +196,19 @@ class TestSequencePrimitives:
             steps[0, 0] = 0.0  # smooth floors exact zeros
             steps[0] /= steps[0].sum()
             assert np.array_equal(ilr_forward(smooth(steps)), ilr_rows_ref(steps))
+
+    @pytest.mark.parametrize("n", [1, 2, 30])
+    def test_block_ilr_inverse_equals_per_row_inverse(self, rng, n):
+        for d in range(2, 36):
+            z = rng.standard_normal((n, d - 1)) * rng.uniform(0.01, 10, size=(n, 1))
+            got = ilr_inverse(z, d)
+            assert np.array_equal(got, np.array([ilr_inverse_row_ref(row) for row in z]))
+            assert np.array_equal(ilr_inverse(z[0], d), got[0])
+
+    def test_ilr_inverse_wrong_size(self):
+        for z in (np.zeros(3), np.zeros((2, 3)), np.float64(0.0)):
+            with pytest.raises(InvalidValue, match="^expected 2 coordinates, got"):
+                ilr_inverse(z, 3)
 
     def test_block_ilr_zero_component(self):
         with pytest.raises(InvalidValue, match="^ilr requires strictly positive entries"):
