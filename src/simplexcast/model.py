@@ -24,6 +24,7 @@ lets row t see only the pairs before it.
 The parameters live in one float64 buffer, `CastParams.flat`, and the named
 arrays the forward pass reads are views into it: init, copy, save, load,
 the gradient, the AdamW update and tail averaging each act on one such buffer.
+The buffer holds only the heads that the config runs (`_heads`).
 """
 from __future__ import annotations
 
@@ -31,7 +32,7 @@ import json
 import math
 import struct
 from dataclasses import astuple, dataclass, field, fields
-from itertools import groupby
+from itertools import groupby, zip_longest
 
 import numpy as np
 
@@ -95,6 +96,11 @@ class ModelConfig:
         # above 1, (1 - rho_eff) * a goes negative and closure breaks
         if not 0.0 < self.rho_max <= 1.0:
             raise InvalidValue("rho_max must lie in (0, 1]")
+        # written so that NaN fails both checks
+        if not 0.0 <= self.ew_beta <= 1.0:
+            raise InvalidValue(f"ew_beta must lie in [0, 1], got {self.ew_beta}")
+        if not (math.isfinite(self.lambda_op) and self.lambda_op >= 0):
+            raise InvalidValue(f"lambda_op must be >= 0 and finite, got {self.lambda_op}")
         w = self.reg_weights
         if not (
             isinstance(w, (tuple, list))
@@ -151,18 +157,25 @@ def fixed_local_kernel(d: int) -> np.ndarray:
     return rows
 
 
-def param_shapes(cfg: ModelConfig) -> dict[str, tuple]:
-    """Name and shape of every parameter, in checkpoint order."""
+def _heads(cfg: ModelConfig) -> list[tuple[str, bool, dict[str, tuple]]]:
+    """Each head in checkpoint order: the `cast_step` input it feeds, whether
+    `cfg` runs it, and its parameter shapes by name; the one place that says
+    which heads run (read by `param_shapes`, `CastParams.init`, `_forward`)."""
     f = cfg.feature_dim
-    shapes: dict[str, tuple] = {}
-    for m in range(cfg.heads):
-        shapes[f"wq{m}"] = (f, cfg.d_r)
-        shapes[f"wk{m}"] = (f, cfg.d_r)
-    shapes.update(
-        w_eta=(f, cfg.heads), w_gate=(f,), b_gate=(), w_rho=(f,), b_rho=(),
-        wt_h=(f, 3), wt_pe=(2, 3), bt=(3,),
-    )
-    return shapes
+    retrieval = {f"{w}{m}": (f, cfg.d_r) for m in range(cfg.heads) for w in ("wq", "wk")}
+    return [
+        ("r", cfg.feature_mode != "current_only", {**retrieval, "w_eta": (f, cfg.heads)}),
+        ("lam", cfg.variant != "no_persistence_mix", {"w_gate": (f,), "b_gate": ()}),
+        ("rho", cfg.transport_active, {"w_rho": (f,), "b_rho": ()}),
+        ("kernel", cfg.transport_active and cfg.variant != "fixed_local_kernel",
+         {"wt_h": (f, 3), "wt_pe": (2, 3), "bt": (3,)}),
+    ]
+
+
+def param_shapes(cfg: ModelConfig) -> dict[str, tuple]:
+    """Name and shape of every parameter of the heads that `cfg` runs, in
+    checkpoint order."""
+    return {k: s for _, runs, shapes in _heads(cfg) if runs for k, s in shapes.items()}
 
 
 # checkpoint header config: key -> JSON type; "number" excludes booleans
@@ -195,8 +208,9 @@ def _check_header_config(c) -> None:
 
 class CastParams:
     """Parameter set: one C-contiguous float64 buffer `flat` in `param_shapes`
-    order (the checkpoint payload order), plus the model configuration.
-    `values` maps each parameter name to its shaped view into `flat`."""
+    order (the checkpoint payload order), plus the model configuration. The
+    buffer holds only the heads that the configuration runs. `values` maps
+    each parameter name to its shaped view into `flat`."""
 
     def __init__(self, cfg: ModelConfig, flat: np.ndarray):
         self.cfg = cfg
@@ -208,6 +222,8 @@ class CastParams:
 
     @staticmethod
     def init(cfg: ModelConfig, seed: int) -> "CastParams":
+        """Draws every head in checkpoint order and keeps the heads that `cfg`
+        runs, so initial values do not depend on the variant."""
         rng = np.random.default_rng(seed)
         scale = 0.5 / np.sqrt(cfg.feature_dim)
         biases = {
@@ -216,10 +232,12 @@ class CastParams:
             "bt": [0.0, 2.0, 0.0],
         }
         draws = [
-            biases[k] if k in biases else rng.normal(0, scale, size=shape)
-            for k, shape in param_shapes(cfg).items()
+            (runs, biases[k] if k in biases else rng.normal(0, scale, size=shape))
+            for _, runs, shapes in _heads(cfg) for k, shape in shapes.items()
         ]
-        return CastParams(cfg, np.concatenate([np.ravel(x) for x in draws]))
+        kept = [np.ravel(x) for runs, x in draws if runs]
+        # the empty piece keeps a config that runs no head a valid, empty buffer
+        return CastParams(cfg, np.concatenate([np.zeros(0)] + kept))
 
     def copy(self) -> "CastParams":
         return CastParams(self.cfg, self.flat.copy())
@@ -248,8 +266,8 @@ class CastParams:
     def load(path) -> "CastParams":
         """Reads a checkpoint, rejecting with InvalidValue a bad header, a
         config key that is missing or of the wrong type, an entry list other
-        than the names and shapes of `param_shapes` in order, and any other
-        byte length."""
+        than the names and shapes of `param_shapes` in order (naming the first
+        entry that differs), and any other byte length."""
         with open(path, "rb") as fh:
             data = fh.read()
         if data[:4] != CHECKPOINT_MAGIC or len(data) < 8:
@@ -272,7 +290,10 @@ class CastParams:
         except (KeyError, TypeError) as exc:
             raise InvalidValue("bad checkpoint entries") from exc
         if layout != expected:
-            raise InvalidValue("checkpoint entries do not match the model layout")
+            pairs = zip_longest(layout, expected, fillvalue=("end of entries",))
+            has, want = (" ".join(map(str, e)) for e in next(x for x in pairs if x[0] != x[1]))
+            raise InvalidValue("checkpoint entries do not match the model layout: "
+                               f"file has {has}, layout has {want}")
         size = 8 + n + 8 * sum(math.prod(shape) for _, shape in expected)
         if len(data) != size:
             raise InvalidValue(f"checkpoint is {len(data)} bytes, expected {size}")
@@ -376,37 +397,32 @@ def _kernel_head(h: np.ndarray, pe: np.ndarray, values: dict):
 def _forward(p: np.ndarray, h: np.ndarray, memory, values: dict, cfg: ModelConfig):
     """Forward pass over B positions at once from the parameter arrays
     `values`: current distributions p (B, D), features h (B, F), and the
-    padded retrieval memory from `_pad_memory` (or None). Without a memory,
-    or with current-only features, r = p. The heads feed
-    `transport.cast_step`. Returns p_hat, the step's parts with lam, r and
-    attn added (one row each), and one (operator input, parameter names,
-    reverse pass) entry per head that ran."""
+    padded retrieval memory from `_pad_memory` (or None). The heads that
+    `_heads(cfg)` runs feed `transport.cast_step`; without a memory, or with
+    current-only features, r = p, and a transport strength without the
+    kernel head moves mass by the fixed local kernel. Returns p_hat, the
+    step's parts with lam, r and attn added (one row each), and one (operator
+    input, parameter names, reverse pass) entry per head that ran."""
     d = p.shape[1]
-    heads = []
-    if memory is not None and cfg.feature_mode != "current_only":
-        r, back, attn = _retrieval(p, h, memory, values, cfg)
-        names = tuple(f"{w}{m}" for m in range(cfg.heads) for w in ("wq", "wk")) + ("w_eta",)
-        heads.append(("r", names, back))
-    else:
-        r, attn = p, []
-    lam = 0.0
-    if cfg.variant != "no_persistence_mix":
-        lam, back = _gate(h, values["w_gate"], values["b_gate"], cfg.lambda_min, cfg.lambda_max)
-        heads.append(("lam", ("w_gate", "b_gate"), back))
-    kernel = rho_raw = None
-    if cfg.transport_active:
-        rho_raw, back = _gate(h, values["w_rho"], values["b_rho"], 0.0, cfg.rho_max)
-        heads.append(("rho", ("w_rho", "b_rho"), back))
-        if cfg.variant == "fixed_local_kernel":
-            kernel = fixed_local_kernel(d)
-        else:
-            # boundary rows cannot move mass outside; the clip in shift_mass
-            # handles it, no masking required
-            kernel, back = _kernel_head(h, support_position_encoding(d), values)
-            heads.append(("kernel", ("wt_h", "wt_pe", "bt"), back))
-    parts = cast_step(p, r, lam, kernel, rho_raw, cfg.budget)
-    parts.update(lam=lam, r=r, attn=attn)
-    return parts["p_hat"], parts, heads
+    live = {name: tuple(shapes) for name, runs, shapes in _heads(cfg) if runs}
+    if memory is None:
+        live.pop("r", None)
+    op = {"r": p, "lam": 0.0, "rho": None, "kernel": None}
+    attn, backs = [], {}
+    if "r" in live:
+        op["r"], backs["r"], attn = _retrieval(p, h, memory, values, cfg)
+    for name, lo, hi in (("lam", cfg.lambda_min, cfg.lambda_max), ("rho", 0.0, cfg.rho_max)):
+        if name in live:
+            op[name], backs[name] = _gate(h, *(values[k] for k in live[name]), lo, hi)
+    if "kernel" in live:
+        # boundary rows cannot move mass outside; the clip in shift_mass
+        # handles it, no masking required
+        op["kernel"], backs["kernel"] = _kernel_head(h, support_position_encoding(d), values)
+    elif "rho" in live:
+        op["kernel"] = fixed_local_kernel(d)
+    parts = cast_step(p, op["r"], op["lam"], op["kernel"], op["rho"], cfg.budget)
+    parts.update(lam=op["lam"], r=op["r"], attn=attn)
+    return parts["p_hat"], parts, [(name, live[name], back) for name, back in backs.items()]
 
 
 def forward(steps: np.ndarray, ts, params: CastParams, feats: np.ndarray | None = None):
@@ -470,8 +486,9 @@ def loss_var(batch: tuple, params: CastParams, out: CastParams | None = None) ->
     mean operator regularizer, as the one tape node of a training step over
     one leaf, `params.flat`. Its backward runs the mean, the KL, the step's
     `vjp` plus the prior's, then each head's reverse pass into its views of
-    a gradient laid out as `params.flat`, zero where no head reads: the
-    buffer of `out` when given, else a new one."""
+    a gradient laid out as `params.flat`, zeroed first since retrieval does
+    not run on a batch with no memory (every position at t = 0): the buffer
+    of `out` when given, else a new one."""
     cfg = params.cfg
     p, h, memory, targets = batch
     p_hat, parts, heads = _forward(p, h, memory, params.values, cfg)
@@ -502,7 +519,7 @@ def loss_var(batch: tuple, params: CastParams, out: CastParams | None = None) ->
 def gradient(batch: tuple, params: CastParams,
              out: CastParams | None = None) -> tuple[float, np.ndarray]:
     """The training loss and its exact gradient, laid out as `params.flat`
-    (in `out.flat` when given)."""
+    (in `out.flat` when given), which holds only the heads the config runs."""
     node = loss_var(batch, params, out)
     node.backward()
     return node.item(), node.parents[0].grad

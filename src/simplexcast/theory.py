@@ -133,37 +133,6 @@ def random_scenario(rng: np.random.Generator, d: int, k: int) -> AliasingScenari
 # ------------------------------------------------------- fixed-summary
 
 
-def _minimize_kl_over_mixture(
-    dists: np.ndarray,
-    pis: np.ndarray,
-    n_starts: int,
-    seed: int,
-    iters: int = 200,
-) -> float:
-    """Minimizes sum_z pi_z KL(u_z || q) over the simplex, all random starts
-    as one batch. Up to a constant this is minus the concave log-likelihood
-    sum_i mix_i log qs_i (qs the eps-smoothed q). The step is the EM update
-    for mixture proportions, q <- q * mix / qs normalized (Dempster, Laird &
-    Rubin, 1977): it raises that likelihood monotonically, has no step size,
-    and its fixed point is the mixture pis @ dists itself."""
-    rng = np.random.default_rng(seed)
-    d = dists.shape[1]
-    eps = DEFAULT_EPS
-    mix = (pis @ dists + eps) / (1.0 + d * eps)
-    q = rng.dirichlet(np.ones(d), size=n_starts)
-    for _ in range(iters):
-        qs = (q + eps) / (1.0 + d * eps)
-        q_new = q * (mix[None, :] / qs)
-        q_new /= q_new.sum(axis=1, keepdims=True)
-        if np.abs(q_new - q).max() < 1e-15:
-            q = q_new
-            break
-        q = q_new
-    # the builtin sum adds the (n_starts,) rows of weighted KLs regime by regime
-    objs = sum(pis[:, None] * kl(dists[:, None, :], q))
-    return float(objs.min())
-
-
 def fixed_summary_optimum(scenario: AliasingScenario) -> tuple[np.ndarray, float]:
     """The best regime-blind prediction is the mixture of successors; its
     excess risk is the weighted Jensen-Shannon radius."""
@@ -175,7 +144,29 @@ def fixed_summary_optimum(scenario: AliasingScenario) -> tuple[np.ndarray, float
 def numeric_fixed_summary_minimum(
     scenario: AliasingScenario, n_starts: int = 20, seed: int = 0
 ) -> float:
-    return _minimize_kl_over_mixture(scenario.successors(), scenario.pis, n_starts, seed)
+    """Minimizes sum_z pi_z KL(u_z || q) over the simplex, all random starts
+    as one batch. Up to a constant this is minus the concave log-likelihood
+    sum_i mix_i log qs_i (qs the eps-smoothed q). The step is the EM update
+    for mixture proportions, q <- q * mix / qs normalized (Dempster, Laird &
+    Rubin, 1977): it raises that likelihood monotonically, has no step size,
+    and its fixed point is the mixture pis @ us itself."""
+    us, pis = scenario.successors(), scenario.pis
+    rng = np.random.default_rng(seed)
+    d = us.shape[1]
+    eps = DEFAULT_EPS
+    mix = (pis @ us + eps) / (1.0 + d * eps)
+    q = rng.dirichlet(np.ones(d), size=n_starts)
+    for _ in range(200):  # at most 200 EM steps; a fixed point stops it early
+        qs = (q + eps) / (1.0 + d * eps)
+        q_new = q * (mix[None, :] / qs)
+        q_new /= q_new.sum(axis=1, keepdims=True)
+        if np.abs(q_new - q).max() < 1e-15:
+            q = q_new
+            break
+        q = q_new
+    # the builtin sum adds the (n_starts,) rows of weighted KLs regime by regime
+    objs = sum(pis[:, None] * kl(us[:, None, :], q))
+    return float(objs.min())
 
 
 FIXED_SUMMARY_TOL = 1e-8

@@ -66,8 +66,11 @@ class BudgetParams:
     epsilon: float = 1e-8
 
     def __post_init__(self):
-        if self.delta_mu < 0 or self.delta_sigma < 0:
-            raise InvalidValue("budget coefficients must be nonnegative")
+        # written so that NaN fails every check
+        if not all(np.isfinite(x) and x >= 0 for x in (self.delta_mu, self.delta_sigma)):
+            raise InvalidValue("budget coefficients must be nonnegative and finite")
+        if not (np.isfinite(self.epsilon) and self.epsilon > 0):
+            raise InvalidValue(f"budget epsilon must be positive and finite, got {self.epsilon}")
 
     def budget(self, a: Dist) -> float:
         return self.delta_mu + self.delta_sigma * std_support(a)

@@ -400,7 +400,9 @@ class TestCli:
     @pytest.mark.parametrize("key,value", [("rho_max", 3.0), ("window", 0),
                                            ("reg_weights", [5e-4, -1.0, 1e-4, 5e-4]),
                                            ("window", "8"), ("ordered", 1), ("budget", [0.25]),
-                                           ("dim", None), ("dim", 7), ("lambda_op", True)])
+                                           ("dim", None), ("dim", 7), ("lambda_op", True),
+                                           ("ew_beta", float("nan")),
+                                           ("budget", [0.25, 0.1, 0.0])])
     def test_cast_evaluate_rejects_bad_checkpoint_config(self, rng, tmp_path, key, value):
         ckpt, argv = self._cast_checkpoint(rng, tmp_path)
         # hand-edit the JSON header: magic, little-endian length, header, values;
@@ -440,6 +442,21 @@ class TestCli:
             blob = blob[:4] + len(edited).to_bytes(4, "little") + edited + blob[8 + n :]
         ckpt.write_bytes(blob)
         assert _run(argv) == 1
+
+    def test_cast_evaluate_rejects_full_layout_of_a_smaller_config(self, rng, tmp_path, capsys):
+        # an anchor-only header over the entries and payload of the layout
+        # that stores every head, as earlier versions wrote it
+        ckpt, argv = self._cast_checkpoint(rng, tmp_path)
+        blob = ckpt.read_bytes()
+        n = int.from_bytes(blob[4:8], "little")
+        header = json.loads(blob[8 : 8 + n])
+        header["config"]["variant"] = "anchor_only"
+        edited = json.dumps(header, sort_keys=True).encode()
+        ckpt.write_bytes(blob[:4] + len(edited).to_bytes(4, "little") + edited + blob[8 + n :])
+        capsys.readouterr()
+        assert _run(argv) == 1
+        # F = (window + 2) * D + 2 = 18 features
+        assert "file has w_rho (18,), layout has end of entries" in capsys.readouterr().err
 
     def test_cast_rejects_checkpoint_for_other_data(self, rng, tmp_path, capsys):
         from simplexcast.model import CastParams, ModelConfig
@@ -532,8 +549,8 @@ class TestCli:
     def test_theory_check_reports_default_identity_failure(self, tmp_path, monkeypatch):
         # a numeric minimum 1e-7 off fails the one 1e-8 tolerance, in the
         # random scenarios and in the default scenario alike
-        minimize = theory._minimize_kl_over_mixture
-        monkeypatch.setattr(theory, "_minimize_kl_over_mixture",
+        minimize = theory.numeric_fixed_summary_minimum
+        monkeypatch.setattr(theory, "numeric_fixed_summary_minimum",
                             lambda *a, **kw: minimize(*a, **kw) + 1e-7)
         assert _run(["theory-check", "--scenarios", "3", "--out", str(tmp_path)]) == 2
         checks = json.loads((tmp_path / "theory_check.json").read_text())["checks"]
@@ -544,8 +561,8 @@ class TestCli:
     def test_aliasing_synthetic_reports_identity_failure(self, tmp_path, monkeypatch):
         # the same offset fails the fixed-summary identity of aliasing-synthetic:
         # the report is written with the verdict false, and the exit code is 2
-        minimize = theory._minimize_kl_over_mixture
-        monkeypatch.setattr(theory, "_minimize_kl_over_mixture",
+        minimize = theory.numeric_fixed_summary_minimum
+        monkeypatch.setattr(theory, "numeric_fixed_summary_minimum",
                             lambda *a, **kw: minimize(*a, **kw) + 1e-7)
         assert _run(["aliasing-synthetic", "--seeds", "0", "--iters", "2", "--sequences", "8",
                      "--out", str(tmp_path)]) == 2

@@ -1,5 +1,5 @@
 import hashlib
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -20,6 +20,7 @@ from simplexcast.model import (
     gradient,
     loss_var,
     make_batch,
+    param_shapes,
     scored_positions,
     support_position_encoding,
     train,
@@ -393,31 +394,90 @@ def test_batched_forward_is_causal(rng):
         np.testing.assert_array_equal(p_hat(edited)[i], base[i])
 
 
-def test_gradient_zero_for_unused_transport_params(rng):
-    cfg = small_cfg(variant="anchor_only")
-    params = CastParams.init(cfg, seed=2)
-    seqs = [random_series(rng, 6, cfg.dim)]
-    batch = make_batch(seqs, [(0, 3)], cfg)
-    _, g = gradient(batch, params)
-    assert g.shape == params.flat.shape
-    grads = CastParams(cfg, g).values
-    # exactly zero: no head of the variant reads them
-    for k in ("wt_h", "wt_pe", "bt", "w_rho", "b_rho"):
-        assert not grads[k].any(), k
-    assert grads["w_gate"].any()
+RETRIEVAL = ["wq0", "wk0", "wq1", "wk1", "w_eta"]
+GATE, STRENGTH, KERNEL = ["w_gate", "b_gate"], ["w_rho", "b_rho"], ["wt_h", "wt_pe", "bt"]
+
+
+@pytest.mark.parametrize(
+    "kw, names",
+    [
+        (dict(variant="full"), RETRIEVAL + GATE + STRENGTH + KERNEL),
+        (dict(variant="no_structural_reg"), RETRIEVAL + GATE + STRENGTH + KERNEL),
+        (dict(variant="anchor_only"), RETRIEVAL + GATE),
+        (dict(variant="single_head"), ["wq0", "wk0", "w_eta"] + GATE + STRENGTH + KERNEL),
+        (dict(variant="fixed_local_kernel"), RETRIEVAL + GATE + STRENGTH),
+        (dict(variant="no_persistence_mix"), RETRIEVAL + STRENGTH + KERNEL),
+        (dict(feature_mode="current_only"), GATE + STRENGTH + KERNEL),
+        (dict(ordered=False), RETRIEVAL + GATE),
+    ],
+    ids=["full", "no_structural_reg", "anchor_only", "single_head", "fixed_local_kernel",
+         "no_persistence_mix", "current_only", "unordered"],
+)
+def test_layout_holds_only_the_heads_a_config_runs(rng, monkeypatch, kw, names):
+    from simplexcast import model
+
+    cfg = small_cfg(**kw)
+    assert list(param_shapes(cfg)) == names
+    # init draws every head in checkpoint order and keeps the ones that run:
+    # each kept view equals the same name's values when every head runs,
+    # which for the ordered full-feature `full` config is its own init
+    every_head = model._heads
+    for seed in (0, 7):
+        params = CastParams.init(cfg, seed)
+        with monkeypatch.context() as m:
+            m.setattr(model, "_heads", lambda c: [(n, True, s) for n, _, s in every_head(c)])
+            ref = CastParams.init(cfg, seed)
+        if cfg.ordered and cfg.feature_mode == "full":
+            full = CastParams.init(replace(cfg, variant="full"), seed)
+            np.testing.assert_array_equal(ref.flat, full.flat)
+        for k, x in params.values.items():
+            np.testing.assert_array_equal(x, ref.values[k], err_msg=k)
+    # no dead head: on a batch with memory every view's gradient is nonzero
+    # somewhere, bar views that the forward pass reads but that move no loss:
+    # the mix of one head (a softmax over one logit is 1), and the persistence
+    # gate under current-only features (r = p, so the anchor is p whatever
+    # lam is, up to rounding)
+    flat_loss = {"w_eta"} if cfg.heads == 1 else set()
+    if cfg.feature_mode == "current_only":
+        flat_loss.update(GATE)
+    seqs = [random_series(rng, 6, cfg.dim, ordered=cfg.ordered)]
+    _, g = gradient(make_batch(seqs, [(0, 3), (0, 4)], cfg), CastParams.init(cfg, seed=2))
+    for k, x in CastParams(cfg, g).values.items():
+        assert x.any() != (k in flat_loss), k
+
+
+def test_config_that_runs_no_head_trains_saves_and_loads(rng, tmp_path):
+    # current-only features, no persistence mix and an unordered support:
+    # p_hat = p, and the parameter buffer is empty
+    cfg = small_cfg(ordered=False, feature_mode="current_only", variant="no_persistence_mix")
+    assert param_shapes(cfg) == {}
+    seqs = [random_series(rng, 6, cfg.dim, f"s{i}", ordered=False) for i in range(3)]
+    params, _ = train(seqs[:2], seqs[2:], cfg, TrainConfig(iters=3, eval_every=1), seed=0)
+    params.save(tmp_path / "m.ckpt")
+    loaded = CastParams.load(tmp_path / "m.ckpt")
+    assert loaded.flat.shape == (0,)
+    np.testing.assert_array_equal(forward(seqs[0].steps, [2, 4], loaded)[0], seqs[0].steps[[2, 4]])
 
 
 def test_gradient_into_a_used_buffer_equals_a_new_one(rng):
-    # train passes one buffer to every step, holding the last step's update;
-    # parameters that no head reads must still come back zero
-    cfg = small_cfg(variant="anchor_only")
-    params = CastParams.init(cfg, seed=2)
-    batch = make_batch([random_series(rng, 6, cfg.dim)], [(0, 3), (0, 1)], cfg)
-    value, g = gradient(batch, params)
-    buf = CastParams(cfg, np.full_like(params.flat, np.nan))
-    value_buf, g_buf = gradient(batch, params, buf)
-    assert g_buf is buf.flat and value_buf == value
-    np.testing.assert_array_equal(g_buf, g)
+    # train passes one buffer to every step, holding the last step's update.
+    # Retrieval does not run on a batch whose positions are all at t = 0,
+    # which has no memory, so its views must still come back exactly 0: that
+    # is why loss_var zeroes the buffer before the heads write into it
+    seqs = [random_series(rng, 6, 5, f"s{i}") for i in range(2)]
+    for variant, positions in (("anchor_only", [(0, 3), (0, 1)]), ("full", [(0, 0), (1, 0)])):
+        cfg = small_cfg(variant=variant)
+        params = CastParams.init(cfg, seed=2)
+        batch = make_batch(seqs, positions, cfg)
+        value, g = gradient(batch, params)
+        buf = CastParams(cfg, np.full_like(params.flat, np.nan))
+        value_buf, g_buf = gradient(batch, params, buf)
+        assert g_buf is buf.flat and value_buf == value
+        np.testing.assert_array_equal(g_buf, g)
+        if variant == "full":
+            assert batch[2] is None
+            for k in RETRIEVAL:
+                np.testing.assert_array_equal(buf.values[k], 0.0, err_msg=k)
 
 
 @pytest.mark.parametrize(
@@ -615,11 +675,22 @@ def test_checkpoint_rejects_bad_magic(tmp_path):
         dict(reg_weights=(5e-4, 5e-4, 1e-4)),
         dict(reg_weights=(5e-4, 5e-4, 1e-4, "x")),
         dict(reg_weights=1.0),
-    ],
+    ]
+    + [dict(ew_beta=v) for v in (-0.1, 1.5, np.nan)]
+    + [dict(lambda_op=v) for v in (-1e-3, np.nan, np.inf)]
+    + [dict(budget=(v, 0.1, 1e-8)) for v in (-0.1, np.nan, np.inf)]
+    + [dict(budget=(0.25, v, 1e-8)) for v in (np.nan, np.inf)]
+    + [dict(budget=(0.25, 0.1, v)) for v in (0.0, -1e-8, np.nan, np.inf)],
 )
 def test_config_rejects_bad_values(bad):
     with pytest.raises(ValueError):
-        small_cfg(**bad)
+        # BudgetParams checks its own coefficients
+        small_cfg(**{k: BudgetParams(*v) if k == "budget" else v for k, v in bad.items()})
+
+
+def test_config_accepts_boundary_values():
+    small_cfg(ew_beta=0.0, lambda_op=0.0, budget=BudgetParams(0.0, 0.0, 1e-300))
+    small_cfg(ew_beta=1.0)
 
 
 @pytest.mark.parametrize(
