@@ -79,8 +79,10 @@ def _emit(args, payload, filename) -> str:
 
 
 def _cmd_simulate_queues(args) -> int:
-    from .queue_sim import generate_section, split_systems
+    from .queue_sim import check_split_size, generate_section, split_systems
 
+    if args.split:
+        check_split_size(args.systems)  # before any system is simulated
     section = generate_section(
         args.section,
         n_systems=args.systems,
@@ -371,18 +373,35 @@ def _cmd_report(args) -> int:
 # --------------------------------------------------------------- parser
 
 
-def _seed_list(text: str) -> list[int]:
-    """The value of `--seeds`: comma-separated integers."""
+def _seed(text: str) -> int:
+    """The value of `--seed`: a non-negative integer, as numpy's seeding
+    requires."""
     try:
-        return [int(s) for s in text.split(",")]
+        seed = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return seed
+
+
+def _seed_list(text: str) -> list[int]:
+    """The value of `--seeds`: comma-separated non-negative integers."""
+    try:
+        seeds = [int(s) for s in text.split(",")]
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"expected comma-separated integers, got {text!r}"
         ) from None
+    if min(seeds) < 0:
+        raise argparse.ArgumentTypeError(
+            f"expected non-negative integers, got {text!r}"
+        )
+    return seeds
 
 
 def _add_common(sub):
-    sub.add_argument("--seed", type=int, default=0)
+    sub.add_argument("--seed", type=_seed, default=0)
     sub.add_argument("--out", default=None, help="output directory")
     sub.add_argument(
         "--json", action="store_true", help="also print the report to stdout"

@@ -69,8 +69,8 @@ def write_dataset(path, seqs, section_name: str = "") -> None:
         for s in seqs:
             row = {
                 "id": s.id,
-                "steps": [[float(x) for x in step] for step in s.steps],
-                "loss_mask": [bool(b) for b in s.loss_mask],
+                "steps": s.steps.tolist(),
+                "loss_mask": s.loss_mask.tolist(),
             }
             fh.write(json.dumps(row, sort_keys=True) + "\n")
 

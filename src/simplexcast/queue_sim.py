@@ -3,11 +3,14 @@
 Each system is a randomly parameterized G/G/1 queue. Every replication draws
 its inter-arrival and service times from its own counter-based (Philox) RNG
 stream, keyed by (master seed, system index, replication index), so output is
-independent of scheduling. A system's R replications are then stacked into
-(R, N) arrays: the arrival-time and Lindley departure recursions loop over the
-N arrivals with vector ops across the R replications, and the across-
-replication empirical occupancy histogram at every grid instant becomes one
-distribution-valued time step.
+independent of scheduling. A system derives its R stream keys in one
+vectorised pass of numpy's SeedSequence mixing and draws every replication
+from one reused generator. The draws are stacked into (N, R) arrays, one row
+per arrival: the arrival-time and Lindley departure recursions loop over the
+N rows in place, and the occupancy of every replication at every grid
+instant comes from one count per side, so the across-replication empirical
+occupancy histogram at each grid instant becomes one distribution-valued
+time step.
 """
 from __future__ import annotations
 
@@ -147,42 +150,131 @@ class QueueConfig:
             raise InvalidValue(f"utilization {u:.4f} outside [{lo}, {hi}]")
 
 
+# numpy's SeedSequence mixing constants (numpy/random/bit_generator.pyx)
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_POOL_SIZE = 4
+
+
 def _replication_rng(master_seed: int, system_index: int, replication: int):
     return np.random.Generator(
         np.random.Philox(np.random.SeedSequence([master_seed, system_index, replication]))
     )
 
 
-def lindley_departures(arrivals: np.ndarray, services: np.ndarray) -> np.ndarray:
-    """Departure times of single-server FIFO queues over the last axis:
-    d_i = max(a_i, d_{i-1}) + s_i. Leading axes are independent queues."""
-    out = np.empty_like(arrivals)
-    prev = np.full(arrivals.shape[:-1], -np.inf)
-    for i in range(arrivals.shape[-1]):
-        prev = np.maximum(arrivals[..., i], prev) + services[..., i]
-        out[..., i] = prev
+def _uint32_words(n: int) -> list[int]:
+    """n split as SeedSequence splits an int: little-endian uint32 words,
+    [0] for 0."""
+    if n < 0:
+        raise InvalidValue(f"expected non-negative integer, got {n}")
+    words = []
+    while n:
+        words.append(n & _MASK32)
+        n >>= 32
+    return words or [0]
+
+
+def _replication_keys(master_seed: int, system_index: int, n: int) -> np.ndarray:
+    """Philox keys of replications 0..n-1 of one system, shape (n, 2): row r
+    equals SeedSequence([master_seed, system_index, r]).generate_state(2,
+    np.uint64), by numpy's published mixing run on all n entropy vectors at
+    once. Only the last entropy word, r, differs between rows."""
+    entropy = [
+        np.full(n, w, np.uint32)
+        for w in _uint32_words(master_seed) + _uint32_words(system_index)
+    ]
+    entropy.append(np.arange(n, dtype=np.uint32))
+    hash_const = _INIT_A
+
+    def hashmix(value):
+        nonlocal hash_const
+        value = value ^ np.uint32(hash_const)
+        hash_const = hash_const * _MULT_A & _MASK32
+        value *= np.uint32(hash_const)
+        value ^= value >> 16
+        return value
+
+    def mix(x, y):
+        out = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
+        out ^= out >> 16
+        return out
+
+    pool = [
+        hashmix(entropy[i] if i < len(entropy) else np.zeros(n, np.uint32))
+        for i in range(_POOL_SIZE)
+    ]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    # generate_state(2, np.uint64): four uint32 words, read little-endian
+    hash_const = _INIT_B
+    state = []
+    for word in pool:
+        word = word ^ np.uint32(hash_const)
+        hash_const = hash_const * _MULT_B & _MASK32
+        word *= np.uint32(hash_const)
+        word ^= word >> 16
+        state.append(word.astype(np.uint64))
+    return np.stack([state[0] | state[1] << 32, state[2] | state[3] << 32], axis=1)
+
+
+def _by_rows(x: np.ndarray) -> np.ndarray:
+    """x as (rows, queues), a view for a 1-D, 2-D or contiguous x; a 1-D x
+    is one queue."""
+    return x.reshape(len(x), -1)
+
+
+def lindley_departures(arrivals: np.ndarray, services: np.ndarray, out=None) -> np.ndarray:
+    """Departure times of single-server FIFO queues over the first axis:
+    d_i = max(a_i, d_{i-1}) + s_i. Trailing axes are independent queues.
+    `out` may be `services`: each row is read before it is written."""
+    if out is None:
+        out = np.empty_like(arrivals)
+    a, s, d = _by_rows(arrivals), _by_rows(services), _by_rows(out)
+    prev = np.full(a.shape[1:], -np.inf)
+    top = np.empty(a.shape[1:])
+    for i in range(len(a)):
+        np.maximum(a[i], prev, out=top)
+        prev = np.add(top, s[i], out=d[i])
     return out
 
 
-def _arrival_times(base: np.ndarray, modulation: Modulation | None) -> np.ndarray:
-    """Cumulative arrival times over the last axis from unit-scale i.i.d.
+def _arrival_times(base: np.ndarray, modulation: Modulation | None, out=None) -> np.ndarray:
+    """Cumulative arrival times over the first axis from unit-scale i.i.d.
     draws; for modulated configs the next gap's mean is scaled by the rate at
-    the current time."""
+    the current time. `out` may be `base`."""
+    if out is None:
+        out = np.empty_like(base)
     if modulation is None:
-        return np.cumsum(base, axis=-1)
+        return np.cumsum(base, axis=0, out=out)
     a, period, phase = modulation.amplitude, modulation.period, modulation.phase
-    times = np.empty_like(base)
-    t = np.zeros(base.shape[:-1])
-    for i in range(base.shape[-1]):
-        scale = 1.0 / (1.0 + a * np.sin(2.0 * math.pi * t / period + phase))
-        t = t + base[..., i] * scale
-        times[..., i] = t
-    return times
+    gaps, times = _by_rows(base), _by_rows(out)
+    t = np.zeros(gaps.shape[1:])
+    scale = np.empty(gaps.shape[1:])
+    for i in range(len(gaps)):
+        # scale = 1 / (1 + a sin(2 pi t / period + phase)), one op at a time
+        np.multiply(2.0 * math.pi, t, out=scale)
+        scale /= period
+        scale += phase
+        np.sin(scale, out=scale)
+        scale *= a
+        scale += 1.0
+        np.divide(1.0, scale, out=scale)
+        np.multiply(gaps[i], scale, out=times[i])
+        t = np.add(t, times[i], out=times[i])
+    return out
 
 
 def _draw(config: QueueConfig, system_index: int, replication: int):
     """One replication's (inter-arrival draws, service times), from its own
-    RNG stream."""
+    RNG stream: the reference that `simulate_system`'s reused generator
+    matches."""
     rng = _replication_rng(config.seed, system_index, replication)
     gaps = config.arrival.sample(rng, config.n_arrivals)
     services = config.service.sample(rng, config.n_arrivals)
@@ -196,39 +288,82 @@ def simulate_replication(config: QueueConfig, system_index: int, replication: in
     return arrivals, lindley_departures(arrivals, services)
 
 
-def occupancy_on_grid(arrivals, departures, grid) -> np.ndarray:
-    """Number in system at each grid instant: arrivals so far minus
-    departures so far."""
-    return np.searchsorted(arrivals, grid, side="right") - np.searchsorted(
-        departures, grid, side="right"
-    )
+_BLOCK = 8192  # times per block of occupancy_on_grid: 64 KB per scratch array
+
+
+def occupancy_on_grid(arrivals, departures, n_grid: int, dt: float) -> np.ndarray:
+    """Number in system at the grid instants k*dt, k < n_grid, as (R, n_grid)
+    from (N, R) arrival and departure times: arrivals so far minus departures
+    so far. A time t first counts at the grid index k = ceil(t/dt), corrected
+    against k*dt so that k is the first with k*dt >= t for any dt. Each
+    arrival adds 1 and each departure -1 at (replication, k), with k = n_grid
+    past the grid, and a cumulative sum over the grid gives the counts. The
+    rows go through in blocks of about `_BLOCK` times, so the scratch stays
+    small whatever N and R are."""
+    n, n_reps = arrivals.shape
+    width = n_grid + 1
+    offsets = np.arange(n_reps) * width
+    rows = max(1, _BLOCK // n_reps)
+    k, k_dt = np.empty((2, rows, n_reps))
+    index = np.empty((rows, n_reps), np.int64)
+    occ = np.zeros(n_reps * width, np.int64)
+    for times, step in ((arrivals, 1), (departures, -1)):
+        for lo in range(0, n, rows):
+            t = times[lo : lo + rows]
+            kb, kb_dt, ib = k[: len(t)], k_dt[: len(t)], index[: len(t)]
+            np.divide(t, dt, out=kb)
+            np.ceil(kb, out=kb)
+            np.multiply(kb, dt, out=kb_dt)
+            np.add(kb, kb_dt < t, out=kb)
+            np.subtract(kb, 1.0, out=kb_dt)
+            np.multiply(kb_dt, dt, out=kb_dt)
+            np.subtract(kb, kb_dt >= t, out=kb)
+            np.minimum(kb, n_grid, out=kb)
+            np.add(kb, offsets, out=ib, casting="unsafe")
+            np.add.at(occ, ib.ravel(), step)
+    occ = occ.reshape(n_reps, width)
+    np.cumsum(occ, axis=1, out=occ)
+    return occ[:, :n_grid]
 
 
 def simulate_system(
     config: QueueConfig,
     system_index: int = 0,
     check_utilization: bool = True,
+    work=None,
 ) -> SimplexSeries:
     """Average per-grid-instant occupancy indicator histograms across
-    replications, simulated together as (R, N) arrays. The grid runs from 0
-    to the earliest replication's last departure so every grid point
-    aggregates all replications."""
+    replications. Replication r's draws come from one reused Philox
+    generator whose state is set to (key r, counter 0, empty buffer), the
+    stream `_draw` builds from its own SeedSequence, into column r of (N, R)
+    arrays; both recursions then run over the N rows in place, and
+    `occupancy_on_grid` counts all replications at once. The grid runs from
+    0 to the earliest replication's last departure so every grid point
+    aggregates all replications. `work`, a float array of shape (2, N, R),
+    holds the draws and is overwritten; one is made when it is None.
+    `generate_section` passes one to every system, so the systems of a
+    section reuse its memory."""
     if check_utilization:
         config.check_utilization()
-    shape = (config.n_replications, config.n_arrivals)
-    gaps, services = np.empty(shape), np.empty(shape)
-    for r in range(config.n_replications):
-        gaps[r], services[r] = _draw(config, system_index, r)
-    arrivals = _arrival_times(gaps, config.modulation)
-    departures = lindley_departures(arrivals, services)
-    del gaps, services  # free the draws before the occupancy arrays: peak memory
-    horizon = departures[:, -1].min()
-    n_grid = int(math.floor(horizon / config.dt)) + 1
-    grid = np.arange(n_grid) * config.dt
-    occ = np.array([occupancy_on_grid(a, d, grid) for a, d in zip(arrivals, departures)])
+    n, n_reps = config.n_arrivals, config.n_replications
+    if work is None:
+        work = np.empty((2, n, n_reps))
+    gaps, services = work
+    bitgen = np.random.Philox(0)
+    rng = np.random.Generator(bitgen)
+    fresh = bitgen.state  # counter 0, empty buffer; the key is set per replication
+    for r, key in enumerate(_replication_keys(config.seed, system_index, n_reps)):
+        fresh["state"]["key"] = key
+        bitgen.state = fresh
+        gaps[:, r] = config.arrival.sample(rng, n)
+        services[:, r] = config.service.sample(rng, n)
+    arrivals = _arrival_times(gaps, config.modulation, out=gaps)
+    departures = lindley_departures(arrivals, services, out=services)
+    n_grid = int(math.floor(departures[-1].min() / config.dt)) + 1
+    occ = occupancy_on_grid(arrivals, departures, n_grid, config.dt)
     d = max(int(occ.max()) + 1, 2)
     counts = np.bincount((np.arange(n_grid) * d + occ).ravel(), minlength=n_grid * d)
-    steps = counts.reshape(n_grid, d) / config.n_replications
+    steps = counts.reshape(n_grid, d) / n_reps
     return SimplexSeries(f"system{system_index:05d}", True, steps)
 
 
@@ -384,14 +519,15 @@ def generate_section(
     if n_systems < 1:
         raise InvalidValue(f"number of systems must be >= 1, got {n_systems}")
     rng = np.random.default_rng(master_seed)
-    configs, systems = [], []
-    for i in range(n_systems):
-        config = sample_config(
+    configs = [
+        sample_config(
             section, rng, n_arrivals=n_arrivals, n_replications=n_replications,
             seed=master_seed,
         )
-        configs.append(config)
-        systems.append(simulate_system(config, system_index=i))
+        for _ in range(n_systems)
+    ]
+    work = np.empty((2, n_arrivals, n_replications))  # sizes checked by the configs
+    systems = [simulate_system(c, system_index=i, work=work) for i, c in enumerate(configs)]
     systems, dim = pad_to_section_dim(systems)
     return QueueSection(section, systems, configs, dim, master_seed)
 
@@ -405,6 +541,12 @@ def support_width(series: SimplexSeries) -> int:
     return int(nz[-1]) if len(nz) else 0
 
 
+def check_split_size(n_systems: int) -> None:
+    """A split needs at least 10 systems."""
+    if n_systems < 10:
+        raise InvalidValue(f"need >= 10 systems, got {n_systems}")
+
+
 def split_systems(
     systems: list,
     fractions: tuple = (0.7, 0.1, 0.2),
@@ -415,8 +557,7 @@ def split_systems(
     against its target fraction, which keeps every width decile and the global
     counts within one system of proportional. Returns system id -> "train",
     "val" or "test"."""
-    if len(systems) < 10:
-        raise InvalidValue(f"need >= 10 systems, got {len(systems)}")
+    check_split_size(len(systems))
     if not np.isclose(sum(fractions), 1.0):
         raise InvalidValue("fractions must sum to 1")
     rng = np.random.default_rng(seed)

@@ -342,6 +342,36 @@ class TestCli:
         err = capsys.readouterr().err
         assert f"number of {quantity} must be >= 1, got {value}" in err
 
+    def test_simulate_queues_split_checks_size_before_simulating(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        from simplexcast import queue_sim
+
+        def no_simulation(*args, **kwargs):
+            raise AssertionError("a system was simulated")
+
+        monkeypatch.setattr(queue_sim, "simulate_system", no_simulation)
+        argv = ["simulate-queues", "--section", "homogeneous", "--systems", "9",
+                "--split", "--out", str(tmp_path)]
+        assert _run(argv) == 1
+        assert capsys.readouterr().err == "error: need >= 10 systems, got 9\n"
+        assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("argv,message", [
+        (["simulate-queues", "--section", "homogeneous", "--seed", "-1"],
+         "argument --seed: expected a non-negative integer, got '-1'"),
+        (["train", "--data", "unused.jsonl", "--seed", "-1"],
+         "argument --seed: expected a non-negative integer, got '-1'"),
+        (["theory-check", "--seed", "-1"],
+         "argument --seed: expected a non-negative integer, got '-1'"),
+        (["aliasing-synthetic", "--seeds=-1"],
+         "argument --seeds: expected non-negative integers, got '-1'"),
+    ], ids=["simulate-queues", "train", "theory-check", "aliasing-synthetic"])
+    def test_negative_seed_rejected_at_parse_time(self, tmp_path, capsys, argv, message):
+        assert _run(argv + ["--out", str(tmp_path)]) == 1
+        assert message in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
     def test_evaluate_persistence(self, rng, tmp_path):
         data = tmp_path / "d.jsonl"
         write_dataset(data, _seqs(rng), section_name="unit")

@@ -7,6 +7,7 @@ from dataclasses import asdict, fields
 import numpy as np
 import pytest
 
+from simplexcast import queue_sim
 from simplexcast.cli import cli_dispatch
 from simplexcast.errors import InvalidValue
 from simplexcast.queue_sim import (
@@ -18,6 +19,7 @@ from simplexcast.queue_sim import (
     UTILIZATION_BAND,
     _arrival_times,
     _draw_family,
+    _replication_keys,
     _replication_rng,
     generate_section,
     lindley_departures,
@@ -226,7 +228,7 @@ def test_modulation_validation():
         Modulation(amplitude=0.2, period=0.0, phase=0.0)
 
 
-# ------------------------------------------- (R, N) layout vs one replication
+# ------------------------------------------- (N, R) layout vs one replication
 
 
 def scalar_arrival_times(base, modulation):
@@ -250,9 +252,18 @@ def scalar_lindley(arrivals, services):
     return out
 
 
+def searchsorted_occupancy(arrivals, departures, grid):
+    """One replication's number in system at each grid instant, by binary
+    search: arrivals so far minus departures so far."""
+    return np.searchsorted(arrivals, grid, side="right") - np.searchsorted(
+        departures, grid, side="right"
+    )
+
+
 def reference_steps(config, system_index=0):
-    """One simulate_replication per replication, then the per-cell np.add.at
-    histogram."""
+    """One simulate_replication per replication (its own SeedSequence and
+    generator), its occupancy by binary search into the grid, then the
+    per-cell np.add.at histogram."""
     reps = [
         simulate_replication(config, system_index, r)
         for r in range(config.n_replications)
@@ -260,7 +271,7 @@ def reference_steps(config, system_index=0):
     horizon = min(dep[-1] for _, dep in reps)
     n_grid = int(math.floor(horizon / config.dt)) + 1
     grid = np.arange(n_grid) * config.dt
-    occ = np.array([occupancy_on_grid(arr, dep, grid) for arr, dep in reps])
+    occ = np.array([searchsorted_occupancy(arr, dep, grid) for arr, dep in reps])
     d = max(int(occ.max()) + 1, 2)
     hist = np.zeros((n_grid, d))
     rows = np.broadcast_to(np.arange(n_grid), occ.shape)
@@ -319,15 +330,22 @@ def test_system_equals_stacked_replications_on_redraws_and_constants():
 @pytest.mark.parametrize("modulation", [None, MOD], ids=["plain", "modulated"])
 def test_recursion_rows_equal_one_dimensional_calls(modulation):
     rng = np.random.default_rng(17)
-    base = rng.exponential(1.0, (6, 300))
-    services = rng.gamma(2.0, 0.4, (6, 300))
+    base = rng.exponential(1.0, (300, 6))
+    services = rng.gamma(2.0, 0.4, (300, 6))
     arrivals = _arrival_times(base, modulation)
     departures = lindley_departures(arrivals, services)
-    assert arrivals.shape == departures.shape == (6, 300)
+    assert arrivals.shape == departures.shape == (300, 6)
     for r in range(6):
-        assert np.array_equal(arrivals[r], _arrival_times(base[r], modulation))
-        assert np.array_equal(departures[r], lindley_departures(arrivals[r], services[r]))
-        assert np.array_equal(departures[r], scalar_lindley(arrivals[r], services[r]))
+        column = np.ascontiguousarray(base[:, r])
+        assert np.array_equal(arrivals[:, r], _arrival_times(column, modulation))
+        a, s = np.ascontiguousarray(arrivals[:, r]), np.ascontiguousarray(services[:, r])
+        assert np.array_equal(departures[:, r], lindley_departures(a, s))
+        assert np.array_equal(departures[:, r], scalar_lindley(a, s))
+    # in place, as simulate_system runs them: the same bytes
+    work_a, work_s = base.copy(), services.copy()
+    assert _arrival_times(work_a, modulation, out=work_a) is work_a
+    assert lindley_departures(work_a, work_s, out=work_s) is work_s
+    assert np.array_equal(work_a, arrivals) and np.array_equal(work_s, departures)
 
 
 def test_modulated_arrivals_equal_scalar_math_sin_loop():
@@ -338,10 +356,10 @@ def test_modulated_arrivals_equal_scalar_math_sin_loop():
             period=float(rng.uniform(5.0, 100.0)),
             phase=float(rng.uniform(0.0, 2.0 * math.pi)),
         )
-        base = rng.exponential(1.0, (4, 400))
+        base = rng.exponential(1.0, (400, 4))
         got = _arrival_times(base, mod)
         for r in range(4):
-            assert np.array_equal(got[r], scalar_arrival_times(base[r], mod))
+            assert np.array_equal(got[:, r], scalar_arrival_times(base[:, r], mod))
 
 
 # Recorded by running this exact command on the parent commit, before the
@@ -354,17 +372,34 @@ GOLDEN_SHA256 = {
 }
 
 
-@pytest.mark.parametrize("section", ["homogeneous", "nonhomogeneous"])
-def test_simulate_queues_golden_hashes(section, tmp_path):
+# Recorded the same way at --seed 4294967296 = 2**32, whose SeedSequence
+# entropy splits into two uint32 words, on the commit before the stream keys
+# were derived in one vectorised pass.
+GOLDEN_SHA256_SEED_2_32 = {
+    "homogeneous.jsonl": "e2c53dd2cfea7c7ecbc401759d97be82310fa97b5195fbb181840c34dcbfc126",
+    "homogeneous_manifest.json": "4ebd637f3914916e418451cd41863c857a9a693a06341edf54f4b14c307fae77",
+    "nonhomogeneous.jsonl": "11962fa6408034cad8e25a5c5b76de9ffb0f0a3340adb081c83972085f14abbb",
+    "nonhomogeneous_manifest.json": "f822773a3a3a01b47226dad53d706bddaab66583668a3e31b291cdbefb12b588",
+}
+
+
+@pytest.mark.parametrize("section,seed,golden", [
+    pytest.param("homogeneous", 7, GOLDEN_SHA256, id="homogeneous"),
+    pytest.param("nonhomogeneous", 7, GOLDEN_SHA256, id="nonhomogeneous"),
+    pytest.param("homogeneous", 2**32, GOLDEN_SHA256_SEED_2_32, id="homogeneous-seed2**32"),
+    pytest.param("nonhomogeneous", 2**32, GOLDEN_SHA256_SEED_2_32,
+                 id="nonhomogeneous-seed2**32"),
+])
+def test_simulate_queues_golden_hashes(section, seed, golden, tmp_path):
     code = cli_dispatch([
         "simulate-queues", "--section", section, "--systems", "10",
-        "--arrivals", "100", "--replications", "20", "--seed", "7", "--split",
+        "--arrivals", "100", "--replications", "20", "--seed", str(seed), "--split",
         "--out", str(tmp_path),
     ])
     assert code == 0
     for name in (f"{section}.jsonl", f"{section}_manifest.json"):
         digest = hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
-        assert digest == GOLDEN_SHA256[name], name
+        assert digest == golden[name], name
 
 
 @pytest.mark.parametrize("dt", [0.0, -1.0, float("nan")])
@@ -430,7 +465,58 @@ def test_split_is_partition_and_stratified():
 
 
 def test_occupancy_on_grid_counts():
-    arrivals = np.array([1.0, 2.0, 3.0])
-    departures = np.array([2.5, 4.0, 6.0])
-    occ = occupancy_on_grid(arrivals, departures, np.array([0.0, 1.5, 3.5, 7.0]))
-    assert np.array_equal(occ, [0, 1, 2, 0])
+    # one replication per column; grid instants 0, 0.5, ..., 3.5
+    arrivals = np.array([[1.0, 0.2], [2.0, 0.3], [3.0, 9.0]])
+    departures = np.array([[2.5, 0.6], [4.0, 1.2], [6.0, 9.5]])
+    occ = occupancy_on_grid(arrivals, departures, 8, 0.5)
+    assert np.array_equal(occ, [[0, 0, 1, 1, 2, 1, 2, 2], [0, 2, 1, 0, 0, 0, 0, 0]])
+
+
+@pytest.mark.parametrize("block", [None, 12, 1], ids=["one-block", "blocks", "row-blocks"])
+@pytest.mark.parametrize("dt", [0.1, 0.3, 0.7, 1.0, 1 / 3])
+def test_occupancy_on_grid_exact_at_grid_points(dt, block, monkeypatch):
+    # times on a grid instant k*dt, or one ulp either side of it, are where
+    # ceil(t/dt) alone can miss by one; a small block splits the 240 rows
+    # into blocks of 2 rows or of 1
+    if block is not None:
+        monkeypatch.setattr(queue_sim, "_BLOCK", block)
+    rng = np.random.default_rng(int(dt * 1000))
+    n_grid = 200
+    grid = np.arange(n_grid) * dt
+    on = grid[rng.integers(0, n_grid, (60, 5))]
+    times = np.concatenate([on, np.nextafter(on, -np.inf), np.nextafter(on, np.inf),
+                            rng.uniform(0.0, 1.1 * grid[-1], (60, 5))])
+    arrivals = np.sort(times, axis=0)
+    departures = np.sort(arrivals + rng.exponential(2.0, arrivals.shape), axis=0)
+    occ = occupancy_on_grid(arrivals, departures, n_grid, dt)
+    for r in range(arrivals.shape[1]):
+        assert np.array_equal(
+            occ[r], searchsorted_occupancy(arrivals[:, r], departures[:, r], grid)
+        )
+
+
+@pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**32, 2**64 + 5])
+@pytest.mark.parametrize("system_index", [0, 2**33])
+def test_replication_keys_equal_seed_sequence_keys(seed, system_index):
+    keys = _replication_keys(seed, system_index, 40)
+    assert keys.shape == (40, 2) and keys.dtype == np.uint64
+    for r in range(40):
+        want = np.random.SeedSequence([seed, system_index, r]).generate_state(2, np.uint64)
+        assert np.array_equal(keys[r], want), r
+
+
+def test_replication_keys_reject_negative_entropy():
+    with pytest.raises(InvalidValue, match="expected non-negative integer"):
+        _replication_keys(-1, 0, 3)
+
+
+@pytest.mark.parametrize("dt", [0.1, 0.3])
+@pytest.mark.parametrize("n_arrivals,n_replications", [(50, 1), (1, 9)])
+@pytest.mark.parametrize("modulation", [None, MOD], ids=["plain", "modulated"])
+def test_system_equals_reference_at_edge_sizes(dt, n_arrivals, n_replications, modulation):
+    config = QueueConfig(
+        arrival=expo_family(1.0), service=expo_family(0.45), modulation=modulation,
+        n_arrivals=n_arrivals, n_replications=n_replications, dt=dt, seed=2**32,
+    )
+    got = simulate_system(config, system_index=3, check_utilization=False)
+    assert np.array_equal(got.steps, reference_steps(config, 3))
