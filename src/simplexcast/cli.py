@@ -348,6 +348,8 @@ def _cmd_report(args) -> int:
         value = metrics[args.metric]
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ParseError(f"{path}: metric {args.metric!r} must be a number, got {value!r}")
+        if not np.isfinite(value):
+            raise ParseError(f"{path}: metric {args.metric!r} is not finite: {value!r}")
         # a rollout payload carries its horizon; it ranks in its own column
         section = f"{row['section']}:rollout" if "horizon" in row else row["section"]
         table.setdefault(row["method"], {})[section] = value

@@ -89,8 +89,8 @@ def evaluate_rollout(
 
 
 def rank_aggregate(table: dict) -> dict:
-    """table maps method name -> {section name -> metric value}; every method
-    must cover the same sections. Returns the sorted `methods` and
+    """table maps method name -> {section name -> finite metric value}; every
+    method must cover the same sections. Returns the sorted `methods` and
     `sections`, the (method, section) `ranks` (lower metric = rank 1; ties
     get the average of the ranks they span), each method's `average_rank`
     and its `top1_counts`, the sections where its rank is exactly the
@@ -105,21 +105,11 @@ def rank_aggregate(table: dict) -> dict:
             raise InvalidValue(
                 f"method {m!r} does not cover all sections: no {', '.join(missing)}"
             )
-    ranks = np.zeros((len(methods), len(sections)))
-    for j, sec in enumerate(sections):
-        values = np.array([table[m][sec] for m in methods], dtype=np.float64)
-        order = np.argsort(values, kind="stable")
-        col = np.empty(len(methods))
-        i = 0
-        while i < len(methods):
-            k = i
-            while k + 1 < len(methods) and values[order[k + 1]] == values[order[i]]:
-                k += 1
-            avg = (i + k) / 2.0 + 1.0  # ranks are 1-based
-            for idx in order[i : k + 1]:
-                col[idx] = avg
-            i = k + 1
-        ranks[:, j] = col
+    values = np.array([[table[m][s] for s in sections] for m in methods], dtype=np.float64)
+    # per section: rank = #smaller + (#equal + 1) / 2, exact for finite values
+    smaller = (values[None, :, :] < values[:, None, :]).sum(axis=1)
+    equal = (values[None, :, :] == values[:, None, :]).sum(axis=1)
+    ranks = smaller + (equal + 1) / 2.0
     top1 = (ranks == ranks.min(axis=0, keepdims=True)).sum(axis=1)
     return {
         "methods": methods,

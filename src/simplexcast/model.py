@@ -10,10 +10,13 @@ transport, budget gate and mix, and the operator regularizer, are
 `transport.cast_step` and `transport.operator_regularizer`, the same code
 the theory oracle runs.
 
-The forward pass has a leading batch axis and runs on plain arrays. Every
-stage (retrieval, the two gates, the kernel head, the operator and its
-prior, the per-row KL) returns its value and its reverse pass, a
-hand-written vector-Jacobian product, so gradients are exact reverse-mode.
+The forward pass has a leading batch axis and runs on plain arrays;
+retrieval adds a leading head axis, so its H attention heads are one pass
+of stacked products, and a position without memory is a fully masked row
+of the padded memory. Every stage (retrieval, the two gates, the kernel
+head, the operator and its prior, the per-row KL) returns its value and
+its reverse pass, a hand-written vector-Jacobian product, so gradients are
+exact reverse-mode.
 `loss_var` is the one place that builds a tape: one node over one leaf,
 `CastParams.flat`, whose backward runs the stages' reverse passes in a
 fixed order into a gradient of the same layout. Scoring (`forward`) builds
@@ -24,7 +27,8 @@ lets row t see only the pairs before it.
 The parameters live in one float64 buffer, `CastParams.flat`, and the named
 arrays the forward pass reads are views into it: init, copy, save, load,
 the gradient, the AdamW update and tail averaging each act on one such buffer.
-The buffer holds only the heads that the config runs (`_heads`).
+The buffer holds only the heads that the config runs (`_heads`), and every
+head in it runs on every batch, so each view of a gradient is written.
 """
 from __future__ import annotations
 
@@ -160,12 +164,16 @@ def fixed_local_kernel(d: int) -> np.ndarray:
 def _heads(cfg: ModelConfig) -> list[tuple[str, bool, dict[str, tuple]]]:
     """Each head in checkpoint order: the `cast_step` input it feeds, whether
     `cfg` runs it, and its parameter shapes by name; the one place that says
-    which heads run (read by `param_shapes`, `CastParams.init`, `_forward`)."""
+    which heads run (read by `param_shapes`, `CastParams.init`, `_forward`).
+    `w_qk[m, 0]` and `w_qk[m, 1]` are retrieval head m's query and key; the
+    head mix runs only when H > 1, and the persistence gate only with
+    retrieval, since without it r = p."""
     f = cfg.feature_dim
-    retrieval = {f"{w}{m}": (f, cfg.d_r) for m in range(cfg.heads) for w in ("wq", "wk")}
+    retrieves = cfg.feature_mode != "current_only"
     return [
-        ("r", cfg.feature_mode != "current_only", {**retrieval, "w_eta": (f, cfg.heads)}),
-        ("lam", cfg.variant != "no_persistence_mix", {"w_gate": (f,), "b_gate": ()}),
+        ("r", retrieves, {"w_qk": (cfg.heads, 2, f, cfg.d_r)}),
+        ("r", retrieves and cfg.heads > 1, {"w_eta": (f, cfg.heads)}),
+        ("lam", retrieves and cfg.variant != "no_persistence_mix", {"w_gate": (f,), "b_gate": ()}),
         ("rho", cfg.transport_active, {"w_rho": (f,), "b_rho": ()}),
         ("kernel", cfg.transport_active and cfg.variant != "fixed_local_kernel",
          {"wt_h": (f, 3), "wt_pe": (2, 3), "bt": (3,)}),
@@ -303,11 +311,9 @@ class CastParams:
 def _pad_memory(mem_feats: list, mem_succ: list):
     """Pads per-row retrieval memories, (t_i, F) features and (t_i, D)
     successors, to the longest t: (B, T, F), (B, T, D) and the lengths (B,).
-    None when every memory is empty."""
+    When every memory is empty, T is one masked slot."""
     lengths = np.array([len(m) for m in mem_feats])
-    t_max = int(lengths.max())
-    if t_max == 0:
-        return None
+    t_max = max(int(lengths.max()), 1)
     feats = np.zeros((len(lengths), t_max, mem_feats[0].shape[-1]))
     succ = np.zeros((len(lengths), t_max, mem_succ[0].shape[-1]))
     for i, t in enumerate(lengths):
@@ -317,51 +323,48 @@ def _pad_memory(mem_feats: list, mem_succ: list):
 
 
 def _retrieval(p: np.ndarray, h: np.ndarray, memory, values: dict, cfg: ModelConfig):
-    """Masked causal multi-head retrieval over the query, key and head-mix
-    weights in `values`. Row i of the current distributions p (B, D) and
-    features h (B, F) attends to its first lengths[i] slots of the padded
-    memory from `_pad_memory`; each head is a softmax over scaled
-    dot-product scores, the heads are mixed by eta = softmax(h @ w_eta), and
-    a row with no memory takes r = p. The memory is a constant, so no
-    gradient is computed for it. Returns r, its reverse pass to the
-    gradients of wq0, wk0, wq1, wk1, ... and w_eta, and the per-head
-    attention weights (B, T)."""
+    """Masked causal multi-head retrieval over the query and key weights
+    `w_qk` (H, 2, F, d_r) and the head mix `w_eta` in `values`, every head
+    at once along a leading head axis. Row i of the current distributions
+    p (B, D) and features h (B, F) attends to its first lengths[i] slots of
+    the padded memory from `_pad_memory`; each head is a softmax over scaled
+    dot-product scores, the heads are mixed by eta = softmax(h @ w_eta) (a
+    column of ones for one head, which has no `w_eta`), and a row with no
+    memory takes r = p. The memory is a constant, so no gradient is computed
+    for it. Returns r, its reverse pass to the gradients of w_qk (and w_eta
+    when there is one), and the attention weights (H, B, T)."""
     mem_feats, mem_succ, lengths = memory
     mask = np.where(np.arange(mem_feats.shape[1]) < lengths[:, None], 0.0, -np.inf)
     empty = lengths == 0
     mask[empty, 0] = 0.0  # keeps an empty row's softmax finite; r = p below
     has = (~empty)[:, None].astype(np.float64)
     scale = np.sqrt(cfg.d_r)
-    eta = softmax(h @ values["w_eta"])
-    qs, attn, heads = [], [], []
-    r = np.zeros_like(p)
-    for m in range(cfg.heads):
-        q = h @ values[f"wq{m}"]
-        u = values[f"wk{m}"] @ q[:, :, None]  # (B, F, 1): the query in feature space
-        alpha = softmax((mem_feats @ u)[..., 0] / scale + mask)
-        head = (alpha[:, None, :] @ mem_succ)[:, 0, :]
-        r += head * eta[:, m : m + 1]
-        qs.append(q)
-        attn.append(alpha)
-        heads.append(head)
-    mix = r
-    if empty.any():
-        r = r * has + p * (1.0 - has)
+    w_q, w_k = values["w_qk"][:, 0], values["w_qk"][:, 1]
+    w_eta = values.get("w_eta")
+    eta = np.ones((len(h), 1)) if w_eta is None else softmax(h @ w_eta)
+    q = h @ w_q  # (H, B, d_r)
+    u = w_k[:, None] @ q[..., None]  # (H, B, F, 1): the queries in feature space
+    attn = softmax((mem_feats @ u)[..., 0] / scale + mask)
+    heads = (attn[..., None, :] @ mem_succ)[..., 0, :]  # (H, B, D)
+    mix = (heads * eta.T[..., None]).sum(axis=0)
+    r = mix * has + p * (1.0 - has)
 
     def back(g):
         g = g * has
-        grads = []
-        for m in range(cfg.heads):
-            g_alpha = (mem_succ @ (g * eta[:, m : m + 1])[:, :, None])[..., 0]
-            g_scores = softmax_vjp(attn[m], g_alpha) / scale
-            g_u = (g_scores[:, None, :] @ mem_feats)[:, 0, :]
-            grads += [h.T @ (g_u @ values[f"wk{m}"]), g_u.T @ qs[m]]
+        g_attn = (mem_succ @ (g * eta.T[..., None])[..., None])[..., 0]
+        g_scores = softmax_vjp(attn, g_attn) / scale
+        g_u = (g_scores[..., None, :] @ mem_feats)[..., 0, :]  # (H, B, F)
+        # matmul into the two halves: np.stack of them took ~8x as long at
+        # H = 2, F = 212, d_r = 64 (2-vCPU VM)
+        g_qk = np.empty_like(values["w_qk"])
+        np.matmul(h.T, g_u @ w_k, out=g_qk[:, 0])
+        np.matmul(g_u.swapaxes(1, 2), q, out=g_qk[:, 1])
+        if w_eta is None:
+            return (g_qk,)
         # the softmax rule for the eta logits, s * (g - sum(s * g)), with
         # the mix subtracted from each head before the sum over bins: two
         # heads that nearly agree then lose no digits to cancellation
-        g_logits = eta * np.stack([np.sum(g * (head - mix), axis=-1) for head in heads], axis=1)
-        grads.append(h.T @ g_logits)
-        return tuple(grads)
+        return g_qk, h.T @ (eta * np.sum(g * (heads - mix), axis=-1).T)
 
     return r, back, attn
 
@@ -397,18 +400,19 @@ def _kernel_head(h: np.ndarray, pe: np.ndarray, values: dict):
 def _forward(p: np.ndarray, h: np.ndarray, memory, values: dict, cfg: ModelConfig):
     """Forward pass over B positions at once from the parameter arrays
     `values`: current distributions p (B, D), features h (B, F), and the
-    padded retrieval memory from `_pad_memory` (or None). The heads that
-    `_heads(cfg)` runs feed `transport.cast_step`; without a memory, or with
-    current-only features, r = p, and a transport strength without the
-    kernel head moves mass by the fixed local kernel. Returns p_hat, the
-    step's parts with lam, r and attn added (one row each), and one (operator
-    input, parameter names, reverse pass) entry per head that ran."""
+    padded retrieval memory from `_pad_memory`. The heads that `_heads(cfg)`
+    runs feed `transport.cast_step`; without retrieval r = p, and a
+    transport strength without the kernel head moves mass by the fixed
+    local kernel. Returns p_hat, the step's parts with lam, r and attn
+    (H, B, T) added, and one (operator input, parameter names, reverse pass)
+    entry per input that a head feeds."""
     d = p.shape[1]
-    live = {name: tuple(shapes) for name, runs, shapes in _heads(cfg) if runs}
-    if memory is None:
-        live.pop("r", None)
+    live: dict = {}
+    for name, runs, shapes in _heads(cfg):
+        if runs:
+            live[name] = live.get(name, ()) + tuple(shapes)
     op = {"r": p, "lam": 0.0, "rho": None, "kernel": None}
-    attn, backs = [], {}
+    attn, backs = np.zeros((0, len(p), memory[0].shape[1])), {}
     if "r" in live:
         op["r"], backs["r"], attn = _retrieval(p, h, memory, values, cfg)
     for name, lo, hi in (("lam", cfg.lambda_min, cfg.lambda_max), ("rho", 0.0, cfg.rho_max)):
@@ -429,17 +433,18 @@ def forward(steps: np.ndarray, ts, params: CastParams, feats: np.ndarray | None 
     """Non-differentiable scoring of rows `ts` of one sequence in one pass:
     row t predicts steps[t + 1] from steps[: t + 1]. `feats` are
     `encode_all(steps)` when the caller has them cached. Every row reads
-    the same memory, the pairs (feats[j], steps[j + 1]) for j < max(ts),
-    and the causal mask lets row t attend to its first t pairs only.
-    Returns p_hat (len(ts), D) and the parts of `_forward`, one row each.
-    Builds no tape."""
+    the same memory, the pairs (feats[j], steps[j + 1]) for j < max(ts)
+    padded by `_pad_memory`, and its row length t lets row t attend to its
+    first t pairs only. Returns p_hat (len(ts), D) and the parts of
+    `_forward`, one row each. Builds no tape."""
     ts = np.asarray(ts, dtype=int)
     tm = int(ts.max())
     steps = np.asarray(steps, dtype=np.float64)[: tm + 1]
     if feats is None:
         feats = encode_all(steps, params.cfg)
-    memory = None if tm == 0 else (feats[None, :tm], steps[None, 1:], ts)
-    p_hat, parts, _ = _forward(steps[ts], feats[ts], memory, params.values, params.cfg)
+    mem_feats, mem_succ, _ = _pad_memory([feats[:tm]], [steps[1:]])
+    p_hat, parts, _ = _forward(steps[ts], feats[ts], (mem_feats, mem_succ, ts), params.values,
+                               params.cfg)
     return p_hat, parts
 
 
@@ -486,9 +491,9 @@ def loss_var(batch: tuple, params: CastParams, out: CastParams | None = None) ->
     mean operator regularizer, as the one tape node of a training step over
     one leaf, `params.flat`. Its backward runs the mean, the KL, the step's
     `vjp` plus the prior's, then each head's reverse pass into its views of
-    a gradient laid out as `params.flat`, zeroed first since retrieval does
-    not run on a batch with no memory (every position at t = 0): the buffer
-    of `out` when given, else a new one."""
+    a gradient laid out as `params.flat`: the buffer of `out` when given,
+    else a new one. Every head in the layout runs on every batch, so every
+    view is written and none keeps a value from an earlier step."""
     cfg = params.cfg
     p, h, memory, targets = batch
     p_hat, parts, heads = _forward(p, h, memory, params.values, cfg)
@@ -507,9 +512,8 @@ def loss_var(batch: tuple, params: CastParams, out: CastParams | None = None) ->
             g_in = [a + b for a, b in zip(g_in, prior[1](np.full(n, g * cfg.lambda_op / n)))]
         g_in = dict(zip(("r", "lam", "kernel", "rho"), g_in))
         grad = CastParams(cfg, np.empty_like(params.flat)) if out is None else out
-        grad.flat.fill(0.0)
         for name, keys, head_back in heads:
-            for key, g_key in zip(keys, head_back(g_in[name])):
+            for key, g_key in zip(keys, head_back(g_in[name]), strict=True):
                 grad.values[key][...] = g_key
         return (grad.flat,)
 
@@ -567,8 +571,6 @@ def evaluate_val_kl(seqs, params: CastParams, max_positions: int, feats_cache: d
     from .metrics import kl as kl_metric
 
     positions = scored_positions(seqs)[:max_positions]
-    if not positions:
-        return np.nan
     kls = []
     for seq_idx, group in groupby(positions, key=lambda pos: pos[0]):
         seq = seqs[seq_idx]
@@ -592,6 +594,9 @@ def train(
     positions = scored_positions(train_seqs)
     if not positions:
         raise InvalidValue("training split has no scored positions")
+    # model selection needs a score: without one, train would return the init
+    if not scored_positions(val_seqs):
+        raise InvalidValue("validation split has no scored positions")
     # the gradient with its named views, the AdamW moments and a scratch
     # buffer in the layout of params.flat; each step writes into them, since a
     # new parameter-sized array per step can cost fresh pages and page faults
@@ -644,7 +649,7 @@ def train(
         if step % tc.eval_every == 0 or step == tc.iters:
             val_kl = evaluate_val_kl(val_seqs, params, MAX_VAL_POSITIONS, val_cache)
             log.append({"step": step, "train_loss": loss_value, "val_kl": val_kl})
-            if np.isfinite(val_kl) and val_kl < best_val:
+            if val_kl < best_val:
                 best_val = val_kl
                 best = params.copy()
 

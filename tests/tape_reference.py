@@ -263,8 +263,10 @@ def operator_regularizer_ref(parts, weights):
 
 
 def retrieval_ref(p, hc, memory, pv, cfg):
-    """Masked causal multi-head retrieval and the head mix; a row with no
-    memory takes r = p. Returns r and the per-head attention weights."""
+    """Masked causal multi-head retrieval and the head mix, one head at a
+    time, with head m's query and key taken from `w_qk[m, 0]` and
+    `w_qk[m, 1]`; one head has no mix, and a row with no memory takes
+    r = p. Returns r and the per-head attention weights (H, B, T)."""
     b, d = p.shape
     mem_feats, mem_succ, lengths = memory
     t_max = mem_feats.shape[1]
@@ -275,36 +277,34 @@ def retrieval_ref(p, hc, memory, pv, cfg):
     ms = Var(mem_succ, requires_grad=False)
     heads, attn = [], []
     for m in range(cfg.heads):
-        q = (hc @ pv[f"wq{m}"]).reshape(b, cfg.d_r, 1)
-        scores = (mf @ (pv[f"wk{m}"] @ q)).reshape(b, t_max)
+        q = (hc @ take(pv["w_qk"], (m, 0))).reshape(b, cfg.d_r, 1)
+        scores = (mf @ (take(pv["w_qk"], (m, 1)) @ q)).reshape(b, t_max)
         alpha = (scores / np.sqrt(cfg.d_r) + mask).softmax()
         heads.append((alpha.reshape(b, 1, t_max) @ ms).reshape(b, d))
         attn.append(alpha.data)
-    eta = (hc @ pv["w_eta"]).softmax()
-    r = heads[0] * take(eta, (slice(None), slice(0, 1)))
-    for m in range(1, cfg.heads):
-        r = r + heads[m] * take(eta, (slice(None), slice(m, m + 1)))
-    if empty.any():
-        has = (~empty)[:, None].astype(np.float64)
-        r = r * has + p * (1.0 - has)
-    return r, attn
+    r = heads[0]
+    if cfg.heads > 1:
+        eta = (hc @ pv["w_eta"]).softmax()
+        r = heads[0] * take(eta, (slice(None), slice(0, 1)))
+        for m in range(1, cfg.heads):
+            r = r + heads[m] * take(eta, (slice(None), slice(m, m + 1)))
+    has = (~empty)[:, None].astype(np.float64)
+    return r * has + p * (1.0 - has), np.stack(attn)
 
 
 def forward_var_ref(p, h, memory, pv, cfg):
     """`model._forward` with every stage on elementary nodes."""
     b, d = p.shape
     hc = Var(h, requires_grad=False)
+    r = Var(p, requires_grad=False)
     attn = []
-    if memory is not None and cfg.feature_mode != "current_only":
+    lam = Var(0.0, requires_grad=False)
+    if cfg.feature_mode != "current_only":
         r, attn = retrieval_ref(p, hc, memory, pv, cfg)
-    else:
-        r = Var(p, requires_grad=False)
-    if cfg.variant == "no_persistence_mix":
-        lam = Var(0.0, requires_grad=False)
-    else:
-        lam = cfg.lambda_min + (cfg.lambda_max - cfg.lambda_min) * (
-            hc @ pv["w_gate"] + pv["b_gate"]
-        ).sigmoid()
+        if cfg.variant != "no_persistence_mix":
+            lam = cfg.lambda_min + (cfg.lambda_max - cfg.lambda_min) * (
+                hc @ pv["w_gate"] + pv["b_gate"]
+            ).sigmoid()
     kernel = rho_raw = None
     if cfg.transport_active:
         rho_raw = cfg.rho_max * (hc @ pv["w_rho"] + pv["b_rho"]).sigmoid()

@@ -291,7 +291,7 @@ def _rule_cases(rng):
         "operator_regularizer_oracle_shapes": (np.shape(oracle_prior), oracle_prior_vjp,
                                                oracle_inputs),
         "retrieval": (retrieval.shape, retrieval_back,
-                      [values[k].shape for k in ("wq0", "wk0", "wq1", "wk1", "w_eta")]),
+                      [values[k].shape for k in ("w_qk", "w_eta")]),
         "kl": (kl.shape, lambda g: (kl_back(g),), [p.shape]),
         "gate": (gate.shape, gate_back, [values["w_gate"].shape, values["b_gate"].shape]),
         "kernel_head": (kernel_head.shape, kernel_head_back,

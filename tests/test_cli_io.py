@@ -488,6 +488,23 @@ class TestCli:
         # F = (window + 2) * D + 2 = 18 features
         assert "file has w_rho (18,), layout has end of entries" in capsys.readouterr().err
 
+    def test_cast_evaluate_rejects_per_head_retrieval_layout(self, rng, tmp_path, capsys):
+        # the header that earlier versions wrote, one query and one key entry
+        # per head, over the same payload: only the entry names and shapes
+        # differ from the one (H, 2, F, d_r) entry
+        ckpt, argv = self._cast_checkpoint(rng, tmp_path)
+        blob = ckpt.read_bytes()
+        n = int.from_bytes(blob[4:8], "little")
+        header = json.loads(blob[8 : 8 + n])
+        assert header["entries"][0] == {"name": "w_qk", "shape": [2, 2, 18, 4]}
+        header["entries"][:1] = [{"name": f"{w}{m}", "shape": [18, 4]}
+                                 for m in range(2) for w in ("wq", "wk")]
+        edited = json.dumps(header, sort_keys=True).encode()
+        ckpt.write_bytes(blob[:4] + len(edited).to_bytes(4, "little") + edited + blob[8 + n :])
+        capsys.readouterr()
+        assert _run(argv) == 1
+        assert "file has wq0 (18, 4), layout has w_qk (2, 2, 18, 4)" in capsys.readouterr().err
+
     def test_cast_rejects_checkpoint_for_other_data(self, rng, tmp_path, capsys):
         from simplexcast.model import CastParams, ModelConfig
 
@@ -510,6 +527,18 @@ class TestCli:
         assert _run(base + ["--val", str(data), "--out", str(tmp_path / "b")]) == 0
         log_b = json.loads((tmp_path / "b" / "train_log.json").read_text())
         assert log_b["selected_on"] == "val"
+
+    def test_train_rejects_unscored_validation_split(self, rng, tmp_path, capsys):
+        data, val = tmp_path / "d.jsonl", tmp_path / "v.jsonl"
+        write_dataset(data, _seqs(rng, n=4, t=8), section_name="unit")
+        unscored = [SimplexSeries(s.id, True, s.steps, np.zeros(7, dtype=bool))
+                    for s in _seqs(rng, n=2, t=8)]
+        write_dataset(val, unscored, section_name="unit")
+        out = tmp_path / "out"
+        assert _run(["train", "--data", str(data), "--val", str(val), "--iters", "50",
+                     "--out", str(out)]) == 1
+        assert "error: validation split has no scored positions" in capsys.readouterr().err
+        assert not (out / "model.ckpt").exists()
 
     def test_seed_study_records_selection_split(self, rng, tmp_path, caplog):
         data = tmp_path / "d.jsonl"
@@ -744,6 +773,19 @@ class TestCli:
         assert _run(["report", "--results", str(results), "--out", str(tmp_path)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "b.json: metric 'kl' must be a number" in err
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_report_non_finite_metric_exits_1(self, tmp_path, capsys, value):
+        results = tmp_path / "results"
+        results.mkdir()
+        for method, kl in (("m1", 0.1), ("m2", value)):
+            row = {"method": method, "section": "secA", "metrics": {"kl": kl}}
+            (results / f"{method}.json").write_text(json.dumps(row))
+        out = tmp_path / "out"
+        assert _run(["report", "--results", str(results), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "m2.json: metric 'kl' is not finite" in err
+        assert not out.exists()
 
     def test_non_utf8_input_files_exit_1(self, rng, tmp_path, capsys):
         # a decoding failure is a ValueError; each reader reports it as bad input
@@ -995,9 +1037,10 @@ class TestCli:
 # keep its bytes. The checkpoint, the cast rollout and the training loss were
 # re-recorded when retrieval, the operator and the KL loss became single tape
 # nodes, whose backward passes round differently (parameters moved at most
-# 6e-16).
+# 6e-16). The checkpoint was re-recorded again when the retrieval weights
+# became one `w_qk` entry of its header; its payload kept its bytes.
 PIPELINE_SHA256 = {
-    "model.ckpt": "8182bffbea8c223b8079b79a2924f558b22ce98fecce619097b5485c0d6f3da7",
+    "model.ckpt": "c748e5ff62e0fb3494d48e9dcb2ef60538d5f15866dc4e3d52f1112dc8f048d2",
     "evaluate_persistence.json": "030ee353061e5c26b827eeb91342bd125d58fa49b05575657998d3acddb3134d",
     "evaluate_analog.json": "22485e5a1f6d4debfccdc5c57f92b4960e327b38aba086827b8bf0878dbcc79c",
     "evaluate_var.json": "13370bf9dffc2c3a21256b9e98327ab3dd7387dcd38b90c050cb0b8f36428f22",

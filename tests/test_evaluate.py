@@ -196,6 +196,13 @@ class TestRankAggregate:
         rm = rank_aggregate(table)
         expected = 4 * 5 / 2
         np.testing.assert_allclose(np.sum(rm["ranks"], axis=0), expected)
+        # a tied value's rank from the sorted section: the position of its
+        # first copy plus the middle of its run of ties
+        for j, sec in enumerate(rm["sections"]):
+            values = [table[m][sec] for m in rm["methods"]]
+            order = sorted(values)
+            want = [order.index(v) + (order.count(v) + 1) / 2 for v in values]
+            assert [row[j] for row in rm["ranks"]] == want
 
     def test_incomplete_table_rejected(self):
         with pytest.raises(InvalidValue, match="^method 'm1' does not cover all sections: no b$"):

@@ -49,10 +49,6 @@ def _random_batch(rng, cfg):
     return make_batch(seqs, positions, cfg)
 
 
-def _grads(pv):
-    return {k: (v.grad if v.grad is not None else np.zeros_like(v.data)) for k, v in pv.items()}
-
-
 def _assert_grads_close(got: dict, want: dict):
     scale = max(np.abs(g).max() for g in want.values())
     for k in want:
@@ -76,7 +72,7 @@ def test_fused_loss_and_gradients_match_reference(i):
     assert abs(value - ref.item()) <= 1e-14
     p_hat, parts, _ = _forward(*batch[:3], params.values, cfg)
     assert np.abs(p_hat - p_hat_ref.data).max() <= 1e-14
-    _assert_grads_close(CastParams(cfg, g).values, _grads(pv_ref))
+    _assert_grads_close(CastParams(cfg, g).values, {k: v.grad for k, v in pv_ref.items()})
     if kw.get("budget") is GATE_BINDS["budget"]:
         assert np.any(parts["rho_eff"] < parts["rho"])  # the gate binds
 

@@ -178,7 +178,7 @@ def test_single_head_variant_forces_one_head():
     cfg = ModelConfig(dim=5, ordered=True, heads=4, variant="single_head")
     assert cfg.heads == 1
     params = CastParams.init(cfg, seed=0)
-    assert "wq0" in params.values and "wq1" not in params.values
+    assert params.values["w_qk"].shape[0] == 1 and "w_eta" not in params.values
 
 
 def test_fixed_local_kernel_rows():
@@ -394,7 +394,7 @@ def test_batched_forward_is_causal(rng):
         np.testing.assert_array_equal(p_hat(edited)[i], base[i])
 
 
-RETRIEVAL = ["wq0", "wk0", "wq1", "wk1", "w_eta"]
+RETRIEVAL = ["w_qk", "w_eta"]
 GATE, STRENGTH, KERNEL = ["w_gate", "b_gate"], ["w_rho", "b_rho"], ["wt_h", "wt_pe", "bt"]
 
 
@@ -404,10 +404,10 @@ GATE, STRENGTH, KERNEL = ["w_gate", "b_gate"], ["w_rho", "b_rho"], ["wt_h", "wt_
         (dict(variant="full"), RETRIEVAL + GATE + STRENGTH + KERNEL),
         (dict(variant="no_structural_reg"), RETRIEVAL + GATE + STRENGTH + KERNEL),
         (dict(variant="anchor_only"), RETRIEVAL + GATE),
-        (dict(variant="single_head"), ["wq0", "wk0", "w_eta"] + GATE + STRENGTH + KERNEL),
+        (dict(variant="single_head"), ["w_qk"] + GATE + STRENGTH + KERNEL),
         (dict(variant="fixed_local_kernel"), RETRIEVAL + GATE + STRENGTH),
         (dict(variant="no_persistence_mix"), RETRIEVAL + STRENGTH + KERNEL),
-        (dict(feature_mode="current_only"), GATE + STRENGTH + KERNEL),
+        (dict(feature_mode="current_only"), STRENGTH + KERNEL),
         (dict(ordered=False), RETRIEVAL + GATE),
     ],
     ids=["full", "no_structural_reg", "anchor_only", "single_head", "fixed_local_kernel",
@@ -420,30 +420,25 @@ def test_layout_holds_only_the_heads_a_config_runs(rng, monkeypatch, kw, names):
     assert list(param_shapes(cfg)) == names
     # init draws every head in checkpoint order and keeps the ones that run:
     # each kept view equals the same name's values when every head runs,
-    # which for the ordered full-feature `full` config is its own init
+    # which for the ordered full-feature `full` config with more than one
+    # head is its own init
     every_head = model._heads
     for seed in (0, 7):
         params = CastParams.init(cfg, seed)
         with monkeypatch.context() as m:
             m.setattr(model, "_heads", lambda c: [(n, True, s) for n, _, s in every_head(c)])
             ref = CastParams.init(cfg, seed)
-        if cfg.ordered and cfg.feature_mode == "full":
+        if cfg.ordered and cfg.feature_mode == "full" and cfg.heads > 1:
             full = CastParams.init(replace(cfg, variant="full"), seed)
             np.testing.assert_array_equal(ref.flat, full.flat)
         for k, x in params.values.items():
             np.testing.assert_array_equal(x, ref.values[k], err_msg=k)
     # no dead head: on a batch with memory every view's gradient is nonzero
-    # somewhere, bar views that the forward pass reads but that move no loss:
-    # the mix of one head (a softmax over one logit is 1), and the persistence
-    # gate under current-only features (r = p, so the anchor is p whatever
-    # lam is, up to rounding)
-    flat_loss = {"w_eta"} if cfg.heads == 1 else set()
-    if cfg.feature_mode == "current_only":
-        flat_loss.update(GATE)
+    # somewhere
     seqs = [random_series(rng, 6, cfg.dim, ordered=cfg.ordered)]
     _, g = gradient(make_batch(seqs, [(0, 3), (0, 4)], cfg), CastParams.init(cfg, seed=2))
     for k, x in CastParams(cfg, g).values.items():
-        assert x.any() != (k in flat_loss), k
+        assert x.any(), k
 
 
 def test_config_that_runs_no_head_trains_saves_and_loads(rng, tmp_path):
@@ -460,10 +455,10 @@ def test_config_that_runs_no_head_trains_saves_and_loads(rng, tmp_path):
 
 
 def test_gradient_into_a_used_buffer_equals_a_new_one(rng):
-    # train passes one buffer to every step, holding the last step's update.
-    # Retrieval does not run on a batch whose positions are all at t = 0,
-    # which has no memory, so its views must still come back exactly 0: that
-    # is why loss_var zeroes the buffer before the heads write into it
+    # train passes one buffer to every step, holding the last step's update,
+    # and every view is written on every step: on a batch whose positions
+    # are all at t = 0 every memory row is masked, and retrieval's views come
+    # back exactly 0
     seqs = [random_series(rng, 6, 5, f"s{i}") for i in range(2)]
     for variant, positions in (("anchor_only", [(0, 3), (0, 1)]), ("full", [(0, 0), (1, 0)])):
         cfg = small_cfg(variant=variant)
@@ -475,7 +470,6 @@ def test_gradient_into_a_used_buffer_equals_a_new_one(rng):
         assert g_buf is buf.flat and value_buf == value
         np.testing.assert_array_equal(g_buf, g)
         if variant == "full":
-            assert batch[2] is None
             for k in RETRIEVAL:
                 np.testing.assert_array_equal(buf.values[k], 0.0, err_msg=k)
 
@@ -524,8 +518,9 @@ def test_train_is_deterministic(rng):
 
 def test_train_checkpoint_golden_with_clipping_and_tail_average(tmp_path):
     # clip_norm binds at every step (gradient norms are >= 0.015) and the
-    # last 12 of 40 iterates are averaged; the hash pins the bytes that
-    # AdamW, clipping and tail averaging produce
+    # last 12 of 40 iterates are averaged; the hashes pin the bytes that
+    # AdamW, clipping and tail averaging produce, the second those of the
+    # payload alone, which a change of the header's entries leaves as it is
     rng = np.random.default_rng(2024)
     seqs = [SimplexSeries(f"g{i}", True, rng.dirichlet(np.ones(5), size=10)) for i in range(3)]
     tc = TrainConfig(iters=40, batch_size=4, eval_every=10, lr=1e-2, warmup=5,
@@ -534,9 +529,40 @@ def test_train_checkpoint_golden_with_clipping_and_tail_average(tmp_path):
     assert np.isnan(log[-1]["train_loss"])  # the averaged iterate's entry
     path = tmp_path / "model.ckpt"
     params.save(path)
-    assert hashlib.sha256(path.read_bytes()).hexdigest() == (
-        "208ea56aac7418d0d481eeafe3f44826938f63271475b7c29d428463ec235e86"
+    data = path.read_bytes()
+    assert hashlib.sha256(data).hexdigest() == (
+        "703ec472d09ed1fbb1313d93a91c55dfc7bf9ceac50ac66d5c95e2912b75f80c"
     )
+    assert hashlib.sha256(data[-8 * params.flat.size :]).hexdigest() == (
+        "bc8f16e3839dafb4aa40b950a9456cd759c764c7b1fb305769b06da2d0858b4f"
+    )
+
+
+# Recorded while each retrieval head had its own query and key matrices
+# (`wq{m}`, `wk{m}`) and one head still carried a mix weight `w_eta`: the
+# head axis and the dropped mix must keep every byte of training and scoring.
+# The digest covers the trained buffer (without the old `w_eta` when H = 1),
+# the training log, p_hat over every row and over row 0 alone, r and attn.
+HEADS_SHA256 = {
+    1: "a6e7ca87a28862ca5f7cd5c5df2ea7d929245b4c0ab434f3ca6a6836979a40fd",
+    2: "3169e2a3551f19241b84289eadd23b8a0f0a6675d4b48e2c3f24ae84a4880469",
+    3: "df389f3ebf629e580bc5d2ff60ea4f72bb8be21d5af21ae0626c966d946f78fb",
+}
+
+
+@pytest.mark.parametrize("heads", sorted(HEADS_SHA256))
+def test_trained_heads_golden(heads):
+    rng = np.random.default_rng(2025)
+    seqs = [SimplexSeries(f"h{i}", True, rng.dirichlet(np.ones(5), size=9)) for i in range(4)]
+    tc = TrainConfig(iters=30, batch_size=4, eval_every=10, lr=1e-2, warmup=5)
+    params, log = train(seqs[:3], seqs[3:], small_cfg(heads=heads), tc, seed=heads)
+    p_hat, parts = forward(seqs[3].steps, np.arange(8), params)
+    p_first, _ = forward(seqs[3].steps, [0], params)
+    digest = hashlib.sha256()
+    for x in (params.flat, [v for e in log for v in (e["train_loss"], e["val_kl"])],
+              p_hat, p_first, parts["r"], parts["attn"]):
+        digest.update(np.ascontiguousarray(x, dtype="<f8").tobytes())
+    assert digest.hexdigest() == HEADS_SHA256[heads]
 
 
 def test_train_reduces_loss_on_learnable_signal(rng):
@@ -560,6 +586,19 @@ def test_train_stops_at_the_step_whose_loss_is_not_finite(rng):
     with np.errstate(all="ignore"), pytest.raises(InvalidValue,
                                                   match="^loss is not finite at step 2: nan$"):
         train(seqs[:2], seqs[2:], small_cfg(), tc, seed=0)
+
+
+def test_train_rejects_a_validation_split_with_no_scored_positions(rng, monkeypatch):
+    # selection over no score would return the initial parameters after all
+    # the steps; train refuses before its first step
+    from simplexcast import model
+
+    seqs = _tiny_dataset(rng, 3)
+    seqs[2].loss_mask[:] = False
+    monkeypatch.setattr(model, "gradient", lambda *args: pytest.fail("a step ran"))
+    for val in (seqs[2:], []):
+        with pytest.raises(InvalidValue, match="^validation split has no scored positions$"):
+            train(seqs[:2], val, small_cfg(), TrainConfig(iters=50), seed=0)
 
 
 def test_scored_positions_respect_mask(rng):
