@@ -220,71 +220,11 @@ def _cmd_aliasing_synthetic(args) -> int:
 
 
 def _cmd_theory_check(args) -> int:
-    from .theory import (
-        FIXED_SUMMARY_TOL,
-        anchor_only_optimum,
-        default_scenario,
-        fixed_summary_gap,
-        fixed_summary_identity,
-        fixed_summary_optimum,
-        pinsker_separation,
-        random_scenario,
-        retrieval_consistency_check,
-    )
+    from .theory import theory_check
 
     if args.scenarios < 1:
         raise SimplexCastError(f"--scenarios must be >= 1, got {args.scenarios}")
-    rng = np.random.default_rng(args.seed)
-    checks = {}
-
-    max_gap = max(
-        fixed_summary_gap(
-            random_scenario(rng, int(rng.integers(2, 7)), int(rng.integers(2, 5))), n_starts=10
-        )
-        for _ in range(args.scenarios)
-    )
-    checks["fixed_summary_identity"] = {
-        "max_gap": float(max_gap),
-        "pass": bool(max_gap <= FIXED_SUMMARY_TOL),
-    }
-
-    scen = default_scenario()
-    scenarios = [scen] + [
-        random_scenario(rng, int(rng.integers(3, 7)), int(rng.integers(2, 5)))
-        for _ in range(args.scenarios)
-    ]
-    bounds = [anchor_only_optimum(s) for s in scenarios]
-    violations = sum(
-        int(excess < pinsker_separation(s, deltas) - 1e-9)
-        for s, (excess, deltas) in zip(scenarios, bounds)
-    )
-    checks["pinsker_separation"] = {
-        "violations": violations,
-        "pass": violations == 0,
-    }
-
-    _, fixed = fixed_summary_optimum(scen)
-    anchor_excess, deltas = bounds[0]
-    delta_positive = bool(np.all(deltas > 1e-6))
-    checks["default_scenario"] = {
-        "fixed_summary_excess": fixed,
-        "anchor_only_excess": anchor_excess,
-        "delta_positive": delta_positive,
-        "pass": bool(
-            fixed_summary_identity(scen)
-            and anchor_excess >= fixed
-            and delta_positive
-        ),
-    }
-
-    report = retrieval_consistency_check(seed=args.seed)
-    checks["retrieval_consistency"] = {
-        "violations": report["violations"],
-        "lipschitz": report["lipschitz"],
-        "pass": report["violations"] == 0,
-    }
-
-    payload = {"checks": checks, "pass": all(c["pass"] for c in checks.values())}
+    payload = theory_check(args.seed, args.scenarios)
     _emit(args, payload, "theory_check.json")
     return 0 if payload["pass"] else 2
 

@@ -8,14 +8,21 @@ that only sees p* is limited by the weighted Jensen-Shannon radius of
 the anchor hull (via Pinsker); the anchored-transport forecaster can
 represent every u_z exactly.
 
-The commands check the anchor-only bound on the one-point class that the
-aliasing construction gives the forecaster: without transport, and with p*
-as the only state it can anchor to, every prediction is p* itself. The
-bound then has a closed form, sum_z pi_z KL(u_z || p*) against gaps
-||u_z - p*||_1, so this module needs numpy alone. The paper's general
-statement, over the hull of any anchor set, is checked in the tests
-against a reference LP and constrained-KL solver (tests/hull_reference.py),
-which also confirms the closed form.
+A scenario holds its K regimes as two arrays, the weights (K,) and the
+radius-1 kernels (K, D, 3) in the layout that `transport.cast_step` takes.
+Its successors are one `transport.shift_mass` over all regimes, arithmetic
+of their own, and `cast_oracle` is one `cast_step` over all regimes, so
+the oracle's exactness is a check of the operator that the model trains.
+
+`theory_check` builds the report of `theory-check`. It checks the
+anchor-only bound on the one-point class that the aliasing construction
+gives the forecaster: without transport, and with p* as the only state it
+can anchor to, every prediction is p* itself. The bound then has a
+closed form, sum_z pi_z KL(u_z || p*) against gaps ||u_z - p*||_1, so
+this module needs numpy alone. The paper's general statement, over the
+hull of any anchor set, is checked in the tests against a reference LP
+and constrained-KL solver (tests/hull_reference.py), which also confirms
+the closed form.
 """
 from __future__ import annotations
 
@@ -23,58 +30,67 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import transport
 from .errors import InvalidValue
 from .metrics import DEFAULT_EPS, jsd, js_weighted, kl, l1
 from .simplex import SimplexSeries, as_dist, mean_support
-from .transport import BudgetParams, TransportKernel, apply_transport, cast_step
-
-
-@dataclass(frozen=True)
-class Regime:
-    pi: float
-    kernel: TransportKernel
+from .transport import BudgetParams, cast_step
 
 
 @dataclass(frozen=True)
 class AliasingScenario:
+    """K regimes that share the state p*. Regime z has weight pis[z] and
+    the transport kernel kernels[z], one row (left, stay, right) of offset
+    probabilities per bin, and its successor is
+    u_z = (1 - rho) p* + rho T_z p*. This is the one place that checks a
+    kernel: the block must be (K, D, 3) with D = p*'s size, and each row
+    finite, nonnegative and summing to 1."""
+
     p_star: np.ndarray
     rho: float
-    regimes: tuple
+    pis: np.ndarray  # (K,)
+    kernels: np.ndarray  # (K, D, 3)
     budget: BudgetParams | None = None  # None -> auto-sized so the gate is open
 
     def __post_init__(self):
-        object.__setattr__(self, "p_star", as_dist(self.p_star))
-        object.__setattr__(self, "regimes", tuple(self.regimes))
-        pis = np.array([r.pi for r in self.regimes])
-        if not np.isclose(pis.sum(), 1.0, atol=1e-9) or np.any(pis < 0):
+        p = as_dist(self.p_star)
+        pis = np.asarray(self.pis, dtype=np.float64)
+        kernels = np.asarray(self.kernels, dtype=np.float64)
+        for name, value in (("p_star", p), ("pis", pis), ("kernels", kernels)):
+            object.__setattr__(self, name, value)
+        if pis.ndim != 1 or not np.isclose(pis.sum(), 1.0, atol=1e-9) or np.any(pis < 0):
             raise InvalidValue("regime weights must be a distribution")
+        expected = (pis.size, p.size, 3)
+        if kernels.shape != expected:
+            raise InvalidValue(f"kernels must have shape (K, D, 3) = {expected}, "
+                               f"got {kernels.shape}")
+        # written so that NaN fails
+        if not (np.all(kernels >= 0) and np.all(np.abs(kernels.sum(axis=-1) - 1.0) <= 1e-9)):
+            raise InvalidValue("kernel rows must be nonnegative and sum to 1")
         if not (0.0 < self.rho <= 1.0):
             raise InvalidValue("rho must be in (0, 1]")
 
     @property
     def k(self) -> int:
-        return len(self.regimes)
+        return self.pis.size
 
     @property
     def dim(self) -> int:
         return self.p_star.size
 
-    @property
-    def pis(self) -> np.ndarray:
-        return np.array([r.pi for r in self.regimes])
-
-    def successor(self, z: int) -> np.ndarray:
-        moved = apply_transport(self.regimes[z].kernel, self.p_star)
-        return (1.0 - self.rho) * self.p_star + self.rho * moved
+    def _transported(self) -> np.ndarray:
+        """T_z p* for every regime, (K, D)."""
+        m = self.p_star[:, None] * self.kernels
+        # looked up on its module, where perfbench/tracing.py counts its calls
+        return transport.shift_mass(m[..., 0], m[..., 1], m[..., 2])
 
     def successors(self) -> np.ndarray:
-        return np.array([self.successor(z) for z in range(self.k)])
+        return (1.0 - self.rho) * self.p_star + self.rho * self._transported()
 
     def _mean_shifts(self) -> list:
         """|support-mean displacement| of p* under each regime's full transport."""
         mu = mean_support(self.p_star)
-        return [abs(mean_support(apply_transport(r.kernel, self.p_star)) - mu)
-                for r in self.regimes]
+        return [abs(mean_support(moved) - mu) for moved in self._transported()]
 
     def effective_budget(self) -> BudgetParams:
         """A budget under which every regime's transport passes ungated."""
@@ -107,14 +123,11 @@ def default_scenario() -> AliasingScenario:
         cluster = np.exp(-((k - c) ** 2) / (2.0 * sigma**2))
         cluster[np.abs(k - c) > 1] = 0.0  # interior support: bins c-1..c+1
         p += 0.5 * cluster / cluster.sum()
+    kernels = np.zeros((2, d, 3))
+    kernels[0, :, 2] = 1.0  # every bin sends its mass one bin right
+    kernels[1, :, 0] = 1.0  # and one bin left
     scenario = AliasingScenario(
-        p_star=p,
-        rho=0.2,
-        regimes=(
-            Regime(0.5, TransportKernel.pure_shift(d, +1)),
-            Regime(0.5, TransportKernel.pure_shift(d, -1)),
-        ),
-        budget=BudgetParams(),
+        p_star=p, rho=0.2, pis=np.array([0.5, 0.5]), kernels=kernels, budget=BudgetParams()
     )
     scenario.check_budget_feasible()
     return scenario
@@ -123,11 +136,8 @@ def default_scenario() -> AliasingScenario:
 def random_scenario(rng: np.random.Generator, d: int, k: int) -> AliasingScenario:
     p = rng.dirichlet(np.ones(d) * 1.5)
     pis = rng.dirichlet(np.ones(k))
-    regimes = []
-    for z in range(k):
-        rows = rng.dirichlet(np.ones(3), size=d)
-        regimes.append(Regime(float(pis[z]), TransportKernel(rows)))
-    return AliasingScenario(p_star=p, rho=float(rng.uniform(0.05, 0.2)), regimes=tuple(regimes))
+    kernels = rng.dirichlet(np.ones(3), size=(k, d))
+    return AliasingScenario(p_star=p, rho=float(rng.uniform(0.05, 0.2)), pis=pis, kernels=kernels)
 
 
 # ------------------------------------------------------- fixed-summary
@@ -208,13 +218,14 @@ def anchor_only_optimum(scenario: AliasingScenario) -> tuple[float, np.ndarray]:
 
 def cast_oracle(scenario: AliasingScenario) -> np.ndarray:
     """Regime-aware anchored transport reproduces each successor exactly:
-    plug (lambda=1, rho, T_z) into the transition."""
-    budget = scenario.effective_budget()
+    plug (lambda=1, rho, T_z) into the transition, one step for all regimes.
+    Each regime is a batch of one, (K, 1, D, 3), so its mean shift is a dot
+    product as in a one-kernel step; a (K, D) matrix-vector product sums in
+    another order, which moves the gate's last ulp where the budget binds."""
     p = scenario.p_star
-    return np.array([
-        cast_step(p, p, 1.0, regime.kernel.rows, scenario.rho, budget)["p_hat"]
-        for regime in scenario.regimes
-    ])
+    parts = cast_step(p, p, 1.0, scenario.kernels[:, None], scenario.rho,
+                      scenario.effective_budget())
+    return parts["p_hat"][:, 0]
 
 
 # ------------------------------------------------------- dataset
@@ -397,3 +408,65 @@ def retrieval_consistency_check(
         max_err.append(worst_e)
     return {"lipschitz": lip, "violations": violations, "max_nn_distance": max_d,
             "max_error": max_err}
+
+
+# ------------------------------------------------------- theory-check
+
+
+def theory_check(seed: int, n_scenarios: int) -> dict:
+    """The `theory-check` report: the fixed-summary identity on n_scenarios
+    random scenarios, the Pinsker separation of the anchor-only excess on
+    the default scenario and n_scenarios more, the default scenario's
+    ordering fixed-summary <= anchor-only with positive gaps, and the
+    retrieval bound. Each check has a `pass`, and so does the whole."""
+    rng = np.random.default_rng(seed)
+    checks = {}
+
+    max_gap = max(
+        fixed_summary_gap(
+            random_scenario(rng, int(rng.integers(2, 7)), int(rng.integers(2, 5))), n_starts=10
+        )
+        for _ in range(n_scenarios)
+    )
+    checks["fixed_summary_identity"] = {
+        "max_gap": float(max_gap),
+        "pass": bool(max_gap <= FIXED_SUMMARY_TOL),
+    }
+
+    scen = default_scenario()
+    scenarios = [scen] + [
+        random_scenario(rng, int(rng.integers(3, 7)), int(rng.integers(2, 5)))
+        for _ in range(n_scenarios)
+    ]
+    bounds = [anchor_only_optimum(s) for s in scenarios]
+    violations = sum(
+        int(excess < pinsker_separation(s, deltas) - 1e-9)
+        for s, (excess, deltas) in zip(scenarios, bounds)
+    )
+    checks["pinsker_separation"] = {
+        "violations": violations,
+        "pass": violations == 0,
+    }
+
+    _, fixed = fixed_summary_optimum(scen)
+    anchor_excess, deltas = bounds[0]
+    delta_positive = bool(np.all(deltas > 1e-6))
+    checks["default_scenario"] = {
+        "fixed_summary_excess": fixed,
+        "anchor_only_excess": anchor_excess,
+        "delta_positive": delta_positive,
+        "pass": bool(
+            fixed_summary_identity(scen)
+            and anchor_excess >= fixed
+            and delta_positive
+        ),
+    }
+
+    report = retrieval_consistency_check(seed=seed)
+    checks["retrieval_consistency"] = {
+        "violations": report["violations"],
+        "lipschitz": report["lipschitz"],
+        "pass": report["violations"] == 0,
+    }
+
+    return {"checks": checks, "pass": all(c["pass"] for c in checks.values())}

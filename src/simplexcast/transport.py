@@ -13,50 +13,19 @@ take one distribution (D,) or a batch (B, D) with one operator per row.
 Each runs on plain arrays and returns its value with its reverse pass, a
 hand-written vector-Jacobian product (the custom-VJP pattern); the two
 reverse passes share one chain through the mean shift and the budget.
-`apply_transport` and `TransportKernel` define scenario successors and
-serve as independent numpy references in the tests.
+A kernel is a plain (..., D, 3) array here: the model's kernel head makes
+valid ones, `theory.AliasingScenario` checks the (K, D, 3) block of its
+regimes, and tests/transport_reference.py keeps a checked one-kernel form
+as the reference.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.typing import NDArray
 
 from .errors import InvalidValue
 from .simplex import Dist, std_support, support_bins
-
-
-@dataclass(frozen=True)
-class TransportKernel:
-    """Per-bin offset probabilities, rows[j] = (left, stay, right)."""
-
-    rows: NDArray[np.float64]
-
-    def __post_init__(self):
-        rows = np.asarray(self.rows, dtype=np.float64)
-        object.__setattr__(self, "rows", rows)
-        if rows.ndim != 2 or rows.shape[1] != 3:
-            raise InvalidValue(f"kernel rows must be (D, 3), got {rows.shape}")
-        if np.any(rows < 0) or np.any(np.abs(rows.sum(axis=1) - 1.0) > 1e-9):
-            raise InvalidValue("kernel rows must be nonnegative and sum to 1")
-
-    @property
-    def dim(self) -> int:
-        return self.rows.shape[0]
-
-    @staticmethod
-    def identity(d: int) -> "TransportKernel":
-        rows = np.zeros((d, 3))
-        rows[:, 1] = 1.0
-        return TransportKernel(rows)
-
-    @staticmethod
-    def pure_shift(d: int, direction: int) -> "TransportKernel":
-        """All mass moves one bin left (direction=-1) or right (+1)."""
-        rows = np.zeros((d, 3))
-        rows[:, 1 + direction] = 1.0
-        return TransportKernel(rows)
 
 
 @dataclass(frozen=True)
@@ -78,22 +47,14 @@ class BudgetParams:
 
 def shift_mass(left: np.ndarray, stay: np.ndarray, right: np.ndarray) -> np.ndarray:
     """Accumulate per-bin offset masses into destination bins of the last
-    axis with boundary clipping. Shared with the differentiable model path."""
+    axis with boundary clipping. Shared by `cast_step` and the theory's
+    scenario successors."""
     out = stay.copy()
     out[..., :-1] += left[..., 1:]
     out[..., 0] += left[..., 0]
     out[..., 1:] += right[..., :-1]
     out[..., -1] += right[..., -1]
     return out
-
-
-def apply_transport(kernel: TransportKernel, a: Dist) -> Dist:
-    """(T a)(k) = sum_j a(j) sum_o K(j,o) 1{k = clip(j+o, 1, D)}."""
-    a = np.asarray(a, dtype=np.float64)
-    if kernel.dim != a.size:
-        raise InvalidValue(f"kernel dim {kernel.dim} != dist dim {a.size}")
-    m = a[:, None] * kernel.rows
-    return shift_mass(m[:, 0], m[:, 1], m[:, 2])
 
 
 # the offsets whose squared mass the prior's off-identity term sums

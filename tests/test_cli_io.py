@@ -567,6 +567,13 @@ class TestCli:
             "default_scenario", "retrieval_consistency",
         }
 
+    def test_theory_check_writes_the_analysis_payload(self, tmp_path):
+        assert _run(["theory-check", "--scenarios", "3", "--seed", "7",
+                     "--out", str(tmp_path / "cli")]) == 0
+        write_json(tmp_path / "direct.json", theory.theory_check(7, 3))
+        written = (tmp_path / "cli" / "theory_check.json").read_bytes()
+        assert written == (tmp_path / "direct.json").read_bytes()
+
     @pytest.mark.parametrize("value", ["0", "-2"])
     def test_theory_check_rejects_no_scenarios(self, tmp_path, capsys, value):
         assert _run(["theory-check", "--scenarios", value, "--out", str(tmp_path)]) == 1

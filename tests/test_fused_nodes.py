@@ -80,7 +80,8 @@ def test_fused_loss_and_gradients_match_reference(i):
 @pytest.mark.parametrize("budget", [BudgetParams(), BudgetParams(0.01, 0.0)])
 def test_operator_matches_reference_on_oracle_shapes(rng, budget):
     # theory.cast_oracle's call: one distribution, scalar lam and rho, and
-    # one (D, 3) array kernel; the reference has every input on the tape, and
+    # per regime a (1, D, 3) batch of one kernel, computed as the one (D, 3)
+    # kernel here is; the reference has every input on the tape, and
     # the step's vjp plus the prior's gives the gradients of
     # sum(w * p_hat) + prior for (r, lam, kernel, rho)
     weights = (0.1, 0.2, 0.3, 0.4)

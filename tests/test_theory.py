@@ -3,9 +3,9 @@ import numpy as np
 import pytest
 
 from simplexcast.metrics import jsd, js_weighted, kl, l1
+from simplexcast.simplex import mean_support
 from simplexcast.theory import (
     AliasingScenario,
-    Regime,
     anchor_only_optimum,
     build_aliasing_dataset,
     cast_oracle,
@@ -18,9 +18,15 @@ from simplexcast.theory import (
     regime_markers,
     retrieval_consistency_check,
 )
-from simplexcast.transport import TransportKernel, apply_transport
+from simplexcast.transport import BudgetParams, cast_step
 
 from hull_reference import anchor_hull_optimum, l1_distance_to_hull
+from transport_reference import TransportKernel, apply_transport
+
+
+def kernel_block(*kernels):
+    """The (K, D, 3) block of a scenario from reference kernels."""
+    return np.stack([k.rows for k in kernels])
 
 
 # ------------------------------------------------------------ scenarios
@@ -43,10 +49,11 @@ class TestScenario:
 
     def test_successor_is_convex_blend(self):
         s = default_scenario()
+        us = s.successors()
         for z in range(s.k):
-            moved = apply_transport(s.regimes[z].kernel, s.p_star)
+            moved = apply_transport(TransportKernel(s.kernels[z]), s.p_star)
             expected = (1 - s.rho) * s.p_star + s.rho * moved
-            np.testing.assert_allclose(s.successor(z), expected, atol=1e-14)
+            np.testing.assert_allclose(us[z], expected, atol=1e-14)
 
     def test_rejects_bad_regime_weights(self):
         d = 4
@@ -55,7 +62,8 @@ class TestScenario:
             AliasingScenario(
                 p_star=np.full(d, 0.25),
                 rho=0.1,
-                regimes=(Regime(0.7, kernel), Regime(0.7, kernel)),
+                pis=[0.7, 0.7],
+                kernels=kernel_block(kernel, kernel),
             )
 
     def test_rejects_bad_rho(self):
@@ -63,7 +71,7 @@ class TestScenario:
         kernel = TransportKernel.pure_shift(d, 0)
         with pytest.raises(ValueError):
             AliasingScenario(
-                p_star=np.full(d, 0.25), rho=0.0, regimes=(Regime(1.0, kernel),)
+                p_star=np.full(d, 0.25), rho=0.0, pis=[1.0], kernels=kernel_block(kernel)
             )
 
     def test_budget_infeasible_raises(self):
@@ -75,17 +83,18 @@ class TestScenario:
         s = AliasingScenario(
             p_star=p,
             rho=0.5,
-            regimes=(Regime(1.0, TransportKernel.pure_shift(d, 1)),),
+            pis=[1.0],
+            kernels=kernel_block(TransportKernel.pure_shift(d, 1)),
             budget=None,
         )
         # auto-sized budget is feasible by construction
         s.check_budget_feasible()
-        from simplexcast.transport import BudgetParams
 
         tight = AliasingScenario(
             p_star=p,
             rho=0.5,
-            regimes=(Regime(1.0, TransportKernel.pure_shift(d, 1)),),
+            pis=[1.0],
+            kernels=kernel_block(TransportKernel.pure_shift(d, 1)),
             budget=BudgetParams(),
         )
         with pytest.raises(ValueError):
@@ -95,10 +104,88 @@ class TestScenario:
         s = random_scenario(rng, d=5, k=3)
         assert s.dim == 5 and s.k == 3
         np.testing.assert_allclose(s.pis.sum(), 1.0, atol=1e-9)
-        for z in range(s.k):
-            u = s.successor(z)
+        for u in s.successors():
             assert np.all(u >= -1e-15)
             np.testing.assert_allclose(u.sum(), 1.0, atol=1e-9)
+
+    def test_random_scenario_draws_one_regime_at_a_time(self):
+        # one (k, d) Dirichlet draw takes the stream of k draws of d rows
+        rng, ref = np.random.default_rng(3), np.random.default_rng(3)
+        for _ in range(50):
+            d, k = int(rng.integers(2, 9)), int(rng.integers(1, 6))
+            ref.integers(2, 9), ref.integers(1, 6)
+            s = random_scenario(rng, d, k)
+            p, pis = ref.dirichlet(np.ones(d) * 1.5), ref.dirichlet(np.ones(k))
+            kernels = [ref.dirichlet(np.ones(3), size=d) for _ in range(k)]
+            rho = ref.uniform(0.05, 0.2)
+            for got, want in ((s.p_star, p), (s.pis, pis), (s.kernels, np.stack(kernels))):
+                assert got.tobytes() == want.tobytes()
+            assert s.rho == rho
+
+
+class TestKernelCheck:
+    """`AliasingScenario` checks the (K, D, 3) kernel block when it is built."""
+
+    @staticmethod
+    def build(kernels):
+        """Two regimes over D = 4."""
+        return AliasingScenario(p_star=np.full(4, 0.25), rho=0.1, pis=[0.5, 0.5], kernels=kernels)
+
+    def test_accepts_a_valid_block(self):
+        s = self.build(np.full((2, 4, 3), 1 / 3))
+        assert s.kernels.shape == (2, 4, 3)
+
+    @pytest.mark.parametrize("shape", [(2, 5, 3), (2, 3, 3), (3, 4, 3), (1, 4, 3),
+                                       (2, 4, 2), (4, 3), (2, 4, 3, 1)])
+    def test_rejects_a_wrong_shape_naming_both(self, shape):
+        with pytest.raises(ValueError) as err:
+            self.build(np.full(shape, 1 / shape[-1]))
+        assert str(err.value) == (
+            f"kernels must have shape (K, D, 3) = (2, 4, 3), got {shape}"
+        )
+
+    def test_rejects_an_all_nan_block(self):
+        with pytest.raises(ValueError, match="nonnegative and sum to 1"):
+            self.build(np.full((2, 4, 3), np.nan))
+
+    @pytest.mark.parametrize("row", [[np.nan, 0.5, 0.5], [-0.1, 0.6, 0.5], [0.2, 0.2, 0.2],
+                                     [np.inf, 0.0, 0.0]])
+    def test_rejects_a_row_off_the_simplex(self, row):
+        kernels = np.full((2, 4, 3), 1 / 3)
+        kernels[1, 2] = row
+        with pytest.raises(ValueError, match="nonnegative and sum to 1"):
+            self.build(kernels)
+
+
+class TestPerRegimeReference:
+    """The scenario runs all regimes at once; the reference applies one
+    (D, 3) kernel at a time, by `apply_transport` and by one `cast_step`
+    per regime. The bytes must match, also where the budget binds."""
+
+    def test_batched_equals_per_regime(self):
+        rng = np.random.default_rng(0)
+        binding = 0
+        for k in range(1, 6):
+            for d in range(2, 9):
+                for _ in range(4):
+                    s = random_scenario(rng, d, k)
+                    p = s.p_star
+                    kernels = [TransportKernel(rows) for rows in s.kernels]
+                    moved = [apply_transport(kernel, p) for kernel in kernels]
+                    us = np.array([(1.0 - s.rho) * p + s.rho * m for m in moved])
+                    assert s.successors().tobytes() == us.tobytes()
+                    mu = mean_support(p)
+                    assert s._mean_shifts() == [abs(mean_support(m) - mu) for m in moved]
+                    # the auto-sized budget, the default one and one that binds
+                    for budget in (None, BudgetParams(), BudgetParams(0.01, 0.0)):
+                        scen = AliasingScenario(p_star=p, rho=s.rho, pis=s.pis,
+                                                kernels=s.kernels, budget=budget)
+                        b = scen.effective_budget()
+                        steps = [cast_step(p, p, 1.0, kernel.rows, s.rho, b) for kernel in kernels]
+                        ref = np.array([step["p_hat"] for step in steps])
+                        assert cast_oracle(scen).tobytes() == ref.tobytes()
+                        binding += sum(step["rho_eff"] < s.rho for step in steps)
+        assert binding > 100
 
 
 # -------------------------------------------------------- fixed summary
@@ -111,12 +198,13 @@ class TestFixedSummary:
         s = AliasingScenario(
             p_star=np.full(d, 1 / d),
             rho=0.3,
-            regimes=(Regime(0.5, kernel), Regime(0.5, kernel)),
+            pis=[0.5, 0.5],
+            kernels=kernel_block(kernel, kernel),
         )
         q, excess = fixed_summary_optimum(s)
         assert fixed_summary_identity(s)
         assert excess < 1e-12
-        np.testing.assert_allclose(q, s.successor(0), atol=1e-12)
+        np.testing.assert_allclose(q, s.successors()[0], atol=1e-12)
 
     def test_two_regime_excess_is_jsd(self):
         s = default_scenario()
@@ -245,7 +333,8 @@ class TestCastOracle:
         s = AliasingScenario(
             p_star=np.full(d, 1 / d),
             rho=0.4,
-            regimes=(Regime(1.0, TransportKernel.pure_shift(d, 0)),),
+            pis=[1.0],
+            kernels=kernel_block(TransportKernel.pure_shift(d, 0)),
         )
         preds = cast_oracle(s)
         np.testing.assert_allclose(preds[0], s.p_star, atol=1e-12)
