@@ -16,7 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidValue
-from .simplex import history_windows, ilr_forward, ilr_inverse, smooth, smoothed_levels
+from .simplex import (SimplexSeries, history_windows, ilr_forward, ilr_inverse, smooth,
+                      smoothed_levels)
 
 logger = logging.getLogger(__name__)
 
@@ -246,7 +247,9 @@ class CastPredictor(Predictor):
         return self.predict_all(prefix, [len(prefix) - 1])[0]
 
     def predict_all(self, steps, ts):
-        """Every row in one `model.forward` pass over the sequence."""
-        from .model import forward
+        """Every row in one `model.forward` pass over a split of the prefix."""
+        from .model import Split, forward
 
-        return forward(steps, ts, self.params)[0]
+        steps, ts = _sequence(steps, "cast"), np.asarray(ts, dtype=np.intp)
+        prefix = SimplexSeries("prefix", self.params.cfg.ordered, steps[: ts.max(initial=0) + 1])
+        return forward(Split([prefix], self.params.cfg), 0, ts, self.params)[0]

@@ -19,10 +19,11 @@ its reverse pass, a hand-written vector-Jacobian product, so gradients are
 exact reverse-mode.
 `loss_var` is the one place that builds a tape: one node over one leaf,
 `CastParams.flat`, whose backward runs the stages' reverse passes in a
-fixed order into a gradient of the same layout. Scoring (`forward`) builds
-no tape and is one pass per sequence: every scored row reads one shared
-memory of the sequence's (feature, successor) pairs, and the causal mask
-lets row t see only the pairs before it.
+fixed order into a gradient of the same layout. A split is packed once
+(`Split`) and every retrieval memory is an index into it: a training batch
+(`make_batch`) gathers one memory per row, and scoring (`forward`, no tape)
+is one pass per sequence whose rows share one slice of its (feature,
+successor) pairs, the causal mask letting row t see only the pairs before t.
 
 The parameters live in one float64 buffer, `CastParams.flat`, and the named
 arrays the forward pass reads are views into it: init, copy, save, load,
@@ -128,8 +129,6 @@ def encode_all(steps: np.ndarray, cfg: ModelConfig) -> np.ndarray:
     """Features for every prefix of a sequence, shape (T, F). Row t depends
     only on steps[: t + 1]."""
     steps = np.asarray(steps, dtype=np.float64)
-    if steps.ndim != 2 or len(steps) == 0:
-        raise InvalidValue("need a nonempty (T, D) prefix")
     d = steps.shape[1]
     if cfg.feature_mode == "current_only":
         feats = [steps]
@@ -308,18 +307,20 @@ class CastParams:
         return CastParams(cfg, np.frombuffer(data, dtype="<f8", offset=8 + n).astype(np.float64))
 
 
-def _pad_memory(mem_feats: list, mem_succ: list):
-    """Pads per-row retrieval memories, (t_i, F) features and (t_i, D)
-    successors, to the longest t: (B, T, F), (B, T, D) and the lengths (B,).
-    When every memory is empty, T is one masked slot."""
-    lengths = np.array([len(m) for m in mem_feats])
-    t_max = max(int(lengths.max()), 1)
-    feats = np.zeros((len(lengths), t_max, mem_feats[0].shape[-1]))
-    succ = np.zeros((len(lengths), t_max, mem_succ[0].shape[-1]))
-    for i, t in enumerate(lengths):
-        feats[i, :t] = mem_feats[i]
-        succ[i, :t] = mem_succ[i]
-    return feats, succ, lengths
+class Split(list):
+    """A split's sequences, packed once for retrieval: their steps (N + 1, D)
+    and `encode_all` features (N + 1, F) laid end to end, each with one zero
+    pad row last. Sequence i is rows start[i] : start[i + 1]."""
+
+    def __init__(self, seqs, cfg: ModelConfig):
+        super().__init__(seqs)
+        self.start = np.cumsum([0] + [len(seq.steps) for seq in self])
+        # preallocated: joining per-sequence arrays would hold both at once
+        self.steps = np.zeros((self.start[-1] + 1, cfg.dim))
+        self.feats = np.zeros((self.start[-1] + 1, cfg.feature_dim))
+        for seq, lo, hi in zip(self, self.start, self.start[1:]):
+            self.steps[lo:hi] = seq.steps
+            self.feats[lo:hi] = encode_all(seq.steps, cfg)
 
 
 def _retrieval(p: np.ndarray, h: np.ndarray, memory, values: dict, cfg: ModelConfig):
@@ -327,12 +328,13 @@ def _retrieval(p: np.ndarray, h: np.ndarray, memory, values: dict, cfg: ModelCon
     `w_qk` (H, 2, F, d_r) and the head mix `w_eta` in `values`, every head
     at once along a leading head axis. Row i of the current distributions
     p (B, D) and features h (B, F) attends to its first lengths[i] slots of
-    the padded memory from `_pad_memory`; each head is a softmax over scaled
-    dot-product scores, the heads are mixed by eta = softmax(h @ w_eta) (a
-    column of ones for one head, which has no `w_eta`), and a row with no
-    memory takes r = p. The memory is a constant, so no gradient is computed
-    for it. Returns r, its reverse pass to the gradients of w_qk (and w_eta
-    when there is one), and the attention weights (H, B, T)."""
+    the padded memory of `make_batch` or `forward`; each head is a softmax
+    over scaled dot-product scores, the heads are mixed by eta =
+    softmax(h @ w_eta) (a column of ones for one head, which has no `w_eta`),
+    and a row with no memory takes r = p. The memory is a constant, so no
+    gradient is computed for it. Returns r, its reverse pass to the
+    gradients of w_qk (and w_eta when there is one), and the attention
+    weights (H, B, T)."""
     mem_feats, mem_succ, lengths = memory
     mask = np.where(np.arange(mem_feats.shape[1]) < lengths[:, None], 0.0, -np.inf)
     empty = lengths == 0
@@ -400,10 +402,10 @@ def _kernel_head(h: np.ndarray, pe: np.ndarray, values: dict):
 def _forward(p: np.ndarray, h: np.ndarray, memory, values: dict, cfg: ModelConfig):
     """Forward pass over B positions at once from the parameter arrays
     `values`: current distributions p (B, D), features h (B, F), and the
-    padded retrieval memory from `_pad_memory`. The heads that `_heads(cfg)`
-    runs feed `transport.cast_step`; without retrieval r = p, and a
-    transport strength without the kernel head moves mass by the fixed
-    local kernel. Returns p_hat, the step's parts with lam, r and attn
+    padded retrieval memory of `make_batch` or `forward`. The heads that
+    `_heads(cfg)` runs feed `transport.cast_step`; without retrieval r = p,
+    and a transport strength without the kernel head moves mass by the
+    fixed local kernel. Returns p_hat, the step's parts with lam, r and attn
     (H, B, T) added, and one (operator input, parameter names, reverse pass)
     entry per input that a head feeds."""
     d = p.shape[1]
@@ -429,23 +431,25 @@ def _forward(p: np.ndarray, h: np.ndarray, memory, values: dict, cfg: ModelConfi
     return parts["p_hat"], parts, [(name, live[name], back) for name, back in backs.items()]
 
 
-def forward(steps: np.ndarray, ts, params: CastParams, feats: np.ndarray | None = None):
-    """Non-differentiable scoring of rows `ts` of one sequence in one pass:
-    row t predicts steps[t + 1] from steps[: t + 1]. `feats` are
-    `encode_all(steps)` when the caller has them cached. Every row reads
-    the same memory, the pairs (feats[j], steps[j + 1]) for j < max(ts)
-    padded by `_pad_memory`, and its row length t lets row t attend to its
-    first t pairs only. Returns p_hat (len(ts), D) and the parts of
-    `_forward`, one row each. Builds no tape."""
-    ts = np.asarray(ts, dtype=int)
-    tm = int(ts.max())
-    steps = np.asarray(steps, dtype=np.float64)[: tm + 1]
-    if feats is None:
-        feats = encode_all(steps, params.cfg)
-    mem_feats, mem_succ, _ = _pad_memory([feats[:tm]], [steps[1:]])
-    p_hat, parts, _ = _forward(steps[ts], feats[ts], (mem_feats, mem_succ, ts), params.values,
-                               params.cfg)
-    return p_hat, parts
+def forward(split: Split, i: int, ts, params: CastParams):
+    """Non-differentiable scoring of rows `ts` of sequence i of a split in
+    one pass: row t predicts steps[t + 1] from steps[: t + 1]. Every row
+    reads the same memory, the pairs (feats[j], steps[j + 1]) for j < max(ts)
+    as one slice of the split (the pad row alone when max(ts) = 0), and its
+    row length t lets row t attend to its first t pairs only. A row outside
+    0 <= t < len(sequence) is an InvalidValue. Returns p_hat (len(ts), D)
+    and the parts of `_forward`, one row each. Builds no tape."""
+    ts = np.asarray(ts, dtype=np.intp)
+    first = split.start[i]
+    if np.any((ts < 0) | (ts >= split.start[i + 1] - first)):
+        raise InvalidValue(f"scored rows {ts.min()}..{ts.max()} need 0 <= t < len(sequence)")
+    tm = int(ts.max(initial=0))
+    if tm:
+        feats, succ = split.feats[first : first + tm], split.steps[first + 1 : first + tm + 1]
+    else:
+        feats, succ = split.feats[-1:], split.steps[-1:]
+    return _forward(split.steps[first + ts], split.feats[first + ts], (feats[None], succ[None], ts),
+                    params.values, params.cfg)[:2]
 
 
 def _kl_term(target: np.ndarray, p_hat: np.ndarray, eps: float = 1e-8):
@@ -459,31 +463,24 @@ def _kl_term(target: np.ndarray, p_hat: np.ndarray, eps: float = 1e-8):
     return out, lambda g: -g[..., None] * ts / qs * c
 
 
-def _features(seq, cfg: ModelConfig, feats_cache: dict | None) -> np.ndarray:
-    """`encode_all` of a sequence, kept in `feats_cache` by sequence id."""
-    if feats_cache is None:
-        return encode_all(seq.steps, cfg)
-    feats = feats_cache.get(seq.id)
-    if feats is None:
-        feats = feats_cache[seq.id] = encode_all(seq.steps, cfg)
-    return feats
-
-
-def make_batch(seqs, positions, cfg: ModelConfig, feats_cache: dict | None = None):
-    """Teacher-forced inputs at `positions`, (sequence index, t) pairs each
-    predicting steps[t + 1] from steps[: t + 1], stacked for `_forward`:
-    current distributions (B, D), features (B, F), padded memory, and the
-    targets (B, D)."""
+def make_batch(split: Split, positions):
+    """Teacher-forced inputs at `positions`, (sequence index, t) pairs of a
+    split each predicting steps[t + 1] from steps[: t + 1], stacked for
+    `_forward`: current distributions (B, D), features (B, F), the padded
+    memory, and the targets (B, D). Row i's memory slot j is the pair
+    (feats[j], steps[j + 1]) of its own sequence for j < t, else the pad
+    row. A t outside 0 <= t < len(sequence) - 1 is an InvalidValue."""
     if len(positions) == 0:
         raise InvalidValue("no scored positions in batch")
-    items = [(seqs[i].steps, t, _features(seqs[i], cfg, feats_cache)) for i, t in positions]
-    p = np.stack([steps[t] for steps, t, _ in items])
-    h = np.stack([feats[t] for _, t, feats in items])
-    memory = _pad_memory(
-        [feats[:t] for _, t, feats in items], [steps[1 : t + 1] for steps, t, _ in items]
-    )
-    targets = np.stack([steps[t + 1] for steps, t, _ in items])
-    return p, h, memory, targets
+    seq, t = np.asarray(positions, dtype=np.intp).T
+    first = split.start[seq]
+    if np.any((t < 0) | (t + 1 >= split.start[seq + 1] - first)):
+        raise InvalidValue(f"batch positions {positions} need 0 <= t < len(sequence) - 1")
+    slot = np.arange(max(t.max(), 1))
+    mem = np.where(slot < t[:, None], first[:, None] + slot, -1)  # -1 is the pad row
+    memory = (split.feats[mem], split.steps[np.where(mem < 0, -1, mem + 1)], t)
+    rows = first + t
+    return split.steps[rows], split.feats[rows], memory, split.steps[rows + 1]
 
 
 def loss_var(batch: tuple, params: CastParams, out: CastParams | None = None) -> Var:
@@ -565,18 +562,17 @@ class TrainConfig:
             raise InvalidValue(f"tail_average must lie in [0, 1), got {self.tail_average}")
 
 
-def evaluate_val_kl(seqs, params: CastParams, max_positions: int, feats_cache: dict) -> float:
-    """Mean one-step KL over the first `max_positions` scored positions: one
-    forward pass and one `kl` call per sequence, summed in position order."""
+def evaluate_val_kl(split: Split, params: CastParams, max_positions: int) -> float:
+    """Mean one-step KL over a split's first `max_positions` scored positions:
+    one forward pass and one `kl` call per sequence, summed in position order."""
     from .metrics import kl as kl_metric
 
-    positions = scored_positions(seqs)[:max_positions]
+    positions = scored_positions(split)[:max_positions]
     kls = []
-    for seq_idx, group in groupby(positions, key=lambda pos: pos[0]):
-        seq = seqs[seq_idx]
+    for i, group in groupby(positions, key=lambda pos: pos[0]):
         ts = np.array([t for _, t in group])
-        p_hat, _ = forward(seq.steps, ts, params, _features(seq, params.cfg, feats_cache))
-        kls.extend(kl_metric(seq.steps[ts + 1], p_hat))
+        p_hat, _ = forward(split, i, ts, params)
+        kls.extend(kl_metric(split.steps[split.start[i] + ts + 1], p_hat))
     return float(sum(kls) / len(positions))
 
 
@@ -588,7 +584,8 @@ def train(
     seed: int,
 ) -> tuple[CastParams, list[dict]]:
     """AdamW with linear warmup, gradient-norm clipping, and model selection
-    by lowest validation one-step KL. Deterministic given the seed."""
+    by lowest validation one-step KL, each split packed once (`Split`).
+    Deterministic given the seed."""
     rng = np.random.default_rng(seed)
     params = CastParams.init(cfg, seed)
     positions = scored_positions(train_seqs)
@@ -604,10 +601,8 @@ def train(
     g = grad.flat
     m, v, work = (np.zeros_like(params.flat) for _ in range(3))
     beta1, beta2, adam_eps = 0.9, 0.999, 1e-8
-    # features by sequence id, one cache per split: ids need only be unique
-    # within a file, so a validation id may name a different training sequence
-    feats_cache: dict = {}
-    val_cache: dict = {}
+    # a sequence is its index in its packed split: ids are unique only per file
+    train_split, val_split = Split(train_seqs, cfg), Split(val_seqs, cfg)
     best = params.copy()
     best_val = np.inf
     log: list[dict] = []
@@ -618,7 +613,7 @@ def train(
         idx = rng.integers(0, len(positions), size=min(tc.batch_size, len(positions)))
         # no name holds the batch, so its padded memory is freed before validation
         picked = [positions[i] for i in idx]
-        loss_value, _ = gradient(make_batch(train_seqs, picked, cfg, feats_cache), params, grad)
+        loss_value, _ = gradient(make_batch(train_split, picked), params, grad)
         if not np.isfinite(loss_value):
             raise InvalidValue(f"loss is not finite at step {step}: {loss_value}")
 
@@ -647,7 +642,7 @@ def train(
                 avg_sum += params.flat
 
         if step % tc.eval_every == 0 or step == tc.iters:
-            val_kl = evaluate_val_kl(val_seqs, params, MAX_VAL_POSITIONS, val_cache)
+            val_kl = evaluate_val_kl(val_split, params, MAX_VAL_POSITIONS)
             log.append({"step": step, "train_loss": loss_value, "val_kl": val_kl})
             if val_kl < best_val:
                 best_val = val_kl
@@ -657,6 +652,6 @@ def train(
         # Polyak-style tail averaging: the averaged iterate suppresses the
         # stochastic-gradient noise floor, so it replaces checkpoint selection
         best = CastParams(cfg, avg_sum / n_avg)
-        val_kl = evaluate_val_kl(val_seqs, best, MAX_VAL_POSITIONS, val_cache)
+        val_kl = evaluate_val_kl(val_split, best, MAX_VAL_POSITIONS)
         log.append({"step": tc.iters, "train_loss": float("nan"), "val_kl": val_kl})
     return best, log

@@ -73,18 +73,57 @@ def ilr_rows_ref(steps):
 
 
 # ------------------------------------------------------------------------
-# Per-position reference for the one-pass scorer `simplexcast.model.forward`:
-# each position gets its own padded memory and a one-row forward pass.
+# Per-row references for the packed split of `simplexcast.model`: a batch
+# built row by row, each memory copied into its own padded slots, and a
+# per-position scorer with its own encoding and memory.
+
+
+def pad_memory_ref(mem_feats, mem_succ):
+    """Pads per-row retrieval memories, (t_i, F) features and (t_i, D)
+    successors, to the longest t: (B, T, F), (B, T, D) and the lengths (B,).
+    When every memory is empty, T is one masked slot."""
+    lengths = np.array([len(m) for m in mem_feats])
+    t_max = max(int(lengths.max()), 1)
+    feats = np.zeros((len(lengths), t_max, mem_feats[0].shape[-1]))
+    succ = np.zeros((len(lengths), t_max, mem_succ[0].shape[-1]))
+    for i, t in enumerate(lengths):
+        feats[i, :t] = mem_feats[i]
+        succ[i, :t] = mem_succ[i]
+    return feats, succ, lengths
+
+
+def make_batch_ref(seqs, positions, cfg):
+    """`model.make_batch` row by row: each position's own sequence encoded,
+    and its memory the pairs (feats[j], steps[j + 1]) for j < t."""
+    from simplexcast.model import encode_all
+
+    items = [(seqs[i].steps, t, encode_all(seqs[i].steps, cfg)) for i, t in positions]
+    p = np.stack([steps[t] for steps, t, _ in items])
+    h = np.stack([feats[t] for _, t, feats in items])
+    memory = pad_memory_ref(
+        [feats[:t] for _, t, feats in items], [steps[1 : t + 1] for steps, t, _ in items]
+    )
+    targets = np.stack([steps[t + 1] for steps, t, _ in items])
+    return p, h, memory, targets
+
+
+def forward_steps(steps, ts, params):
+    """`model.forward` over a split of the one sequence `steps`."""
+    from simplexcast.model import Split, forward
+    from simplexcast.simplex import SimplexSeries
+
+    seq = SimplexSeries("s", params.cfg.ordered, steps)
+    return forward(Split([seq], params.cfg), 0, ts, params)
 
 
 def cast_predict_ref(params, steps, t):
     """The forecast of steps[t + 1] from its own encoding of steps[: t + 1]
     and its own memory of the t pairs before t."""
-    from simplexcast.model import _forward, _pad_memory, encode_all
+    from simplexcast.model import _forward, encode_all
 
     prefix = steps[: t + 1]
     feats = encode_all(prefix, params.cfg)
-    memory = _pad_memory([feats[:t]], [prefix[1:]])
+    memory = pad_memory_ref([feats[:t]], [prefix[1:]])
     p_hat, _, _ = _forward(prefix[t:], feats[t:], memory, params.values, params.cfg)
     return p_hat[0]
 

@@ -20,6 +20,7 @@ from simplexcast.metrics import jsd, kl, l1, w1_ordered
 from simplexcast.model import (
     CastParams,
     ModelConfig,
+    Split,
     TrainConfig,
     gradient,
     make_batch,
@@ -101,6 +102,7 @@ def test_criterion_2_pinsker_separation():
 # ------------------------------------------------------------ criterion 3
 
 
+@pytest.mark.slow
 def test_criterion_3_synthetic_experiment_structure():
     t0 = time.time()
     result = run_synthetic_experiment(
@@ -166,7 +168,7 @@ def test_criterion_4_gradient_matches_finite_differences():
             )
             for i in range(2)
         ]
-        batch = make_batch(seqs, [(0, t_len - 2), (1, 1)], cfg)
+        batch = make_batch(Split(seqs, cfg), [(0, t_len - 2), (1, 1)])
         _, g = gradient(batch, params)
         flat_grad = _flatten(CastParams(cfg, g).values)
         flat0 = _flatten(params.values)

@@ -12,7 +12,7 @@ from simplexcast.model import (
     _gate,
     _kernel_head,
     _kl_term,
-    _pad_memory,
+    Split,
     _retrieval,
     loss_var,
     make_batch,
@@ -21,6 +21,7 @@ from simplexcast.model import (
 from simplexcast.simplex import SimplexSeries
 from simplexcast.transport import BudgetParams, cast_step, operator_regularizer
 
+from conftest import pad_memory_ref
 from tape_reference import Var, unbroadcast
 
 
@@ -254,7 +255,7 @@ def _rule_cases(rng):
 
     cfg = ModelConfig(dim=5, ordered=True, window=2, heads=2, d_r=4)
     lengths = (0, 2, 4)  # a row with no memory, and unequal memories
-    memory = _pad_memory([rng.normal(size=(t, cfg.feature_dim)) for t in lengths],
+    memory = pad_memory_ref([rng.normal(size=(t, cfg.feature_dim)) for t in lengths],
                          [rng.dirichlet(np.ones(5), size=t) for t in lengths])
     h = rng.normal(size=(3, cfg.feature_dim))
     params = CastParams.init(cfg, 0)
@@ -266,7 +267,7 @@ def _rule_cases(rng):
     pe = support_position_encoding(5)
     kernel_head, kernel_head_back = _kernel_head(h, pe, values)
     seqs = [SimplexSeries(f"s{i}", True, rng.dirichlet(np.ones(5), size=6)) for i in range(2)]
-    out = loss_var(make_batch(seqs, [(0, 0), (0, 4), (1, 2)], cfg), params)
+    out = loss_var(make_batch(Split(seqs, cfg), [(0, 0), (0, 4), (1, 2)]), params)
     return {
         "add": _node(x + y),
         "add_broadcast": _node(x + row),

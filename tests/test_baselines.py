@@ -16,7 +16,8 @@ from simplexcast.baselines import (
 from simplexcast.errors import InvalidValue
 from simplexcast.simplex import SimplexSeries, ilr_forward, ilr_inverse, smooth, smoothed_levels
 
-from conftest import cast_predict_ref, ilr_inverse_row_ref, ilr_rows_ref, random_dist, window_ref
+from conftest import (cast_predict_ref, forward_steps, ilr_inverse_row_ref, ilr_rows_ref,
+                      random_dist, window_ref)
 
 
 def series_from(rng, t_len, d, seq_id="s"):
@@ -367,13 +368,13 @@ def test_predict_all_row_t_reads_only_steps_up_to_t(rng, name):
 
 def test_persistence_equals_degenerate_cast(rng):
     # CAST with lambda pinned to 1 and rho pinned to 0 is persistence
-    from simplexcast.model import CastParams, ModelConfig, forward
+    from simplexcast.model import CastParams, ModelConfig
 
     cfg = ModelConfig(dim=5, ordered=True, window=3, heads=1, d_r=4,
                       lambda_min=1.0, lambda_max=1.0, rho_max=1e-300)
     params = CastParams.init(cfg, seed=0)
     steps = np.array([random_dist(rng, 5) for _ in range(7)])
-    p_hat, _ = forward(steps, np.arange(6), params)
+    p_hat, _ = forward_steps(steps, np.arange(6), params)
     for t in range(6):
         assert np.allclose(p_hat[t], PersistencePredictor().predict(steps[: t + 1]), atol=1e-12)
 
@@ -402,6 +403,14 @@ def test_cast_predict_all_equals_per_prefix_loop(rng, kw):
         # and `predict` itself against a per-position memory and encoding
         ref = [cast_predict_ref(predictor.params, steps, t) for t in ts]
         np.testing.assert_allclose(want, ref, rtol=1e-12, atol=1e-15)
+    # a subset of rows, out of the sequence's order, and no rows, as for the
+    # fitted baselines; a row's last bits move with the number of rows
+    # scored at once, at parent too, so the subset is held to 1e-12
+    ts = np.arange(12)
+    got = predictor.predict_all(steps, ts)
+    np.testing.assert_allclose(predictor.predict_all(steps, ts[::-2]), got[::-2],
+                               rtol=1e-12, atol=1e-15)
+    assert predictor.predict_all(steps, []).shape == (0, cfg.dim)
 
 
 def test_evaluate_offline_skips_sequences_without_scored_positions(rng):

@@ -946,7 +946,7 @@ class TestCli:
     def test_train_validation_ignores_training_ids(self, rng, tmp_path):
         # both files name their sequences system00000..system00004, as every
         # simulated section does; validation must score its own sequences
-        from simplexcast.model import MAX_VAL_POSITIONS, CastParams, evaluate_val_kl
+        from simplexcast.model import MAX_VAL_POSITIONS, CastParams, Split, evaluate_val_kl
 
         def section(path):
             seqs = [SimplexSeries(f"system{i:05d}", True, rng.dirichlet(np.ones(4), size=12),
@@ -960,7 +960,8 @@ class TestCli:
                      "--iters", "10", "--out", str(tmp_path)]) == 0
         (entry,) = json.loads((tmp_path / "train_log.json").read_text())["log"]
         params = CastParams.load(tmp_path / "model.ckpt")
-        fresh = evaluate_val_kl(ingest(val_path).sequences, params, MAX_VAL_POSITIONS, {})
+        val = Split(ingest(val_path).sequences, params.cfg)
+        fresh = evaluate_val_kl(val, params, MAX_VAL_POSITIONS)
         assert entry["val_kl"] == fresh
 
     def test_json_flag_prints_payload(self, rng, tmp_path, capsys):

@@ -14,6 +14,7 @@ from simplexcast.model import (
     VARIANTS,
     CastParams,
     ModelConfig,
+    Split,
     _forward,
     gradient,
     make_batch,
@@ -46,7 +47,7 @@ def _random_batch(rng, cfg):
     seqs = [SimplexSeries(f"s{n}", cfg.ordered, rng.dirichlet(np.ones(cfg.dim), size=n))
             for n in (int(rng.integers(6, 10)), 5, 3)]
     positions = [(0, 0), (0, len(seqs[0].steps) - 2), (1, 3), (2, 1), (0, 2)]
-    return make_batch(seqs, positions, cfg)
+    return make_batch(Split(seqs, cfg), positions)
 
 
 def _assert_grads_close(got: dict, want: dict):

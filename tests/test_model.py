@@ -12,6 +12,7 @@ from simplexcast.model import (
     _CONFIG_TYPES,
     _forward,
     ModelConfig,
+    Split,
     TrainConfig,
     encode_all,
     evaluate_val_kl,
@@ -28,7 +29,7 @@ from simplexcast.model import (
 from simplexcast.simplex import SimplexSeries, mean_support, std_support
 from simplexcast.transport import BudgetParams
 
-from conftest import loss, random_dist, val_kl_ref
+from conftest import forward_steps, loss, make_batch_ref, random_dist, val_kl_ref
 
 
 def random_series(rng, t_len, d, seq_id="s0", ordered=True):
@@ -107,7 +108,7 @@ def test_support_position_encoding_shape_and_range():
 def _scored(rng, cfg, params, t_len=7):
     """forward over every scored row of a random sequence."""
     steps = np.array([random_dist(rng, cfg.dim) for _ in range(t_len)])
-    p_hat, parts = forward(steps, np.arange(t_len - 1), params)
+    p_hat, parts = forward_steps(steps, np.arange(t_len - 1), params)
     return steps, p_hat, parts
 
 
@@ -129,7 +130,7 @@ def test_forward_empty_memory_falls_back_to_persistence(rng):
     cfg = small_cfg()
     params = CastParams.init(cfg, seed=0)
     p0 = random_dist(rng, cfg.dim)
-    _, parts = forward(p0[None, :], [0], params)
+    _, parts = forward_steps(p0[None, :], [0], params)
     assert np.allclose(parts["r"][0], p0)
     # the t = 0 row of a longer call has no memory either
     steps, _, parts = _scored(rng, cfg, params)
@@ -141,7 +142,7 @@ def test_forward_current_only_ignores_memory(rng):
     params = CastParams.init(cfg, seed=0)
     steps, p_hat, parts = _scored(rng, cfg, params)
     for t in range(len(p_hat)):
-        alone, _ = forward(steps[t : t + 1], [0], params)
+        alone, _ = forward_steps(steps[t : t + 1], [0], params)
         assert np.allclose(p_hat[t], alone[0])
     assert np.allclose(parts["r"], steps[:-1])
 
@@ -230,14 +231,15 @@ def test_scoring_builds_no_tape(rng, monkeypatch):
     cfg = small_cfg()
     params = CastParams.init(cfg, seed=0)
     seqs = [random_series(rng, 7, cfg.dim, f"s{i}") for i in range(2)]
-    forward(seqs[0].steps, np.arange(6), params)
-    evaluate_val_kl(seqs, params, 10, {})
+    split = Split(seqs, cfg)
+    forward(split, 0, np.arange(6), params)
+    evaluate_val_kl(split, params, 10)
     CastPredictor(params).predict_all(seqs[1].steps, np.arange(6))
     cast_oracle(default_scenario())
     assert made == []
     # positive control: a training step's gradient builds the loss node
     # and its one leaf
-    gradient(make_batch(seqs, [(0, 3)], cfg), params)
+    gradient(make_batch(split, [(0, 3)]), params)
     assert len(made) == 2
 
 
@@ -252,11 +254,11 @@ def test_forward_ignores_future_steps(rng):
         params = CastParams.init(cfg, seed=1)
         steps = np.array([random_dist(rng, cfg.dim) for _ in range(9)])
         ts = np.arange(8)
-        base, _ = forward(steps, ts, params)
+        base, _ = forward_steps(steps, ts, params)
         for t in ts:
             mutated = steps.copy()
             mutated[t + 1 :] = np.roll(mutated[t + 1 :], 1, axis=-1)
-            out, _ = forward(mutated, ts, params)
+            out, _ = forward_steps(mutated, ts, params)
             np.testing.assert_array_equal(out[: t + 1], base[: t + 1])
 
 
@@ -266,19 +268,22 @@ def test_memory_is_strictly_causal(rng):
     cfg = small_cfg()
     params = CastParams.init(cfg, seed=1)
     steps = np.array([random_dist(rng, cfg.dim) for _ in range(9)])
-    _, parts = forward(steps, [1, 5], params)
+    _, parts = forward_steps(steps, [1, 5], params)
     assert np.allclose(parts["r"][0], steps[1])
     assert not np.allclose(parts["r"][0], steps[2])
 
 
-def test_forward_uses_cached_features(rng):
+def test_forward_on_a_packed_split_equals_the_sequence_alone(rng):
+    # a sequence scores the same bytes in a split of several, a length-1
+    # sequence among them, as in a split of its own
     cfg = small_cfg()
     params = CastParams.init(cfg, seed=1)
-    steps = np.array([random_dist(rng, cfg.dim) for _ in range(9)])
-    ts = [0, 3, 7]
-    fresh, _ = forward(steps, ts, params)
-    cached, _ = forward(steps, ts, params, feats=encode_all(steps, cfg))
-    np.testing.assert_array_equal(cached, fresh)
+    seqs = [random_series(rng, n, cfg.dim, f"s{n}") for n in (9, 1, 4, 6)]
+    split = Split(seqs, cfg)
+    for i, ts in ((0, [0, 3, 7, 8]), (1, [0]), (2, [3, 1]), (3, [0, 5])):
+        got, _ = forward(split, i, ts, params)
+        alone, _ = forward_steps(seqs[i].steps, ts, params)
+        np.testing.assert_array_equal(got, alone)
 
 
 def test_evaluate_val_kl_equals_per_position_reference(rng):
@@ -290,7 +295,7 @@ def test_evaluate_val_kl_equals_per_position_reference(rng):
         seqs[2].loss_mask[[1, 3]] = False  # non-contiguous scored rows
         # 20 covers every position; 10 stops inside the last sequence
         for max_positions in (20, 10, 1):
-            got = evaluate_val_kl(seqs, params, max_positions, {})
+            got = evaluate_val_kl(Split(seqs, cfg), params, max_positions)
             want = val_kl_ref(seqs, params, max_positions)
             assert got == pytest.approx(want, rel=1e-12, abs=1e-15)
 
@@ -325,7 +330,7 @@ def test_gradient_matches_finite_differences(rng, kw):
     cfg = small_cfg(**kw)
     params = CastParams.init(cfg, seed=7)
     seqs = [random_series(rng, 7, cfg.dim, f"s{i}") for i in range(2)]
-    batch = make_batch(seqs, [(0, 4), (1, 5), (0, 2)], cfg)
+    batch = make_batch(Split(seqs, cfg), [(0, 4), (1, 5), (0, 2)])
     if kw is GATE_BINDS:
         parts = _forward(*batch[:3], params.values, cfg)[1]
         assert np.any(parts["rho_eff"] < parts["rho"])
@@ -365,8 +370,9 @@ def test_batch_equals_mean_of_one_item_batches(rng, kw):
     seqs = [random_series(rng, n, cfg.dim, f"s{n}") for n in (9, 5, 3)]
     # a t = 0 item (empty memory) and memories of unequal lengths
     positions = [(0, 0), (0, 7), (1, 3), (2, 1), (0, 4)]
-    loss_b, g_b = gradient(make_batch(seqs, positions, cfg), params)
-    singles = [gradient(make_batch(seqs, [pos], cfg), params) for pos in positions]
+    split = Split(seqs, cfg)
+    loss_b, g_b = gradient(make_batch(split, positions), params)
+    singles = [gradient(make_batch(split, [pos]), params) for pos in positions]
     assert loss_b == pytest.approx(np.mean([s[0] for s in singles]), rel=1e-12, abs=1e-15)
     grads_single = [CastParams(cfg, s[1]).values for s in singles]
     for k, g in CastParams(cfg, g_b).values.items():
@@ -382,7 +388,7 @@ def test_batched_forward_is_causal(rng):
     positions = [(0, 6), (1, 2), (0, 0)]
 
     def p_hat(seqs):
-        p, h, memory, _ = make_batch(seqs, positions, cfg)
+        p, h, memory, _ = make_batch(Split(seqs, cfg), positions)
         return _forward(p, h, memory, values, cfg)[0]
 
     base = p_hat(seqs)
@@ -392,6 +398,87 @@ def test_batched_forward_is_causal(rng):
         edited = list(seqs)
         edited[seq_idx] = SimplexSeries(f"s{seq_idx}", True, steps)
         np.testing.assert_array_equal(p_hat(edited)[i], base[i])
+
+
+# ---------------------------------------------------------------- packed split
+
+
+@pytest.mark.parametrize(
+    "kw",
+    [dict(heads=h) for h in (1, 2, 3)]
+    + [dict(variant=v) for v in ("anchor_only", "single_head", "no_persistence_mix")]
+    + [dict(feature_mode="current_only"), dict(ordered=False, heads=3)],
+    ids=["h1", "h2", "h3", "anchor_only", "single_head", "no_persistence_mix", "current_only",
+         "unordered_h3"],
+)
+def test_packed_batch_equals_per_row_reference(rng, kw):
+    # sequences of mixed lengths, length-1 ones among them (no position of
+    # their own, but they move the start of every later sequence); t = 0
+    # rows, a sequence's last position and repeated positions
+    cfg = small_cfg(**kw)
+    params = CastParams.init(cfg, seed=5)
+    seqs = [random_series(rng, n, cfg.dim, f"s{i}", ordered=cfg.ordered)
+            for i, n in enumerate((1, 9, 2, 1, 6, 3))]
+    split = Split(seqs, cfg)
+    scored = scored_positions(seqs)
+    fixed = [(1, 0), (1, 7), (2, 0), (4, 4), (1, 7), (5, 1), (4, 0), (4, 4)]
+    for positions in [fixed, [(2, 0)]] + [
+        [scored[j] for j in rng.integers(0, len(scored), size=8)] for _ in range(4)
+    ]:
+        got, want = make_batch(split, positions), make_batch_ref(seqs, positions, cfg)
+        for a, b in zip((*got[:2], *got[2], got[3]), (*want[:2], *want[2], want[3])):
+            assert a.shape == b.shape
+            np.testing.assert_array_equal(a, b)
+        loss_got, g_got = gradient(got, params)
+        loss_want, g_want = gradient(want, params)
+        assert loss_got == loss_want
+        np.testing.assert_array_equal(g_got, g_want)
+
+
+def test_split_boundary_causality(rng):
+    # a row reads only its own sequence: editing every other sequence of the
+    # split, in its values or its length, moves no kept row's p_hat or
+    # gradient. Rows (2, 0) and (4, 0) are t = 0 rows of sequences that
+    # follow longer ones, and (2, 1) and (4, 3) read the first slots after
+    # a boundary
+    cfg = small_cfg()
+    params = CastParams.init(cfg, seed=3)
+    lengths = (9, 6, 3, 8, 5, 2)
+    seqs = [random_series(rng, n, cfg.dim, f"s{i}") for i, n in enumerate(lengths)]
+    positions = [(0, 7), (0, 2), (2, 0), (2, 1), (4, 0), (4, 3)]
+
+    def rows(seqs):
+        split = Split(seqs, cfg)
+        batch = make_batch(split, positions)
+        p_hat = _forward(*batch[:3], params.values, cfg)[0]
+        grads = [gradient(make_batch(split, [pos]), params)[1] for pos in positions]
+        scores = [forward(split, i, [t for j, t in positions if j == i], params)[0]
+                  for i in (0, 2, 4)]
+        return p_hat, grads, scores
+
+    base = rows(seqs)
+    for new_len in (lambda n: n, lambda n: n + 3, lambda n: 1):
+        edited = [seq if i % 2 == 0 else random_series(rng, new_len(len(seq)), cfg.dim, seq.id)
+                  for i, seq in enumerate(seqs)]
+        got = rows(edited)
+        np.testing.assert_array_equal(got[0], base[0])
+        for a, b in zip(got[1] + got[2], base[1] + base[2]):
+            np.testing.assert_array_equal(a, b)
+
+
+def test_out_of_range_positions_are_refused(rng):
+    # packed, an out-of-range t would read the next sequence's rows
+    cfg = small_cfg()
+    params = CastParams.init(cfg, seed=0)
+    split = Split([random_series(rng, n, cfg.dim, f"s{n}") for n in (4, 6, 5)], cfg)
+    for pos in ((1, -1), (1, 5), (1, 9), (0, 3)):
+        with pytest.raises(InvalidValue, match="need 0 <= t < len\\(sequence\\) - 1$"):
+            make_batch(split, [(2, 1), pos])
+    for ts in ([-1], [0, 6], [7]):
+        with pytest.raises(InvalidValue, match="need 0 <= t < len\\(sequence\\)$"):
+            forward(split, 1, ts, params)
+    with pytest.raises(InvalidValue, match="^scored rows -1..2 need"):
+        CastPredictor(params).predict_all(split[1].steps, [2, -1])
 
 
 RETRIEVAL = ["w_qk", "w_eta"]
@@ -436,7 +523,8 @@ def test_layout_holds_only_the_heads_a_config_runs(rng, monkeypatch, kw, names):
     # no dead head: on a batch with memory every view's gradient is nonzero
     # somewhere
     seqs = [random_series(rng, 6, cfg.dim, ordered=cfg.ordered)]
-    _, g = gradient(make_batch(seqs, [(0, 3), (0, 4)], cfg), CastParams.init(cfg, seed=2))
+    _, g = gradient(make_batch(Split(seqs, cfg), [(0, 3), (0, 4)]),
+                    CastParams.init(cfg, seed=2))
     for k, x in CastParams(cfg, g).values.items():
         assert x.any(), k
 
@@ -451,7 +539,8 @@ def test_config_that_runs_no_head_trains_saves_and_loads(rng, tmp_path):
     params.save(tmp_path / "m.ckpt")
     loaded = CastParams.load(tmp_path / "m.ckpt")
     assert loaded.flat.shape == (0,)
-    np.testing.assert_array_equal(forward(seqs[0].steps, [2, 4], loaded)[0], seqs[0].steps[[2, 4]])
+    np.testing.assert_array_equal(forward(Split(seqs, cfg), 0, [2, 4], loaded)[0],
+                                  seqs[0].steps[[2, 4]])
 
 
 def test_gradient_into_a_used_buffer_equals_a_new_one(rng):
@@ -463,7 +552,7 @@ def test_gradient_into_a_used_buffer_equals_a_new_one(rng):
     for variant, positions in (("anchor_only", [(0, 3), (0, 1)]), ("full", [(0, 0), (1, 0)])):
         cfg = small_cfg(variant=variant)
         params = CastParams.init(cfg, seed=2)
-        batch = make_batch(seqs, positions, cfg)
+        batch = make_batch(Split(seqs, cfg), positions)
         value, g = gradient(batch, params)
         buf = CastParams(cfg, np.full_like(params.flat, np.nan))
         value_buf, g_buf = gradient(batch, params, buf)
@@ -487,7 +576,7 @@ def test_synthetic_tape_node_counts(feature_mode, variant):
     cfg = ModelConfig(dim=sc.dim, ordered=True, feature_mode=feature_mode, variant=variant,
                       budget=sc.effective_budget())
     seqs = build_aliasing_dataset(sc, 8, seed=0)
-    out = loss_var(make_batch(seqs, scored_positions(seqs), cfg), CastParams.init(cfg, 0))
+    out = loss_var(make_batch(Split(seqs, cfg), scored_positions(seqs)), CastParams.init(cfg, 0))
     seen, stack = {id(out): out}, [out]
     while stack:
         for parent in stack.pop().parents:
@@ -556,8 +645,8 @@ def test_trained_heads_golden(heads):
     seqs = [SimplexSeries(f"h{i}", True, rng.dirichlet(np.ones(5), size=9)) for i in range(4)]
     tc = TrainConfig(iters=30, batch_size=4, eval_every=10, lr=1e-2, warmup=5)
     params, log = train(seqs[:3], seqs[3:], small_cfg(heads=heads), tc, seed=heads)
-    p_hat, parts = forward(seqs[3].steps, np.arange(8), params)
-    p_first, _ = forward(seqs[3].steps, [0], params)
+    p_hat, parts = forward_steps(seqs[3].steps, np.arange(8), params)
+    p_first, _ = forward_steps(seqs[3].steps, [0], params)
     digest = hashlib.sha256()
     for x in (params.flat, [v for e in log for v in (e["train_loss"], e["val_kl"])],
               p_hat, p_first, parts["r"], parts["attn"]):
@@ -640,7 +729,7 @@ def test_rollout_deterministic_and_first_step_matches_forward(rng):
     out1 = cast_rollout(context, 3, params)
     out2 = cast_rollout(context, 3, params)
     assert np.array_equal(out1, out2)
-    one, _ = forward(context, [len(context) - 1], params)
+    one, _ = forward_steps(context, [len(context) - 1], params)
     assert np.allclose(out1[0], one[0])
 
 
@@ -658,8 +747,8 @@ def test_checkpoint_round_trip(tmp_path, rng):
     for k in params.values:
         assert np.array_equal(loaded.values[k], params.values[k])
     steps = np.array([random_dist(rng, cfg.dim) for _ in range(6)])
-    a, _ = forward(steps, np.arange(6), params)
-    b, _ = forward(steps, np.arange(6), loaded)
+    a, _ = forward_steps(steps, np.arange(6), params)
+    b, _ = forward_steps(steps, np.arange(6), loaded)
     assert np.array_equal(a, b)
     again = tmp_path / "again.ckpt"
     loaded.save(again)
