@@ -455,7 +455,8 @@ def cli_dispatch(argv=None) -> int:
     try:
         return args.func(args)
     # a path missing or of the wrong kind is bad input; a full disk is not
-    except (SimplexCastError, FileNotFoundError, IsADirectoryError, NotADirectoryError) as exc:
+    except (SimplexCastError, FileNotFoundError, FileExistsError, IsADirectoryError,
+            NotADirectoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:

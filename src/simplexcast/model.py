@@ -274,7 +274,7 @@ class CastParams:
         """Reads a checkpoint, rejecting with InvalidValue a bad header, a
         config key that is missing or of the wrong type, an entry list other
         than the names and shapes of `param_shapes` in order (naming the first
-        entry that differs), and any other byte length."""
+        entry that differs), any other byte length, and a non-finite value."""
         with open(path, "rb") as fh:
             data = fh.read()
         if data[:4] != CHECKPOINT_MAGIC or len(data) < 8:
@@ -304,7 +304,11 @@ class CastParams:
         size = 8 + n + 8 * sum(math.prod(shape) for _, shape in expected)
         if len(data) != size:
             raise InvalidValue(f"checkpoint is {len(data)} bytes, expected {size}")
-        return CastParams(cfg, np.frombuffer(data, dtype="<f8", offset=8 + n).astype(np.float64))
+        params = CastParams(cfg, np.frombuffer(data, dtype="<f8", offset=8 + n).astype(np.float64))
+        bad = next((k for k, v in params.values.items() if not np.isfinite(v).all()), None)
+        if bad is not None:
+            raise InvalidValue(f"checkpoint parameter {bad!r} holds a non-finite value")
+        return params
 
 
 class Split(list):

@@ -8,11 +8,12 @@ that only sees p* is limited by the weighted Jensen-Shannon radius of
 the anchor hull (via Pinsker); the anchored-transport forecaster can
 represent every u_z exactly.
 
-A scenario holds its K regimes as two arrays, the weights (K,) and the
-radius-1 kernels (K, D, 3) in the layout that `transport.cast_step` takes.
-Its successors are one `transport.shift_mass` over all regimes, arithmetic
-of their own, and `cast_oracle` is one `cast_step` over all regimes, so
-the oracle's exactness is a check of the operator that the model trains.
+A scenario is only its K regimes: p*, rho, the weights (K,) and the
+radius-1 kernels (K, D, 3) in the layout that `transport.cast_step` takes;
+whoever asks passes the budget. Its successors are one `transport.shift_mass`
+over all regimes, arithmetic of their own, while `check_budget_feasible` and
+`cast_oracle` read one `cast_step` over all regimes, so both check the
+operator that the model trains, its budget gate included.
 
 `theory_check` builds the report of `theory-check`. It checks the
 anchor-only bound on the one-point class that the aliasing construction
@@ -33,7 +34,7 @@ import numpy as np
 from . import transport
 from .errors import InvalidValue
 from .metrics import DEFAULT_EPS, jsd, js_weighted, kl, l1
-from .simplex import SimplexSeries, as_dist, mean_support
+from .simplex import SimplexSeries, as_dist
 from .transport import BudgetParams, cast_step
 
 
@@ -50,7 +51,6 @@ class AliasingScenario:
     rho: float
     pis: np.ndarray  # (K,)
     kernels: np.ndarray  # (K, D, 3)
-    budget: BudgetParams | None = None  # None -> auto-sized so the gate is open
 
     def __post_init__(self):
         p = as_dist(self.p_star)
@@ -87,33 +87,30 @@ class AliasingScenario:
     def successors(self) -> np.ndarray:
         return (1.0 - self.rho) * self.p_star + self.rho * self._transported()
 
-    def _mean_shifts(self) -> list:
-        """|support-mean displacement| of p* under each regime's full transport."""
-        mu = mean_support(self.p_star)
-        return [abs(mean_support(moved) - mu) for moved in self._transported()]
+    def _oracle_step(self, budget: BudgetParams) -> dict:
+        """The parts of the regime-aware step (lambda = 1, rho, T_z) from p*.
+        Each regime is a batch of one, (K, 1, D, 3), so its mean shift is a
+        dot product as in a one-kernel step, to the last ulp of the gate."""
+        return cast_step(self.p_star, self.p_star, 1.0, self.kernels[:, None], self.rho, budget)
 
-    def effective_budget(self) -> BudgetParams:
-        """A budget under which every regime's transport passes ungated."""
-        if self.budget is not None:
-            return self.budget
-        return BudgetParams(delta_mu=max(self._mean_shifts()) + 0.25, delta_sigma=0.1)
-
-    def check_budget_feasible(self) -> None:
-        """With the scenario's budget, the gate must not scale any regime's
-        transport down — otherwise the successors are not representable."""
-        b = self.effective_budget().budget(self.p_star)
-        for shift in self._mean_shifts():
-            if shift > b:
-                raise InvalidValue(
-                    f"mean shift {shift:.4f} exceeds budget {b:.4f}; "
-                    "successors are outside the gated transport class"
-                )
+    def check_budget_feasible(self, budget: BudgetParams) -> None:
+        """Raises InvalidValue for the first regime whose transport the gate
+        scales down (rho_eff < rho, as |mean shift| + epsilon exceeds the
+        budget): its successor is then outside the gated transport class."""
+        parts = self._oracle_step(budget)
+        rho_eff = parts["rho_eff"][:, 0]
+        if np.any(rho_eff < self.rho):
+            z = int(np.argmax(rho_eff < self.rho))
+            raise InvalidValue(
+                f"regime {z}: the gate scales its transport by {rho_eff[z] / self.rho:.10g}, as "
+                f"mean shift {abs(parts['delta_mu'][z, 0]):.6g} + epsilon {budget.epsilon:g} "
+                f"exceeds budget {parts['budget']:.6g}")
 
 
 def default_scenario() -> AliasingScenario:
     """D=21 double-peak p* with interior support and two pure unit-shift
-    regimes. The peaks sit far apart so the support spread keeps the mean
-    budget above the unit shift, leaving the gate open."""
+    regimes. The peaks sit far apart so the support spread keeps the model's
+    default budget above the unit shift; the scenario checks the gate is open."""
     d = 21
     centers = (2, 18)  # zero-based bins 2 and 18
     sigma = 0.6
@@ -126,10 +123,8 @@ def default_scenario() -> AliasingScenario:
     kernels = np.zeros((2, d, 3))
     kernels[0, :, 2] = 1.0  # every bin sends its mass one bin right
     kernels[1, :, 0] = 1.0  # and one bin left
-    scenario = AliasingScenario(
-        p_star=p, rho=0.2, pis=np.array([0.5, 0.5]), kernels=kernels, budget=BudgetParams()
-    )
-    scenario.check_budget_feasible()
+    scenario = AliasingScenario(p_star=p, rho=0.2, pis=np.array([0.5, 0.5]), kernels=kernels)
+    scenario.check_budget_feasible(BudgetParams())
     return scenario
 
 
@@ -216,16 +211,12 @@ def anchor_only_optimum(scenario: AliasingScenario) -> tuple[float, np.ndarray]:
 # --------------------------------------------------------- oracle
 
 
-def cast_oracle(scenario: AliasingScenario) -> np.ndarray:
-    """Regime-aware anchored transport reproduces each successor exactly:
-    plug (lambda=1, rho, T_z) into the transition, one step for all regimes.
-    Each regime is a batch of one, (K, 1, D, 3), so its mean shift is a dot
-    product as in a one-kernel step; a (K, D) matrix-vector product sums in
-    another order, which moves the gate's last ulp where the budget binds."""
-    p = scenario.p_star
-    parts = cast_step(p, p, 1.0, scenario.kernels[:, None], scenario.rho,
-                      scenario.effective_budget())
-    return parts["p_hat"][:, 0]
+def cast_oracle(scenario: AliasingScenario, budget: BudgetParams) -> np.ndarray:
+    """Regime-aware anchored transport under `budget`: plug (lambda=1, rho,
+    T_z) into the transition, one step for all regimes. It reproduces each
+    successor exactly where `scenario.check_budget_feasible(budget)` passes,
+    and is that check's own `cast_step`."""
+    return scenario._oracle_step(budget)["p_hat"][:, 0]
 
 
 # ------------------------------------------------------- dataset
@@ -307,13 +298,15 @@ def run_synthetic_experiment(
     from .evaluate import evaluate_offline
     from .model import ModelConfig, TrainConfig, train
 
+    budget = BudgetParams()  # the model's default: the oracle's and every trained row's
     pis = scenario.pis
     us = scenario.successors()
     q_star, excess = fixed_summary_optimum(scenario)
     # the analytic rows: weighted metrics of the mixture and of the oracle
+    oracle = cast_oracle(scenario, budget)
     rows = {
         name: _row(name, [{f.__name__: float(sum(pis * f(us, q))) for f in (kl, jsd, l1)}])
-        for name, q in (("fixed_summary_optimum", q_star), ("cast_oracle", cast_oracle(scenario)))
+        for name, q in (("fixed_summary_optimum", q_star), ("cast_oracle", oracle))
     }
 
     n_val, n_eval = max(n_sequences // 4, 2), max(n_sequences // 2, 2)
@@ -323,7 +316,7 @@ def run_synthetic_experiment(
             ordered=True,
             feature_mode=feature_mode,
             variant=variant,
-            budget=scenario.effective_budget(),
+            budget=budget,
         )
         n_iters = row_iters if iters is None else iters
         tc = TrainConfig(

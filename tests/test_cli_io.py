@@ -505,6 +505,24 @@ class TestCli:
         assert _run(argv) == 1
         assert "file has wq0 (18, 4), layout has w_qk (2, 2, 18, 4)" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_cast_evaluate_rejects_non_finite_checkpoint_value(self, rng, tmp_path, capsys,
+                                                                value):
+        # one parameter of the payload's last entry made non-finite; evaluate
+        # would otherwise write "kl": NaN, which is not JSON
+        ckpt, argv = self._cast_checkpoint(rng, tmp_path)
+        blob = ckpt.read_bytes()
+        n = int.from_bytes(blob[4:8], "little")
+        last = json.loads(blob[8 : 8 + n])["entries"][-1]["name"]
+        ckpt.write_bytes(blob[:-8] + np.array([value], dtype="<f8").tobytes())
+        out = tmp_path / "out"
+        capsys.readouterr()
+        assert _run(argv[:-1] + [str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: checkpoint parameter {last!r} holds a non-finite value\n"
+        )
+        assert not out.exists()
+
     def test_cast_rejects_checkpoint_for_other_data(self, rng, tmp_path, capsys):
         from simplexcast.model import CastParams, ModelConfig
 
@@ -869,6 +887,24 @@ class TestCli:
         assert _run(argv + ["--out", str(tmp_path / "out")]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and repr(wrong.format(**paths)) in err
+
+    @pytest.mark.parametrize("command", ["train", "theory-check"])
+    def test_out_naming_a_regular_file_exits_1(self, rng, tmp_path, capsys, command):
+        data = tmp_path / "d.jsonl"
+        write_dataset(data, _seqs(rng, n=4, t=8), section_name="unit")
+        argv = {
+            "train": ["train", "--data", str(data), "--iters", "2", "--warmup", "1"],
+            "theory-check": ["theory-check", "--scenarios", "1"],
+        }[command]
+        afile = tmp_path / "afile"
+        afile.write_text("kept")
+        # the file itself, and a path under it
+        for out in (afile, afile / "sub"):
+            assert _run(argv + ["--out", str(out)]) == 1, out
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and repr(str(out)) in err, err
+        assert afile.read_text() == "kept"
+        assert sorted(os.listdir(tmp_path)) == ["afile", "d.jsonl"]
 
     @pytest.mark.parametrize("damage", ["truncated", "not_gzip"])
     def test_corrupt_gzip_input_exits_1(self, rng, tmp_path, capsys, damage):

@@ -235,7 +235,7 @@ def test_scoring_builds_no_tape(rng, monkeypatch):
     forward(split, 0, np.arange(6), params)
     evaluate_val_kl(split, params, 10)
     CastPredictor(params).predict_all(seqs[1].steps, np.arange(6))
-    cast_oracle(default_scenario())
+    cast_oracle(default_scenario(), BudgetParams())
     assert made == []
     # positive control: a training step's gradient builds the loss node
     # and its one leaf
@@ -573,8 +573,7 @@ def test_synthetic_tape_node_counts(feature_mode, variant):
     from simplexcast.theory import build_aliasing_dataset, default_scenario
 
     sc = default_scenario()
-    cfg = ModelConfig(dim=sc.dim, ordered=True, feature_mode=feature_mode, variant=variant,
-                      budget=sc.effective_budget())
+    cfg = ModelConfig(dim=sc.dim, ordered=True, feature_mode=feature_mode, variant=variant)
     seqs = build_aliasing_dataset(sc, 8, seed=0)
     out = loss_var(make_batch(Split(seqs, cfg), scored_positions(seqs)), CastParams.init(cfg, 0))
     seen, stack = {id(out): out}, [out]

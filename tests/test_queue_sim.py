@@ -327,6 +327,44 @@ def test_system_equals_stacked_replications_on_redraws_and_constants():
             assert np.array_equal(got.steps, reference_steps(config))
 
 
+def two_pass_mixture(rng, p, size):
+    """The two-normal mixture sampler written as a first pass over every
+    entry, then a loop that redraws the nonpositive ones from the same
+    stream."""
+    pick = rng.random(size) < p["w"]
+    out = np.where(pick, rng.normal(p["mu1"], p["sigma1"], size),
+                   rng.normal(p["mu2"], p["sigma2"], size))
+    bad = out <= 0
+    while bad.any():
+        n_bad = int(bad.sum())
+        pick = rng.random(n_bad) < p["w"]
+        out[bad] = np.where(pick, rng.normal(p["mu1"], p["sigma1"], n_bad),
+                            rng.normal(p["mu2"], p["sigma2"], n_bad))
+        bad = out <= 0
+    return out
+
+
+@pytest.mark.parametrize("size", [0, 1, 7, 40, 500])
+def test_mixture_stream_equals_two_pass_sampler(size):
+    # sigma 0.4 on mu 0.3 puts over a fifth of one component's draws at or
+    # below zero, so about one entry in eight is redrawn
+    params = {"w": 0.5, "mu1": 0.3, "sigma1": 0.4, "mu2": 1.7, "sigma2": 0.9}
+    mixture = ServiceTimeFamily("two_normal_mixture", params)
+    redrawn = 0
+    for seed in range(100):
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = mixture.sample(rng, size)
+        assert got.tobytes() == two_pass_mixture(ref, params, size).tobytes()
+        # both leave the stream at the same place
+        assert rng.random() == ref.random()
+        first = np.random.default_rng(seed)
+        pick = first.random(size) < 0.5
+        redrawn += bool((np.where(pick, first.normal(0.3, 0.4, size),
+                                  first.normal(1.7, 0.9, size)) <= 0).any())
+    if size:
+        assert redrawn >= 5  # the loop redraws on some seeds
+
+
 @pytest.mark.parametrize("modulation", [None, MOD], ids=["plain", "modulated"])
 def test_recursion_rows_equal_one_dimensional_calls(modulation):
     rng = np.random.default_rng(17)

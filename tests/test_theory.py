@@ -2,8 +2,8 @@
 import numpy as np
 import pytest
 
+from simplexcast.errors import InvalidValue
 from simplexcast.metrics import jsd, js_weighted, kl, l1
-from simplexcast.simplex import mean_support
 from simplexcast.theory import (
     AliasingScenario,
     anchor_only_optimum,
@@ -24,6 +24,11 @@ from hull_reference import anchor_hull_optimum, l1_distance_to_hull
 from transport_reference import TransportKernel, apply_transport
 
 
+# A radius-1 transport moves the support mean by at most one bin, so a
+# mean budget above 1 + epsilon never binds, whatever the scenario.
+OPEN = BudgetParams(delta_mu=1.25)
+
+
 def kernel_block(*kernels):
     """The (K, D, 3) block of a scenario from reference kernels."""
     return np.stack([k.rows for k in kernels])
@@ -39,7 +44,7 @@ class TestScenario:
         assert s.k == 2
         np.testing.assert_allclose(s.p_star.sum(), 1.0, atol=1e-12)
         np.testing.assert_allclose(s.pis, [0.5, 0.5])
-        s.check_budget_feasible()  # must not raise
+        s.check_budget_feasible(BudgetParams())  # must not raise
 
     def test_default_scenario_interior_support(self):
         # unit shifts of the support must stay inside the bin range
@@ -85,20 +90,10 @@ class TestScenario:
             rho=0.5,
             pis=[1.0],
             kernels=kernel_block(TransportKernel.pure_shift(d, 1)),
-            budget=None,
         )
-        # auto-sized budget is feasible by construction
-        s.check_budget_feasible()
-
-        tight = AliasingScenario(
-            p_star=p,
-            rho=0.5,
-            pis=[1.0],
-            kernels=kernel_block(TransportKernel.pure_shift(d, 1)),
-            budget=BudgetParams(),
-        )
-        with pytest.raises(ValueError):
-            tight.check_budget_feasible()
+        s.check_budget_feasible(OPEN)
+        with pytest.raises(ValueError, match="regime 0: the gate scales its transport by 0.2"):
+            s.check_budget_feasible(BudgetParams())
 
     def test_random_scenario_well_formed(self, rng):
         s = random_scenario(rng, d=5, k=3)
@@ -174,17 +169,19 @@ class TestPerRegimeReference:
                     moved = [apply_transport(kernel, p) for kernel in kernels]
                     us = np.array([(1.0 - s.rho) * p + s.rho * m for m in moved])
                     assert s.successors().tobytes() == us.tobytes()
-                    mu = mean_support(p)
-                    assert s._mean_shifts() == [abs(mean_support(m) - mu) for m in moved]
-                    # the auto-sized budget, the default one and one that binds
-                    for budget in (None, BudgetParams(), BudgetParams(0.01, 0.0)):
-                        scen = AliasingScenario(p_star=p, rho=s.rho, pis=s.pis,
-                                                kernels=s.kernels, budget=budget)
-                        b = scen.effective_budget()
-                        steps = [cast_step(p, p, 1.0, kernel.rows, s.rho, b) for kernel in kernels]
+                    # an open budget, the default one and one that binds
+                    for budget in (OPEN, BudgetParams(), BudgetParams(0.01, 0.0)):
+                        steps = [cast_step(p, p, 1.0, kernel.rows, s.rho, budget)
+                                 for kernel in kernels]
                         ref = np.array([step["p_hat"] for step in steps])
-                        assert cast_oracle(scen).tobytes() == ref.tobytes()
-                        binding += sum(step["rho_eff"] < s.rho for step in steps)
+                        assert cast_oracle(s, budget).tobytes() == ref.tobytes()
+                        binds = sum(step["rho_eff"] < s.rho for step in steps)
+                        binding += binds
+                        if binds:
+                            with pytest.raises(InvalidValue):
+                                s.check_budget_feasible(budget)
+                        else:
+                            s.check_budget_feasible(budget)
         assert binding > 100
 
 
@@ -322,7 +319,7 @@ class TestAnchorOnly:
 class TestCastOracle:
     def test_default_scenario_exact(self):
         s = default_scenario()
-        preds = cast_oracle(s)
+        preds = cast_oracle(s, BudgetParams())
         us = s.successors()
         for z in range(s.k):
             assert kl(us[z], preds[z]) < 1e-12
@@ -336,14 +333,54 @@ class TestCastOracle:
             pis=[1.0],
             kernels=kernel_block(TransportKernel.pure_shift(d, 0)),
         )
-        preds = cast_oracle(s)
+        preds = cast_oracle(s, OPEN)
         np.testing.assert_allclose(preds[0], s.p_star, atol=1e-12)
 
     def test_asymmetric_three_regimes(self, rng):
         s = random_scenario(rng, d=6, k=3)
-        preds = cast_oracle(s)
+        preds = cast_oracle(s, OPEN)
         us = s.successors()
         np.testing.assert_allclose(preds, us, atol=1e-12)
+
+
+class TestBudgetCheck:
+    """`check_budget_feasible` asks the gate of `cast_oracle`'s own step."""
+
+    @staticmethod
+    def point_mass_scenario(kernels, pis=(1.0,)):
+        """D = 7, p* a point mass at bin 4, rho = 0.5."""
+        p = np.zeros(7)
+        p[4] = 1.0
+        return AliasingScenario(p_star=p, rho=0.5, pis=list(pis), kernels=kernel_block(*kernels))
+
+    def test_gate_epsilon_at_the_boundary_raises(self):
+        # |mean shift| = budget = 1: the gate divides the budget by
+        # |mean shift| + epsilon, so it scales the transport by
+        # 1 / (1 + 1e-8), and the oracle misses the successor by about 5e-9
+        s = self.point_mass_scenario([TransportKernel.pure_shift(7, 1)])
+        budget = BudgetParams(delta_mu=1.0, delta_sigma=0.0)
+        gap = np.abs(cast_oracle(s, budget) - s.successors()).max()
+        assert gap == pytest.approx(5.0e-9, rel=1e-6)
+        with pytest.raises(InvalidValue) as err:
+            s.check_budget_feasible(budget)
+        assert str(err.value) == ("regime 0: the gate scales its transport by 0.99999999, "
+                                  "as mean shift 1 + epsilon 1e-08 exceeds budget 1")
+
+    def test_names_the_first_regime_the_gate_scales(self):
+        s = self.point_mass_scenario(
+            [TransportKernel.pure_shift(7, 0), TransportKernel.pure_shift(7, -1),
+             TransportKernel.pure_shift(7, 1)],
+            pis=(0.2, 0.3, 0.5),
+        )
+        with pytest.raises(InvalidValue, match="^regime 1: "):
+            s.check_budget_feasible(BudgetParams(delta_mu=0.5, delta_sigma=0.0))
+
+    def test_open_budget_never_binds(self):
+        rng = np.random.default_rng(5)
+        for _ in range(300):
+            s = random_scenario(rng, int(rng.integers(2, 9)), int(rng.integers(1, 5)))
+            s.check_budget_feasible(OPEN)
+            assert cast_oracle(s, OPEN).tobytes() == s.successors().tobytes()
 
 
 # -------------------------------------------------------------- dataset
