@@ -27,7 +27,9 @@ ETS_ALPHA_GRID = np.round(np.arange(0.05, 0.951, 0.05), 2)
 class Predictor:
     """Uniform one-step interface used by the evaluation harness.
     `predict_all(steps, ts)` forecasts rows `ts` of a whole sequence in one
-    pass, (len(ts), D), row t from steps[: t + 1] only. `predict(prefix)`
+    pass, (len(ts), D), row t from steps[: t + 1] only. `predict_split(seqs,
+    ts)` forecasts rows ts[k] of every sequence seqs[k], one such block each;
+    by default it is one `predict_all` call per sequence. `predict(prefix)`
     forecasts the step after a prefix as the last row of `predict_all`; each
     subclass defines it in its own namespace, where the traced benchmark
     patches it."""
@@ -37,6 +39,9 @@ class Predictor:
 
     def predict_all(self, steps: np.ndarray, ts) -> np.ndarray:  # pragma: no cover
         raise NotImplementedError
+
+    def predict_split(self, seqs, ts) -> list[np.ndarray]:
+        return [self.predict_all(seq.steps, t) for seq, t in zip(seqs, ts, strict=True)]
 
 
 def _sequence(steps, name: str) -> np.ndarray:
@@ -253,3 +258,16 @@ class CastPredictor(Predictor):
         steps, ts = _sequence(steps, "cast"), np.asarray(ts, dtype=np.intp)
         prefix = SimplexSeries("prefix", self.params.cfg.ordered, steps[: ts.max(initial=0) + 1])
         return forward(Split([prefix], self.params.cfg), 0, ts, self.params)[0]
+
+    def predict_split(self, seqs, ts):
+        """The sequences packed into one `model.Split`, scored by one
+        `model.forward` pass per block of `model.score_blocks`. A row of a
+        block of several sequences may differ from its `predict_all` value
+        in the last bits; a sequence that is a block alone keeps its bytes."""
+        from .model import Split, forward, score_blocks
+
+        split = Split(seqs, self.params.cfg)
+        counts = [len(t) for t in ts]
+        rows = [forward(split, i, t, self.params)[0] for i, t in
+                score_blocks(split, np.repeat(np.arange(len(seqs)), counts), np.concatenate(ts))]
+        return np.split(np.concatenate(rows), np.cumsum(counts)[:-1])

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import errno
 import io as _stdio
 import json
 import logging
@@ -33,6 +34,18 @@ def _out_dir(args) -> str:
     if root:
         return root
     return "."
+
+
+def _refuse_out_dir(out: str) -> None:
+    """Raises what `os.makedirs(out, exist_ok=True)` would when `out`, or
+    the nearest of its parents that exists, is not a directory, creating
+    nothing: a command checks --out before its work, not after it."""
+    path = os.path.abspath(out)
+    while not os.path.exists(path) and path != os.path.dirname(path):
+        path = os.path.dirname(path)
+    if not os.path.isdir(path):
+        code = errno.EEXIST if path == os.path.abspath(out) else errno.ENOTDIR
+        raise OSError(code, os.strerror(code), out)  # FileExistsError or NotADirectoryError
 
 
 def _resolve(args, cfg_file: dict, keys) -> dict:
@@ -453,6 +466,7 @@ def cli_dispatch(argv=None) -> int:
         # argparse exits 2 on bad flags; the contract is 1 for validation errors
         return 0 if exc.code == 0 else 1
     try:
+        _refuse_out_dir(_out_dir(args))
         return args.func(args)
     # a path missing or of the wrong kind is bad input; a full disk is not
     except (SimplexCastError, FileNotFoundError, FileExistsError, IsADirectoryError,

@@ -24,20 +24,18 @@ def _means(reports) -> dict:
 def evaluate_offline(predictor, seqs) -> dict:
     """Teacher-forced one-step evaluation: for every scored position t,
     predict from the true prefix steps[: t + 1] and score against the true
-    successor. Predictions are never fed forward. Each sequence's scored
-    positions are forecast by one `predictor.predict_all` call and scored as
-    one block; sequences with none are skipped. Returns per-metric means
-    over all scored positions."""
-    reports = []
-    for seq in seqs:
-        ts = np.flatnonzero(seq.loss_mask)
-        if len(ts) == 0:
-            continue
-        preds = predictor.predict_all(seq.steps, ts)
-        reports.append(metric_report(seq.steps[ts + 1], preds, seq.ordered))
-    if not reports:
+    successor. Predictions are never fed forward. The sequences with scored
+    positions are forecast by one `predictor.predict_split` call (a CAST
+    predictor scores them in packed blocks, a baseline one sequence at a
+    time), and each sequence's rows are scored as one `metric_report` block,
+    in sequence order; sequences with none are skipped. Returns per-metric
+    means over all scored positions."""
+    scored = [(seq, ts) for seq in seqs if len(ts := np.flatnonzero(seq.loss_mask))]
+    if not scored:
         raise InvalidValue("no masked positions in the split")
-    return _means(reports)
+    preds = predictor.predict_split(*zip(*scored))
+    return _means(metric_report(seq.steps[ts + 1], p, seq.ordered)
+                  for (seq, ts), p in zip(scored, preds, strict=True))
 
 
 @dataclass(frozen=True)

@@ -22,8 +22,9 @@ exact reverse-mode.
 fixed order into a gradient of the same layout. A split is packed once
 (`Split`) and every retrieval memory is an index into it: a training batch
 (`make_batch`) gathers one memory per row, and scoring (`forward`, no tape)
-is one pass per sequence whose rows share one slice of its (feature,
-successor) pairs, the causal mask letting row t see only the pairs before t.
+is one pass per block of whole sequences (`score_blocks`) whose rows share
+one slice of the split's (feature, successor) pairs, each row's window
+letting row t of a sequence see only its own pairs before t.
 
 The parameters live in one float64 buffer, `CastParams.flat`, and the named
 arrays the forward pass reads are views into it: init, copy, save, load,
@@ -33,11 +34,12 @@ head in it runs on every batch, so each view of a gradient is written.
 """
 from __future__ import annotations
 
+import functools
 import json
 import math
 import struct
 from dataclasses import astuple, dataclass, field, fields
-from itertools import groupby, zip_longest
+from itertools import zip_longest
 
 import numpy as np
 
@@ -146,17 +148,24 @@ def encode_all(steps: np.ndarray, cfg: ModelConfig) -> np.ndarray:
     return np.concatenate(feats, axis=1)
 
 
+@functools.cache
 def support_position_encoding(d: int) -> np.ndarray:
-    """Two-dimensional sinusoidal encoding of bin position, (D, 2)."""
+    """Two-dimensional sinusoidal encoding of bin position, (D, 2); made once
+    per d and read-only, as every caller shares it."""
     theta = np.pi * np.arange(d) / max(d - 1, 1)
-    return np.column_stack([np.sin(theta), np.cos(theta)])
+    pe = np.column_stack([np.sin(theta), np.cos(theta)])
+    pe.flags.writeable = False
+    return pe
 
 
+@functools.cache
 def fixed_local_kernel(d: int) -> np.ndarray:
-    """Constant (0.25, 0.5, 0.25) kernel, renormalized at the boundaries."""
+    """Constant (0.25, 0.5, 0.25) kernel, renormalized at the boundaries;
+    made once per d and read-only, as every caller shares it."""
     rows = np.tile([0.25, 0.5, 0.25], (d, 1))
     rows[0] = [0.0, 0.5 / 0.75, 0.25 / 0.75]
     rows[-1] = [0.25 / 0.75, 0.5 / 0.75, 0.0]
+    rows.flags.writeable = False
     return rows
 
 
@@ -327,21 +336,24 @@ class Split(list):
             self.feats[lo:hi] = encode_all(seq.steps, cfg)
 
 
-def _retrieval(p: np.ndarray, h: np.ndarray, memory, values: dict, cfg: ModelConfig):
+def _retrieval(p: np.ndarray, h: np.ndarray, memory, values: dict, cfg: ModelConfig, out=None):
     """Masked causal multi-head retrieval over the query and key weights
     `w_qk` (H, 2, F, d_r) and the head mix `w_eta` in `values`, every head
     at once along a leading head axis. Row i of the current distributions
-    p (B, D) and features h (B, F) attends to its first lengths[i] slots of
-    the padded memory of `make_batch` or `forward`; each head is a softmax
-    over scaled dot-product scores, the heads are mixed by eta =
-    softmax(h @ w_eta) (a column of ones for one head, which has no `w_eta`),
-    and a row with no memory takes r = p. The memory is a constant, so no
-    gradient is computed for it. Returns r, its reverse pass to the
-    gradients of w_qk (and w_eta when there is one), and the attention
-    weights (H, B, T)."""
-    mem_feats, mem_succ, lengths = memory
-    mask = np.where(np.arange(mem_feats.shape[1]) < lengths[:, None], 0.0, -np.inf)
-    empty = lengths == 0
+    p (B, D) and features h (B, F) attends to the slots lo[i] <= j < hi[i]
+    of the memory (mem_feats, mem_succ, lo, hi) of `make_batch` (one padded
+    memory per row, lo = 0) or `forward` (one slice shared by every row);
+    each head is a softmax over scaled dot-product scores, the heads are
+    mixed by eta = softmax(h @ w_eta) (a column of ones for one head, which
+    has no `w_eta`), and a row with an empty window takes r = p. The memory
+    is a constant, so no gradient is computed for it. Returns r, its reverse
+    pass to the gradients of w_qk (written into `out`, a w_qk-shaped array,
+    when given) and of w_eta when there is one, and the attention weights
+    (H, B, T)."""
+    mem_feats, mem_succ, lo, hi = memory
+    slot = np.arange(mem_feats.shape[1])
+    mask = np.where((slot >= lo[:, None]) & (slot < hi[:, None]), 0.0, -np.inf)
+    empty = hi <= lo
     mask[empty, 0] = 0.0  # keeps an empty row's softmax finite; r = p below
     has = (~empty)[:, None].astype(np.float64)
     scale = np.sqrt(cfg.d_r)
@@ -362,7 +374,7 @@ def _retrieval(p: np.ndarray, h: np.ndarray, memory, values: dict, cfg: ModelCon
         g_u = (g_scores[..., None, :] @ mem_feats)[..., 0, :]  # (H, B, F)
         # matmul into the two halves: np.stack of them took ~8x as long at
         # H = 2, F = 212, d_r = 64 (2-vCPU VM)
-        g_qk = np.empty_like(values["w_qk"])
+        g_qk = np.empty_like(values["w_qk"]) if out is None else out
         np.matmul(h.T, g_u @ w_k, out=g_qk[:, 0])
         np.matmul(g_u.swapaxes(1, 2), q, out=g_qk[:, 1])
         if w_eta is None:
@@ -403,15 +415,17 @@ def _kernel_head(h: np.ndarray, pe: np.ndarray, values: dict):
     return s, back
 
 
-def _forward(p: np.ndarray, h: np.ndarray, memory, values: dict, cfg: ModelConfig):
+def _forward(p: np.ndarray, h: np.ndarray, memory, values: dict, cfg: ModelConfig,
+             out: dict | None = None):
     """Forward pass over B positions at once from the parameter arrays
     `values`: current distributions p (B, D), features h (B, F), and the
-    padded retrieval memory of `make_batch` or `forward`. The heads that
+    retrieval memory of `make_batch` or `forward`. The heads that
     `_heads(cfg)` runs feed `transport.cast_step`; without retrieval r = p,
     and a transport strength without the kernel head moves mass by the
     fixed local kernel. Returns p_hat, the step's parts with lam, r and attn
     (H, B, T) added, and one (operator input, parameter names, reverse pass)
-    entry per input that a head feeds."""
+    entry per input that a head feeds. `out`, the named views of a gradient
+    buffer, lets retrieval's reverse pass write the w_qk gradient in place."""
     d = p.shape[1]
     live: dict = {}
     for name, runs, shapes in _heads(cfg):
@@ -420,7 +434,8 @@ def _forward(p: np.ndarray, h: np.ndarray, memory, values: dict, cfg: ModelConfi
     op = {"r": p, "lam": 0.0, "rho": None, "kernel": None}
     attn, backs = np.zeros((0, len(p), memory[0].shape[1])), {}
     if "r" in live:
-        op["r"], backs["r"], attn = _retrieval(p, h, memory, values, cfg)
+        op["r"], backs["r"], attn = _retrieval(p, h, memory, values, cfg,
+                                               None if out is None else out["w_qk"])
     for name, lo, hi in (("lam", cfg.lambda_min, cfg.lambda_max), ("rho", 0.0, cfg.rho_max)):
         if name in live:
             op[name], backs[name] = _gate(h, *(values[k] for k in live[name]), lo, hi)
@@ -435,25 +450,59 @@ def _forward(p: np.ndarray, h: np.ndarray, memory, values: dict, cfg: ModelConfi
     return parts["p_hat"], parts, [(name, live[name], back) for name, back in backs.items()]
 
 
-def forward(split: Split, i: int, ts, params: CastParams):
-    """Non-differentiable scoring of rows `ts` of sequence i of a split in
-    one pass: row t predicts steps[t + 1] from steps[: t + 1]. Every row
-    reads the same memory, the pairs (feats[j], steps[j + 1]) for j < max(ts)
-    as one slice of the split (the pad row alone when max(ts) = 0), and its
-    row length t lets row t attend to its first t pairs only. A row outside
+# rows x memory slots of one scoring pass (`score_blocks`). On 4-step
+# sequences at D = 21 (2-vCPU VM), a pass cost ~200 us per row alone and
+# ~28 us per row over 1k-4k cells, rising again above (45 us at 16k), as
+# the masked slots of other sequences outgrow the per-pass cost they save
+SCORE_BLOCK = 2048
+
+
+def forward(split: Split, i, ts, params: CastParams):
+    """Non-differentiable scoring of the positions (i, t) of a split in one
+    pass, i one sequence index or one per row: row (i, t) predicts
+    steps[t + 1] of sequence i from its steps[: t + 1]. Every row reads the
+    same memory, the pairs (feats[j], steps[j + 1]) of the split from the
+    first scored sequence's start to the furthest row's slot t - 1 as one
+    slice (the pad row alone when that is empty), and is masked to its own
+    window, the t slots of its own sequence before t. A row outside
     0 <= t < len(sequence) is an InvalidValue. Returns p_hat (len(ts), D)
-    and the parts of `_forward`, one row each. Builds no tape."""
-    ts = np.asarray(ts, dtype=np.intp)
-    first = split.start[i]
-    if np.any((ts < 0) | (ts >= split.start[i + 1] - first)):
+    and the parts of `_forward`, one row each. A sequence scored alone reads
+    the slice of its own first max(ts) pairs; scored with others, its rows
+    may differ from that in the last bits, since sums and products over the
+    wider slice and the taller row block round by their size. Builds no
+    tape."""
+    i, ts = np.broadcast_arrays(np.asarray(i, dtype=np.intp), np.asarray(ts, dtype=np.intp))
+    lo = split.start[i]
+    if np.any((ts < 0) | (ts >= split.start[i + 1] - lo)):
         raise InvalidValue(f"scored rows {ts.min()}..{ts.max()} need 0 <= t < len(sequence)")
-    tm = int(ts.max(initial=0))
-    if tm:
-        feats, succ = split.feats[first : first + tm], split.steps[first + 1 : first + tm + 1]
+    first, end = int(lo.min(initial=split.start[-1])), int((lo + ts).max(initial=0))
+    if end > first:
+        feats, succ = split.feats[first:end], split.steps[first + 1 : end + 1]
     else:
         feats, succ = split.feats[-1:], split.steps[-1:]
-    return _forward(split.steps[first + ts], split.feats[first + ts], (feats[None], succ[None], ts),
-                    params.values, params.cfg)[:2]
+    memory = (feats[None], succ[None], lo - first, lo - first + ts)
+    return _forward(split.steps[lo + ts], split.feats[lo + ts], memory, params.values,
+                    params.cfg)[:2]
+
+
+def score_blocks(split: Split, i, ts):
+    """The positions (i, t) of a split, in split order, cut into the blocks
+    that `forward` scores in one pass each: runs of whole sequences that grow
+    while rows x memory slots stay within SCORE_BLOCK. A sequence over it
+    alone is a block of its own, scored exactly as by itself. Yields (i, ts)
+    array pairs."""
+    i, ts = np.asarray(i, dtype=np.intp), np.asarray(ts, dtype=np.intp)
+    if len(i) == 0:
+        return
+    lo = split.start[i]
+    reach = lo + ts
+    runs = np.flatnonzero(np.diff(i)) + 1  # where each next sequence's rows start
+    first = 0
+    for start, end in zip([0, *runs], [*runs, len(i)]):
+        if start > first and (end - first) * (reach[first:end].max() - lo[first]) > SCORE_BLOCK:
+            yield i[first:start], ts[first:start]
+            first = start
+    yield i[first:], ts[first:]
 
 
 def _kl_term(target: np.ndarray, p_hat: np.ndarray, eps: float = 1e-8):
@@ -482,7 +531,7 @@ def make_batch(split: Split, positions):
         raise InvalidValue(f"batch positions {positions} need 0 <= t < len(sequence) - 1")
     slot = np.arange(max(t.max(), 1))
     mem = np.where(slot < t[:, None], first[:, None] + slot, -1)  # -1 is the pad row
-    memory = (split.feats[mem], split.steps[np.where(mem < 0, -1, mem + 1)], t)
+    memory = (split.feats[mem], split.steps[np.where(mem < 0, -1, mem + 1)], np.zeros_like(t), t)
     rows = first + t
     return split.steps[rows], split.feats[rows], memory, split.steps[rows + 1]
 
@@ -494,10 +543,12 @@ def loss_var(batch: tuple, params: CastParams, out: CastParams | None = None) ->
     `vjp` plus the prior's, then each head's reverse pass into its views of
     a gradient laid out as `params.flat`: the buffer of `out` when given,
     else a new one. Every head in the layout runs on every batch, so every
-    view is written and none keeps a value from an earlier step."""
+    view is written and none keeps a value from an earlier step; retrieval's
+    reverse pass writes the w_qk view of `out` directly."""
     cfg = params.cfg
     p, h, memory, targets = batch
-    p_hat, parts, heads = _forward(p, h, memory, params.values, cfg)
+    p_hat, parts, heads = _forward(p, h, memory, params.values, cfg,
+                                   None if out is None else out.values)
     kl, kl_back = _kl_term(targets, p_hat)
     n = len(kl)
     total = kl.sum() / n
@@ -515,7 +566,8 @@ def loss_var(batch: tuple, params: CastParams, out: CastParams | None = None) ->
         grad = CastParams(cfg, np.empty_like(params.flat)) if out is None else out
         for name, keys, head_back in heads:
             for key, g_key in zip(keys, head_back(g_in[name]), strict=True):
-                grad.values[key][...] = g_key
+                if g_key is not grad.values[key]:  # retrieval writes out's w_qk itself
+                    grad.values[key][...] = g_key
         return (grad.flat,)
 
     return Var(total, (Var(params.flat),), back)
@@ -568,13 +620,14 @@ class TrainConfig:
 
 def evaluate_val_kl(split: Split, params: CastParams, max_positions: int) -> float:
     """Mean one-step KL over a split's first `max_positions` scored positions:
-    one forward pass and one `kl` call per sequence, summed in position order."""
+    one `forward` pass and one `kl` call per block of `score_blocks`, summed
+    in position order. A row scored in a block of several sequences may
+    differ from its one-sequence score in the last bits (`forward`)."""
     from .metrics import kl as kl_metric
 
     positions = scored_positions(split)[:max_positions]
     kls = []
-    for i, group in groupby(positions, key=lambda pos: pos[0]):
-        ts = np.array([t for _, t in group])
+    for i, ts in score_blocks(split, *np.reshape(positions, (-1, 2)).T):
         p_hat, _ = forward(split, i, ts, params)
         kls.extend(kl_metric(split.steps[split.start[i] + ts + 1], p_hat))
     return float(sum(kls) / len(positions))
@@ -604,6 +657,7 @@ def train(
     grad = CastParams(cfg, np.zeros_like(params.flat))
     g = grad.flat
     m, v, work = (np.zeros_like(params.flat) for _ in range(3))
+    squares = CastParams(cfg, work).values.values()  # work's views, in layout order
     beta1, beta2, adam_eps = 0.9, 0.999, 1e-8
     # a sequence is its index in its packed split: ids are unique only per file
     train_split, val_split = Split(train_seqs, cfg), Split(val_seqs, cfg)
@@ -623,10 +677,12 @@ def train(
 
         # one partial sum per parameter, in layout order: one sum over the
         # whole buffer would round differently and change the checkpoint bytes
-        norm = np.sqrt(sum(float(np.sum(x * x)) for x in grad.values.values()))
+        np.multiply(g, g, out=work)
+        norm = np.sqrt(sum(float(x.sum()) for x in squares))
         scale = min(1.0, tc.clip_norm / (norm + 1e-12))
         lr = tc.lr * min(1.0, step / max(tc.warmup, 1))
-        g *= scale
+        if scale != 1.0:
+            g *= scale
         m *= beta1
         m += np.multiply(1 - beta1, g, out=work)
         v *= beta2
@@ -635,7 +691,8 @@ def train(
         np.sqrt(np.divide(v, 1 - beta2**step, out=work), out=work)
         work += adam_eps
         np.divide(np.divide(m, 1 - beta1**step, out=g), work, out=g)
-        g += np.multiply(tc.weight_decay, params.flat, out=work)
+        if tc.weight_decay:
+            g += np.multiply(tc.weight_decay, params.flat, out=work)
         g *= lr
         params.flat -= g
 

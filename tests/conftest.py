@@ -80,8 +80,9 @@ def ilr_rows_ref(steps):
 
 def pad_memory_ref(mem_feats, mem_succ):
     """Pads per-row retrieval memories, (t_i, F) features and (t_i, D)
-    successors, to the longest t: (B, T, F), (B, T, D) and the lengths (B,).
-    When every memory is empty, T is one masked slot."""
+    successors, to the longest t: (B, T, F), (B, T, D) and each row's window
+    of slots, from 0 (B,) to its length (B,). When every memory is empty, T
+    is one masked slot."""
     lengths = np.array([len(m) for m in mem_feats])
     t_max = max(int(lengths.max()), 1)
     feats = np.zeros((len(lengths), t_max, mem_feats[0].shape[-1]))
@@ -89,7 +90,7 @@ def pad_memory_ref(mem_feats, mem_succ):
     for i, t in enumerate(lengths):
         feats[i, :t] = mem_feats[i]
         succ[i, :t] = mem_succ[i]
-    return feats, succ, lengths
+    return feats, succ, np.zeros_like(lengths), lengths
 
 
 def make_batch_ref(seqs, positions, cfg):

@@ -265,13 +265,15 @@ def operator_regularizer_ref(parts, weights):
 def retrieval_ref(p, hc, memory, pv, cfg):
     """Masked causal multi-head retrieval and the head mix, one head at a
     time, with head m's query and key taken from `w_qk[m, 0]` and
-    `w_qk[m, 1]`; one head has no mix, and a row with no memory takes
-    r = p. Returns r and the per-head attention weights (H, B, T)."""
+    `w_qk[m, 1]`; row i reads the memory slots lo[i] <= j < hi[i], one
+    head has no mix, and a row with an empty window takes r = p. Returns r
+    and the per-head attention weights (H, B, T)."""
     b, d = p.shape
-    mem_feats, mem_succ, lengths = memory
+    mem_feats, mem_succ, lo, hi = memory
     t_max = mem_feats.shape[1]
-    mask = np.where(np.arange(t_max) < lengths[:, None], 0.0, -np.inf)
-    empty = lengths == 0
+    slot = np.arange(t_max)
+    mask = np.where((slot >= lo[:, None]) & (slot < hi[:, None]), 0.0, -np.inf)
+    empty = hi <= lo
     mask[empty, 0] = 0.0
     mf = Var(mem_feats, requires_grad=False)
     ms = Var(mem_succ, requires_grad=False)

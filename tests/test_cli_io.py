@@ -906,6 +906,24 @@ class TestCli:
         assert afile.read_text() == "kept"
         assert sorted(os.listdir(tmp_path)) == ["afile", "d.jsonl"]
 
+    def test_train_refuses_a_bad_out_before_it_trains(self, rng, tmp_path, capsys, monkeypatch):
+        from simplexcast import model
+
+        def refused(*args, **kwargs):
+            raise AssertionError("trained before checking --out")
+
+        monkeypatch.setattr(model, "train", refused)
+        data = tmp_path / "d.jsonl"
+        write_dataset(data, _seqs(rng, n=4, t=8), section_name="unit")
+        afile = tmp_path / "afile"
+        afile.write_text("kept")
+        for out, error in ((afile, "File exists"), (afile / "sub", "Not a directory")):
+            assert _run(["train", "--data", str(data), "--iters", "1000", "--out", str(out)]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error: [Errno") and error in err and repr(str(out)) in err, err
+        assert afile.read_text() == "kept"
+        assert sorted(os.listdir(tmp_path)) == ["afile", "d.jsonl"]
+
     @pytest.mark.parametrize("damage", ["truncated", "not_gzip"])
     def test_corrupt_gzip_input_exits_1(self, rng, tmp_path, capsys, damage):
         import gzip

@@ -4,14 +4,17 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
+from simplexcast import model
 from simplexcast.baselines import CastPredictor
 from simplexcast.errors import InvalidValue
-from simplexcast.metrics import kl
+from simplexcast.evaluate import _means, evaluate_offline
+from simplexcast.metrics import kl, metric_report
 from simplexcast.model import (
     CastParams,
     _CONFIG_TYPES,
     _forward,
     ModelConfig,
+    SCORE_BLOCK,
     Split,
     TrainConfig,
     encode_all,
@@ -22,6 +25,7 @@ from simplexcast.model import (
     loss_var,
     make_batch,
     param_shapes,
+    score_blocks,
     scored_positions,
     support_position_encoding,
     train,
@@ -189,6 +193,16 @@ def test_fixed_local_kernel_rows():
     assert np.allclose(k[2], [0.25, 0.5, 0.25])
 
 
+def test_support_constants_are_computed_once_and_read_only():
+    for make in (support_position_encoding, fixed_local_kernel):
+        shared = make(6)
+        assert make(6) is shared and make(7) is not shared
+        with pytest.raises(ValueError, match="read-only"):
+            shared[0, 0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            shared += 1.0
+
+
 def test_fixed_local_kernel_variant_uses_constant_kernel(rng):
     cfg = small_cfg(variant="fixed_local_kernel")
     params = CastParams.init(cfg, seed=0)
@@ -284,6 +298,83 @@ def test_forward_on_a_packed_split_equals_the_sequence_alone(rng):
         got, _ = forward(split, i, ts, params)
         alone, _ = forward_steps(seqs[i].steps, ts, params)
         np.testing.assert_array_equal(got, alone)
+
+
+# short sequences around one whose 60 scored rows over 59 slots exceed
+# SCORE_BLOCK alone, a length-1 one among them
+PACKED_LENGTHS = (4, 1, 6, 3, 5, 61, 5, 2, 4, 7, 3)
+LONG = 5
+
+
+def test_packed_blocks_equal_each_sequence_alone(rng):
+    assert 60 * 59 > SCORE_BLOCK >= 4 * 60
+    for kw in ({}, dict(ordered=False), dict(feature_mode="current_only"),
+               dict(variant="single_head"), dict(variant="fixed_local_kernel")):
+        cfg = small_cfg(**kw)
+        params = CastParams.init(cfg, seed=5)
+        seqs = [random_series(rng, n, cfg.dim, f"s{k}") for k, n in enumerate(PACKED_LENGTHS)]
+        seqs[2].loss_mask[[0, 3]] = False
+        split = Split(seqs, cfg)
+        i, ts = np.transpose(scored_positions(split))
+        blocks = list(score_blocks(split, i, ts))
+        np.testing.assert_array_equal(np.concatenate([b for b, _ in blocks]), i)
+        np.testing.assert_array_equal(np.concatenate([t for _, t in blocks]), ts)
+        assert [set(b) for b, _ in blocks].count({LONG}) == 1
+        assert max(len(set(b)) for b, _ in blocks) > 2
+        for bi, bts in blocks:
+            lo = split.start[bi]
+            if len(set(bi)) > 1:
+                assert len(bi) * ((lo + bts).max() - lo[0]) <= SCORE_BLOCK
+            got = forward(split, bi, bts, params)[0]
+            for k in set(bi):
+                alone = forward_steps(seqs[k].steps, bts[bi == k], params)[0]
+                if k == LONG:
+                    np.testing.assert_array_equal(got[bi == k], alone)
+                else:
+                    np.testing.assert_allclose(got[bi == k], alone, rtol=1e-12, atol=0)
+
+
+def test_scoring_is_one_forward_per_block_and_no_batch(rng, monkeypatch):
+    cfg = small_cfg()
+    params = CastParams.init(cfg, seed=6)
+    seqs = [random_series(rng, n, cfg.dim, f"s{k}") for k, n in enumerate(PACKED_LENGTHS)]
+    split = Split(seqs, cfg)
+    n_blocks = len(list(score_blocks(split, *np.transpose(scored_positions(split)))))
+    assert n_blocks < len(seqs)
+    calls = []
+
+    def counted(*args):
+        calls.append(args[1])
+        return forward(*args)
+
+    def refused(*args):
+        raise AssertionError("scoring built a training batch")
+
+    monkeypatch.setattr(model, "forward", counted)
+    monkeypatch.setattr(model, "make_batch", refused)
+    evaluate_val_kl(split, params, 10_000)
+    assert len(calls) == n_blocks
+    calls.clear()
+    evaluate_offline(CastPredictor(params), seqs)
+    assert len(calls) == n_blocks
+
+
+def test_cast_offline_evaluation_equals_the_per_sequence_loop(rng):
+    for kw in ({}, dict(ordered=False), dict(variant="anchor_only")):
+        cfg = small_cfg(**kw)
+        predictor = CastPredictor(CastParams.init(cfg, seed=7))
+        seqs = [random_series(rng, n, cfg.dim, f"s{k}", cfg.ordered)
+                for k, n in enumerate(PACKED_LENGTHS)]
+        seqs[3].loss_mask[:] = False  # a sequence with no scored row is skipped
+        seqs[6].loss_mask[[1, 2]] = False
+        want = _means(
+            metric_report(seq.steps[ts + 1], predictor.predict_all(seq.steps, ts), seq.ordered)
+            for seq in seqs if len(ts := np.flatnonzero(seq.loss_mask))
+        )
+        got = evaluate_offline(predictor, seqs)
+        assert got.keys() == want.keys()
+        for name in want:
+            assert got[name] == pytest.approx(want[name], rel=1e-12, abs=0), name
 
 
 def test_evaluate_val_kl_equals_per_position_reference(rng):
@@ -454,7 +545,7 @@ def test_split_boundary_causality(rng):
         grads = [gradient(make_batch(split, [pos]), params)[1] for pos in positions]
         scores = [forward(split, i, [t for j, t in positions if j == i], params)[0]
                   for i in (0, 2, 4)]
-        return p_hat, grads, scores
+        return p_hat, grads, scores, forward(split, *np.transpose(positions), params)[0]
 
     base = rows(seqs)
     for new_len in (lambda n: n, lambda n: n + 3, lambda n: 1):
@@ -464,6 +555,13 @@ def test_split_boundary_causality(rng):
         np.testing.assert_array_equal(got[0], base[0])
         for a, b in zip(got[1] + got[2], base[1] + base[2]):
             np.testing.assert_array_equal(a, b)
+        # packed, the other sequences' slots lie in the shared slice, masked:
+        # new values keep every byte, and new lengths move the kept rows'
+        # windows within the slice, whose sums may round in the last bits
+        if new_len(5) == 5:
+            np.testing.assert_array_equal(got[3], base[3])
+        else:
+            np.testing.assert_allclose(got[3], base[3], rtol=1e-12, atol=0)
 
 
 def test_out_of_range_positions_are_refused(rng):
