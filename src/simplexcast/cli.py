@@ -16,11 +16,12 @@ import json
 import logging
 import os
 import sys
+from typing import get_type_hints
 
 import numpy as np
 
 from .errors import ParseError, SimplexCastError
-from .io import atomic_write, ingest, load_run_config, write_dataset, write_json
+from .io import atomic_write, ingest, json_type_ok, load_run_config, write_dataset, write_json
 
 log = logging.getLogger(__name__)
 
@@ -46,6 +47,20 @@ def _refuse_out_dir(out: str) -> None:
     if not os.path.isdir(path):
         code = errno.EEXIST if path == os.path.abspath(out) else errno.ENOTDIR
         raise OSError(code, os.strerror(code), out)  # FileExistsError or NotADirectoryError
+
+
+# the fields of ModelConfig and of TrainConfig that `train` sets from a flag
+# or its --config file
+_RUN_CONFIG_KEYS = (("feature_mode", "variant"),
+                    ("iters", "batch_size", "lr", "warmup", "weight_decay"))
+
+
+def _run_config_types() -> dict:
+    """Each `_RUN_CONFIG_KEYS` field and its annotated type."""
+    from .model import ModelConfig, TrainConfig
+
+    return {key: get_type_hints(cls)[key]
+            for cls, keys in zip((ModelConfig, TrainConfig), _RUN_CONFIG_KEYS) for key in keys}
 
 
 def _resolve(args, cfg_file: dict, keys) -> dict:
@@ -161,17 +176,14 @@ def _selection_split(args, train_res):
 def _cmd_train(args) -> int:
     from .model import ModelConfig, TrainConfig, train
 
-    cfg_file = load_run_config(args.config) if args.config else {}
+    cfg_file = load_run_config(args.config, _run_config_types()) if args.config else {}
     train_res = ingest(args.data)
     val_res, selected_on = _selection_split(args, train_res)
+    model_keys, train_keys = _RUN_CONFIG_KEYS
     mc = ModelConfig(
-        dim=train_res.dim,
-        ordered=train_res.ordered,
-        **_resolve(args, cfg_file, ("feature_mode", "variant")),
+        dim=train_res.dim, ordered=train_res.ordered, **_resolve(args, cfg_file, model_keys)
     )
-    tc = TrainConfig(
-        **_resolve(args, cfg_file, ("iters", "batch_size", "lr", "warmup", "weight_decay"))
-    )
+    tc = TrainConfig(**_resolve(args, cfg_file, train_keys))
     params, train_log = train(
         train_res.sequences, val_res.sequences, mc, tc, args.seed
     )
@@ -291,15 +303,15 @@ def _cmd_report(args) -> int:
                 row = json.load(fh)
             except (UnicodeDecodeError, json.JSONDecodeError) as exc:
                 raise ParseError(f"{path}: not a JSON file: {exc}") from exc
-        if not isinstance(row, dict) or not {"method", "section", "metrics"} <= row.keys():
+        if not json_type_ok(row, dict) or not {"method", "section", "metrics"} <= row.keys():
             continue
-        if not isinstance(row["method"], str) or not isinstance(row["section"], str):
+        if not (json_type_ok(row["method"], str) and json_type_ok(row["section"], str)):
             raise ParseError(f"{path}: method and section must be strings")
         metrics = row["metrics"]
-        if not isinstance(metrics, dict) or args.metric not in metrics:
+        if not json_type_ok(metrics, dict) or args.metric not in metrics:
             raise SimplexCastError(f"{path} has no metric {args.metric!r}")
         value = metrics[args.metric]
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
+        if not json_type_ok(value, float):
             raise ParseError(f"{path}: metric {args.metric!r} must be a number, got {value!r}")
         if not np.isfinite(value):
             raise ParseError(f"{path}: metric {args.metric!r} is not finite: {value!r}")

@@ -2,7 +2,8 @@
 
 Datasets are JSON-lines: a header line {format_version, D, ordered,
 section_name} followed by one line per sequence {id, steps, loss_mask}.
-Files ending in .gz are compressed transparently.
+Files ending in .gz are compressed transparently. `json_type_ok` decides
+which JSON value a field may hold in every file the package reads.
 """
 from __future__ import annotations
 
@@ -11,7 +12,8 @@ import json
 import logging
 import os
 import tempfile
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -21,6 +23,25 @@ from .simplex import SimplexSeries, normalize
 log = logging.getLogger(__name__)
 
 DATASET_FORMAT_VERSION = 1
+
+
+def json_type_ok(value, hint) -> bool:
+    """Whether a value decoded from JSON has the type `hint`: int, bool, str,
+    dict and list take only themselves (no bool is an int), float an int or
+    a float, `list[item]` a list of `item`s, tuple a list of numbers, and a
+    dataclass a list of numbers with one entry per field."""
+    if hint is tuple or is_dataclass(hint):
+        return json_type_ok(value, list[float]) and (
+            hint is tuple or len(value) == len(fields(hint)))
+    if getattr(hint, "__origin__", None) is list:
+        # one scan of the entries' types, not a call per entry
+        return type(value) is list and _json_types(*hint.__args__).issuperset(map(type, value))
+    return type(value) in _json_types(hint)
+
+
+def _json_types(hint) -> set:
+    """The Python types that `json.loads` gives a value of type `hint`."""
+    return {int, float} if hint is float else {hint}
 
 
 def _read_text(path, what: str) -> str:
@@ -81,10 +102,11 @@ def ingest(path) -> IngestResult:
     """Reads a dataset file; rows are normalized, and rows whose total mass
     is zero anywhere are dropped and counted. A header whose D is not an
     integer >= 2, whose ordered is not a boolean or whose section_name is
-    not a string, a loss_mask entry that is not a boolean, a non-finite or
-    negative value, and an id repeated within the file are each a
-    ParseError naming its line; so are a file that `_read_text` rejects and
-    an unsupported format_version, without a line."""
+    not a string, a steps entry that is not a JSON number, a loss_mask entry
+    that is not a boolean, a non-finite or negative value, and an id
+    repeated within the file are each a ParseError naming its line; so are a
+    file that `_read_text` rejects and a format_version other than the
+    integer 1, without a line."""
     lines = _read_text(path, "not a text file").splitlines()
     if not lines:
         raise ParseError("empty dataset file", line=1)
@@ -92,22 +114,23 @@ def ingest(path) -> IngestResult:
         header = json.loads(lines[0])
     except json.JSONDecodeError as exc:
         raise ParseError(f"bad header: {exc}", line=1) from exc
-    if not isinstance(header, dict) or "format_version" not in header:
+    if not json_type_ok(header, dict) or "format_version" not in header:
         raise ParseError("header must be an object with format_version", line=1)
-    if header["format_version"] != DATASET_FORMAT_VERSION:
+    version = header["format_version"]
+    if not json_type_ok(version, int) or version != DATASET_FORMAT_VERSION:
         raise ParseError(
-            f"dataset format {header['format_version']} "
+            f"dataset format {version} "
             f"(supported: {DATASET_FORMAT_VERSION})"
         )
     for key in ("D", "ordered", "section_name"):
         if key not in header:
             raise ParseError(f"header missing {key!r}", line=1)
     dim, ordered = header["D"], header["ordered"]
-    if isinstance(dim, bool) or not isinstance(dim, int) or dim < 2:
+    if not json_type_ok(dim, int) or dim < 2:
         raise ParseError(f"header D must be an integer >= 2, got {dim!r}", line=1)
-    if not isinstance(ordered, bool):
+    if not json_type_ok(ordered, bool):
         raise ParseError(f"header ordered must be true or false, got {ordered!r}", line=1)
-    if not isinstance(header["section_name"], str):
+    if not json_type_ok(header["section_name"], str):
         raise ParseError("header section_name must be a string", line=1)
 
     sequences = []
@@ -128,6 +151,9 @@ def ingest(path) -> IngestResult:
             raise ParseError(
                 f"steps must be (T, {dim}), got {steps.shape}", line=lineno
             )
+        # numpy would read true as 1.0 and "1e-1" as 0.1
+        if not json_type_ok([*chain.from_iterable(row["steps"])], list[float]):
+            raise ParseError("steps must be JSON numbers", line=lineno)
         if not np.all(np.isfinite(steps)):
             raise ParseError("steps must be finite (no NaN or Infinity)", line=lineno)
         if "id" not in row:
@@ -138,7 +164,7 @@ def ingest(path) -> IngestResult:
         seen_ids.add(seq_id)
         mask = row.get("loss_mask")
         if mask is not None:
-            if not isinstance(mask, list) or not all(isinstance(x, bool) for x in mask):
+            if not json_type_ok(mask, list[bool]):
                 raise ParseError("loss_mask must be a list of true/false", line=lineno)
             mask = np.asarray(mask, dtype=bool)
             if mask.shape != (len(steps) - 1,):
@@ -193,33 +219,20 @@ def write_json(path, payload) -> None:
 # ------------------------------------------------------------- run config
 
 
-_RUN_CONFIG_FIELDS = {
-    "variant": str,
-    "feature_mode": str,
-    "iters": int,
-    "batch_size": int,
-    "lr": float,
-    "warmup": int,
-    "weight_decay": float,
-}
-
-
-def load_run_config(path) -> dict:
-    """The `train --config` file: ModelConfig/TrainConfig values that a flag
-    given on the command line overrides. Unknown keys and wrong types are
-    rejected before any work starts."""
+def load_run_config(path, types: dict) -> dict:
+    """The `train --config` file: values of the config fields that `types`
+    maps to their annotated types, which a flag given on the command line
+    overrides. Any other key and a value of the wrong JSON type
+    (`json_type_ok`) are rejected before any work starts."""
     try:
         raw = json.loads(_read_text(path, "bad config"))
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: bad config: {exc}", line=exc.lineno) from exc
-    if not isinstance(raw, dict):
+    if not json_type_ok(raw, dict):
         raise ParseError("config must be a JSON object")
     for key, value in raw.items():
-        if key not in _RUN_CONFIG_FIELDS:
+        if key not in types:
             raise ParseError(f"unknown config key {key!r}")
-        expected = _RUN_CONFIG_FIELDS[key]
-        ok = isinstance(value, (float, int) if expected is float else expected)
-        # JSON true/false load as bool, which Python counts as an int
-        if isinstance(value, bool) or not ok:
-            raise ParseError(f"config key {key!r} must be {expected.__name__}")
+        if not json_type_ok(value, types[key]):
+            raise ParseError(f"config key {key!r} must be {types[key].__name__}")
     return raw

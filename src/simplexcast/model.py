@@ -30,7 +30,8 @@ The parameters live in one float64 buffer, `CastParams.flat`, and the named
 arrays the forward pass reads are views into it: init, copy, save, load,
 the gradient, the AdamW update and tail averaging each act on one such buffer.
 The buffer holds only the heads that the config runs (`_heads`), and every
-head in it runs on every batch, so each view of a gradient is written.
+head in it runs on every batch, so each view of a gradient is written. A
+checkpoint's config is read against ModelConfig's own fields and type hints.
 """
 from __future__ import annotations
 
@@ -40,12 +41,13 @@ import math
 import struct
 from dataclasses import astuple, dataclass, field, fields
 from itertools import zip_longest
+from typing import get_type_hints
 
 import numpy as np
 
 from .autodiff import Var
 from .errors import InvalidValue
-from .io import atomic_write
+from .io import atomic_write, json_type_ok
 from .simplex import history_windows, smoothed_levels, softmax, softmax_vjp, support_bins
 from .transport import BudgetParams, cast_step, operator_regularizer
 
@@ -96,6 +98,9 @@ class ModelConfig:
             raise InvalidValue(f"unknown feature_mode {self.feature_mode!r}")
         if self.variant == "single_head":
             object.__setattr__(self, "heads", 1)
+        # as `io.ingest` asks of a dataset's D
+        if self.dim < 2:
+            raise InvalidValue(f"dim must be >= 2, got {self.dim}")
         if min(self.window, self.heads, self.d_r) < 1:
             raise InvalidValue("window, heads and d_r must be >= 1")
         if not 0.0 <= self.lambda_min <= self.lambda_max <= 1.0:
@@ -194,34 +199,6 @@ def param_shapes(cfg: ModelConfig) -> dict[str, tuple]:
     return {k: s for _, runs, shapes in _heads(cfg) if runs for k, s in shapes.items()}
 
 
-# checkpoint header config: key -> JSON type; "number" excludes booleans
-_CONFIG_TYPES = {
-    "dim": "int", "ordered": "bool", "window": "int", "ew_beta": "number",
-    "feature_mode": "str", "heads": "int", "d_r": "int", "lambda_min": "number",
-    "lambda_max": "number", "rho_max": "number", "lambda_init": "number",
-    "rho_init": "number", "budget": "numbers", "reg_weights": "numbers",
-    "lambda_op": "number", "variant": "str",
-}
-
-
-def _has_json_type(v, kind: str) -> bool:
-    if kind == "numbers":
-        return isinstance(v, list) and all(_has_json_type(x, "number") for x in v)
-    if isinstance(v, bool):
-        return kind == "bool"
-    return isinstance(v, {"int": int, "number": (int, float), "str": str, "bool": bool}[kind])
-
-
-def _check_header_config(c) -> None:
-    if not isinstance(c, dict) or set(c) != set(_CONFIG_TYPES):
-        raise InvalidValue(f"checkpoint config must have exactly the keys {sorted(_CONFIG_TYPES)}")
-    for key, kind in _CONFIG_TYPES.items():
-        if not _has_json_type(c[key], kind):
-            raise InvalidValue(f"checkpoint config {key!r} must be of JSON type {kind}")
-    if len(c["budget"]) != 3:
-        raise InvalidValue("checkpoint config 'budget' must have three numbers")
-
-
 class CastParams:
     """Parameter set: one C-contiguous float64 buffer `flat` in `param_shapes`
     order (the checkpoint payload order), plus the model configuration. The
@@ -281,9 +258,12 @@ class CastParams:
     @staticmethod
     def load(path) -> "CastParams":
         """Reads a checkpoint, rejecting with InvalidValue a bad header, a
-        config key that is missing or of the wrong type, an entry list other
-        than the names and shapes of `param_shapes` in order (naming the first
-        entry that differs), any other byte length, and a non-finite value."""
+        format_version other than the integer 1, a config other than the
+        fields of ModelConfig with values of their annotated types
+        (`io.json_type_ok`), an entry shape not a list of integers, an entry
+        list other than the names and shapes of `param_shapes` in order
+        (naming the first entry that differs), any other byte length, and a
+        non-finite value."""
         with open(path, "rb") as fh:
             data = fh.read()
         if data[:4] != CHECKPOINT_MAGIC or len(data) < 8:
@@ -293,18 +273,24 @@ class CastParams:
             header = json.loads(data[8 : 8 + n].decode())
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise InvalidValue(f"bad checkpoint header: {exc}") from exc
-        if not isinstance(header, dict) or header.get("format_version") != 1:
+        version = header.get("format_version") if json_type_ok(header, dict) else None
+        if not json_type_ok(version, int) or version != 1:
             raise InvalidValue("unsupported checkpoint version")
-        c = header.get("config")
-        _check_header_config(c)
-        c = dict(c)
-        budget = BudgetParams(*c.pop("budget"))
-        cfg = ModelConfig(budget=budget, **c)
+        c, types = header.get("config"), get_type_hints(ModelConfig)
+        if not json_type_ok(c, dict) or c.keys() != types.keys():
+            raise InvalidValue(f"checkpoint config must have exactly the keys {sorted(types)}")
+        for key, hint in types.items():
+            if not json_type_ok(c[key], hint):
+                raise InvalidValue(f"checkpoint config {key!r} must be of type {hint.__name__}")
+        cfg = ModelConfig(**{**c, "budget": BudgetParams(*c["budget"])})
         expected = list(param_shapes(cfg).items())
         try:
             layout = [(e["name"], tuple(e["shape"])) for e in header.get("entries")]
         except (KeyError, TypeError) as exc:
             raise InvalidValue("bad checkpoint entries") from exc
+        # a shape of floats would pass the layout check: (2.0,) == (2,)
+        if not all(json_type_ok(e["shape"], list[int]) for e in header["entries"]):
+            raise InvalidValue("checkpoint entry shapes must be lists of integers")
         if layout != expected:
             pairs = zip_longest(layout, expected, fillvalue=("end of entries",))
             has, want = (" ".join(map(str, e)) for e in next(x for x in pairs if x[0] != x[1]))

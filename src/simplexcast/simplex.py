@@ -138,19 +138,6 @@ def support_bins(d: int) -> NDArray[np.float64]:
     return np.arange(1, d + 1, dtype=np.float64)
 
 
-def mean_support(p: Dist) -> float:
-    """Support mean with bins indexed 1..D."""
-    p = np.asarray(p, dtype=np.float64)
-    return float(support_bins(p.size) @ p)
-
-
-def std_support(p: Dist) -> float:
-    """Support standard deviation with bins indexed 1..D."""
-    p = np.asarray(p, dtype=np.float64)
-    mu = mean_support(p)
-    return float(np.sqrt(p @ (support_bins(p.size) - mu) ** 2))
-
-
 @dataclass
 class SimplexSeries:
     """A time-indexed sequence of distributions.

@@ -4,7 +4,8 @@ A transport kernel is a D x 3 row-stochastic matrix K(j, o) over offsets
 o in {-1, 0, +1}; applying it moves mass at most one bin, with offsets
 clipped into {1..D} at the boundary. The mean-shift budget gate scales the
 transport strength so that the realized support-mean displacement stays
-within B = delta_mu + delta_sigma * std_support(a).
+within B = delta_mu + delta_sigma * std(a), std(a) the standard deviation of
+a over the bins 1..D.
 
 `cast_step` (anchor, transport, budget gate, mix) and
 `operator_regularizer` are the only implementation of the operator; the
@@ -16,7 +17,7 @@ reverse passes share one chain through the mean shift and the budget.
 A kernel is a plain (..., D, 3) array here: the model's kernel head makes
 valid ones, `theory.AliasingScenario` checks the (K, D, 3) block of its
 regimes, and tests/transport_reference.py keeps a checked one-kernel form
-as the reference.
+as the reference, with the budget formula written without the gate's epsilon.
 """
 from __future__ import annotations
 
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidValue
-from .simplex import Dist, std_support, support_bins
+from .simplex import support_bins
 
 
 @dataclass(frozen=True)
@@ -40,9 +41,6 @@ class BudgetParams:
             raise InvalidValue("budget coefficients must be nonnegative and finite")
         if not (np.isfinite(self.epsilon) and self.epsilon > 0):
             raise InvalidValue(f"budget epsilon must be positive and finite, got {self.epsilon}")
-
-    def budget(self, a: Dist) -> float:
-        return self.delta_mu + self.delta_sigma * std_support(a)
 
 
 def shift_mass(left: np.ndarray, stay: np.ndarray, right: np.ndarray) -> np.ndarray:

@@ -51,6 +51,7 @@ from simplexcast.baselines import CastPredictor, PersistencePredictor
 from simplexcast.evaluate import RolloutConfig, evaluate_offline, evaluate_rollout
 
 from conftest import convex_mix, loss, pinsker_lower_bound, random_dist
+from transport_reference import budget, mean_support
 
 
 def _report(number: int, name: str, ok: bool, detail: str = "") -> None:
@@ -212,8 +213,6 @@ def test_criterion_5_cast_step_fuzz():
         rho = float(rng.uniform(0, 1))
         rows = rng.dirichlet(np.ones(3), size=d)
         b = BudgetParams()
-        from simplexcast.simplex import mean_support
-
         # the operator the model trains through; a and the budget are
         # independent numpy references
         a = convex_mix(p, r, lam)
@@ -221,7 +220,7 @@ def test_criterion_5_cast_step_fuzz():
         p_hat, rho_eff = parts["p_hat"], parts["rho_eff"].item()
         closure = np.all(p_hat >= -1e-12) and abs(p_hat.sum() - 1.0) < 1e-9
         drift = w1_ordered(a, p_hat) <= rho_eff * 1.0 + 1e-9
-        mean_ok = abs(mean_support(p_hat) - mean_support(a)) <= rho * b.budget(a) + 1e-9
+        mean_ok = abs(mean_support(p_hat) - mean_support(a)) <= rho * budget(b, a) + 1e-9
         gate_ok = rho_eff <= rho
         if not (closure and drift and mean_ok and gate_ok):
             violations += 1

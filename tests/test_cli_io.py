@@ -100,6 +100,29 @@ class TestDatasetIO:
             ingest(path)
         assert exc.value.line is None
 
+    @pytest.mark.parametrize("version", [True, 1.0])
+    def test_format_version_must_be_the_integer_1(self, tmp_path, version):
+        header = {"format_version": version, "D": 2, "ordered": True, "section_name": ""}
+        row = {"id": "x", "steps": [[0.5, 0.5], [0.25, 0.75]]}
+        path = tmp_path / "d.jsonl"
+        path.write_text(json.dumps(header) + "\n" + json.dumps(row) + "\n")
+        with pytest.raises(ParseError, match=rf"^dataset format {version} \(supported: 1\)$"):
+            ingest(path)
+
+    @pytest.mark.parametrize("entry", [True, False, "1e-1", None],
+                             ids=["true", "false", "string", "null"])
+    def test_non_number_step_rejected_with_line(self, tmp_path, capsys, entry):
+        # numpy would read true as 1.0 and "1e-1" as 0.1
+        header = {"format_version": 1, "D": 2, "ordered": True, "section_name": ""}
+        good = {"id": "a", "steps": [[0.5, 0.5], [0.25, 0.75]]}
+        bad = {"id": "b", "steps": [[0.5, 0.5], [entry, 0.75]]}
+        path = tmp_path / "d.jsonl"
+        path.write_text("\n".join(json.dumps(x) for x in (header, good, bad)) + "\n")
+        with pytest.raises(ParseError, match="^line 3: steps must be JSON numbers$"):
+            ingest(path)
+        assert cli_dispatch(["evaluate", "--data", str(path), "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == "error: line 3: steps must be JSON numbers\n"
+
     def test_wrong_dim_rejected(self, tmp_path):
         header = {"format_version": 1, "D": 3, "ordered": True, "section_name": ""}
         row = {"id": "x", "steps": [[0.5, 0.5]], "loss_mask": []}
@@ -244,6 +267,11 @@ _ACCEPTED = {
 }
 
 
+def _load_run_config(path):
+    """`load_run_config` with the keys and types that `train` passes it."""
+    return load_run_config(path, cli._run_config_types())
+
+
 def _write_config(tmp, raw):
     path = os.path.join(tmp, "cfg.json")
     with open(path, "w") as fh:
@@ -255,7 +283,7 @@ class TestRunConfig:
     def test_load_valid(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"iters": 100, "lr": 0.01}))
-        cfg = load_run_config(path)
+        cfg = _load_run_config(path)
         assert cfg.get("iters") == 100
         assert cfg.get("missing", 7) == 7
 
@@ -264,7 +292,7 @@ class TestRunConfig:
     @given(st.fixed_dictionaries({}, optional=_CONFIG_SCHEMA))
     def test_accepts_each_schema_key_with_its_type(self, raw):
         with tempfile.TemporaryDirectory() as tmp:
-            cfg = load_run_config(_write_config(tmp, raw))
+            cfg = _load_run_config(_write_config(tmp, raw))
         for key, value in raw.items():
             assert cfg.get(key) == value
 
@@ -277,7 +305,7 @@ class TestRunConfig:
     def test_rejects_any_other_key(self, key, value):
         with tempfile.TemporaryDirectory() as tmp:
             with pytest.raises(ParseError, match="unknown config key"):
-                load_run_config(_write_config(tmp, {"iters": 3, key: value}))
+                _load_run_config(_write_config(tmp, {"iters": 3, key: value}))
 
     @seed(20261018)
     @settings(max_examples=80, deadline=None)
@@ -288,19 +316,19 @@ class TestRunConfig:
         key, value = key_value
         with tempfile.TemporaryDirectory() as tmp:
             with pytest.raises(ParseError, match=f"config key '{key}' must be"):
-                load_run_config(_write_config(tmp, {key: value}))
+                _load_run_config(_write_config(tmp, {key: value}))
 
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"itres": 100}))
         with pytest.raises(ParseError):
-            load_run_config(path)
+            _load_run_config(path)
 
     def test_wrong_type_rejected(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"iters": "many"}))
         with pytest.raises(ParseError):
-            load_run_config(path)
+            _load_run_config(path)
 
 
 def _run(args):
@@ -432,7 +460,8 @@ class TestCli:
                                            ("window", "8"), ("ordered", 1), ("budget", [0.25]),
                                            ("dim", None), ("dim", 7), ("lambda_op", True),
                                            ("ew_beta", float("nan")),
-                                           ("budget", [0.25, 0.1, 0.0])])
+                                           ("budget", [0.25, 0.1, 0.0]), ("extra", 1),
+                                           ("dim", 1)])
     def test_cast_evaluate_rejects_bad_checkpoint_config(self, rng, tmp_path, key, value):
         ckpt, argv = self._cast_checkpoint(rng, tmp_path)
         # hand-edit the JSON header: magic, little-endian length, header, values;
@@ -448,7 +477,8 @@ class TestCli:
         assert _run(argv) == 1
 
     @pytest.mark.parametrize(
-        "edit", ["cut_100", "trailing_16", "entry_shape", "entry_name", "entry_order"]
+        "edit", ["cut_100", "trailing_16", "entry_shape", "entry_name", "entry_order",
+                 "entry_shape_float", "format_version_true", "format_version_float"]
     )
     def test_cast_evaluate_rejects_bad_checkpoint_layout(self, rng, tmp_path, edit):
         ckpt, argv = self._cast_checkpoint(rng, tmp_path)
@@ -460,11 +490,16 @@ class TestCli:
         elif edit == "trailing_16":
             blob = blob + b"\x00" * 16
         else:
-            # same byte count, so only the layout check can catch it
+            # same payload, so only the header checks can catch it
             if edit == "entry_shape":
                 header["entries"][-1]["shape"] = [1, 3]
             elif edit == "entry_name":
                 header["entries"][-1]["name"] = "bias"
+            elif edit == "entry_shape_float":
+                # equal to the layout's shape as numbers: only its JSON type is wrong
+                header["entries"][0]["shape"] = [float(x) for x in header["entries"][0]["shape"]]
+            elif edit.startswith("format_version"):
+                header["format_version"] = True if edit.endswith("true") else 1.0
             else:
                 # every name and shape kept; the payload is read in layout order
                 header["entries"].reverse()
@@ -945,7 +980,7 @@ class TestCli:
         with pytest.raises(ParseError):
             ingest(data)
         with pytest.raises(ParseError):
-            load_run_config(cfg)
+            _load_run_config(cfg)
 
     def test_internal_value_error_exits_2(self, tmp_path, capsys, monkeypatch):
         # only the package's own InvalidValue means bad input; any other

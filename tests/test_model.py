@@ -1,5 +1,5 @@
 import hashlib
-from dataclasses import fields, replace
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,7 +11,6 @@ from simplexcast.evaluate import _means, evaluate_offline
 from simplexcast.metrics import kl, metric_report
 from simplexcast.model import (
     CastParams,
-    _CONFIG_TYPES,
     _forward,
     ModelConfig,
     SCORE_BLOCK,
@@ -30,10 +29,11 @@ from simplexcast.model import (
     support_position_encoding,
     train,
 )
-from simplexcast.simplex import SimplexSeries, mean_support, std_support
+from simplexcast.simplex import SimplexSeries
 from simplexcast.transport import BudgetParams
 
 from conftest import forward_steps, loss, make_batch_ref, random_dist, val_kl_ref
+from transport_reference import budget, mean_support
 
 
 def random_series(rng, t_len, d, seq_id="s0", ordered=True):
@@ -157,9 +157,8 @@ def test_forward_mean_drift_bounded_by_budget(rng):
     for _ in range(50):
         _, p_hat, parts = _scored(rng, cfg, params)
         for p, a in zip(p_hat, parts["a"]):
-            b = cfg.budget.delta_mu + cfg.budget.delta_sigma * std_support(a)
             drift = abs(mean_support(p) - mean_support(a))
-            assert drift <= cfg.rho_max * b + 1e-9
+            assert drift <= cfg.rho_max * budget(cfg.budget, a) + 1e-9
 
 
 def test_anchor_only_variant_disables_transport(rng):
@@ -853,10 +852,6 @@ def test_checkpoint_round_trip(tmp_path, rng):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["again.ckpt", "model.ckpt"]
 
 
-def test_checkpoint_config_keys_are_the_model_config_fields():
-    assert set(_CONFIG_TYPES) == {f.name for f in fields(ModelConfig)}
-
-
 def test_values_are_views_into_flat_and_copy_is_not():
     params = CastParams.init(small_cfg(), seed=0)
     assert params.flat.flags.c_contiguous and params.flat.dtype == np.float64
@@ -905,10 +900,11 @@ def test_checkpoint_rejects_bad_magic(tmp_path):
     + [dict(lambda_op=v) for v in (-1e-3, np.nan, np.inf)]
     + [dict(budget=(v, 0.1, 1e-8)) for v in (-0.1, np.nan, np.inf)]
     + [dict(budget=(0.25, v, 1e-8)) for v in (np.nan, np.inf)]
-    + [dict(budget=(0.25, 0.1, v)) for v in (0.0, -1e-8, np.nan, np.inf)],
+    + [dict(budget=(0.25, 0.1, v)) for v in (0.0, -1e-8, np.nan, np.inf)]
+    + [dict(dim=1), dict(dim=0)],
 )
 def test_config_rejects_bad_values(bad):
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidValue):
         # BudgetParams checks its own coefficients
         small_cfg(**{k: BudgetParams(*v) if k == "budget" else v for k, v in bad.items()})
 

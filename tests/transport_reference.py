@@ -1,6 +1,9 @@
 """Radius-1 transport one kernel at a time: the reference for the batched
 scenario arithmetic in `theory.AliasingScenario` and for the kernels the
-operator tests hand to `transport.cast_step`.
+operator tests hand to `transport.cast_step`; and, one distribution at a
+time, the support moments and the mean-shift budget
+B = delta_mu + delta_sigma * std_support(a) that the operator tests hold
+`cast_step`'s output to.
 
 A `TransportKernel` is a checked D x 3 row-stochastic matrix K(j, o) over
 offsets o in {-1, 0, +1}; `apply_transport` moves the mass of one
@@ -14,7 +17,8 @@ import numpy as np
 from numpy.typing import NDArray
 
 from simplexcast.errors import InvalidValue
-from simplexcast.transport import shift_mass
+from simplexcast.simplex import support_bins
+from simplexcast.transport import BudgetParams, shift_mass
 
 
 @dataclass(frozen=True)
@@ -56,3 +60,22 @@ def apply_transport(kernel: TransportKernel, a) -> np.ndarray:
         raise InvalidValue(f"kernel dim {kernel.dim} != dist dim {a.size}")
     m = a[:, None] * kernel.rows
     return shift_mass(m[:, 0], m[:, 1], m[:, 2])
+
+
+def mean_support(p) -> float:
+    """Support mean with bins indexed 1..D."""
+    p = np.asarray(p, dtype=np.float64)
+    return float(support_bins(p.size) @ p)
+
+
+def std_support(p) -> float:
+    """Support standard deviation with bins indexed 1..D."""
+    p = np.asarray(p, dtype=np.float64)
+    mu = mean_support(p)
+    return float(np.sqrt(p @ (support_bins(p.size) - mu) ** 2))
+
+
+def budget(params: BudgetParams, a) -> float:
+    """The mean-shift budget of anchor `a`, written without the epsilon
+    that `cast_step`'s gate adds under its square root."""
+    return params.delta_mu + params.delta_sigma * std_support(a)
