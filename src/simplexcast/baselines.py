@@ -28,20 +28,15 @@ class Predictor:
     """Uniform one-step interface used by the evaluation harness.
     `predict_all(steps, ts)` forecasts rows `ts` of a whole sequence in one
     pass, (len(ts), D), row t from steps[: t + 1] only. `predict_split(seqs,
-    ts)` forecasts rows ts[k] of every sequence seqs[k], one such block each;
-    by default it is one `predict_all` call per sequence. `predict(prefix)`
-    forecasts the step after a prefix as the last row of `predict_all`; each
-    subclass defines it in its own namespace, where the traced benchmark
-    patches it."""
+    ts)` forecasts rows ts[k] of every sequence seqs[k] as one (sum of
+    len(ts[k]), D) block in split order; by default it stacks one
+    `predict_all` call per sequence. `predict(prefix)` forecasts the step
+    after a prefix as the last row of `predict_all`; each subclass defines it
+    in its own namespace, where the traced benchmark patches it."""
 
-    def predict(self, prefix: np.ndarray) -> np.ndarray:  # pragma: no cover
-        raise NotImplementedError
-
-    def predict_all(self, steps: np.ndarray, ts) -> np.ndarray:  # pragma: no cover
-        raise NotImplementedError
-
-    def predict_split(self, seqs, ts) -> list[np.ndarray]:
-        return [self.predict_all(seq.steps, t) for seq, t in zip(seqs, ts, strict=True)]
+    def predict_split(self, seqs, ts) -> np.ndarray:
+        return np.concatenate([self.predict_all(seq.steps, t)
+                               for seq, t in zip(seqs, ts, strict=True)])
 
 
 def _sequence(steps, name: str) -> np.ndarray:
@@ -252,22 +247,16 @@ class CastPredictor(Predictor):
         return self.predict_all(prefix, [len(prefix) - 1])[0]
 
     def predict_all(self, steps, ts):
-        """Every row in one `model.forward` pass over a split of the prefix."""
-        from .model import Split, forward
-
+        """Every row in one `predict_split` of the prefix through row max(ts)."""
         steps, ts = _sequence(steps, "cast"), np.asarray(ts, dtype=np.intp)
         prefix = SimplexSeries("prefix", self.params.cfg.ordered, steps[: ts.max(initial=0) + 1])
-        return forward(Split([prefix], self.params.cfg), 0, ts, self.params)[0]
+        return self.predict_split([prefix], [ts])
 
     def predict_split(self, seqs, ts):
         """The sequences packed into one `model.Split`, scored by one
-        `model.forward` pass per block of `model.score_blocks`. A row of a
-        block of several sequences may differ from its `predict_all` value
-        in the last bits; a sequence that is a block alone keeps its bytes."""
-        from .model import Split, forward, score_blocks
+        `model.predict`: a sequence that is a block alone keeps its
+        `predict_all` bytes, a row packed with others its last bits only."""
+        from .model import Split, predict
 
-        split = Split(seqs, self.params.cfg)
-        counts = [len(t) for t in ts]
-        rows = [forward(split, i, t, self.params)[0] for i, t in
-                score_blocks(split, np.repeat(np.arange(len(seqs)), counts), np.concatenate(ts))]
-        return np.split(np.concatenate(rows), np.cumsum(counts)[:-1])
+        i = np.repeat(np.arange(len(seqs)), [len(t) for t in ts])
+        return predict(Split(seqs, self.params.cfg), i, np.concatenate(ts), self.params)

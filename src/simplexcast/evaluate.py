@@ -11,14 +11,17 @@ from .metrics import jsd, metric_report
 from .simplex import history_windows
 
 
-def _means(reports) -> dict:
-    """Per-metric mean over every row of every `metric_report` block: a
+def _means(report) -> dict:
+    """Per-metric mean over the rows of one `metric_report` block: a
     sequential sum in row order, divided by the row count."""
-    rows: dict = {}
-    for report in reports:
-        for name, values in report.items():
-            rows.setdefault(name, []).extend(values)
-    return {name: float(sum(values) / len(values)) for name, values in rows.items()}
+    return {name: float(sum(values) / len(values)) for name, values in report.items()}
+
+
+def _ordered(seqs) -> bool:
+    """The `ordered` flag of a split's sequences; disagreement is an InvalidValue."""
+    if len(flags := {seq.ordered for seq in seqs}) > 1:
+        raise InvalidValue("the sequences disagree on ordered")
+    return True in flags
 
 
 def evaluate_offline(predictor, seqs) -> dict:
@@ -27,15 +30,15 @@ def evaluate_offline(predictor, seqs) -> dict:
     successor. Predictions are never fed forward. The sequences with scored
     positions are forecast by one `predictor.predict_split` call (a CAST
     predictor scores them in packed blocks, a baseline one sequence at a
-    time), and each sequence's rows are scored as one `metric_report` block,
-    in sequence order; sequences with none are skipped. Returns per-metric
-    means over all scored positions."""
+    time), whose rows, in split order, are scored against their successors
+    as one `metric_report` block. Returns per-metric means over all scored
+    positions."""
+    ordered = _ordered(seqs)
     scored = [(seq, ts) for seq in seqs if len(ts := np.flatnonzero(seq.loss_mask))]
     if not scored:
         raise InvalidValue("no masked positions in the split")
-    preds = predictor.predict_split(*zip(*scored))
-    return _means(metric_report(seq.steps[ts + 1], p, seq.ordered)
-                  for (seq, ts), p in zip(scored, preds, strict=True))
+    targets = np.concatenate([seq.steps[ts + 1] for seq, ts in scored])
+    return _means(metric_report(targets, predictor.predict_split(*zip(*scored)), ordered))
 
 
 @dataclass(frozen=True)
@@ -56,12 +59,12 @@ def evaluate_rollout(
 ) -> dict:
     """Autoregressive evaluation: seed with the first context_len true steps,
     then feed each prediction back as the next input for `horizon` steps.
-    Each example's (horizon, D) block of forecasts is scored once, after its
-    feedback loop. Metrics are averaged uniformly over all horizon steps and
-    examples, or over the final horizon step only when final_step_only is
-    set. Sequences shorter than context_len + horizon are skipped (and
-    counted); example selection is deterministic by sorted sequence id.
-    Returns the per-metric means plus n_examples and n_skipped."""
+    The scored horizon rows of every example, stacked in example order, are
+    one `metric_report` block. Metrics are averaged uniformly over all
+    horizon steps and examples, or over the final horizon step only when
+    final_step_only is set. Sequences shorter than context_len + horizon are
+    skipped (and counted); example selection is deterministic by sorted
+    sequence id. Returns the per-metric means plus n_examples and n_skipped."""
     eligible = sorted(
         (s for s in seqs if len(s.steps) >= rc.context_len + rc.horizon),
         key=lambda s: s.id,
@@ -70,17 +73,16 @@ def evaluate_rollout(
     eligible = eligible[: rc.max_examples]
     if not eligible:
         raise InvalidValue(f"no sequence has length >= {rc.context_len + rc.horizon}")
-    reports = []
+    ordered = _ordered(seqs)
+    first = rc.context_len + (rc.horizon - 1 if final_step_only else 0)
+    targets, preds = [], []
     for seq in eligible:
         prefix = seq.steps[: rc.context_len].copy()
         for _ in range(rc.horizon):
             prefix = np.vstack([prefix, predictor.predict(prefix)])
-        targets = seq.steps[rc.context_len : rc.context_len + rc.horizon]
-        preds = prefix[rc.context_len :]
-        if final_step_only:
-            targets, preds = targets[-1:], preds[-1:]
-        reports.append(metric_report(targets, preds, seq.ordered))
-    out = _means(reports)
+        targets.append(seq.steps[first : rc.context_len + rc.horizon])
+        preds.append(prefix[first:])
+    out = _means(metric_report(np.concatenate(targets), np.concatenate(preds), ordered))
     out["n_examples"] = len(eligible)
     out["n_skipped"] = n_skipped
     return out

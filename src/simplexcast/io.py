@@ -1,9 +1,9 @@
 """Dataset files, run configuration, and atomic output writing.
 
 Datasets are JSON-lines: a header line {format_version, D, ordered,
-section_name} followed by one line per sequence {id, steps, loss_mask}.
-Files ending in .gz are compressed transparently. `json_type_ok` decides
-which JSON value a field may hold in every file the package reads.
+section_name} followed by one line per sequence {id, steps, loss_mask}, id
+a string. Files ending in .gz are compressed transparently. `json_type_ok`
+decides which JSON value a field may hold in every file the package reads.
 """
 from __future__ import annotations
 
@@ -103,10 +103,10 @@ def ingest(path) -> IngestResult:
     is zero anywhere are dropped and counted. A header whose D is not an
     integer >= 2, whose ordered is not a boolean or whose section_name is
     not a string, a steps entry that is not a JSON number, a loss_mask entry
-    that is not a boolean, a non-finite or negative value, and an id
-    repeated within the file are each a ParseError naming its line; so are a
-    file that `_read_text` rejects and a format_version other than the
-    integer 1, without a line."""
+    that is not a boolean, a non-finite or negative value, an id that is not
+    a JSON string and an id repeated within the file are each a ParseError
+    naming its line; so are a file that `_read_text` rejects and a
+    format_version other than the integer 1, without a line."""
     lines = _read_text(path, "not a text file").splitlines()
     if not lines:
         raise ParseError("empty dataset file", line=1)
@@ -158,7 +158,9 @@ def ingest(path) -> IngestResult:
             raise ParseError("steps must be finite (no NaN or Infinity)", line=lineno)
         if "id" not in row:
             raise ParseError("row missing id", line=lineno)
-        seq_id = str(row["id"])
+        seq_id = row["id"]
+        if not json_type_ok(seq_id, str):
+            raise ParseError(f"id must be a JSON string, got {json.dumps(seq_id)}", line=lineno)
         if seq_id in seen_ids:
             raise ParseError(f"repeated id {seq_id!r}", line=lineno)
         seen_ids.add(seq_id)

@@ -21,10 +21,10 @@ exact reverse-mode.
 `CastParams.flat`, whose backward runs the stages' reverse passes in a
 fixed order into a gradient of the same layout. A split is packed once
 (`Split`) and every retrieval memory is an index into it: a training batch
-(`make_batch`) gathers one memory per row, and scoring (`forward`, no tape)
-is one pass per block of whole sequences (`score_blocks`) whose rows share
-one slice of the split's (feature, successor) pairs, each row's window
-letting row t of a sequence see only its own pairs before t.
+(`make_batch`) gathers one memory per row, and scoring (`predict`, no tape)
+is one `forward` pass per block of whole sequences (`score_blocks`) whose
+rows share one slice of the split's (feature, successor) pairs, each row's
+window letting row t of a sequence see only its own pairs before t.
 
 The parameters live in one float64 buffer, `CastParams.flat`, and the named
 arrays the forward pass reads are views into it: init, copy, save, load,
@@ -48,6 +48,7 @@ import numpy as np
 from .autodiff import Var
 from .errors import InvalidValue
 from .io import atomic_write, json_type_ok
+from .metrics import kl as kl_metric
 from .simplex import history_windows, smoothed_levels, softmax, softmax_vjp, support_bins
 from .transport import BudgetParams, cast_step, operator_regularizer
 
@@ -177,10 +178,10 @@ def fixed_local_kernel(d: int) -> np.ndarray:
 def _heads(cfg: ModelConfig) -> list[tuple[str, bool, dict[str, tuple]]]:
     """Each head in checkpoint order: the `cast_step` input it feeds, whether
     `cfg` runs it, and its parameter shapes by name; the one place that says
-    which heads run (read by `param_shapes`, `CastParams.init`, `_forward`).
-    `w_qk[m, 0]` and `w_qk[m, 1]` are retrieval head m's query and key; the
-    head mix runs only when H > 1, and the persistence gate only with
-    retrieval, since without it r = p."""
+    which heads run (read by `param_shapes`, `CastParams.init`, `_forward`,
+    `score_blocks`). `w_qk[m, 0]` and `w_qk[m, 1]` are retrieval head m's
+    query and key; the head mix runs only when H > 1, and the persistence
+    gate only with retrieval, since without it r = p."""
     f = cfg.feature_dim
     retrieves = cfg.feature_mode != "current_only"
     return [
@@ -307,12 +308,13 @@ class CastParams:
 
 
 class Split(list):
-    """A split's sequences, packed once for retrieval: their steps (N + 1, D)
-    and `encode_all` features (N + 1, F) laid end to end, each with one zero
-    pad row last. Sequence i is rows start[i] : start[i + 1]."""
+    """A split's sequences, packed once for retrieval under `cfg`: steps
+    (N + 1, D) and `encode_all` features (N + 1, F) end to end, each with one
+    zero pad row last. Sequence i is rows start[i] : start[i + 1]."""
 
     def __init__(self, seqs, cfg: ModelConfig):
         super().__init__(seqs)
+        self.cfg = cfg
         self.start = np.cumsum([0] + [len(seq.steps) for seq in self])
         # preallocated: joining per-sequence arrays would hold both at once
         self.steps = np.zeros((self.start[-1] + 1, cfg.dim))
@@ -474,21 +476,31 @@ def forward(split: Split, i, ts, params: CastParams):
 def score_blocks(split: Split, i, ts):
     """The positions (i, t) of a split, in split order, cut into the blocks
     that `forward` scores in one pass each: runs of whole sequences that grow
-    while rows x memory slots stay within SCORE_BLOCK. A sequence over it
-    alone is a block of its own, scored exactly as by itself. Yields (i, ts)
-    array pairs."""
-    i, ts = np.asarray(i, dtype=np.intp), np.asarray(ts, dtype=np.intp)
+    while rows x memory slots stay within SCORE_BLOCK, or rows alone when
+    the split's config reads no memory. A sequence over it alone is a block
+    of its own, scored exactly as by itself. Yields (i, ts) array pairs."""
+    i, ts = np.broadcast_arrays(np.asarray(i, dtype=np.intp), np.asarray(ts, dtype=np.intp))
     if len(i) == 0:
         return
     lo = split.start[i]
     reach = lo + ts
     runs = np.flatnonzero(np.diff(i)) + 1  # where each next sequence's rows start
+    retrieves = any(on for name, on, _ in _heads(split.cfg) if name == "r")
     first = 0
     for start, end in zip([0, *runs], [*runs, len(i)]):
-        if start > first and (end - first) * (reach[first:end].max() - lo[first]) > SCORE_BLOCK:
+        slots = reach[first:end].max() - lo[first] if retrieves else 1
+        if start > first and (end - first) * slots > SCORE_BLOCK:
             yield i[first:start], ts[first:start]
             first = start
     yield i[first:], ts[first:]
+
+
+def predict(split: Split, i, ts, params: CastParams) -> np.ndarray:
+    """p_hat (len(ts), D) of the positions (i, t) that `forward` takes, in
+    input order, from one `forward` pass per block of `score_blocks`; no
+    position gives (0, D)."""
+    blocks = [forward(split, *block, params)[0] for block in score_blocks(split, i, ts)]
+    return np.concatenate([np.zeros((0, params.cfg.dim)), *blocks])
 
 
 def _kl_term(target: np.ndarray, p_hat: np.ndarray, eps: float = 1e-8):
@@ -606,16 +618,10 @@ class TrainConfig:
 
 def evaluate_val_kl(split: Split, params: CastParams, max_positions: int) -> float:
     """Mean one-step KL over a split's first `max_positions` scored positions:
-    one `forward` pass and one `kl` call per block of `score_blocks`, summed
-    in position order. A row scored in a block of several sequences may
-    differ from its one-sequence score in the last bits (`forward`)."""
-    from .metrics import kl as kl_metric
-
+    one `kl` call over their `predict` rows, summed in position order."""
     positions = scored_positions(split)[:max_positions]
-    kls = []
-    for i, ts in score_blocks(split, *np.reshape(positions, (-1, 2)).T):
-        p_hat, _ = forward(split, i, ts, params)
-        kls.extend(kl_metric(split.steps[split.start[i] + ts + 1], p_hat))
+    i, ts = np.reshape(positions, (-1, 2)).T
+    kls = kl_metric(split.steps[split.start[i] + ts + 1], predict(split, i, ts, params))
     return float(sum(kls) / len(positions))
 
 

@@ -2,6 +2,7 @@
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -91,6 +92,20 @@ class TestDatasetIO:
         assert exc.value.line == 4
         assert cli_dispatch(["evaluate", "--data", str(path), "--out", str(tmp_path)]) == 1
         assert capsys.readouterr().err.startswith("error: line 4: repeated id 's0'")
+
+    @pytest.mark.parametrize("seq_id", [None, 3, [1, 2]], ids=["null", "int", "list"])
+    def test_non_string_id_rejected_with_line(self, tmp_path, capsys, seq_id):
+        # a stringified id would read null as "None" and clash 3 with "3"
+        header = {"format_version": 1, "D": 2, "ordered": True, "section_name": ""}
+        good = {"id": "3", "steps": [[0.5, 0.5], [0.25, 0.75]]}
+        bad = {"id": seq_id, "steps": [[0.5, 0.5], [0.25, 0.75]]}
+        path = tmp_path / "d.jsonl"
+        path.write_text("\n".join(json.dumps(x) for x in (header, good, bad)) + "\n")
+        message = f"line 3: id must be a JSON string, got {json.dumps(seq_id)}"
+        with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
+            ingest(path)
+        assert cli_dispatch(["evaluate", "--data", str(path), "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_schema_version_mismatch(self, tmp_path):
         header = {"format_version": 99, "D": 2, "ordered": True, "section_name": ""}

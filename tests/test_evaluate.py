@@ -3,7 +3,8 @@ diagnostic, and the seed study."""
 import numpy as np
 import pytest
 
-from simplexcast.baselines import PersistencePredictor
+from simplexcast import evaluate
+from simplexcast.baselines import CastPredictor, PersistencePredictor
 from simplexcast.errors import InvalidValue
 from simplexcast.evaluate import (
     DiagnosticThresholds,
@@ -14,7 +15,8 @@ from simplexcast.evaluate import (
     rank_aggregate,
     seed_study,
 )
-from simplexcast.metrics import kl
+from simplexcast.metrics import kl, metric_report
+from simplexcast.model import CastParams, ModelConfig
 from simplexcast.simplex import SimplexSeries
 
 
@@ -153,6 +155,36 @@ class TestEvaluateRollout:
             RolloutConfig(context_len=0, horizon=1)
         with pytest.raises(ValueError):
             RolloutConfig(context_len=1, horizon=0)
+
+
+@pytest.mark.parametrize("method", ["persistence", "cast"])
+def test_each_evaluation_is_one_metric_report(rng, monkeypatch, method):
+    seqs = [_series(rng, n, 3, f"s{n}") for n in (9, 4, 7)]
+    seqs[1].loss_mask[:] = False
+    predictor = PersistencePredictor()
+    if method == "cast":
+        cfg = ModelConfig(dim=3, ordered=True, window=2, d_r=4)
+        predictor = CastPredictor(CastParams.init(cfg, seed=0))
+    rows = []
+
+    def counted(p, q, ordered=False):
+        rows.append(len(p))
+        return metric_report(p, q, ordered)
+
+    monkeypatch.setattr(evaluate, "metric_report", counted)
+    evaluate_offline(predictor, seqs)
+    assert rows == [8 + 6]  # the scored rows of s9 and s7
+    rows.clear()
+    evaluate_rollout(predictor, seqs, RolloutConfig(context_len=3, horizon=2))
+    assert rows == [2 * 2]  # two horizon rows each of s9 and s7; s4 is too short
+
+
+def test_a_split_that_mixes_ordered_is_rejected(rng):
+    seqs = [_series(rng, 6, 3, "a"), _series(rng, 6, 3, "b", ordered=False)]
+    with pytest.raises(InvalidValue, match="^the sequences disagree on ordered$"):
+        evaluate_offline(PersistencePredictor(), seqs)
+    with pytest.raises(InvalidValue, match="^the sequences disagree on ordered$"):
+        evaluate_rollout(PersistencePredictor(), seqs, RolloutConfig(3, 2))
 
 
 class TestRankAggregate:

@@ -5,7 +5,8 @@ metrics). The check imports every `simplexcast` module and runs every
 command in a fresh interpreter, because this test process already holds
 scipy through other test modules. A second fresh interpreter checks that
 `theory-check`, which trains nothing, never loads the tape, and a parse of
-the package's imports checks that `model` alone imports the tape.
+the package's imports checks that `model` alone imports the tape and alone
+calls `forward` and `score_blocks`.
 """
 import ast
 import json
@@ -109,3 +110,13 @@ def test_only_model_imports_the_tape():
         if "simplexcast.autodiff" in _imported_modules(path)
     )
     assert importers == ["model.py"]
+
+
+def test_only_model_cuts_scoring_blocks():
+    # the rest of the package scores CAST through `model.predict`
+    block_loop = {"simplexcast.model.forward", "simplexcast.model.score_blocks"}
+    importers = sorted(
+        path.name for path in (SRC / "simplexcast").glob("*.py")
+        if path.name != "model.py" and block_loop & _imported_modules(path)
+    )
+    assert importers == []

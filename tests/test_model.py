@@ -7,7 +7,7 @@ import pytest
 from simplexcast import model
 from simplexcast.baselines import CastPredictor
 from simplexcast.errors import InvalidValue
-from simplexcast.evaluate import _means, evaluate_offline
+from simplexcast.evaluate import evaluate_offline
 from simplexcast.metrics import kl, metric_report
 from simplexcast.model import (
     CastParams,
@@ -24,6 +24,7 @@ from simplexcast.model import (
     loss_var,
     make_batch,
     param_shapes,
+    predict,
     score_blocks,
     scored_positions,
     support_position_encoding,
@@ -318,19 +319,35 @@ def test_packed_blocks_equal_each_sequence_alone(rng):
         blocks = list(score_blocks(split, i, ts))
         np.testing.assert_array_equal(np.concatenate([b for b, _ in blocks]), i)
         np.testing.assert_array_equal(np.concatenate([t for _, t in blocks]), ts)
-        assert [set(b) for b, _ in blocks].count({LONG}) == 1
-        assert max(len(set(b)) for b, _ in blocks) > 2
+        if cfg.feature_mode == "full":
+            assert [set(b) for b, _ in blocks].count({LONG}) == 1
+            assert max(len(set(b)) for b, _ in blocks) > 2
+        else:
+            # without memory a block is bounded by its rows alone
+            assert len(blocks) == 1
         for bi, bts in blocks:
             lo = split.start[bi]
-            if len(set(bi)) > 1:
+            if len(set(bi)) > 1 and cfg.feature_mode == "full":
                 assert len(bi) * ((lo + bts).max() - lo[0]) <= SCORE_BLOCK
             got = forward(split, bi, bts, params)[0]
             for k in set(bi):
                 alone = forward_steps(seqs[k].steps, bts[bi == k], params)[0]
-                if k == LONG:
+                if set(bi) == {k}:
                     np.testing.assert_array_equal(got[bi == k], alone)
                 else:
                     np.testing.assert_allclose(got[bi == k], alone, rtol=1e-12, atol=0)
+
+
+def test_predict_is_forward_over_one_sequence_and_empty_without_positions(rng):
+    for kw in ({}, dict(feature_mode="current_only")):
+        cfg = small_cfg(**kw)
+        params = CastParams.init(cfg, seed=3)
+        split = Split([random_series(rng, 6, cfg.dim, "s0")], cfg)
+        ts = np.array([4, 0, 2])
+        np.testing.assert_array_equal(predict(split, 0, ts, params),
+                                      forward(split, 0, ts, params)[0])
+        for i in (0, []):
+            assert predict(split, i, [], params).shape == (0, cfg.dim)
 
 
 def test_scoring_is_one_forward_per_block_and_no_batch(rng, monkeypatch):
@@ -366,10 +383,12 @@ def test_cast_offline_evaluation_equals_the_per_sequence_loop(rng):
                 for k, n in enumerate(PACKED_LENGTHS)]
         seqs[3].loss_mask[:] = False  # a sequence with no scored row is skipped
         seqs[6].loss_mask[[1, 2]] = False
-        want = _means(
+        reports = [
             metric_report(seq.steps[ts + 1], predictor.predict_all(seq.steps, ts), seq.ordered)
             for seq in seqs if len(ts := np.flatnonzero(seq.loss_mask))
-        )
+        ]
+        # the mean over every scored row of every sequence
+        want = {name: np.concatenate([r[name] for r in reports]).mean() for name in reports[0]}
         got = evaluate_offline(predictor, seqs)
         assert got.keys() == want.keys()
         for name in want:
