@@ -353,7 +353,8 @@ def _seed(text: str) -> int:
 
 
 def _seed_list(text: str) -> list[int]:
-    """The value of `--seeds`: comma-separated non-negative integers."""
+    """The value of `--seeds`: comma-separated distinct non-negative integers
+    (a repeated seed would count one training twice in the mean and sd)."""
     try:
         seeds = [int(s) for s in text.split(",")]
     except ValueError:
@@ -364,6 +365,8 @@ def _seed_list(text: str) -> list[int]:
         raise argparse.ArgumentTypeError(
             f"expected non-negative integers, got {text!r}"
         )
+    if len(set(seeds)) < len(seeds):
+        raise argparse.ArgumentTypeError(f"expected distinct seeds, got {text!r}")
     return seeds
 
 

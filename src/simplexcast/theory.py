@@ -27,7 +27,9 @@ the closed form.
 """
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -263,10 +265,11 @@ def build_aliasing_dataset(
 # reach its near-zero optimum, so it takes a larger step and no tail average;
 # the anchor-only row stops at its plateau. Every row trains with batch 8,
 # warmup min(50, iters), no weight decay and validation every 100 steps.
+# The longest training comes first, so that a pool does not start it last.
 TRAINED_ROWS = (
+    ("cast_trained", "full", "full", 600, 0.8, 0.0),
     ("current_only_trained", "current_only", "full", 1000, 0.02, 0.3),
     ("anchor_only_trained", "full", "anchor_only", 500, 0.02, 0.3),
-    ("cast_trained", "full", "full", 600, 0.8, 0.0),
 )
 
 
@@ -281,6 +284,32 @@ def _row(method: str, per_seed: list) -> dict:
     return row
 
 
+def _train_and_score(scenario: AliasingScenario, n_sequences: int, task: tuple) -> dict:
+    """Task (cfg, tc, seed) of one trained row: trains on n_sequences, selects
+    on max(n // 4, 2) and scores max(n // 2, 2) held-out final transitions."""
+    from .baselines import CastPredictor
+    from .evaluate import evaluate_offline
+    from .model import train
+
+    cfg, tc, seed = task
+    train_seqs = build_aliasing_dataset(scenario, n_sequences, seed=seed)
+    val_seqs = build_aliasing_dataset(scenario, max(n_sequences // 4, 2), seed=seed + 10_000)
+    params, _ = train(train_seqs, val_seqs, cfg, tc, seed)
+    eval_seqs = build_aliasing_dataset(scenario, max(n_sequences // 2, 2), seed=seed + 20_000)
+    return evaluate_offline(CastPredictor(params), eval_seqs)
+
+
+def _pool_map(fn, tasks: list) -> list:
+    """fn over tasks on min(len(tasks), usable CPUs) forked workers, results in
+    task order; a task's exception is raised here, after every worker exits."""
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    workers = min(len(tasks), len(os.sched_getaffinity(0)))
+    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
+        return list(pool.map(fn, tasks))
+
+
 def run_synthetic_experiment(
     scenario: AliasingScenario,
     seeds,
@@ -289,14 +318,11 @@ def run_synthetic_experiment(
 ) -> dict:
     """The five-row experiment table: analytic fixed-summary optimum, trained
     current-only forecaster, trained anchor-only, regime-aware oracle, and
-    trained full model. Each trained row trains on n_sequences sequences,
-    selects on max(n // 4, 2) and scores the final transitions of
-    max(n // 2, 2) held-out ones with `evaluate_offline`; it reports the
-    mean +- sample sd over seeds. `iters`, when given, replaces every
-    trained row's iteration count."""
-    from .baselines import CastPredictor
-    from .evaluate import evaluate_offline
-    from .model import ModelConfig, TrainConfig, train
+    trained full model. Each trained row reports the mean +- sample sd over
+    seeds of its `_train_and_score` tasks, which `_pool_map` runs in
+    parallel. `iters`, when given, replaces every trained row's iteration
+    count."""
+    from .model import ModelConfig, TrainConfig
 
     budget = BudgetParams()  # the model's default: the oracle's and every trained row's
     pis = scenario.pis
@@ -309,8 +335,8 @@ def run_synthetic_experiment(
         for name, q in (("fixed_summary_optimum", q_star), ("cast_oracle", oracle))
     }
 
-    n_val, n_eval = max(n_sequences // 4, 2), max(n_sequences // 2, 2)
-    for name, feature_mode, variant, row_iters, lr, tail_average in TRAINED_ROWS:
+    tasks = []
+    for _, feature_mode, variant, row_iters, lr, tail_average in TRAINED_ROWS:
         cfg = ModelConfig(
             dim=scenario.dim,
             ordered=True,
@@ -323,14 +349,10 @@ def run_synthetic_experiment(
             iters=n_iters, batch_size=8, lr=lr, warmup=min(50, n_iters),
             weight_decay=0.0, eval_every=100, tail_average=tail_average,
         )
-        per_seed = []
-        for seed in seeds:
-            train_seqs = build_aliasing_dataset(scenario, n_sequences, seed=seed)
-            val_seqs = build_aliasing_dataset(scenario, n_val, seed=seed + 10_000)
-            params, _ = train(train_seqs, val_seqs, cfg, tc, seed)
-            eval_seqs = build_aliasing_dataset(scenario, n_eval, seed=seed + 20_000)
-            per_seed.append(evaluate_offline(CastPredictor(params), eval_seqs))
-        rows[name] = _row(name, per_seed)
+        tasks += [(cfg, tc, seed) for seed in seeds]
+    results = _pool_map(partial(_train_and_score, scenario, n_sequences), tasks)
+    for k, (name, *_) in enumerate(TRAINED_ROWS):
+        rows[name] = _row(name, results[k * len(seeds):(k + 1) * len(seeds)])
 
     _, deltas = anchor_only_optimum(scenario)
     order = ("fixed_summary_optimum", "current_only_trained", "anchor_only_trained",

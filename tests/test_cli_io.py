@@ -409,7 +409,10 @@ class TestCli:
          "argument --seed: expected a non-negative integer, got '-1'"),
         (["aliasing-synthetic", "--seeds=-1"],
          "argument --seeds: expected non-negative integers, got '-1'"),
-    ], ids=["simulate-queues", "train", "theory-check", "aliasing-synthetic"])
+        (["aliasing-synthetic", "--seeds", "0,0", "--iters", "2", "--sequences", "8"],
+         "argument --seeds: expected distinct seeds, got '0,0'"),
+    ], ids=["simulate-queues", "train", "theory-check", "aliasing-synthetic",
+            "repeated-seeds"])
     def test_negative_seed_rejected_at_parse_time(self, tmp_path, capsys, argv, message):
         assert _run(argv + ["--out", str(tmp_path)]) == 1
         assert message in capsys.readouterr().err
@@ -702,6 +705,23 @@ class TestCli:
                      "--out", str(tmp_path)]) == 2
         checks = json.loads((tmp_path / "aliasing_synthetic.json").read_text())["checks"]
         assert checks["fixed_summary_identity"] is False
+
+    def test_aliasing_synthetic_reports_a_worker_error(self, tmp_path, capsys, monkeypatch):
+        # the forked workers inherit the patched train; its error reaches the
+        # CLI as exit 1 with its message, and nothing is written or left running
+        import multiprocessing
+
+        from simplexcast import model
+
+        def refused(*args, **kwargs):
+            raise InvalidValue("refused in a worker")
+
+        monkeypatch.setattr(model, "train", refused)
+        assert _run(["aliasing-synthetic", "--seeds", "0,1", "--iters", "2", "--sequences", "8",
+                     "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == "error: refused in a worker\n"
+        assert not (tmp_path / "aliasing_synthetic.json").exists()
+        assert multiprocessing.active_children() == []
 
     def test_module_runs_as_a_script(self, tmp_path):
         env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(cli.__file__))}

@@ -4,7 +4,8 @@ scipy is only a test oracle (tests/hull_reference.py, the LP checks of the
 metrics). The check imports every `simplexcast` module and runs every
 command in a fresh interpreter, because this test process already holds
 scipy through other test modules. A second fresh interpreter checks that
-`theory-check`, which trains nothing, never loads the tape, and a parse of
+`theory-check`, which trains nothing, never loads the tape, a third that
+importing the package loads no process pool, and a parse of
 the package's imports checks that `model` alone imports the tape and alone
 calls `forward` and `score_blocks`.
 """
@@ -88,6 +89,28 @@ def test_theory_check_loads_no_tape(tmp_path):
     )
     result = json.loads(proc.stdout.splitlines()[-1])
     assert result == {"code": 0, "autodiff": False}, proc.stderr
+
+
+POOL_SCRIPT = """
+import importlib, json, pkgutil, sys
+
+import simplexcast
+
+for module in pkgutil.iter_modules(simplexcast.__path__):
+    importlib.import_module("simplexcast." + module.name)
+print(json.dumps(sorted(k for k in sys.modules
+                        if k.split(".")[0] in ("multiprocessing", "concurrent"))))
+"""
+
+
+def test_no_module_imports_the_process_pool():
+    # aliasing-synthetic imports its pool when it runs, so importing the
+    # package, which every command's start-up pays, loads neither module
+    proc = subprocess.run(
+        [sys.executable, "-c", POOL_SCRIPT],
+        env=dict(os.environ, PYTHONPATH=str(SRC)), capture_output=True, text=True, check=True,
+    )
+    assert json.loads(proc.stdout.splitlines()[-1]) == [], proc.stderr
 
 
 def _imported_modules(path: Path) -> set:

@@ -953,18 +953,19 @@ def test_train_config_accepts_boundary_values():
     TrainConfig(lr=1e-300, clip_norm=1e-300, tail_average=0.999)
 
 
-def _record_train(monkeypatch) -> list:
-    """Replaces `model.train` with a stub that records each TrainConfig and
-    returns untrained parameters."""
-    from simplexcast import model
+def _record_tasks(monkeypatch) -> list:
+    """Replaces `theory._pool_map` with a stub that records the TrainConfig
+    of each task the synthetic experiment hands to the pool, trains nothing
+    and returns zero metrics."""
+    from simplexcast import theory
 
     built = []
 
-    def record(train_seqs, val_seqs, cfg, tc, seed):
-        built.append(tc)
-        return CastParams.init(cfg, seed), []
+    def record(fn, tasks):
+        built.extend(tc for _, tc, _ in tasks)
+        return [{"kl": 0.0, "jsd": 0.0, "l1": 0.0} for _ in tasks]
 
-    monkeypatch.setattr(model, "train", record)
+    monkeypatch.setattr(theory, "_pool_map", record)
     return built
 
 
@@ -972,12 +973,12 @@ def test_train_config_accepts_synthetic_settings(monkeypatch):
     # every TrainConfig the synthetic experiment builds from TRAINED_ROWS
     from simplexcast import theory
 
-    built = _record_train(monkeypatch)
+    built = _record_tasks(monkeypatch)
     theory.run_synthetic_experiment(theory.default_scenario(), [0], n_sequences=2)
     assert [(tc.iters, tc.lr, tc.tail_average) for tc in built] == [
         row[3:] for row in theory.TRAINED_ROWS
     ]
-    assert [tc.iters for tc in built] == [1000, 500, 600]
+    assert [tc.iters for tc in built] == [600, 1000, 500]
     assert all((tc.batch_size, tc.warmup, tc.weight_decay, tc.eval_every) == (8, 50, 0.0, 100)
                for tc in built)
 
@@ -985,7 +986,7 @@ def test_train_config_accepts_synthetic_settings(monkeypatch):
 def test_aliasing_synthetic_iters_sets_every_trained_row(monkeypatch, tmp_path):
     from simplexcast.cli import cli_dispatch
 
-    built = _record_train(monkeypatch)
+    built = _record_tasks(monkeypatch)
     assert cli_dispatch(["aliasing-synthetic", "--seeds", "0", "--iters", "3",
                          "--sequences", "8", "--out", str(tmp_path)]) == 0
     assert [(tc.iters, tc.warmup) for tc in built] == [(3, 3)] * 3

@@ -1,7 +1,12 @@
 """Tests for the identifiability theory lab and the aliasing experiment."""
+import json
+import multiprocessing
+import os
+
 import numpy as np
 import pytest
 
+from simplexcast import theory
 from simplexcast.errors import InvalidValue
 from simplexcast.metrics import jsd, js_weighted, kl, l1
 from simplexcast.theory import (
@@ -436,6 +441,24 @@ class TestAliasingDataset:
     def test_requires_two_sequences(self):
         with pytest.raises(ValueError):
             build_aliasing_dataset(default_scenario(), 1)
+
+
+# ------------------------------------------------- synthetic experiment
+
+
+class TestSyntheticExperiment:
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    def test_pool_equals_the_tasks_run_in_process(self, monkeypatch, cpus):
+        # six (row, seed) tasks on 1, 2 or 3 workers: the table's bytes are
+        # those of the tasks run in order in this process, and no worker
+        # outlives the call
+        scenario = default_scenario()
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        pooled = theory.run_synthetic_experiment(scenario, [0, 1], n_sequences=8, iters=3)
+        assert multiprocessing.active_children() == []
+        monkeypatch.setattr(theory, "_pool_map", lambda fn, tasks: [fn(t) for t in tasks])
+        in_process = theory.run_synthetic_experiment(scenario, [0, 1], n_sequences=8, iters=3)
+        assert json.dumps(pooled, sort_keys=True) == json.dumps(in_process, sort_keys=True)
 
 
 # ------------------------------------------------ retrieval consistency
