@@ -165,11 +165,12 @@ def _data_and_predictor(args):
     return data, CastPredictor(params)
 
 
-def _selection_split(args, train_res):
-    """The split that model selection reads, and its name."""
-    if args.val:
-        return _ingest_like(args.val, train_res, "--val"), "val"
-    log.warning("no --val given: the model is selected on the training split")
+def _split_or_train(args, flag: str, train_res, use: str):
+    """The split of `flag` and its name, or else, with a warning, the
+    training split: `use` is what the split is for."""
+    if path := getattr(args, flag[2:]):
+        return _ingest_like(path, train_res, flag), flag[2:]
+    log.warning("no %s given: the %s on the training split", flag, use)
     return train_res, "train"
 
 
@@ -178,7 +179,7 @@ def _cmd_train(args) -> int:
 
     cfg_file = load_run_config(args.config, _run_config_types()) if args.config else {}
     train_res = ingest(args.data)
-    val_res, selected_on = _selection_split(args, train_res)
+    val_res, selected_on = _split_or_train(args, "--val", train_res, "model is selected")
     model_keys, train_keys = _RUN_CONFIG_KEYS
     mc = ModelConfig(
         dim=train_res.dim, ordered=train_res.ordered, **_resolve(args, cfg_file, model_keys)
@@ -268,25 +269,21 @@ def _cmd_diagnose_aliasing(args) -> int:
 
 
 def _cmd_seed_study(args) -> int:
-    from .evaluate import evaluate_offline, seed_study
-    from .model import ModelConfig, TrainConfig, train
+    from .evaluate import seed_study
+    from .model import ModelConfig, TrainConfig
 
+    if len(args.seeds) < 2:  # before any file is read
+        raise SimplexCastError("seed study needs at least two seeds")
     train_res = ingest(args.data)
-    val_res, selected_on = _selection_split(args, train_res)
-    test_res = _ingest_like(args.test, train_res, "--test") if args.test else train_res
-    mc = ModelConfig(
-        dim=train_res.dim, ordered=train_res.ordered, **_resolve(args, {}, ("variant",))
-    )
+    val_res, selected_on = _split_or_train(args, "--val", train_res, "model is selected")
+    test_res, scored_on = _split_or_train(args, "--test", train_res, "seeds are scored")
+    mc = ModelConfig(dim=train_res.dim, ordered=train_res.ordered,
+                     **_resolve(args, {}, ("variant",)))
     tc = TrainConfig(**_resolve(args, {}, ("iters",)))
-
-    def runner(seed):
-        from .baselines import CastPredictor
-
-        params, _ = train(train_res.sequences, val_res.sequences, mc, tc, seed)
-        return evaluate_offline(CastPredictor(params), test_res.sequences)
-
-    result = seed_study(runner, args.seeds)
-    _emit(args, {**result, "selected_on": selected_on}, "seed_study.json")
+    result = seed_study((train_res.sequences, val_res.sequences, test_res.sequences),
+                        mc, tc, args.seeds)
+    _emit(args, {**result, "selected_on": selected_on, "scored_on": scored_on},
+          "seed_study.json")
     return 0
 
 

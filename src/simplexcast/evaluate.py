@@ -1,8 +1,10 @@
 """Offline and rollout evaluation, rank aggregation, the aliasing
-diagnostic, and the multi-seed runner."""
+diagnostic, and the one multi-seed path of `seed-study` and `aliasing-synthetic`."""
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -226,22 +228,41 @@ def aliasing_diagnostic(
     }
 
 
-def seed_study(runner, seeds) -> dict:
-    """Runs `runner(seed) -> {metric: value}` once per seed. Returns the
-    seeds, the per-seed metric dicts (`per_seed`), and the per-metric `mean`
-    and sample standard deviation (`sd`)."""
-    seeds = list(seeds)
-    if len(seeds) < 2:
-        raise InvalidValue("seed study needs at least two seeds")
-    per_seed = [dict(runner(seed)) for seed in seeds]
-    names = per_seed[0].keys()
-    for row in per_seed[1:]:
-        if row.keys() != names:
-            raise InvalidValue("runner returned inconsistent metric names")
-    mean = {}
-    sd = {}
-    for name in names:
-        vals = np.array([row[name] for row in per_seed], dtype=np.float64)
-        mean[name] = float(vals.mean())
-        sd[name] = float(vals.std(ddof=1))
-    return {"seeds": seeds, "per_seed": per_seed, "mean": mean, "sd": sd}
+def train_and_score(splits, task: tuple) -> dict:
+    """Task (cfg, tc, seed) on splits (train, val, test): `model.train`, then
+    `evaluate_offline` on test. The model is imported here, so that importing
+    this module loads no tape."""
+    from .baselines import CastPredictor
+    from .model import train
+
+    train_seqs, val_seqs, test_seqs = splits
+    return evaluate_offline(CastPredictor(train(train_seqs, val_seqs, *task)[0]), test_seqs)
+
+
+def _pool_map(fn, tasks: list) -> list:
+    """fn over tasks on min(len(tasks), usable CPUs) forked workers (checked on Linux
+    only), results in task order; a task's error is raised after every worker exits."""
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    affinity = getattr(os, "sched_getaffinity", None)
+    workers = min(len(tasks), len(affinity(0)) if affinity else os.cpu_count() or 1)
+    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
+        return list(pool.map(fn, tasks))
+
+
+def seed_summary(per_seed: list) -> dict:
+    """The per-metric `mean` and sample standard deviation `sd` (ddof 1; 0.0
+    for one seed) over per-seed metric dicts that share their names."""
+    vals = {name: np.array([row[name] for row in per_seed], dtype=np.float64)
+            for name in per_seed[0]}
+    return {"mean": {name: float(v.mean()) for name, v in vals.items()},
+            "sd": {name: float(v.std(ddof=1)) if len(v) > 1 else 0.0 for name, v in vals.items()}}
+
+
+def seed_study(splits, cfg, tc, seeds) -> dict:
+    """Every seed's `train_and_score` task (cfg, tc, seed) on splits (train,
+    val, test), on `_pool_map`'s workers. Returns the seeds, the per-seed
+    metric dicts (`per_seed`), and their `seed_summary`."""
+    per_seed = _pool_map(partial(train_and_score, splits), [(cfg, tc, seed) for seed in seeds])
+    return {"seeds": seeds, "per_seed": per_seed, **seed_summary(per_seed)}

@@ -1,5 +1,5 @@
 """Executable checks of the identifiability theory, plus the synthetic
-aliasing experiment.
+aliasing experiment, whose seeds train and summarise through `evaluate`.
 
 The aliasing construction: several regimes share the same current state p*
 but have different radius-1 local-transport successors u_z. Any forecaster
@@ -27,13 +27,12 @@ the closed form.
 """
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
 
-from . import transport
+from . import evaluate, transport
 from .errors import InvalidValue
 from .metrics import DEFAULT_EPS, jsd, js_weighted, kl, l1
 from .simplex import SimplexSeries, as_dist
@@ -274,40 +273,22 @@ TRAINED_ROWS = (
 
 
 def _row(method: str, per_seed: list) -> dict:
-    """A table row: the mean and sample sd (0 for one seed) of kl, jsd and
-    l1 over the per-seed metric dicts."""
-    row = {"method": method}
-    for name in ("kl", "jsd", "l1"):
-        arr = np.array([m[name] for m in per_seed], dtype=np.float64)
-        row[f"{name}_mean"] = float(arr.mean())
-        row[f"{name}_sd"] = float(arr.std(ddof=1)) if len(arr) > 1 else 0.0
-    return row
+    """A table row: the `evaluate.seed_summary` mean and sd of kl, jsd and l1
+    over the per-seed metric dicts."""
+    summary = evaluate.seed_summary(per_seed)
+    return {"method": method, **{f"{name}_{stat}": summary[stat][name]
+                                 for name in ("kl", "jsd", "l1") for stat in ("mean", "sd")}}
 
 
 def _train_and_score(scenario: AliasingScenario, n_sequences: int, task: tuple) -> dict:
-    """Task (cfg, tc, seed) of one trained row: trains on n_sequences, selects
-    on max(n // 4, 2) and scores max(n // 2, 2) held-out final transitions."""
-    from .baselines import CastPredictor
-    from .evaluate import evaluate_offline
-    from .model import train
-
-    cfg, tc, seed = task
-    train_seqs = build_aliasing_dataset(scenario, n_sequences, seed=seed)
-    val_seqs = build_aliasing_dataset(scenario, max(n_sequences // 4, 2), seed=seed + 10_000)
-    params, _ = train(train_seqs, val_seqs, cfg, tc, seed)
-    eval_seqs = build_aliasing_dataset(scenario, max(n_sequences // 2, 2), seed=seed + 20_000)
-    return evaluate_offline(CastPredictor(params), eval_seqs)
-
-
-def _pool_map(fn, tasks: list) -> list:
-    """fn over tasks on min(len(tasks), usable CPUs) forked workers, results in
-    task order; a task's exception is raised here, after every worker exits."""
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-
-    workers = min(len(tasks), len(os.sched_getaffinity(0)))
-    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
-        return list(pool.map(fn, tasks))
+    """Task (cfg, tc, seed) of one trained row: `evaluate.train_and_score`
+    on n_sequences training, max(n // 4, 2) validation and max(n // 2, 2)
+    held-out sequences, scored on their final transitions."""
+    seed = task[2]
+    splits = (build_aliasing_dataset(scenario, n_sequences, seed=seed),
+              build_aliasing_dataset(scenario, max(n_sequences // 4, 2), seed=seed + 10_000),
+              build_aliasing_dataset(scenario, max(n_sequences // 2, 2), seed=seed + 20_000))
+    return evaluate.train_and_score(splits, task)
 
 
 def run_synthetic_experiment(
@@ -319,8 +300,8 @@ def run_synthetic_experiment(
     """The five-row experiment table: analytic fixed-summary optimum, trained
     current-only forecaster, trained anchor-only, regime-aware oracle, and
     trained full model. Each trained row reports the mean +- sample sd over
-    seeds of its `_train_and_score` tasks, which `_pool_map` runs in
-    parallel. `iters`, when given, replaces every trained row's iteration
+    seeds of its `_train_and_score` tasks, which `evaluate._pool_map` runs
+    in parallel. `iters`, when given, replaces every trained row's iteration
     count."""
     from .model import ModelConfig, TrainConfig
 
@@ -350,7 +331,7 @@ def run_synthetic_experiment(
             weight_decay=0.0, eval_every=100, tail_average=tail_average,
         )
         tasks += [(cfg, tc, seed) for seed in seeds]
-    results = _pool_map(partial(_train_and_score, scenario, n_sequences), tasks)
+    results = evaluate._pool_map(partial(_train_and_score, scenario, n_sequences), tasks)
     for k, (name, *_) in enumerate(TRAINED_ROWS):
         rows[name] = _row(name, results[k * len(seeds):(k + 1) * len(seeds)])
 

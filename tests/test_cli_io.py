@@ -614,7 +614,8 @@ class TestCli:
     def test_seed_study_records_selection_split(self, rng, tmp_path, caplog):
         data = tmp_path / "d.jsonl"
         write_dataset(data, _seqs(rng, n=4, t=8), section_name="unit")
-        base = ["seed-study", "--data", str(data), "--iters", "3", "--seeds", "0,1"]
+        base = ["seed-study", "--data", str(data), "--test", str(data), "--iters", "3",
+                "--seeds", "0,1"]
         with caplog.at_level("WARNING"):
             assert _run(base + ["--out", str(tmp_path / "a")]) == 0
         assert "training split" in caplog.text
@@ -626,6 +627,44 @@ class TestCli:
         assert "training split" not in caplog.text
         study_b = json.loads((tmp_path / "b" / "seed_study.json").read_text())
         assert study_b["selected_on"] == "val"
+
+    @pytest.mark.parametrize("test_flag, scored_on", [(False, "train"), (True, "test")],
+                             ids=["no_test", "test"])
+    def test_seed_study_records_scored_split(self, rng, tmp_path, caplog, test_flag, scored_on):
+        # without --test the seeds are scored on the training split, with a
+        # warning, as a missing --val selects on it
+        data = tmp_path / "d.jsonl"
+        write_dataset(data, _seqs(rng, n=4, t=8), section_name="unit")
+        argv = ["seed-study", "--data", str(data), "--val", str(data), "--iters", "3",
+                "--seeds", "0,1", "--out", str(tmp_path)]
+        if test_flag:
+            argv += ["--test", str(data)]
+        with caplog.at_level("WARNING"):
+            assert _run(argv) == 0
+        warned = "no --test given: the seeds are scored on the training split" in caplog.text
+        assert warned is not test_flag
+        study = json.loads((tmp_path / "seed_study.json").read_text())
+        assert study["scored_on"] == scored_on
+
+    def test_seed_study_task_error_exits_1(self, rng, tmp_path, capsys, monkeypatch):
+        # a training that fails in a worker is raised in the command, after
+        # every worker has exited: exit 1, no report
+        import multiprocessing
+
+        from simplexcast import model
+
+        def broken(*args):
+            raise InvalidValue("broken training")
+
+        monkeypatch.setattr(model, "train", broken)
+        data = tmp_path / "d.jsonl"
+        write_dataset(data, _seqs(rng, n=4, t=8), section_name="unit")
+        argv = ["seed-study", "--data", str(data), "--iters", "3", "--seeds", "0,1,2",
+                "--out", str(tmp_path / "out")]
+        assert _run(argv) == 1
+        assert capsys.readouterr().err == "error: broken training\n"
+        assert multiprocessing.active_children() == []
+        assert not (tmp_path / "out" / "seed_study.json").exists()
 
     def test_theory_check_passes(self, tmp_path):
         code = _run(["theory-check", "--scenarios", "5", "--seed", "1",
@@ -1219,10 +1258,11 @@ def test_pipeline_golden_outputs(tmp_path):
 # Outputs of the analysis commands and the four baseline rollouts on the same
 # section, recorded before the baselines became one Predictor class each and
 # the analyses returned their payloads; each must keep its bytes. The section's
-# split manifest is pinned in test_queue_sim.py.
+# split manifest is pinned in test_queue_sim.py. seed_study.json was re-recorded
+# when it gained its "scored_on" key, its only change.
 ANALYSIS_SHA256 = {
     "aliasing_diagnostic.json": "67de06e576fc2a425236310ab9da72f6243d64082884699678428bb39cb6c1d5",
-    "seed_study.json": "e3b25f922ed1663c3db558699b553b400c15840d50289f163d000b80c0dd0cb4",
+    "seed_study.json": "82e6cad0cca9ffefa126d26f61e5405859fddb1fa24c0ea9e3b05d49f0d79816",
     "theory_check.json": "60039f53294f08f5c2d994db56ae05f73b41961d6a5e03a38b9ee47d34bc1944",
     "rollout_persistence.json": "485697081bf10b86ae29421d75e21941618edea026822c6c06b2d31301cfd7b9",
     "rollout_analog.json": "c6d41cc0a71dd2fc193d160b9c0d2cee3fd58bf36b517c619e8149dd2e33fa22",

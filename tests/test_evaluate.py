@@ -1,5 +1,10 @@
 """Tests for offline/rollout evaluation, rank aggregation, the aliasing
-diagnostic, and the seed study."""
+diagnostic, and the multi-seed path."""
+import json
+import multiprocessing
+import os
+from functools import partial
+
 import numpy as np
 import pytest
 
@@ -14,9 +19,11 @@ from simplexcast.evaluate import (
     evaluate_rollout,
     rank_aggregate,
     seed_study,
+    seed_summary,
+    train_and_score,
 )
 from simplexcast.metrics import kl, metric_report
-from simplexcast.model import CastParams, ModelConfig
+from simplexcast.model import CastParams, ModelConfig, TrainConfig
 from simplexcast.simplex import SimplexSeries
 
 
@@ -330,27 +337,75 @@ class TestAliasingDiagnostic:
         assert loose["severity"] == "strong"
 
 
+def _study_inputs(rng):
+    """Tiny (train, val, test) splits and the config of a three-step training."""
+    splits = tuple([_series(rng, 6, 3, f"{name}{i}") for i in range(3)]
+                   for name in ("train", "val", "test"))
+    return splits, ModelConfig(dim=3, ordered=True, window=2, d_r=4), TrainConfig(iters=3)
+
+
+def _in_process(fn, tasks):
+    return [fn(task) for task in tasks]
+
+
 class TestSeedStudy:
-    def test_deterministic_runner_zero_sd(self):
-        res = seed_study(lambda seed: {"kl": 0.5, "jsd": 0.1}, [0, 1, 2])
+    def test_constant_metrics_zero_sd(self):
+        res = seed_summary([{"kl": 0.5, "jsd": 0.1}] * 3)
         assert res["sd"]["kl"] == pytest.approx(0.0, abs=1e-15)
         assert res["sd"]["jsd"] == pytest.approx(0.0, abs=1e-15)
         assert res["mean"]["kl"] == pytest.approx(0.5)
         assert res["mean"]["jsd"] == pytest.approx(0.1)
 
-    def test_identical_seed_repeated_zero_sd(self, rng):
-        def runner(seed):
-            r = np.random.default_rng(seed)
-            return {"kl": float(r.uniform())}
+    def test_identical_seed_repeated_zero_sd(self):
+        v = float(np.random.default_rng(7).uniform())
+        assert seed_summary([{"kl": v}] * 3)["sd"]["kl"] == 0.0
 
-        res = seed_study(runner, [7, 7, 7])
-        assert res["sd"]["kl"] == 0.0
+    def test_repeated_seed_trains_equal_rows(self, rng):
+        # one seed trained three times on the workers gives three equal rows
+        splits, cfg, tc = _study_inputs(rng)
+        res = seed_study(splits, cfg, tc, [7, 7, 7])
+        assert res["per_seed"][0] == res["per_seed"][1] == res["per_seed"][2]
 
     def test_mean_and_sample_sd(self):
-        res = seed_study(lambda seed: {"m": float(seed)}, [0, 1, 2, 3])
+        res = seed_summary([{"m": float(seed)} for seed in (0, 1, 2, 3)])
         assert res["mean"]["m"] == pytest.approx(1.5)
         assert res["sd"]["m"] == pytest.approx(np.std([0, 1, 2, 3], ddof=1))
 
-    def test_requires_two_seeds(self):
-        with pytest.raises(ValueError):
-            seed_study(lambda seed: {"m": 0.0}, [0])
+    def test_one_seed_zero_sd(self):
+        res = seed_summary([{"m": 0.25}])
+        assert res == {"mean": {"m": 0.25}, "sd": {"m": 0.0}}
+
+    def test_requires_two_seeds(self, tmp_path, capsys):
+        # `seed-study` refuses one seed before it reads a file: --data is missing
+        from simplexcast.cli import cli_dispatch
+
+        argv = ["seed-study", "--data", str(tmp_path / "missing.jsonl"), "--seeds", "0",
+                "--out", str(tmp_path)]
+        assert cli_dispatch(argv) == 1
+        assert capsys.readouterr().err == "error: seed study needs at least two seeds\n"
+        assert not (tmp_path / "seed_study.json").exists()
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    def test_pool_equals_the_tasks_run_in_process(self, rng, monkeypatch, cpus):
+        # three seeds on 1, 2 or 3 workers: the study's bytes are those of the
+        # tasks run in order in this process, and no worker outlives the call
+        splits, cfg, tc = _study_inputs(rng)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        pooled = seed_study(splits, cfg, tc, [0, 1, 2])
+        assert multiprocessing.active_children() == []
+        monkeypatch.setattr(evaluate, "_pool_map", _in_process)
+        in_process = seed_study(splits, cfg, tc, [0, 1, 2])
+        assert json.dumps(pooled, sort_keys=True) == json.dumps(in_process, sort_keys=True)
+
+    def test_pool_without_affinity_uses_cpu_count(self, rng, monkeypatch):
+        # a platform without os.sched_getaffinity (macOS) sizes the pool by
+        # os.cpu_count(), with the same bytes
+        splits, cfg, tc = _study_inputs(rng)
+        fn, tasks = partial(train_and_score, splits), [(cfg, tc, 0), (cfg, tc, 1)]
+        monkeypatch.delattr(os, "sched_getaffinity")
+        counted = []
+        monkeypatch.setattr(os, "cpu_count", lambda: counted.append(2) or 2)
+        pooled = evaluate._pool_map(fn, tasks)
+        assert counted == [2]
+        assert multiprocessing.active_children() == []
+        assert json.dumps(pooled) == json.dumps(_in_process(fn, tasks))

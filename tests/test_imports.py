@@ -7,7 +7,8 @@ scipy through other test modules. A second fresh interpreter checks that
 `theory-check`, which trains nothing, never loads the tape, a third that
 importing the package loads no process pool, and a parse of
 the package's imports checks that `model` alone imports the tape and alone
-calls `forward` and `score_blocks`.
+calls `forward` and `score_blocks`, and that `evaluate` alone imports a
+process pool.
 """
 import ast
 import json
@@ -133,6 +134,16 @@ def test_only_model_imports_the_tape():
         if "simplexcast.autodiff" in _imported_modules(path)
     )
     assert importers == ["model.py"]
+
+
+def test_only_evaluate_imports_the_process_pool():
+    # the package's one process pool is `evaluate._pool_map`
+    importers = sorted(
+        path.name for path in (SRC / "simplexcast").glob("*.py")
+        if any(name.split(".")[0] in ("multiprocessing", "concurrent")
+               for name in _imported_modules(path))
+    )
+    assert importers == ["evaluate.py"]
 
 
 def test_only_model_cuts_scoring_blocks():

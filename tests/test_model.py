@@ -954,10 +954,10 @@ def test_train_config_accepts_boundary_values():
 
 
 def _record_tasks(monkeypatch) -> list:
-    """Replaces `theory._pool_map` with a stub that records the TrainConfig
+    """Replaces `evaluate._pool_map` with a stub that records the TrainConfig
     of each task the synthetic experiment hands to the pool, trains nothing
     and returns zero metrics."""
-    from simplexcast import theory
+    from simplexcast import evaluate
 
     built = []
 
@@ -965,7 +965,7 @@ def _record_tasks(monkeypatch) -> list:
         built.extend(tc for _, tc, _ in tasks)
         return [{"kl": 0.0, "jsd": 0.0, "l1": 0.0} for _ in tasks]
 
-    monkeypatch.setattr(theory, "_pool_map", record)
+    monkeypatch.setattr(evaluate, "_pool_map", record)
     return built
 
 

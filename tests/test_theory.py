@@ -6,7 +6,7 @@ import os
 import numpy as np
 import pytest
 
-from simplexcast import theory
+from simplexcast import evaluate, theory
 from simplexcast.errors import InvalidValue
 from simplexcast.metrics import jsd, js_weighted, kl, l1
 from simplexcast.theory import (
@@ -456,7 +456,7 @@ class TestSyntheticExperiment:
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
         pooled = theory.run_synthetic_experiment(scenario, [0, 1], n_sequences=8, iters=3)
         assert multiprocessing.active_children() == []
-        monkeypatch.setattr(theory, "_pool_map", lambda fn, tasks: [fn(t) for t in tasks])
+        monkeypatch.setattr(evaluate, "_pool_map", lambda fn, tasks: [fn(t) for t in tasks])
         in_process = theory.run_synthetic_experiment(scenario, [0, 1], n_sequences=8, iters=3)
         assert json.dumps(pooled, sort_keys=True) == json.dumps(in_process, sort_keys=True)
 
