@@ -133,6 +133,12 @@ def build_analog_bank(train_seqs, w: int = 4, k: int = 8, max_pairs: int = 50000
 # ------------------------------------------------------------------ ilr VAR
 
 
+def _lags(z, t, order: int) -> np.ndarray:
+    """The one VAR lag matrix, of fit and prediction: row i holds z[t_i],
+    z[t_i - 1], ..., z[t_i - order + 1] (newest lag first), then 1."""
+    return np.hstack([z[t - j] for j in range(order)] + [np.ones((len(t), 1))])
+
+
 @dataclass
 class VarPredictor(Predictor):
     """VAR(order) with intercept in ilr coordinates; persistence when `matrix`
@@ -145,36 +151,31 @@ class VarPredictor(Predictor):
         return self.predict_all(prefix, [len(prefix) - 1])[0]
 
     def predict_all(self, steps, ts):
+        """The forecast of each row t from its `_lags` row, or steps[t] itself."""
         steps = _sequence(steps, "VAR prediction")
         ts = np.asarray(ts, dtype=np.intp)
         out = steps[ts]
         fit = ts >= self.order - 1
         if self.matrix is None or not fit.any():
             return out
-        z = ilr_forward(smooth(steps))
-        t = ts[fit]
-        # row i holds z[t], z[t-1], ..., z[t-order+1] (newest first), then 1
-        x = np.hstack([z[t - j] for j in range(self.order)] + [np.ones((len(t), 1))])
+        x = _lags(ilr_forward(smooth(steps)), ts[fit], self.order)
         # stacked vec-mat products keep each row's bytes, as `x @ matrix` would not
         out[fit] = ilr_inverse((x[:, None, :] @ self.matrix)[:, 0, :], steps.shape[1])
         return out
 
 
 def ilr_var_fit(train_seqs, order: int = 1, ridge: float = 1e-6) -> VarPredictor:
-    """Pooled ordinary least squares VAR(p) with intercept in ilr coordinates.
-    Falls back to persistence (matrix=None) when there are too few pairs."""
+    """Pooled least squares VAR(p) with intercept in ilr coordinates, the `_lags` row
+    of t predicting z[t + 1]; persistence (matrix=None) when there are too few pairs."""
     xs, ys = [], []
     dim = None
     for seq in train_seqs:
         steps = np.asarray(seq.steps, dtype=np.float64)
         dim = steps.shape[1]
         z = ilr_forward(smooth(steps))
-        n = len(z) - order
-        if n <= 0:
+        if len(z) <= order:
             continue
-        # row t holds z[t-1], ..., z[t-order], then the intercept
-        xs.append(np.hstack([z[order - j : order - j + n] for j in range(1, order + 1)]
-                            + [np.ones((n, 1))]))
+        xs.append(_lags(z, np.arange(order - 1, len(z) - 1), order))
         ys.append(z[order:])
     n_pairs = sum(len(x) for x in xs)
     n_cols = order * (dim - 1) + 1 if dim else 1

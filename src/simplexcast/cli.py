@@ -50,7 +50,7 @@ def _refuse_out_dir(out: str) -> None:
 
 
 # the fields of ModelConfig and of TrainConfig that `train` sets from a flag
-# or its --config file
+# or its --config file, and `seed-study` from the flags it defines
 _RUN_CONFIG_KEYS = (("feature_mode", "variant"),
                     ("iters", "batch_size", "lr", "warmup", "weight_decay"))
 
@@ -64,11 +64,11 @@ def _run_config_types() -> dict:
 
 
 def _resolve(args, cfg_file: dict, keys) -> dict:
-    """Keyword arguments for a config dataclass: a flag beats the config
-    file, and a key set by neither is left to the dataclass default."""
+    """Keyword arguments for a config dataclass: a flag beats the config file,
+    and a key set by neither (a flag the command lacks is unset) is left to the default."""
     out = {}
     for key in keys:
-        value = getattr(args, key)
+        value = getattr(args, key, None)
         if value is None:
             value = cfg_file.get(key)
         if value is not None:
@@ -92,15 +92,32 @@ def _ingest_like(path, data, flag: str):
     return res
 
 
-def _emit(args, payload, filename) -> str:
+def _emit(args, payload, filename, *written) -> None:
+    """Writes payload as `filename` in the output directory, and prints it (--json)
+    or one `wrote <path>` line for that file and each other file the command wrote."""
     path = os.path.join(_out_dir(args), filename)
     write_json(path, payload)
     if args.json:
         json.dump(payload, sys.stdout, indent=2, sort_keys=True)
         sys.stdout.write("\n")
     else:
-        print(f"wrote {path}")
-    return path
+        for wrote in (path, *written):
+            print(f"wrote {wrote}")
+
+
+def _train_prologue(args):
+    """The --data split, the --val split (else --data) and its name, and the
+    `_resolve`d ModelConfig and TrainConfig of `train` and `seed-study`."""
+    from .model import ModelConfig, TrainConfig
+
+    config = getattr(args, "config", None)
+    cfg_file = load_run_config(config, _run_config_types()) if config else {}
+    train_res = ingest(args.data)
+    val_res, selected_on = _split_or_train(args, "--val", train_res, "model is selected")
+    model_keys, train_keys = _RUN_CONFIG_KEYS
+    mc = ModelConfig(dim=train_res.dim, ordered=train_res.ordered,
+                     **_resolve(args, cfg_file, model_keys))
+    return train_res, val_res, selected_on, mc, TrainConfig(**_resolve(args, cfg_file, train_keys))
 
 
 # ------------------------------------------------------------ subcommands
@@ -123,12 +140,9 @@ def _cmd_simulate_queues(args) -> int:
         if args.split
         else None
     )
-    out = _out_dir(args)
-    data_path = os.path.join(out, f"{args.section}.jsonl")
+    data_path = os.path.join(_out_dir(args), f"{args.section}.jsonl")
     write_dataset(data_path, section.systems, section_name=args.section)
-    _emit(args, manifest, f"{args.section}_manifest.json")
-    if not args.json:
-        print(f"wrote {data_path}")
+    _emit(args, manifest, f"{args.section}_manifest.json", data_path)
     return 0
 
 
@@ -175,27 +189,16 @@ def _split_or_train(args, flag: str, train_res, use: str):
 
 
 def _cmd_train(args) -> int:
-    from .model import ModelConfig, TrainConfig, train
+    from .model import train
 
-    cfg_file = load_run_config(args.config, _run_config_types()) if args.config else {}
-    train_res = ingest(args.data)
-    val_res, selected_on = _split_or_train(args, "--val", train_res, "model is selected")
-    model_keys, train_keys = _RUN_CONFIG_KEYS
-    mc = ModelConfig(
-        dim=train_res.dim, ordered=train_res.ordered, **_resolve(args, cfg_file, model_keys)
-    )
-    tc = TrainConfig(**_resolve(args, cfg_file, train_keys))
-    params, train_log = train(
-        train_res.sequences, val_res.sequences, mc, tc, args.seed
-    )
+    train_res, val_res, selected_on, mc, tc = _train_prologue(args)
+    params, train_log = train(train_res.sequences, val_res.sequences, mc, tc, args.seed)
     out = _out_dir(args)
     os.makedirs(out, exist_ok=True)
     ckpt = os.path.join(out, "model.ckpt")
     params.save(ckpt)
     payload = {"log": train_log, "checkpoint": os.path.basename(ckpt), "selected_on": selected_on}
-    _emit(args, payload, "train_log.json")
-    if not args.json:
-        print(f"wrote {ckpt}")
+    _emit(args, payload, "train_log.json", ckpt)
     return 0
 
 
@@ -270,16 +273,11 @@ def _cmd_diagnose_aliasing(args) -> int:
 
 def _cmd_seed_study(args) -> int:
     from .evaluate import seed_study
-    from .model import ModelConfig, TrainConfig
 
     if len(args.seeds) < 2:  # before any file is read
         raise SimplexCastError("seed study needs at least two seeds")
-    train_res = ingest(args.data)
-    val_res, selected_on = _split_or_train(args, "--val", train_res, "model is selected")
+    train_res, val_res, selected_on, mc, tc = _train_prologue(args)
     test_res, scored_on = _split_or_train(args, "--test", train_res, "seeds are scored")
-    mc = ModelConfig(dim=train_res.dim, ordered=train_res.ordered,
-                     **_resolve(args, {}, ("variant",)))
-    tc = TrainConfig(**_resolve(args, {}, ("iters",)))
     result = seed_study((train_res.sequences, val_res.sequences, test_res.sequences),
                         mc, tc, args.seeds)
     _emit(args, {**result, "selected_on": selected_on, "scored_on": scored_on},
@@ -326,11 +324,9 @@ def _cmd_report(args) -> int:
                                             payload["average_rank"], payload["top1_counts"]):
         writer.writerow([method] + [f"{r:g}" for r in ranks] + [f"{average:g}", str(top1)])
     csv_text = buf.getvalue()
-    out = _out_dir(args)
-    atomic_write(os.path.join(out, "ranks.csv"), lambda fh: fh.write(csv_text))
-    _emit(args, payload, "ranks.json")
-    if not args.json:
-        print(f"wrote {os.path.join(out, 'ranks.csv')}")
+    csv_path = os.path.join(_out_dir(args), "ranks.csv")
+    atomic_write(csv_path, lambda fh: fh.write(csv_text))
+    _emit(args, payload, "ranks.json", csv_path)
     return 0
 
 
@@ -365,6 +361,17 @@ def _seed_list(text: str) -> list[int]:
     if len(set(seeds)) < len(seeds):
         raise argparse.ArgumentTypeError(f"expected distinct seeds, got {text!r}")
     return seeds
+
+
+def _add_scoring(sub):
+    """The flags of `evaluate` and `rollout`: the scored split, the method,
+    and the training split or checkpoint that the method needs."""
+    sub.add_argument("--data", required=True)
+    sub.add_argument("--train", default=None, help="training data that analog, var and ets "
+                     "are fitted on (required for them)")
+    sub.add_argument("--method", default="persistence",
+                     choices=["persistence", "analog", "var", "ets", "cast"])
+    sub.add_argument("--model", default=None, help="checkpoint for method=cast")
 
 
 def _add_common(sub):
@@ -407,22 +414,12 @@ def build_parser() -> argparse.ArgumentParser:
     tr.set_defaults(func=_cmd_train)
 
     ev = subs.add_parser("evaluate", help="offline teacher-forced evaluation")
-    ev.add_argument("--data", required=True)
-    ev.add_argument("--train", default=None,
-                    help="training data that analog, var and ets are fitted on (required for them)")
-    ev.add_argument("--method", default="persistence",
-                    choices=["persistence", "analog", "var", "ets", "cast"])
-    ev.add_argument("--model", default=None, help="checkpoint for method=cast")
+    _add_scoring(ev)
     _add_common(ev)
     ev.set_defaults(func=_cmd_evaluate)
 
     ro = subs.add_parser("rollout", help="autoregressive rollout evaluation")
-    ro.add_argument("--data", required=True)
-    ro.add_argument("--train", default=None,
-                    help="training data that analog, var and ets are fitted on (required for them)")
-    ro.add_argument("--method", default="persistence",
-                    choices=["persistence", "analog", "var", "ets", "cast"])
-    ro.add_argument("--model", default=None)
+    _add_scoring(ro)
     ro.add_argument("--context", type=int, default=8)
     ro.add_argument("--horizon", type=int, default=4)
     ro.add_argument("--max-examples", type=int, default=1_000_000)

@@ -9,7 +9,7 @@ from functools import partial
 import numpy as np
 
 from .errors import InvalidValue
-from .metrics import jsd, metric_report
+from .metrics import jsd, l1, metric_report
 from .simplex import history_windows
 
 
@@ -180,7 +180,7 @@ def aliasing_diagnostic(
             # one sequence's distances at a time keeps memory to one block;
             # a strict < keeps the first minimum across sequences
             d_cur = jsd(cur, other.steps[:-1])
-            d_hist = np.abs(desc - descs[j][:-1]).sum(axis=1)
+            d_hist = l1(desc, descs[j][:-1])
             s_cur, s_hist = int(np.argmin(d_cur)), int(np.argmin(d_hist))
             if d_cur[s_cur] < best_cur_d:
                 best_cur_d, best_cur = d_cur[s_cur], (j, s_cur)
@@ -252,12 +252,14 @@ def _pool_map(fn, tasks: list) -> list:
 
 
 def seed_summary(per_seed: list) -> dict:
-    """The per-metric `mean` and sample standard deviation `sd` (ddof 1; 0.0
-    for one seed) over per-seed metric dicts that share their names."""
+    """The per-metric `mean` and sample standard deviation `sd` (ddof 1) over
+    per-seed metric dicts that share their names; a metric whose values all equal
+    the first has that mean and sd 0.0 (`np.mean` of equal floats can miss by an ulp)."""
     vals = {name: np.array([row[name] for row in per_seed], dtype=np.float64)
             for name in per_seed[0]}
-    return {"mean": {name: float(v.mean()) for name, v in vals.items()},
-            "sd": {name: float(v.std(ddof=1)) if len(v) > 1 else 0.0 for name, v in vals.items()}}
+    tied = {name: len(v) == 1 or bool(np.all(v == v[0])) for name, v in vals.items()}
+    return {"mean": {name: float(v[0] if tied[name] else v.mean()) for name, v in vals.items()},
+            "sd": {name: 0.0 if tied[name] else float(v.std(ddof=1)) for name, v in vals.items()}}
 
 
 def seed_study(splits, cfg, tc, seeds) -> dict:

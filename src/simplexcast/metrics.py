@@ -46,9 +46,9 @@ def l1(p: Dist, q: Dist):
 
 
 def bray_curtis(p: Dist, q: Dist):
-    """Sum|p-q| / Sum(p+q); equals l1/2 when both live on the simplex."""
+    """l1(p, q) / Sum(p+q); equals l1/2 when both live on the simplex."""
     p, q = _check_same_dim(p, q)
-    return np.abs(p - q).sum(axis=-1) / (p + q).sum(axis=-1)
+    return l1(p, q) / (p + q).sum(axis=-1)
 
 
 def w1_ordered(p: Dist, q: Dist):

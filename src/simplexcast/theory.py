@@ -35,7 +35,7 @@ import numpy as np
 from . import evaluate, transport
 from .errors import InvalidValue
 from .metrics import DEFAULT_EPS, jsd, js_weighted, kl, l1
-from .simplex import SimplexSeries, as_dist
+from .simplex import SimplexSeries, as_dist, smooth
 from .transport import BudgetParams, cast_step
 
 
@@ -152,18 +152,17 @@ def numeric_fixed_summary_minimum(
 ) -> float:
     """Minimizes sum_z pi_z KL(u_z || q) over the simplex, all random starts
     as one batch. Up to a constant this is minus the concave log-likelihood
-    sum_i mix_i log qs_i (qs the eps-smoothed q). The step is the EM update
-    for mixture proportions, q <- q * mix / qs normalized (Dempster, Laird &
-    Rubin, 1977): it raises that likelihood monotonically, has no step size,
-    and its fixed point is the mixture pis @ us itself."""
+    sum_i mix_i log qs_i, mix and qs the `smooth`ed mixture and q. The step
+    is the EM update for mixture proportions, q <- q * mix / qs normalized
+    (Dempster, Laird & Rubin, 1977): it raises that likelihood monotonically,
+    has no step size, and its fixed point is the mixture pis @ us itself."""
     us, pis = scenario.successors(), scenario.pis
     rng = np.random.default_rng(seed)
-    d = us.shape[1]
     eps = DEFAULT_EPS
-    mix = (pis @ us + eps) / (1.0 + d * eps)
-    q = rng.dirichlet(np.ones(d), size=n_starts)
+    mix = smooth(pis @ us, eps)
+    q = rng.dirichlet(np.ones(us.shape[1]), size=n_starts)
     for _ in range(200):  # at most 200 EM steps; a fixed point stops it early
-        qs = (q + eps) / (1.0 + d * eps)
+        qs = smooth(q, eps)
         q_new = q * (mix[None, :] / qs)
         q_new /= q_new.sum(axis=1, keepdims=True)
         if np.abs(q_new - q).max() < 1e-15:
@@ -367,9 +366,10 @@ def retrieval_consistency_check(
     """Synthetic Lipschitz successor map: m(h) = base + V h with V's columns
     summing to zero, so m maps the simplex into itself and is L-Lipschitz in
     L1 with L = max column absolute sum. Checks the 1-NN retrieval error
-    bound error <= L * d_t + ||xi||_1 at every query and density. Returns
-    `lipschitz` (L), the count of `violations`, and per density the largest
-    nearest-neighbor distance (`max_nn_distance`) and error (`max_error`)."""
+    bound error <= L * d_t + ||xi||_1 at every query and density, every
+    distance a `metrics.l1`. Returns `lipschitz` (L), the count of
+    `violations`, and per density the largest nearest-neighbor distance
+    (`max_nn_distance`) and error (`max_error`)."""
     rng = np.random.default_rng(seed)
     base = rng.dirichlet(np.ones(d))
     v = 0.05 * rng.standard_normal((d, d))
@@ -388,13 +388,13 @@ def retrieval_consistency_check(
         xi = rng.dirichlet(np.ones(d), size=n)
         bank_succ = np.array([successor(h) for h in bank_h])
         noisy = (1.0 - noise_l1 / 2.0) * bank_succ + (noise_l1 / 2.0) * xi
-        xi_l1 = np.abs(noisy - bank_succ).sum(axis=1)
+        xi_l1 = l1(noisy, bank_succ)
         worst_d = worst_e = 0.0
         queries = rng.dirichlet(np.ones(d), size=n_queries)
         for h in queries:
-            dists = np.abs(bank_h - h).sum(axis=1)
+            dists = l1(bank_h, h)
             j = int(np.argmin(dists))
-            err = float(np.abs(noisy[j] - successor(h)).sum())
+            err = float(l1(noisy[j], successor(h)))
             bound = lip * dists[j] + xi_l1[j]
             if err > bound + 1e-9:
                 violations += 1

@@ -290,7 +290,7 @@ def test_ets_equals_per_row_reference(rng):
             assert np.array_equal(ets.predict(prefix), _ets_predict_ref(prefix, ets.alphas))
 
 
-@pytest.mark.parametrize("order", [1, 2])
+@pytest.mark.parametrize("order", [1, 2, 3])
 def test_var_equals_per_row_reference(rng, order):
     ridge = 1e-6
     for d in range(2, 36):

@@ -807,6 +807,32 @@ class TestCli:
         assert code == 1
         assert "two sequences with a transition" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("as_json", [False, True], ids=["wrote_lines", "json"])
+    def test_stdout_names_every_written_file(self, tmp_path, capsys, as_json):
+        # without --json stdout is one `wrote <path>` line per file, the
+        # JSON report first; with --json it is the report alone
+        out, results = tmp_path / "out", tmp_path / "results"
+        results.mkdir()
+        for method, v in (("m1", 0.1), ("m2", 0.2)):
+            (results / f"{method}.json").write_text(json.dumps(
+                {"method": method, "section": "secA", "metrics": {"kl": v}}))
+        data = out / "homogeneous.jsonl"
+        commands = [
+            (["simulate-queues", "--section", "homogeneous", "--systems", "4", "--arrivals",
+              "40", "--replications", "5"], "homogeneous_manifest.json", data),
+            (["train", "--data", str(data), "--iters", "2"], "train_log.json",
+             out / "model.ckpt"),
+            (["report", "--results", str(results)], "ranks.json", out / "ranks.csv"),
+        ]
+        for argv, report, other in commands:
+            assert _run(argv + ["--out", str(out)] + ["--json"] * as_json) == 0
+            stdout = capsys.readouterr().out
+            if as_json:
+                payload = json.loads((out / report).read_text())
+                assert stdout == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+            else:
+                assert stdout == f"wrote {out / report}\nwrote {other}\n"
+
     def test_report_ranks(self, tmp_path):
         results = tmp_path / "results"
         results.mkdir()

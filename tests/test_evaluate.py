@@ -360,11 +360,20 @@ class TestSeedStudy:
         v = float(np.random.default_rng(7).uniform())
         assert seed_summary([{"kl": v}] * 3)["sd"]["kl"] == 0.0
 
+    def test_tied_seeds_keep_their_value(self):
+        # np.mean of these three equal floats is 0.6739386248926852, and
+        # their np.std(ddof=1) 1.36e-16
+        v = float(np.random.default_rng(199).uniform())
+        assert seed_summary([{"kl": v}] * 3) == {"mean": {"kl": v}, "sd": {"kl": 0.0}}
+
     def test_repeated_seed_trains_equal_rows(self, rng):
-        # one seed trained three times on the workers gives three equal rows
+        # one seed trained three times on the workers gives three equal rows,
+        # and so each metric's own value with sd 0.0
         splits, cfg, tc = _study_inputs(rng)
         res = seed_study(splits, cfg, tc, [7, 7, 7])
         assert res["per_seed"][0] == res["per_seed"][1] == res["per_seed"][2]
+        assert res["mean"] == res["per_seed"][0]
+        assert all(sd == 0.0 for sd in res["sd"].values())
 
     def test_mean_and_sample_sd(self):
         res = seed_summary([{"m": float(seed)} for seed in (0, 1, 2, 3)])

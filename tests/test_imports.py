@@ -8,11 +8,13 @@ scipy through other test modules. A second fresh interpreter checks that
 importing the package loads no process pool, and a parse of
 the package's imports checks that `model` alone imports the tape and alone
 calls `forward` and `score_blocks`, and that `evaluate` alone imports a
-process pool.
+process pool. A parse of the package's expressions checks that the L1
+distance and the smoothing floor are each written out once.
 """
 import ast
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -154,3 +156,38 @@ def test_only_model_cuts_scoring_blocks():
         if path.name != "model.py" and block_loop & _imported_modules(path)
     )
     assert importers == []
+
+
+def _abs_difference(node) -> bool:
+    return (isinstance(node, ast.Call) and ast.unparse(node.func) == "np.abs" and node.args
+            and isinstance(node.args[0], ast.BinOp) and isinstance(node.args[0].op, ast.Sub))
+
+
+def _written_primitives(path: Path) -> set:
+    """(kind, module, top-level name) of every L1 distance, `np.abs(a - b)`
+    summed, and every smoothing floor, a division by `1 + n * eps`, that a
+    source file writes out."""
+    found = set()
+    for top in ast.parse(path.read_text()).body:
+        for node in ast.walk(top):
+            if isinstance(node, ast.Call) and (
+                isinstance(node.func, ast.Attribute) and node.func.attr == "sum"
+                and _abs_difference(node.func.value)
+                or ast.unparse(node.func) == "np.sum" and node.args
+                and _abs_difference(node.args[0])
+            ):
+                found.add(("l1", path.name, getattr(top, "name", None)))
+            if (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Div)
+                    and re.fullmatch(r"1(\.0)? \+ .+ \* eps", ast.unparse(node.right))):
+                found.add(("floor", path.name, getattr(top, "name", None)))
+    return found
+
+
+def test_one_l1_distance_and_one_smoothing_floor():
+    # everything else calls `metrics.l1` and `simplex.smooth`. `model._kl_term`
+    # keeps its own floor: the checkpoint goldens pin the rounding of its
+    # qs = (p_hat + eps) * c, which `smooth`'s division would change
+    found = set().union(*map(_written_primitives, (SRC / "simplexcast").glob("*.py")))
+    assert sorted(found) == [("floor", "model.py", "_kl_term"),
+                             ("floor", "simplex.py", "smooth"),
+                             ("l1", "metrics.py", "l1")]
