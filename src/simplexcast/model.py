@@ -14,9 +14,9 @@ The forward pass has a leading batch axis and runs on plain arrays;
 retrieval adds a leading head axis, so its H attention heads are one pass
 of stacked products, and a position without memory is a fully masked row
 of the padded memory. Every stage (retrieval, the two gates, the kernel
-head, the operator and its prior, the per-row KL) returns its value and
-its reverse pass, a hand-written vector-Jacobian product, so gradients are
-exact reverse-mode.
+head, the operator and its prior, the per-row KL, which is `metrics.kl`)
+returns its value and its reverse pass, a hand-written vector-Jacobian
+product, so gradients are exact reverse-mode.
 `loss_var` is the one place that builds a tape: one node over one leaf,
 `CastParams.flat`, whose backward runs the stages' reverse passes in a
 fixed order into a gradient of the same layout. A split is packed once
@@ -48,8 +48,8 @@ import numpy as np
 from .autodiff import Var
 from .errors import InvalidValue
 from .io import atomic_write, json_type_ok
-from .metrics import kl as kl_metric
-from .simplex import history_windows, smoothed_levels, softmax, softmax_vjp, support_bins
+from .metrics import DEFAULT_EPS as EPS, kl as kl_metric
+from .simplex import history_windows, smooth, smoothed_levels, softmax, softmax_vjp, support_bins
 from .transport import BudgetParams, cast_step, operator_regularizer
 
 VARIANTS = (
@@ -109,6 +109,11 @@ class ModelConfig:
         # above 1, (1 - rho_eff) * a goes negative and closure breaks
         if not 0.0 < self.rho_max <= 1.0:
             raise InvalidValue("rho_max must lie in (0, 1]")
+        # written so that NaN fails; `_solve_gate_bias` would clip it into range
+        if not self.lambda_min <= self.lambda_init <= self.lambda_max:
+            raise InvalidValue(f"lambda_init {self.lambda_init} not in [lambda_min, lambda_max]")
+        if not 0.0 <= self.rho_init <= self.rho_max:
+            raise InvalidValue(f"rho_init {self.rho_init} not in [0, rho_max]")
         # written so that NaN fails both checks
         if not 0.0 <= self.ew_beta <= 1.0:
             raise InvalidValue(f"ew_beta must lie in [0, 1], got {self.ew_beta}")
@@ -503,15 +508,10 @@ def predict(split: Split, i, ts, params: CastParams) -> np.ndarray:
     return np.concatenate([np.zeros((0, params.cfg.dim)), *blocks])
 
 
-def _kl_term(target: np.ndarray, p_hat: np.ndarray, eps: float = 1e-8):
-    """Per-row KL(target || p_hat) over the last axis, both eps-smoothed,
-    and its reverse pass to the gradient of p_hat."""
-    d = target.shape[-1]
-    ts = (target + eps) / (1.0 + d * eps)
-    c = 1.0 / (1.0 + d * eps)
-    qs = (p_hat + eps) * c
-    out = np.sum(ts * np.log(ts), axis=-1) - np.sum(ts * np.log(qs), axis=-1)
-    return out, lambda g: -g[..., None] * ts / qs * c
+def _kl_term(target: np.ndarray, p_hat: np.ndarray):
+    """Per-row `metrics.kl(target, p_hat)` and its reverse pass to p_hat's
+    gradient, -smooth(target) / (p_hat + eps): the floor's 1/(1 + D eps) cancels."""
+    return kl_metric(target, p_hat), lambda g: -g[..., None] * smooth(target) / (p_hat + EPS)
 
 
 def make_batch(split: Split, positions):
@@ -633,8 +633,9 @@ def train(
     seed: int,
 ) -> tuple[CastParams, list[dict]]:
     """AdamW with linear warmup, gradient-norm clipping, and model selection
-    by lowest validation one-step KL, each split packed once (`Split`).
-    Deterministic given the seed."""
+    by lowest validation one-step KL, each split packed once (`Split`). The
+    clipping norm is one sum over the gradient, Adam's bias corrections two
+    scalars. Deterministic given the seed, whatever the BLAS thread count."""
     rng = np.random.default_rng(seed)
     params = CastParams.init(cfg, seed)
     positions = scored_positions(train_seqs)
@@ -649,7 +650,6 @@ def train(
     grad = CastParams(cfg, np.zeros_like(params.flat))
     g = grad.flat
     m, v, work = (np.zeros_like(params.flat) for _ in range(3))
-    squares = CastParams(cfg, work).values.values()  # work's views, in layout order
     beta1, beta2, adam_eps = 0.9, 0.999, 1e-8
     # a sequence is its index in its packed split: ids are unique only per file
     train_split, val_split = Split(train_seqs, cfg), Split(val_seqs, cfg)
@@ -667,10 +667,8 @@ def train(
         if not np.isfinite(loss_value):
             raise InvalidValue(f"loss is not finite at step {step}: {loss_value}")
 
-        # one partial sum per parameter, in layout order: one sum over the
-        # whole buffer would round differently and change the checkpoint bytes
-        np.multiply(g, g, out=work)
-        norm = np.sqrt(sum(float(x.sum()) for x in squares))
+        # einsum, not BLAS's dot, which splits the sum by its thread count
+        norm = math.sqrt(np.einsum("i,i->", g, g))
         scale = min(1.0, tc.clip_norm / (norm + 1e-12))
         lr = tc.lr * min(1.0, step / max(tc.warmup, 1))
         if scale != 1.0:
@@ -679,13 +677,14 @@ def train(
         m += np.multiply(1 - beta1, g, out=work)
         v *= beta2
         v += np.multiply(np.multiply(1 - beta2, g, out=work), g, out=work)
-        # g becomes lr * (mhat / (sqrt(vhat) + eps) + weight_decay * flat)
-        np.sqrt(np.divide(v, 1 - beta2**step, out=work), out=work)
-        work += adam_eps
-        np.divide(np.divide(m, 1 - beta1**step, out=g), work, out=g)
+        # lr * mhat / (sqrt(vhat) + eps) with the bias corrections folded into two scalars
+        # (Kingma & Ba, arXiv:1412.6980, section 2); g becomes that plus lr * wd * flat
+        correction = math.sqrt(1 - beta2**step)
+        alpha, eps_hat = lr * correction / (1 - beta1**step), adam_eps * correction
+        np.divide(m, np.add(np.sqrt(v, out=work), eps_hat, out=work), out=g)
+        g *= alpha
         if tc.weight_decay:
-            g += np.multiply(tc.weight_decay, params.flat, out=work)
-        g *= lr
+            g += np.multiply(lr * tc.weight_decay, params.flat, out=work)
         params.flat -= g
 
         if step > tc.iters - n_avg:

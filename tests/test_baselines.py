@@ -371,7 +371,8 @@ def test_persistence_equals_degenerate_cast(rng):
     from simplexcast.model import CastParams, ModelConfig
 
     cfg = ModelConfig(dim=5, ordered=True, window=3, heads=1, d_r=4,
-                      lambda_min=1.0, lambda_max=1.0, rho_max=1e-300)
+                      lambda_min=1.0, lambda_max=1.0, rho_max=1e-300,
+                      lambda_init=1.0, rho_init=1e-300)
     params = CastParams.init(cfg, seed=0)
     steps = np.array([random_dist(rng, 5) for _ in range(7)])
     p_hat, _ = forward_steps(steps, np.arange(6), params)

@@ -9,7 +9,8 @@ importing the package loads no process pool, and a parse of
 the package's imports checks that `model` alone imports the tape and alone
 calls `forward` and `score_blocks`, and that `evaluate` alone imports a
 process pool. A parse of the package's expressions checks that the L1
-distance and the smoothing floor are each written out once.
+distance, the smoothing floor and the KL divergence are each written out
+once.
 """
 import ast
 import json
@@ -163,20 +164,36 @@ def _abs_difference(node) -> bool:
             and isinstance(node.args[0], ast.BinOp) and isinstance(node.args[0].op, ast.Sub))
 
 
+def _log_product(node) -> bool:
+    return (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult)
+            and any(isinstance(n, ast.Call) and ast.unparse(n.func) == "np.log"
+                    for side in (node.left, node.right) for n in ast.walk(side)))
+
+
+def _summed(node):
+    """The expression that a `np.sum(...)` or `.sum(...)` call sums, else None."""
+    if not isinstance(node, ast.Call):
+        return None
+    if ast.unparse(node.func) == "np.sum":
+        return node.args[0] if node.args else None
+    if isinstance(node.func, ast.Attribute) and node.func.attr == "sum":
+        return node.func.value
+    return None
+
+
 def _written_primitives(path: Path) -> set:
     """(kind, module, top-level name) of every L1 distance, `np.abs(a - b)`
+    summed, every KL divergence, a product with an `np.log(...)` factor
     summed, and every smoothing floor, a division by `1 + n * eps`, that a
     source file writes out."""
     found = set()
     for top in ast.parse(path.read_text()).body:
         for node in ast.walk(top):
-            if isinstance(node, ast.Call) and (
-                isinstance(node.func, ast.Attribute) and node.func.attr == "sum"
-                and _abs_difference(node.func.value)
-                or ast.unparse(node.func) == "np.sum" and node.args
-                and _abs_difference(node.args[0])
-            ):
+            summed = _summed(node)
+            if summed is not None and _abs_difference(summed):
                 found.add(("l1", path.name, getattr(top, "name", None)))
+            if summed is not None and _log_product(summed):
+                found.add(("kl", path.name, getattr(top, "name", None)))
             if (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Div)
                     and re.fullmatch(r"1(\.0)? \+ .+ \* eps", ast.unparse(node.right))):
                 found.add(("floor", path.name, getattr(top, "name", None)))
@@ -184,10 +201,23 @@ def _written_primitives(path: Path) -> set:
 
 
 def test_one_l1_distance_and_one_smoothing_floor():
-    # everything else calls `metrics.l1` and `simplex.smooth`. `model._kl_term`
-    # keeps its own floor: the checkpoint goldens pin the rounding of its
-    # qs = (p_hat + eps) * c, which `smooth`'s division would change
+    # everything else calls `metrics.l1`, `simplex.smooth` and `metrics.kl`
     found = set().union(*map(_written_primitives, (SRC / "simplexcast").glob("*.py")))
-    assert sorted(found) == [("floor", "model.py", "_kl_term"),
-                             ("floor", "simplex.py", "smooth"),
+    assert sorted(found) == [("floor", "simplex.py", "smooth"),
+                             ("kl", "metrics.py", "kl"),
                              ("l1", "metrics.py", "l1")]
+
+
+def test_written_primitives_finds_each_form(tmp_path):
+    # positive control: a KL written as two sums, a floor, and both L1 forms
+    source = tmp_path / "written.py"
+    source.write_text(
+        "def kl_term(t, q, eps):\n"
+        "    ts = (t + eps) / (1.0 + t.shape[-1] * eps)\n"
+        "    return np.sum(ts * np.log(ts), axis=-1) - (ts * np.log(q)).sum(-1)\n"
+        "def dist(a, b):\n"
+        "    return np.sum(np.abs(a - b)) + np.abs(b - a).sum()\n"
+    )
+    assert sorted(_written_primitives(source)) == [("floor", "written.py", "kl_term"),
+                                                   ("kl", "written.py", "kl_term"),
+                                                   ("l1", "written.py", "dist")]

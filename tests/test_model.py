@@ -1,5 +1,9 @@
 import hashlib
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -720,11 +724,67 @@ def test_train_is_deterministic(rng):
     assert log1 == log2
 
 
+def test_train_equals_textbook_adamw(rng):
+    # AdamW as Kingma & Ba write it, with m-hat and v-hat, over the same batch
+    # draws and `gradient`; clipping binds at every step and the weights
+    # decay. eval_every = iters, so model selection returns the last iterate
+    cfg = small_cfg()
+    seqs = _tiny_dataset(rng, 3)
+    tc = TrainConfig(iters=12, batch_size=4, lr=1e-2, warmup=5, weight_decay=0.1,
+                     clip_norm=1e-3, eval_every=12)
+    got, _ = train(seqs[:2], seqs[2:], cfg, tc, seed=5)
+
+    draws, params = np.random.default_rng(5), CastParams.init(cfg, 5)
+    positions, split = scored_positions(seqs[:2]), Split(seqs[:2], cfg)
+    m = v = np.zeros_like(params.flat)
+    for step in range(1, tc.iters + 1):
+        idx = draws.integers(0, len(positions), size=tc.batch_size)
+        _, g = gradient(make_batch(split, [positions[i] for i in idx]), params)
+        norm = np.linalg.norm(g)
+        assert norm > tc.clip_norm
+        g = g * tc.clip_norm / (norm + 1e-12)
+        m = 0.9 * m + 0.1 * g
+        v = 0.999 * v + 0.001 * g * g
+        m_hat, v_hat = m / (1 - 0.9**step), v / (1 - 0.999**step)
+        lr = tc.lr * min(1.0, step / tc.warmup)
+        params.flat[...] -= lr * (m_hat / (np.sqrt(v_hat) + 1e-8)
+                                  + tc.weight_decay * params.flat)
+    assert np.abs(got.flat - params.flat).max() <= 1e-12 * np.abs(params.flat).max()
+
+
+BLAS_THREADS_SCRIPT = """
+import sys
+import numpy as np
+from simplexcast.model import ModelConfig, TrainConfig, train
+from simplexcast.simplex import SimplexSeries
+
+rng = np.random.default_rng(3)
+seqs = [SimplexSeries(f"b{i}", True, rng.dirichlet(np.ones(5), size=12)) for i in range(3)]
+params, _ = train(seqs[:2], seqs[2:], ModelConfig(dim=5, ordered=True),
+                  TrainConfig(iters=5, warmup=1, clip_norm=1e-3), seed=0)
+sys.stdout.write(params.flat.tobytes().hex())
+"""
+
+
+def test_train_bytes_do_not_depend_on_blas_threads():
+    # the default config's w_qk holds 13,312 floats, enough for OpenBLAS to
+    # split a dot product over the gradient between its threads, and the
+    # clipping binds, so the clipping norm's last bits reach the parameters
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    runs = [subprocess.run([sys.executable, "-c", BLAS_THREADS_SCRIPT],
+                           env={**env, "OPENBLAS_NUM_THREADS": str(n)},
+                           capture_output=True, text=True, check=True).stdout for n in (1, 2)]
+    assert runs[0] == runs[1]
+
+
 def test_train_checkpoint_golden_with_clipping_and_tail_average(tmp_path):
     # clip_norm binds at every step (gradient norms are >= 0.015) and the
     # last 12 of 40 iterates are averaged; the hashes pin the bytes that
     # AdamW, clipping and tail averaging produce, the second those of the
-    # payload alone, which a change of the header's entries leaves as it is
+    # payload alone, which a change of the header's entries leaves as it is.
+    # Re-recorded when the loss became `metrics.kl`, the clipping norm one
+    # sum and AdamW's bias corrections two scalars: parameters moved at most
+    # 8.6e-15 of the largest
     rng = np.random.default_rng(2024)
     seqs = [SimplexSeries(f"g{i}", True, rng.dirichlet(np.ones(5), size=10)) for i in range(3)]
     tc = TrainConfig(iters=40, batch_size=4, eval_every=10, lr=1e-2, warmup=5,
@@ -735,10 +795,10 @@ def test_train_checkpoint_golden_with_clipping_and_tail_average(tmp_path):
     params.save(path)
     data = path.read_bytes()
     assert hashlib.sha256(data).hexdigest() == (
-        "703ec472d09ed1fbb1313d93a91c55dfc7bf9ceac50ac66d5c95e2912b75f80c"
+        "605ffea64d397eee56ca665215546993b1ae41a4f9be68a568496609b282318f"
     )
     assert hashlib.sha256(data[-8 * params.flat.size :]).hexdigest() == (
-        "bc8f16e3839dafb4aa40b950a9456cd759c764c7b1fb305769b06da2d0858b4f"
+        "76dcda996d0132fb222bc2c83477d4b624c9d822c5975928d08f852dd56ee4e0"
     )
 
 
@@ -747,10 +807,14 @@ def test_train_checkpoint_golden_with_clipping_and_tail_average(tmp_path):
 # head axis and the dropped mix must keep every byte of training and scoring.
 # The digest covers the trained buffer (without the old `w_eta` when H = 1),
 # the training log, p_hat over every row and over row 0 alone, r and attn.
+# Re-recorded when the loss became `metrics.kl`, the clipping norm one sum and
+# AdamW's bias corrections two scalars: over H = 1, 2, 3 the parameters moved
+# at most 3.4e-15 of the largest, the log values, p_hat, r and attn at most
+# 4.4e-16 relative.
 HEADS_SHA256 = {
-    1: "a6e7ca87a28862ca5f7cd5c5df2ea7d929245b4c0ab434f3ca6a6836979a40fd",
-    2: "3169e2a3551f19241b84289eadd23b8a0f0a6675d4b48e2c3f24ae84a4880469",
-    3: "df389f3ebf629e580bc5d2ff60ea4f72bb8be21d5af21ae0626c966d946f78fb",
+    1: "1330b696d865ab210cbe2d2a51ea5b35c85419d8959693f4055d3284755b3aaf",
+    2: "d15ad1c2823c5521c84f02ea3b5c81e814d1e7dd6405a6608882fb76c6a24005",
+    3: "f45ab3c0a5dbe41513ed55ca316a25815a18c1d1882ab3d07970f61a01159677",
 }
 
 
@@ -920,7 +984,9 @@ def test_checkpoint_rejects_bad_magic(tmp_path):
     + [dict(budget=(v, 0.1, 1e-8)) for v in (-0.1, np.nan, np.inf)]
     + [dict(budget=(0.25, v, 1e-8)) for v in (np.nan, np.inf)]
     + [dict(budget=(0.25, 0.1, v)) for v in (0.0, -1e-8, np.nan, np.inf)]
-    + [dict(dim=1), dict(dim=0)],
+    + [dict(dim=1), dict(dim=0)]
+    + [dict(lambda_init=v) for v in (np.nan, np.inf, -np.inf, 0.04, 0.96)]
+    + [dict(rho_init=v) for v in (np.nan, np.inf, -np.inf, -1e-3, 0.21)],
 )
 def test_config_rejects_bad_values(bad):
     with pytest.raises(InvalidValue):
@@ -928,9 +994,19 @@ def test_config_rejects_bad_values(bad):
         small_cfg(**{k: BudgetParams(*v) if k == "budget" else v for k, v in bad.items()})
 
 
+@pytest.mark.parametrize("key", ["lambda_init", "rho_init"])
+@pytest.mark.parametrize("value", [np.nan, -1e300, 1e300])
+def test_config_names_the_init_value_it_rejects(key, value):
+    # `_solve_gate_bias` would clip it to within 1e-12 of its gate's range
+    with pytest.raises(InvalidValue, match=key):
+        small_cfg(**{key: value})
+
+
 def test_config_accepts_boundary_values():
     small_cfg(ew_beta=0.0, lambda_op=0.0, budget=BudgetParams(0.0, 0.0, 1e-300))
     small_cfg(ew_beta=1.0)
+    small_cfg(lambda_init=0.05, rho_init=0.0)
+    small_cfg(lambda_init=0.95, rho_init=0.20)
 
 
 @pytest.mark.parametrize(
