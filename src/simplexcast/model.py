@@ -6,15 +6,14 @@ moments); everything downstream of it is learnable: per-head retrieval
 projections, head mixing, the persistence gate, the transport head, and
 the transport-strength gate. The model produces the operator's inputs
 (retrieval r, gate lambda, kernel, raw strength rho); the anchor,
-transport, budget gate and mix, and the operator regularizer, are
-`transport.cast_step` and `transport.operator_regularizer`, the same code
-the theory oracle runs.
+transport, budget gate and mix, and the operator's prior, are
+`transport.cast_step`, the same code the theory oracle runs.
 
 The forward pass has a leading batch axis and runs on plain arrays;
 retrieval adds a leading head axis, so its H attention heads are one pass
 of stacked products, and a position without memory is a fully masked row
 of the padded memory. Every stage (retrieval, the two gates, the kernel
-head, the operator and its prior, the per-row KL, which is `metrics.kl`)
+head, the operator with its prior, the per-row KL, which is `metrics.kl`)
 returns its value and its reverse pass, a hand-written vector-Jacobian
 product, so gradients are exact reverse-mode.
 `loss_var` is the one place that builds a tape: one node over one leaf,
@@ -50,7 +49,7 @@ from .errors import InvalidValue
 from .io import atomic_write, json_type_ok
 from .metrics import DEFAULT_EPS as EPS, kl as kl_metric
 from .simplex import history_windows, smooth, smoothed_levels, softmax, softmax_vjp, support_bins
-from .transport import BudgetParams, cast_step, operator_regularizer
+from .transport import BudgetParams, cast_step
 
 VARIANTS = (
     "full",
@@ -413,9 +412,10 @@ def _forward(p: np.ndarray, h: np.ndarray, memory, values: dict, cfg: ModelConfi
     """Forward pass over B positions at once from the parameter arrays
     `values`: current distributions p (B, D), features h (B, F), and the
     retrieval memory of `make_batch` or `forward`. The heads that
-    `_heads(cfg)` runs feed `transport.cast_step`; without retrieval r = p,
-    and a transport strength without the kernel head moves mass by the
-    fixed local kernel. Returns p_hat, the step's parts with lam, r and attn
+    `_heads(cfg)` runs feed `transport.cast_step`, with the prior's weights
+    unless the variant is no_structural_reg; without retrieval r = p, and a
+    transport strength without the kernel head moves mass by the fixed local
+    kernel. Returns p_hat, the step's parts with lam, r and attn
     (H, B, T) added, and one (operator input, parameter names, reverse pass)
     entry per input that a head feeds. `out`, the named views of a gradient
     buffer, lets retrieval's reverse pass write the w_qk gradient in place."""
@@ -438,7 +438,8 @@ def _forward(p: np.ndarray, h: np.ndarray, memory, values: dict, cfg: ModelConfi
         op["kernel"], backs["kernel"] = _kernel_head(h, support_position_encoding(d), values)
     elif "rho" in live:
         op["kernel"] = fixed_local_kernel(d)
-    parts = cast_step(p, op["r"], op["lam"], op["kernel"], op["rho"], cfg.budget)
+    weights = None if cfg.variant == "no_structural_reg" else cfg.reg_weights
+    parts = cast_step(p, op["r"], op["lam"], op["kernel"], op["rho"], cfg.budget, weights)
     parts.update(lam=op["lam"], r=op["r"], attn=attn)
     return parts["p_hat"], parts, [(name, live[name], back) for name, back in backs.items()]
 
@@ -536,13 +537,13 @@ def make_batch(split: Split, positions):
 
 def loss_var(batch: tuple, params: CastParams, out: CastParams | None = None) -> Var:
     """Mean one-step KL over a `make_batch` batch plus lambda_op times the
-    mean operator regularizer, as the one tape node of a training step over
-    one leaf, `params.flat`. Its backward runs the mean, the KL, the step's
-    `vjp` plus the prior's, then each head's reverse pass into its views of
-    a gradient laid out as `params.flat`: the buffer of `out` when given,
-    else a new one. Every head in the layout runs on every batch, so every
-    view is written and none keeps a value from an earlier step; retrieval's
-    reverse pass writes the w_qk view of `out` directly."""
+    mean operator prior, as the one tape node of a training step over one
+    leaf, `params.flat`. Its backward runs the mean, the KL, the step's one
+    `vjp` of p_hat and the prior together, then each head's reverse pass into
+    its views of a gradient laid out as `params.flat`: the buffer of `out`
+    when given, else a new one. Every head in the layout runs on every
+    batch, so every view is written and none keeps a value from an earlier
+    step; retrieval's reverse pass writes the w_qk view of `out` directly."""
     cfg = params.cfg
     p, h, memory, targets = batch
     p_hat, parts, heads = _forward(p, h, memory, params.values, cfg,
@@ -550,17 +551,14 @@ def loss_var(batch: tuple, params: CastParams, out: CastParams | None = None) ->
     kl, kl_back = _kl_term(targets, p_hat)
     n = len(kl)
     total = kl.sum() / n
-    prior = None
-    if cfg.variant != "no_structural_reg":
-        prior = operator_regularizer(parts, cfg.reg_weights)
+    prior = parts["prior"]
     if prior is not None:
-        total = total + (prior[0].sum() / n) * cfg.lambda_op
+        total = total + (prior.sum() / n) * cfg.lambda_op
 
     def back(g):
-        g_in = parts["vjp"](kl_back(np.full(n, g / n)))
-        if prior is not None:
-            g_in = [a + b for a, b in zip(g_in, prior[1](np.full(n, g * cfg.lambda_op / n)))]
-        g_in = dict(zip(("r", "lam", "kernel", "rho"), g_in))
+        g_prior = None if prior is None else np.full(n, g * cfg.lambda_op / n)
+        g_in = dict(zip(("r", "lam", "kernel", "rho"),
+                        parts["vjp"](kl_back(np.full(n, g / n)), g_prior)))
         grad = CastParams(cfg, np.empty_like(params.flat)) if out is None else out
         for name, keys, head_back in heads:
             for key, g_key in zip(keys, head_back(g_in[name]), strict=True):
@@ -635,7 +633,9 @@ def train(
     """AdamW with linear warmup, gradient-norm clipping, and model selection
     by lowest validation one-step KL, each split packed once (`Split`). The
     clipping norm is one sum over the gradient, Adam's bias corrections two
-    scalars. Deterministic given the seed, whatever the BLAS thread count."""
+    scalars. A step's loss or a validation KL that is not finite is an
+    InvalidValue naming the step. Deterministic given the seed, whatever the
+    BLAS thread count."""
     rng = np.random.default_rng(seed)
     params = CastParams.init(cfg, seed)
     positions = scored_positions(train_seqs)
@@ -658,6 +658,13 @@ def train(
     log: list[dict] = []
     n_avg = int(tc.iters * tc.tail_average)  # final iterates averaged; 0 turns it off
     avg_sum = None
+
+    def checked_val_kl(params, step):
+        # an update can diverge after the step's loss was checked, the last one too
+        val_kl = evaluate_val_kl(val_split, params, MAX_VAL_POSITIONS)
+        if not np.isfinite(val_kl):
+            raise InvalidValue(f"validation KL is not finite at step {step}: {val_kl}")
+        return val_kl
 
     for step in range(1, tc.iters + 1):
         idx = rng.integers(0, len(positions), size=min(tc.batch_size, len(positions)))
@@ -694,7 +701,7 @@ def train(
                 avg_sum += params.flat
 
         if step % tc.eval_every == 0 or step == tc.iters:
-            val_kl = evaluate_val_kl(val_split, params, MAX_VAL_POSITIONS)
+            val_kl = checked_val_kl(params, step)
             log.append({"step": step, "train_loss": loss_value, "val_kl": val_kl})
             if val_kl < best_val:
                 best_val = val_kl
@@ -704,6 +711,6 @@ def train(
         # Polyak-style tail averaging: the averaged iterate suppresses the
         # stochastic-gradient noise floor, so it replaces checkpoint selection
         best = CastParams(cfg, avg_sum / n_avg)
-        val_kl = evaluate_val_kl(val_split, best, MAX_VAL_POSITIONS)
+        val_kl = checked_val_kl(best, tc.iters)
         log.append({"step": tc.iters, "train_loss": float("nan"), "val_kl": val_kl})
     return best, log

@@ -7,13 +7,14 @@ transport strength so that the realized support-mean displacement stays
 within B = delta_mu + delta_sigma * std(a), std(a) the standard deviation of
 a over the bins 1..D.
 
-`cast_step` (anchor, transport, budget gate, mix) and
-`operator_regularizer` are the only implementation of the operator; the
-model trains and predicts through them. Both work on the last axis, so they
-take one distribution (D,) or a batch (B, D) with one operator per row.
-Each runs on plain arrays and returns its value with its reverse pass, a
-hand-written vector-Jacobian product (the custom-VJP pattern); the two
-reverse passes share one chain through the mean shift and the budget.
+`cast_step` (anchor, transport, budget gate, mix, and the operator's
+target-free prior) is the only implementation of the operator; the model
+trains and predicts through it. It works on the last axis, so it takes one
+distribution (D,) or a batch (B, D) with one operator per row. It runs on
+plain arrays and returns its value with its reverse pass, a hand-written
+vector-Jacobian product (the custom-VJP pattern) that takes the gradients
+of p_hat and of the prior together, so a training step runs one chain
+through the mean shift and the budget.
 A kernel is a plain (..., D, 3) array here: the model's kernel head makes
 valid ones, `theory.AliasingScenario` checks the (K, D, 3) block of its
 regimes, and tests/transport_reference.py keeps a checked one-kernel form
@@ -71,12 +72,17 @@ def _shift_mass_vjp(g: np.ndarray) -> np.ndarray:
     return out
 
 
-def cast_step(p, r, lam, kernel, rho, budget: BudgetParams) -> dict:
+def cast_step(p, r, lam, kernel, rho, budget: BudgetParams, weights=None) -> dict:
     """One anchored-transport transition: anchor a = lam*p + (1-lam)*r, then
     mix in the radius-1 transport of a with the strength rho scaled down by
     the mean-shift budget gate. kernel=None means anchor only (unordered
-    supports, or the anchor_only variant). This is the one implementation
-    that training, inference and the theory oracle run.
+    supports, or the anchor_only variant). With `weights`, the four weights
+    of (strength, off-identity, smoothness, shift), the step also computes
+    its target-free prior: the weighted sum of the transport strength rho,
+    the off-identity mass sum K(., -1)^2 + K(., +1)^2, the neighbor
+    roughness of the kernel's rows and the squared relative mean shift
+    (delta_mu / budget)^2. This is the one implementation that training,
+    inference and the theory oracle run.
 
     p and r are (..., D): one distribution, or a batch (B, D) with one
     transition per row. lam and rho are per row (shape (...), or scalars
@@ -84,16 +90,17 @@ def cast_step(p, r, lam, kernel, rho, budget: BudgetParams) -> dict:
     for every row.
 
     Returns the parts by name as arrays: a, ta, kernel, rho, rho_eff,
-    delta_mu, budget and p_hat (a without a kernel); the transport entries
-    are None without a kernel. The per-row entries rho_eff, delta_mu and
-    budget have shape (...). `vjp` maps a gradient of p_hat to those of
-    (r, lam, kernel, rho), the last two None without a kernel, by the rules
-    of the elementwise derivation: the 1e-18 inside the support std, the
-    sign of delta_mu, and no gradient through the gate where it is clipped
-    at 1. An input with one value per row gets a gradient of its shape; a
-    shared one is a constant whose gradient is not read. With a kernel,
-    `chain` is the reverse chain through delta_mu and the budget that
-    `operator_regularizer` shares."""
+    delta_mu, budget, prior and p_hat (a without a kernel); the transport
+    entries are None without a kernel, and prior is None without a kernel
+    or without weights. The per-row entries rho_eff, delta_mu, budget and
+    prior have shape (...). `vjp(g, g_prior=None)` maps a gradient g of
+    p_hat, and one g_prior of the prior where the step has one, to those of
+    (r, lam, kernel, rho), the last two None without a kernel, in one
+    reverse pass through the mean shift and the budget, by the rules of the
+    elementwise derivation: the 1e-18 inside the support std, the sign of
+    delta_mu, and no gradient through the gate where it is clipped at 1. An
+    input with one value per row gets a gradient of its shape; a shared one
+    is a constant whose gradient is not read."""
     lam_c = np.asarray(lam, dtype=np.float64)[..., None]
     a = lam_c * p + (1.0 - lam_c) * r
 
@@ -101,9 +108,9 @@ def cast_step(p, r, lam, kernel, rho, budget: BudgetParams) -> dict:
         """(r, lam) gradients from one of a."""
         return g_a * (1.0 - lam_c), np.sum(g_a * (p - r), axis=-1)
 
-    parts = dict.fromkeys(("ta", "kernel", "rho", "rho_eff", "delta_mu", "budget"))
+    parts = dict.fromkeys(("ta", "kernel", "rho", "rho_eff", "delta_mu", "budget", "prior"))
     if kernel is None:
-        parts.update(a=a, p_hat=a, vjp=lambda g: anchor_vjp(g) + (None, None))
+        parts.update(a=a, p_hat=a, vjp=lambda g, g_prior=None: anchor_vjp(g) + (None, None))
         return parts
 
     m = a[..., None] * kernel
@@ -120,11 +127,33 @@ def cast_step(p, r, lam, kernel, rho, budget: BudgetParams) -> dict:
     rho_eff = rho * gate
     re = rho_eff[..., None]
     p_hat = (1.0 - re) * a + re * ta
+    if weights is not None:
+        w_strength, w_offid, w_smooth, w_shift = weights
+        squared = kernel * kernel
+        off_id = squared[..., 0].sum(axis=-1) + squared[..., 2].sum(axis=-1)
+        dk = kernel[..., :-1, :] - kernel[..., 1:, :]
+        roughness = (dk * dk).sum(axis=(-2, -1))
+        shift = delta_mu / b
+        parts["prior"] = (w_strength * rho + w_offid * off_id + w_smooth * roughness
+                          + w_shift * (shift * shift))
 
-    def chain(g_a, g_ta, g_dm, g_b, g_k):
-        """(r, lam, kernel) gradients from those of a, ta, delta_mu, the
-        budget and the kernel, in the layout of a and of a * kernel; g_a
-        and g_ta are written into."""
+    def vjp(g, g_prior=None):
+        g_re = np.sum(g * (ta - a), axis=-1)
+        g_ratio = g_re * rho * binds
+        g_a, g_ta = g * (1.0 - re), g * re
+        g_dm = -g_ratio * b / (den * den) * np.sign(delta_mu)
+        g_b = g_ratio / den
+        g_kernel, g_rho = 0.0, g_re * gate
+        if g_prior is not None:
+            g_row = g_prior[..., None, None]
+            g_kernel = (2.0 * w_offid) * g_row * kernel * _OFF_IDENTITY
+            g_dk = (2.0 * w_smooth) * g_row * dk
+            g_kernel[..., :-1, :] += g_dk
+            g_kernel[..., 1:, :] -= g_dk
+            g_shift = (2.0 * w_shift) * g_prior * shift
+            g_dm = g_dm + g_shift / b
+            g_b = g_b - g_shift * delta_mu / (b * b)
+            g_rho = g_rho + w_strength * g_prior
         g_dm_bins = g_dm[..., None] * bins
         g_ta += g_dm_bins
         g_a -= g_dm_bins
@@ -132,50 +161,10 @@ def cast_step(p, r, lam, kernel, rho, budget: BudgetParams) -> dict:
         g_centered = 2.0 * g_var * a * centered
         g_a += g_var * centered * centered
         g_a -= g_centered.sum(axis=-1)[..., None] * bins
-        g_m = _shift_mass_vjp(g_ta)
-        g_a += (g_m * kernel).sum(axis=-1)
-        return anchor_vjp(g_a) + (g_k + a[..., None] * g_m,)
-
-    def vjp(g):
-        g_re = np.sum(g * (ta - a), axis=-1)
-        g_ratio = g_re * rho * binds
-        g_abs = -g_ratio * b / (den * den)
-        grads = chain(g * (1.0 - re), g * re, g_abs * np.sign(delta_mu), g_ratio / den, 0.0)
-        return grads + (g_re * gate,)
+        g_shifted = _shift_mass_vjp(g_ta)
+        g_a += (g_shifted * kernel).sum(axis=-1)
+        return anchor_vjp(g_a) + (g_kernel + a[..., None] * g_shifted, g_rho)
 
     parts.update(a=a, ta=ta, kernel=kernel, rho=rho, rho_eff=rho_eff, delta_mu=delta_mu, budget=b,
-                 chain=chain, vjp=vjp, p_hat=p_hat)
+                 vjp=vjp, p_hat=p_hat)
     return parts
-
-
-def operator_regularizer(parts, weights):
-    """Target-free operator prior on the parts of a cast_step: weighted sum
-    of transport strength, off-identity mass, neighbor roughness, and
-    relative mean shift, one value per row. Returns (prior, vjp), where vjp
-    maps a gradient of the prior to those of the step's (r, lam, kernel,
-    rho) through the step's `chain`; None when the step had no transport."""
-    k = parts["kernel"]
-    if k is None:
-        return None
-    w_strength, w_offid, w_smooth, w_shift = weights
-    dm, b = parts["delta_mu"], parts["budget"]
-    off_id = (k[..., 0] * k[..., 0]).sum(axis=-1) + (k[..., 2] * k[..., 2]).sum(axis=-1)
-    dk = k[..., :-1, :] - k[..., 1:, :]
-    smoothness = (dk * dk).sum(axis=(-2, -1))
-    ratio = dm / b
-    prior = (w_strength * parts["rho"] + w_offid * off_id + w_smooth * smoothness
-             + w_shift * (ratio * ratio))
-
-    def vjp(g):
-        g_row = g[..., None, None]
-        g_k = (2.0 * w_offid) * g_row * k * _OFF_IDENTITY
-        g_dk = (2.0 * w_smooth) * g_row * dk
-        g_k[..., :-1, :] += g_dk
-        g_k[..., 1:, :] -= g_dk
-        g_ratio = (2.0 * w_shift) * g * ratio
-        a = parts["a"]
-        grads = parts["chain"](np.zeros_like(a), np.zeros_like(a), g_ratio / b,
-                               -g_ratio * dm / (b * b), g_k)
-        return grads + (w_strength * g,)
-
-    return prior, vjp

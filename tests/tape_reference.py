@@ -2,9 +2,8 @@
 arithmetic operation: the reference for the hand-written reverse passes of
 retrieval (`model._retrieval`), the persistence and transport-strength
 gates (`model._gate`), the kernel head (`model._kernel_head`), the
-anchored-transport operator (`transport.cast_step` and
-`transport.operator_regularizer`), the KL loss (`model._kl_term`) and the
-loss reduction (`model.loss_var`).
+anchored-transport operator and its prior (`transport.cast_step`), the KL
+loss (`model._kl_term`) and the loss reduction (`model.loss_var`).
 
 Each stage here is the composition of small rules that the hand-written
 reverse passes replace, so reverse mode over it is an independent
@@ -240,7 +239,7 @@ def cast_step_ref(p, r, lam, kernel, rho, budget):
 
 
 def operator_regularizer_ref(parts, weights):
-    """`transport.operator_regularizer`, one node per operation."""
+    """The prior of `transport.cast_step`, one node per operation."""
     k = parts["kernel"]
     if k is None:
         return None

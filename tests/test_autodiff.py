@@ -19,7 +19,7 @@ from simplexcast.model import (
     support_position_encoding,
 )
 from simplexcast.simplex import SimplexSeries
-from simplexcast.transport import BudgetParams, cast_step, operator_regularizer
+from simplexcast.transport import BudgetParams, cast_step
 
 from conftest import pad_memory_ref
 from tape_reference import Var, unbroadcast
@@ -240,18 +240,18 @@ def _rule_cases(rng):
     vec = Var(rng.normal(size=4))
 
     # three transitions over D = 5, and one with the theory oracle's shapes
-    # (scalar lam and rho, one (D, 3) kernel) whose budget gate binds
+    # (scalar lam and rho, one (D, 3) kernel) whose budget gate binds, each
+    # with its prior; the prior's reverse pass is the step's vjp from a zero
+    # gradient of p_hat
     p, r = (rng.dirichlet(np.ones(5), size=3) for _ in range(2))
     lam, rho = rng.uniform(size=3), rng.uniform(0.0, 0.2, size=3)
     kernel, k_oracle = rng.dirichlet(np.ones(3), size=(3, 5)), rng.dirichlet(np.ones(3), size=5)
-    step = cast_step(p, r, lam, kernel, rho, BudgetParams())
+    weights = (0.1, 0.2, 0.3, 0.4)
+    step = cast_step(p, r, lam, kernel, rho, BudgetParams(), weights)
     oracle = cast_step(p[0], r[0], np.float64(0.4), k_oracle, np.float64(0.9),
-                       BudgetParams(0.01, 0.0))
+                       BudgetParams(0.01, 0.0), weights)
     step_inputs = [r.shape, lam.shape, kernel.shape, rho.shape]
     oracle_inputs = [(5,), (), (5, 3), ()]
-    weights = (0.1, 0.2, 0.3, 0.4)
-    prior, prior_vjp = operator_regularizer(step, weights)
-    oracle_prior, oracle_prior_vjp = operator_regularizer(oracle, weights)
 
     cfg = ModelConfig(dim=5, ordered=True, window=2, heads=2, d_r=4)
     lengths = (0, 2, 4)  # a row with no memory, and unequal memories
@@ -288,9 +288,11 @@ def _rule_cases(rng):
                              [r.shape, lam.shape, None, None]),
         "cast_step": ((3, 5), step["vjp"], step_inputs),
         "cast_step_oracle_shapes": ((5,), oracle["vjp"], oracle_inputs),
-        "operator_regularizer": (prior.shape, prior_vjp, step_inputs),
-        "operator_regularizer_oracle_shapes": (np.shape(oracle_prior), oracle_prior_vjp,
-                                               oracle_inputs),
+        "cast_step_prior": (step["prior"].shape,
+                            lambda g: step["vjp"](np.zeros_like(p), g), step_inputs),
+        "cast_step_prior_oracle_shapes": (np.shape(oracle["prior"]),
+                                          lambda g: oracle["vjp"](np.zeros(5), g),
+                                          oracle_inputs),
         "retrieval": (retrieval.shape, retrieval_back,
                       [values[k].shape for k in ("w_qk", "w_eta")]),
         "kl": (kl.shape, lambda g: (kl_back(g),), [p.shape]),

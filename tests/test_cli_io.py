@@ -612,6 +612,20 @@ class TestCli:
         assert "error: validation split has no scored positions" in capsys.readouterr().err
         assert not (out / "model.ckpt").exists()
 
+    def test_train_that_diverges_on_its_last_step_exits_1(self, rng, tmp_path, capsys):
+        # the one update throws the parameters to ~1e297 after its loss was
+        # checked: the validation KL is not finite, and neither the initial
+        # parameters nor a log with a NaN in it are written
+        data = tmp_path / "d.jsonl"
+        write_dataset(data, _seqs(rng, n=4, t=8), section_name="unit")
+        out = tmp_path / "out"
+        with np.errstate(all="ignore"):
+            assert _run(["train", "--data", str(data), "--iters", "1", "--lr", "1e300",
+                         "--out", str(out)]) == 1
+        assert "error: validation KL is not finite at step 1: nan" in capsys.readouterr().err
+        assert not (out / "model.ckpt").exists()
+        assert not (out / "train_log.json").exists()
+
     def test_seed_study_records_selection_split(self, rng, tmp_path, caplog):
         data = tmp_path / "d.jsonl"
         write_dataset(data, _seqs(rng, n=4, t=8), section_name="unit")
@@ -1242,18 +1256,23 @@ class TestCli:
 # gradient and AdamW's bias corrections two scalars: parameters moved at most
 # 4.4e-17 of the largest, the rollout metrics 3.1e-16 and the training loss
 # 5.1e-16 relative; the cast metrics (1.6e-16) and the validation KL kept
-# their pins.
+# their pins. The same three were re-recorded when the operator's prior joined
+# `cast_step`'s one reverse pass, which adds the KL's and the prior's
+# gradients before the chain through the mean shift and the budget instead
+# of after it: parameters moved at most 7.7e-17 of the largest, the rollout
+# metrics 3.1e-16 and the training loss 3.7e-16 relative; the cast metrics
+# and the validation KL kept their bytes.
 PIPELINE_SHA256 = {
-    "model.ckpt": "d1df8cabb7b525a73f31ddbee22b558e436e197a55fd28fdb1739c587d8797ac",
+    "model.ckpt": "bee32be01f58cce19fab2d49d709102ccfac7bb2dc8c5fad61488c177bf38ae1",
     "evaluate_persistence.json": "030ee353061e5c26b827eeb91342bd125d58fa49b05575657998d3acddb3134d",
     "evaluate_analog.json": "22485e5a1f6d4debfccdc5c57f92b4960e327b38aba086827b8bf0878dbcc79c",
     "evaluate_var.json": "13370bf9dffc2c3a21256b9e98327ab3dd7387dcd38b90c050cb0b8f36428f22",
     "evaluate_ets.json": "adc695a2de78eb424daadcc9470a54393668ec816044cc9c1a7f88eab0f823e9",
-    "rollout_cast.json": "3fefee5db12ebc02ad9f63e9e91896fdf8f6672cd52de20c44c4341e9e4fe916",
+    "rollout_cast.json": "8766e99b8390f43a87f78f5c53b6cab4a5dda3fac72d1b329f3010ecf612a982",
 }
 PIPELINE_TRAIN_LOG = {
     "checkpoint": "model.ckpt",
-    "log": [{"step": 30, "train_loss": 0.08158190995359661, "val_kl": 0.18841308686318572}],
+    "log": [{"step": 30, "train_loss": 0.08158190995359664, "val_kl": 0.18841308686318572}],
     "selected_on": "train",
 }
 PIPELINE_CAST_METRICS = {

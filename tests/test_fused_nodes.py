@@ -20,7 +20,7 @@ from simplexcast.model import (
     make_batch,
 )
 from simplexcast.simplex import SimplexSeries
-from simplexcast.transport import BudgetParams, cast_step, operator_regularizer
+from simplexcast.transport import BudgetParams, cast_step
 
 from tape_reference import (
     Var,
@@ -83,7 +83,7 @@ def test_operator_matches_reference_on_oracle_shapes(rng, budget):
     # theory.cast_oracle's call: one distribution, scalar lam and rho, and
     # per regime a (1, D, 3) batch of one kernel, computed as the one (D, 3)
     # kernel here is; the reference has every input on the tape, and
-    # the step's vjp plus the prior's gives the gradients of
+    # the step's one vjp of (w, 1) gives the gradients of
     # sum(w * p_hat) + prior for (r, lam, kernel, rho)
     weights = (0.1, 0.2, 0.3, 0.4)
     for _ in range(10):
@@ -93,11 +93,9 @@ def test_operator_matches_reference_on_oracle_shapes(rng, budget):
                   float(rng.uniform(0.0, 1.0)))
         w = rng.normal(size=d)
 
-        parts = cast_step(p, *inputs, budget)
-        prior, prior_vjp = operator_regularizer(parts, weights)
-        got = float(np.sum(w * parts["p_hat"]) + prior)
-        got_g = dict(enumerate(g + g_prior for g, g_prior
-                               in zip(parts["vjp"](w), prior_vjp(np.ones(())))))
+        parts = cast_step(p, *inputs, budget, weights)
+        got = float(np.sum(w * parts["p_hat"]) + parts["prior"])
+        got_g = dict(enumerate(parts["vjp"](w, np.ones(()))))
 
         leaves = [Var(np.array(x)) for x in inputs]
         ref_parts = cast_step_ref(p, *leaves, budget)

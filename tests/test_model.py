@@ -706,6 +706,24 @@ def test_synthetic_tape_node_counts(feature_mode, variant):
     assert (with_rule, len(seen) - with_rule) == (1, 1)
 
 
+@pytest.mark.parametrize("variant, chains",
+                         [("full", 1), ("no_structural_reg", 1), ("anchor_only", 0)])
+def test_one_reverse_chain_per_gradient(rng, monkeypatch, variant, chains):
+    # the reverse pass through the mean shift and the budget, which ends in
+    # `_shift_mass_vjp`, runs once for p_hat and the prior together, and not
+    # at all without transport
+    from simplexcast import transport
+
+    calls = []
+    shift_mass_vjp = transport._shift_mass_vjp
+    monkeypatch.setattr(transport, "_shift_mass_vjp",
+                        lambda g: calls.append(g.shape) or shift_mass_vjp(g))
+    cfg = small_cfg(variant=variant)
+    seqs = [random_series(rng, 6, cfg.dim, f"s{i}") for i in range(2)]
+    gradient(make_batch(Split(seqs, cfg), [(0, 3), (1, 2)]), CastParams.init(cfg, 0))
+    assert len(calls) == chains
+
+
 # ---------------------------------------------------------------- training
 
 
@@ -784,7 +802,9 @@ def test_train_checkpoint_golden_with_clipping_and_tail_average(tmp_path):
     # payload alone, which a change of the header's entries leaves as it is.
     # Re-recorded when the loss became `metrics.kl`, the clipping norm one
     # sum and AdamW's bias corrections two scalars: parameters moved at most
-    # 8.6e-15 of the largest
+    # 8.6e-15 of the largest. Re-recorded when the operator's prior joined
+    # `cast_step`'s one reverse pass: parameters moved at most 7.8e-15 of the
+    # largest
     rng = np.random.default_rng(2024)
     seqs = [SimplexSeries(f"g{i}", True, rng.dirichlet(np.ones(5), size=10)) for i in range(3)]
     tc = TrainConfig(iters=40, batch_size=4, eval_every=10, lr=1e-2, warmup=5,
@@ -795,10 +815,10 @@ def test_train_checkpoint_golden_with_clipping_and_tail_average(tmp_path):
     params.save(path)
     data = path.read_bytes()
     assert hashlib.sha256(data).hexdigest() == (
-        "605ffea64d397eee56ca665215546993b1ae41a4f9be68a568496609b282318f"
+        "8ac81c471ddea251a5d7d56e97f7e03bd0043155dcf66906fad2361d5b9f4087"
     )
     assert hashlib.sha256(data[-8 * params.flat.size :]).hexdigest() == (
-        "76dcda996d0132fb222bc2c83477d4b624c9d822c5975928d08f852dd56ee4e0"
+        "00808442a675ac4920307aede997d921dc61b55ba5d78f602ca8042fcb3cc28b"
     )
 
 
@@ -810,11 +830,13 @@ def test_train_checkpoint_golden_with_clipping_and_tail_average(tmp_path):
 # Re-recorded when the loss became `metrics.kl`, the clipping norm one sum and
 # AdamW's bias corrections two scalars: over H = 1, 2, 3 the parameters moved
 # at most 3.4e-15 of the largest, the log values, p_hat, r and attn at most
-# 4.4e-16 relative.
+# 4.4e-16 relative. Re-recorded when the operator's prior joined `cast_step`'s
+# one reverse pass: over H = 1, 2, 3 the parameters moved at most 3.9e-15 of
+# the largest, the log values, p_hat, r and attn at most 5.3e-16 relative.
 HEADS_SHA256 = {
-    1: "1330b696d865ab210cbe2d2a51ea5b35c85419d8959693f4055d3284755b3aaf",
-    2: "d15ad1c2823c5521c84f02ea3b5c81e814d1e7dd6405a6608882fb76c6a24005",
-    3: "f45ab3c0a5dbe41513ed55ca316a25815a18c1d1882ab3d07970f61a01159677",
+    1: "82320d56f4be6e05f179011034788a38cfe250d686dacc6d2ac058aa4b89cf6c",
+    2: "412f9dc6293e88cbae25c9ef84ab113fcab416874ea332d04199d6442920717e",
+    3: "f19ec1d8cd4e85c9049101fe57f6784cf87f82220299bc98eb399d4055dd6c75",
 }
 
 
@@ -846,13 +868,28 @@ def test_train_reduces_loss_on_learnable_signal(rng):
     assert log[-1]["val_kl"] < log[0]["val_kl"]
 
 
-def test_train_stops_at_the_step_whose_loss_is_not_finite(rng):
+@pytest.mark.parametrize("iters, error", [
+    (5, "loss is not finite at step 2: nan"),
+    # the last update diverges after its step's loss was checked: the
+    # validation KL of the diverged parameters is caught instead
+    (1, "validation KL is not finite at step 1: nan"),
+], ids=["loss", "last-update"])
+def test_train_stops_at_the_step_whose_loss_is_not_finite(rng, iters, error):
     # a learning rate of 1e300 throws the parameters to ~1e297 at step 1, and
-    # the retrieval scores of step 2 overflow
+    # the retrieval scores of step 2, or of validation after it, overflow
     seqs = _tiny_dataset(rng, 3)
-    tc = TrainConfig(iters=5, batch_size=4, lr=1e300)
-    with np.errstate(all="ignore"), pytest.raises(InvalidValue,
-                                                  match="^loss is not finite at step 2: nan$"):
+    tc = TrainConfig(iters=iters, batch_size=4, lr=1e300)
+    with np.errstate(all="ignore"), pytest.raises(InvalidValue, match=f"^{error}$"):
+        train(seqs[:2], seqs[2:], small_cfg(), tc, seed=0)
+
+
+def test_train_stops_at_a_tail_average_whose_validation_kl_is_not_finite(rng, monkeypatch):
+    # the averaged iterate is scored once more after the last step
+    scores = iter([0.5, np.nan])
+    monkeypatch.setattr(model, "evaluate_val_kl", lambda *args: next(scores))
+    seqs = _tiny_dataset(rng, 3)
+    tc = TrainConfig(iters=4, batch_size=4, eval_every=4, tail_average=0.5)
+    with pytest.raises(InvalidValue, match="^validation KL is not finite at step 4: nan$"):
         train(seqs[:2], seqs[2:], small_cfg(), tc, seed=0)
 
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from simplexcast.metrics import l1, w1_ordered
-from simplexcast.transport import BudgetParams, cast_step, operator_regularizer
+from simplexcast.transport import BudgetParams, cast_step
 
 from conftest import convex_mix, random_dist
 from transport_reference import TransportKernel, apply_transport, budget, mean_support
@@ -15,9 +15,9 @@ def random_kernel(rng, d):
     return TransportKernel(rows / rows.sum(axis=1, keepdims=True))
 
 
-def step(p, r, lam, kernel, rho, b):
+def step(p, r, lam, kernel, rho, b, weights=None):
     """The operator's parts for a TransportKernel (or None)."""
-    return cast_step(p, r, lam, None if kernel is None else kernel.rows, rho, b)
+    return cast_step(p, r, lam, None if kernel is None else kernel.rows, rho, b, weights)
 
 
 def p_hat(p, r, lam, kernel, rho, b):
@@ -97,33 +97,33 @@ class TestCastStep:
     def test_unordered_disables_transport(self, rng):
         # unordered supports pass no kernel: the step is the anchor
         p, r = random_dist(rng, 4), random_dist(rng, 4)
-        parts = step(p, r, 0.3, None, 0.2, BudgetParams())
+        parts = step(p, r, 0.3, None, 0.2, BudgetParams(), REG_WEIGHTS)
         np.testing.assert_allclose(parts["p_hat"], convex_mix(p, r, 0.3))
         assert parts["rho_eff"] is None
-        assert operator_regularizer(parts, REG_WEIGHTS) is None
+        assert parts["prior"] is None
 
 
 class TestRegularizer:
     def test_identity_zero(self, rng):
         a = random_dist(rng, 4)
-        parts = step(a, a, 1.0, TransportKernel.identity(4), 0.0, BudgetParams())
-        assert operator_regularizer(parts, REG_WEIGHTS)[0].item() == 0
+        parts = step(a, a, 1.0, TransportKernel.identity(4), 0.0, BudgetParams(), REG_WEIGHTS)
+        assert parts["prior"].item() == 0
 
     def test_constant_rows_zero_smoothness(self, rng):
         rows = np.tile([0.2, 0.5, 0.3], (5, 1))
         a = random_dist(rng, 5)
-        parts = step(a, a, 1.0, TransportKernel(rows), 0.0, BudgetParams())
         # isolate the smoothness term
-        assert operator_regularizer(parts, (0, 0, 1, 0))[0].item() == 0
+        parts = step(a, a, 1.0, TransportKernel(rows), 0.0, BudgetParams(), (0, 0, 1, 0))
+        assert parts["prior"].item() == 0
 
     def test_right_shift_hand_values(self):
         d = 3
         a = np.full(d, 1 / 3)
         b = BudgetParams()
-        parts = step(a, a, 1.0, TransportKernel.pure_shift(d, +1), 0.0, b)
-        off_id = operator_regularizer(parts, (0, 1, 0, 0))[0].item()
+        kernel = TransportKernel.pure_shift(d, +1)
+        off_id = step(a, a, 1.0, kernel, 0.0, b, (0, 1, 0, 0))["prior"].item()
         assert off_id == pytest.approx(3.0)
-        shift = operator_regularizer(parts, (0, 0, 0, 1))[0].item()
+        shift = step(a, a, 1.0, kernel, 0.0, b, (0, 0, 0, 1))["prior"].item()
         assert shift == pytest.approx(((2 / 3) / budget(b, a)) ** 2)
 
 
